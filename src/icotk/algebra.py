@@ -14,7 +14,8 @@ no operation mutates its arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 from .config import DEFAULT_FACTOR_BUDGET, FactorBudget
 from .errors import FactorBudgetError, NotDivisibleError, ParseError
@@ -23,11 +24,23 @@ from .errors import FactorBudgetError, NotDivisibleError, ParseError
 # integer arithmetic: radicals with a factoring budget
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_13: the least strong pseudoprime to every base in _SMALL_PRIMES
+# (Sorenson & Webster, Math. Comp. 2017); below it Miller-Rabin on those
+# bases is a proof.
+_PSI13 = 3317044064679887385961981
+_POCKLINGTON_BASES = 100
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (fixed witness set)."""
+def _is_prime(n: int, budget: FactorBudget) -> bool:
+    """Primality that never lies.
+
+    Miller-Rabin on the bases 2..41 decides every n < psi_13.  A larger n
+    that passes is proved prime by Pocklington's criterion on the full
+    factorization of n - 1 (recursively, within ``budget``); when no proof
+    is found, FactorBudgetError is raised instead of an unproven answer.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -47,6 +60,18 @@ def _is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n < _PSI13:
+        return True
+    # Pocklington: n is prime if for every prime q | n - 1 some a has
+    # a^(n-1) = 1 and gcd(a^((n-1)/q) - 1, n) = 1 (mod n)
+    for q in factorize(n - 1, budget):
+        for a in range(2, 2 + _POCKLINGTON_BASES):
+            if pow(a, n - 1, n) != 1:
+                return False
+            if gcd(pow(a, (n - 1) // q, n) - 1, n) == 1:
+                break
+        else:
+            raise FactorBudgetError(f"primality of {n} not proved within budget")
     return True
 
 
@@ -116,7 +141,7 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_FACTOR_BUDGET) -> dict:
         m = stack.pop()
         if m == 1:
             continue
-        if _is_probable_prime(m):
+        if _is_prime(m, budget):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m, budget)
@@ -264,13 +289,6 @@ class Poly:
 
     def coeff(self, expo) -> Fraction:
         return self.terms.get(tuple(expo), 0)
-
-    def leading_term(self):
-        """(exponent, coefficient) maximal under grevlex; None for zero."""
-        if not self.terms:
-            return None
-        e = max(self.terms, key=grevlex_key)
-        return e, self.terms[e]
 
     def __bool__(self):
         return bool(self.terms)
@@ -425,20 +443,10 @@ class Poly:
         q = self._coerce(q)
         if q.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return self
-        lt_e, lt_c = q.leading_term()
-        rem = self
-        quot: dict = {}
-        while rem.terms:
-            re, rc = rem.leading_term()
-            diff = tuple(map(int.__sub__, re, lt_e))
-            if any(d < 0 for d in diff):
-                raise NotDivisibleError("not divisible")
-            coeff = _norm_coeff(Fraction(rc) / lt_c)
-            quot[diff] = coeff
-            rem = rem - Poly.monomial(self.ring, diff, coeff) * q
-        return Poly(self.ring, quot)
+        (quot,), rem = divide(self, [q], full=False)
+        if rem.terms:
+            raise NotDivisibleError("not divisible")
+        return quot
 
     def content_primitive(self):
         """(content, primitive part): self = c * q with q integer, coefficient
@@ -498,6 +506,76 @@ class Poly:
         return " ".join(chunks)
 
     __repr__ = __str__
+
+
+# ---------------------------------------------------------------------------
+# division
+# ---------------------------------------------------------------------------
+
+
+def _negated(key):
+    """Order-reversing image of a sort key made of ints and tuples of equal
+    shape, so that a min-heap on it pops the largest key first."""
+    return -key if type(key) is int else tuple(map(_negated, key))
+
+
+def divide(p: Poly, divisors, key=grevlex_key, spend=None, full=True):
+    """Sparse division of p by a list of nonzero polynomials.
+
+    Remainder terms are taken in decreasing ``key`` order from a heap
+    (Monagan & Pearce, JSC 2011), and each one is reduced by the *first*
+    divisor whose leading term divides it; every reduction calls ``spend()``
+    once.  The first term that no divisor reduces either ends the division
+    (``full=False``: top-reduction, returning everything left as the
+    remainder) or moves to the remainder (``full=True``: a normal form).
+
+    Returns ``(quotients, remainder)`` with p = sum(q_i * d_i) + remainder.
+    """
+    heads = []
+    for d in divisors:
+        lead = max(d.terms, key=key)
+        tail = [(e, c) for e, c in d.terms.items() if e != lead]
+        heads.append((lead, d.terms[lead], tail))
+    rem = dict(p.terms)
+    heap = [(_negated(key(e)), e) for e in rem]
+    heapify(heap)
+    quots = [{} for _ in heads]
+    done: dict = {}
+    while heap:
+        e = heappop(heap)[1]
+        c = rem.get(e)
+        if c is None:  # cancelled after it was pushed
+            continue
+        for i, (lead, lc, tail) in enumerate(heads):
+            if all(map(int.__le__, lead, e)):
+                break
+        else:
+            if not full:
+                break
+            done[e] = rem.pop(e)
+            continue
+        if spend is not None:
+            spend()
+        del rem[e]
+        shift = tuple(map(int.__sub__, e, lead))
+        if type(c) is int and type(lc) is int and c % lc == 0:
+            factor = c // lc
+        else:
+            factor = _norm_coeff(Fraction(c) / lc)
+        quots[i][shift] = factor
+        for te, tc in tail:
+            k = tuple(map(int.__add__, te, shift))
+            old = rem.get(k)
+            if old is None:
+                rem[k] = _norm_coeff(-factor * tc)
+                heappush(heap, (_negated(key(k)), k))
+            else:
+                s = old - factor * tc
+                if s:
+                    rem[k] = _norm_coeff(s)
+                else:
+                    del rem[k]
+    return [Poly(p.ring, q) for q in quots], Poly(p.ring, done if full else rem)
 
 
 # ---------------------------------------------------------------------------
@@ -636,19 +714,3 @@ def elementary_symmetric(ring: Ring, k: int, m: int | None = None) -> Poly:
             e[i] = 1
         terms[tuple(e)] = 1
     return Poly(ring, terms)
-
-
-def substitute(p: Poly, images) -> Poly:
-    return p.substitute(images)
-
-
-def evaluate(p: Poly, point):
-    return p.evaluate(point)
-
-
-def exact_div(p: Poly, q: Poly) -> Poly:
-    return p.exact_div(q)
-
-
-def content_primitive(p: Poly):
-    return p.content_primitive()

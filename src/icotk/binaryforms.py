@@ -181,16 +181,6 @@ def form_mul(f, g, dom=ZZ):
     return out
 
 
-def form_add(f, g, dom=ZZ):
-    if len(f) != len(g):
-        raise ValueError("mismatched form degrees")
-    return [dom.add(a, b) for a, b in zip(f, g)]
-
-
-def form_scale(f, c, dom=ZZ):
-    return [dom.mul(c, a) for a in f]
-
-
 def form_eval(f, s, t, dom=ZZ):
     d = len(f) - 1
     total = dom.zero

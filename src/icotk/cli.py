@@ -3,8 +3,10 @@
 Every subcommand writes a single report object to standard output with the
 schema tag "icotk-report/1" and exits 0 on success, 1 on a negative
 mathematical verdict (a criterion fails, non-trivial points found), 2 on
-usage or input errors, and 3 when a work budget is exceeded.  Budget flags
-are echoed into the report so runs are reproducible from the payload alone.
+usage or input errors, 3 when a work budget is exceeded, and 4 on an
+internal error (a bug, reported with provenance "internal-error").  Budget
+flags are echoed into the report so runs are reproducible from the payload
+alone.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import __version__
@@ -576,21 +579,13 @@ def run(argv) -> int:
     try:
         result, provenance, code = args.handler(args, gb, fb)
     except BudgetExceededError as exc:
-        envelope.update(
-            result={"error": str(exc)},
-            provenance=["budget-exceeded"],
-            millis=round((time.perf_counter() - t0) * 1000.0, 3),
-        )
-        _emit(envelope)
-        return 3
-    except (IcotkError, ValueError, OSError) as exc:
-        envelope.update(
-            result={"error": str(exc)},
-            provenance=["input-error"],
-            millis=round((time.perf_counter() - t0) * 1000.0, 3),
-        )
-        _emit(envelope)
-        return 2
+        result, provenance, code = {"error": str(exc)}, ["budget-exceeded"], 3
+    except (IcotkError, ValueError, ArithmeticError, OSError) as exc:
+        result, provenance, code = {"error": str(exc)}, ["input-error"], 2
+    except Exception as exc:  # a bug: reported, never mistaken for a verdict
+        traceback.print_exc(file=sys.stderr)
+        result = {"error": f"{type(exc).__name__}: {exc}"}
+        provenance, code = ["internal-error"], 4
     envelope.update(
         result=result,
         provenance=provenance,

@@ -25,13 +25,6 @@ class GroebnerBudget:
     max_reductions: int = 10**7
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    """Worker count for surface scans (ICOTK_THREADS overrides the default)."""
-
-    threads: int = 1
-
-
 DEFAULT_FACTOR_BUDGET = FactorBudget()
 DEFAULT_GB_BUDGET = GroebnerBudget()
 

@@ -358,6 +358,13 @@ def sunit_bounded(S, k: int, E: int, enumeration_cap: int = 2_000_000):
             raise ValueError(f"S must consist of primes, got {p}")
     if k < 1 or E < 0:
         raise ValueError("k >= 1 and E >= 0 required")
+    # checked before any unit is built: each exponent vector gives two
+    # distinct signed units, and as n_units >= 2 a capped power decides
+    n_units = 2 * (2 * E + 1) ** len(primes)
+    if n_units ** min(k, enumeration_cap.bit_length() + 1) > enumeration_cap:
+        raise BudgetExceededError(
+            f"S-unit box holds {n_units}^{k} tuples; cap is {enumeration_cap}"
+        )
     units = set()
     for expos in itertools.product(range(-E, E + 1), repeat=len(primes)):
         num = den = 1
@@ -369,10 +376,6 @@ def sunit_bounded(S, k: int, E: int, enumeration_cap: int = 2_000_000):
         units.add(Fraction(num, den))
         units.add(Fraction(-num, den))
     units = sorted(units)
-    if len(units) ** k > enumeration_cap:
-        raise BudgetExceededError(
-            f"S-unit box holds {len(units)}^{k} tuples; cap is {enumeration_cap}"
-        )
     out = [
         tup
         for tup in itertools.product(units, repeat=k)

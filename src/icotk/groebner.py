@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .algebra import Poly, Ring, grevlex_key, poly_parse
+from .algebra import Poly, Ring, divide, grevlex_key, poly_parse
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget, cache_dir
 from .errors import BudgetExceededError, ParseError
 
@@ -97,23 +97,6 @@ def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _reduce_once(p: Poly, basis, order, budget) -> tuple:
-    """One top-reduction of p by the first basis element whose LT divides
-    LT(p); returns (new p, True) or (p, False) when no reducer applies."""
-    pe, pc = _leading(p, order)
-    for g in basis:
-        ge, gc = _leading(g, order)
-        if _divides(ge, pe):
-            budget.spend()
-            shift = tuple(map(int.__sub__, pe, ge))
-            if isinstance(pc, int) and isinstance(gc, int) and pc % gc == 0:
-                factor = pc // gc
-            else:
-                factor = Fraction(pc) / gc
-            return p - Poly.monomial(p.ring, shift, factor) * g, True
-    return p, False
-
-
 def normal_form(
     p: Poly,
     basis,
@@ -129,16 +112,7 @@ def normal_form(
         basis = basis.groebner(order, budget)
     if p.is_zero() or not basis:
         return p
-    tracker = _Budget(budget.max_reductions)
-    tail = p
-    done = Poly.zero(p.ring)
-    while tail.terms:
-        tail, reduced = _reduce_once(tail, basis, order, tracker)
-        if not reduced:
-            e, c = _leading(tail, order)
-            done = done + Poly.monomial(p.ring, e, c)
-            tail = tail - Poly.monomial(p.ring, e, c)
-    return done
+    return divide(p, basis, order.key, _Budget(budget.max_reductions).spend)[1]
 
 
 def _strip(p: Poly) -> Poly:
@@ -202,12 +176,8 @@ def _buchberger(gens, order, budget) -> list:
         if coprime(i, j) or chain_skippable(i, j):
             continue
         s = _spoly(basis[i], basis[j], order)
-        rem = s
-        while rem.terms:
-            rem, reduced = _reduce_once(rem, basis, order, tracker)
-            if not reduced:
-                break
         # top-reduction suffices inside the loop; tails are cleaned up at the end
+        rem = divide(s, basis, order.key, tracker.spend, full=False)[1]
         if rem.terms:
             rem = _strip(rem)
             basis.append(rem)
@@ -234,14 +204,7 @@ def _interreduce(basis, order, tracker) -> list:
     reduced = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
-        tail = g
-        done = Poly.zero(g.ring)
-        while tail.terms:
-            tail, did = _reduce_once(tail, others, order, tracker)
-            if not did:
-                e, c = _leading(tail, order)
-                done = done + Poly.monomial(g.ring, e, c)
-                tail = tail - Poly.monomial(g.ring, e, c)
+        done = divide(g, others, order.key, tracker.spend)[1]
         if done.terms:
             reduced.append(_strip(done))
     reduced.sort(key=lambda g: (order.key(_leading(g, order)[0]), str(g)))
@@ -374,6 +337,20 @@ def _drop_variable(p: Poly, ring_small: Ring, pos: int) -> Poly:
     )
 
 
+def _rabinowitsch(I: Ideal, g: Poly) -> Ideal:
+    """(I, 1 - w*g) in the ring extended by a fresh last variable w."""
+    wname = "w"
+    while wname in I.ring.index:
+        wname += "_"
+    big = I.ring.extend(wname)
+
+    def up(p: Poly) -> Poly:
+        return Poly(big, {e + (0,): c for e, c in p.terms.items()})
+
+    w = Poly.variable(big, wname)
+    return Ideal(big, [up(p) for p in I.gens] + [Poly.constant(big, 1) - w * up(g)])
+
+
 def saturate(
     I: Ideal,
     g: Poly,
@@ -384,20 +361,9 @@ def saturate(
         raise ValueError("cannot saturate by zero")
     if g.is_constant():
         return I
-    ring = I.ring
-    wname = "w"
-    while wname in ring.index:
-        wname += "_"
-    big = ring.extend(wname)
-
-    def up(p: Poly) -> Poly:
-        return Poly(big, {e + (0,): c for e, c in p.terms.items()})
-
-    w = Poly.variable(big, wname)
-    J = Ideal(big, [up(p) for p in I.gens] + [Poly.constant(big, 1) - w * up(g)])
-    elim = eliminate(J, {wname}, budget)
-    pos = big.index[wname]
-    return Ideal(ring, [_drop_variable(p, ring, pos) for p in elim.gens])
+    J = _rabinowitsch(I, g)
+    elim = eliminate(J, {J.ring.names[-1]}, budget)
+    return Ideal(I.ring, [_drop_variable(p, I.ring, I.ring.nvars) for p in elim.gens])
 
 
 def radical_member(
@@ -408,18 +374,7 @@ def radical_member(
     """True iff p vanishes on V(I), i.e. 1 in (I, 1 - w*p)."""
     if p.is_zero():
         return True
-    ring = I.ring
-    wname = "w"
-    while wname in ring.index:
-        wname += "_"
-    big = ring.extend(wname)
-
-    def up(q: Poly) -> Poly:
-        return Poly(big, {e + (0,): c for e, c in q.terms.items()})
-
-    w = Poly.variable(big, wname)
-    J = Ideal(big, [up(q) for q in I.gens] + [Poly.constant(big, 1) - w * up(p)])
-    basis = J.groebner(GREVLEX, budget)
+    basis = _rabinowitsch(I, p).groebner(GREVLEX, budget)
     return len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero()
 
 

@@ -304,13 +304,6 @@ class HeightCertificate:
                 return v
         raise KeyError(name)
 
-    def to_dict(self, digits: int = 30) -> dict:
-        return {
-            "tag": self.tag,
-            "log10_bound": self.bound.render(digits),
-            "inputs": {k: str(v) for k, v in self.inputs},
-        }
-
 
 def bound_thmE(nu: int) -> HeightCertificate:
     """Height bound for points of non-degenerate ico curves:

@@ -4,9 +4,9 @@ curve C_tau = V(lambda), and the base locus T_tau.
 
 Everything is *constructed* from the defining data (t_j and r_i) at first
 use rather than transcribed as expanded constants, so a typo in the inputs
-breaks loudly in the degree and identity checks.  The composition
-lambda = rho_0(tau)/x costs about a second; the geometry is therefore built
-once and shared (it is immutable).
+breaks loudly in the degree and identity checks.  Composing lambda =
+rho_0(tau)/x is most of the build (about half a second); the geometry is
+therefore built once and shared (it is immutable).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .algebra import P2, P4, Poly, elementary_symmetric, poly_parse
 from .binaryforms import ZPhi
@@ -121,8 +121,12 @@ class FixedGeometry:
         self.sigma2 = elementary_symmetric(P4, 2)
         self.sigma4 = elementary_symmetric(P4, 4)
 
+        # lambda = rho_0(tau)/x from rho_0's factored form, r_i(tau) being the
+        # product of the tau_j with j != i; verify_identities checks the
+        # expanded substitution rho_0(tau) independently
+        rt = [prod(t for j, t in enumerate(self.tau) if j != i) for i in range(4)]
         x = Poly.variable(P2, "x")
-        self.lam = self.rho[0].substitute(self.tau).exact_div(x)
+        self.lam = (-(rt[1] + rt[3]) * (rt[0] + rt[1] + rt[2])).exact_div(x)
         if self.lam.degree() != 95:
             raise AssertionError("lambda does not have degree 95")
 

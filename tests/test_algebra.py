@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from icotk.algebra import (
     P2,
     P4,
     Poly,
     Ring,
+    _is_prime,
     elementary_symmetric,
     factorize,
     int_radical,
@@ -19,9 +20,12 @@ from icotk.config import FactorBudget
 from icotk.errors import FactorBudgetError, NotDivisibleError, ParseError
 
 
-def _poly_strategy(ring, max_exp=4, max_terms=6, coeff_bound=9):
+def _poly_strategy(ring, max_exp=4, max_terms=6, coeff_bound=9, rational=False):
     expo = st.tuples(*([st.integers(0, max_exp)] * ring.nvars))
-    term = st.tuples(expo, st.integers(-coeff_bound, coeff_bound))
+    coeff = st.integers(-coeff_bound, coeff_bound)
+    if rational:
+        coeff = st.builds(Fraction, coeff, st.integers(1, coeff_bound))
+    term = st.tuples(expo, coeff)
     return st.lists(term, max_size=max_terms).map(
         lambda items: Poly.from_terms(ring, items)
     )
@@ -29,6 +33,7 @@ def _poly_strategy(ring, max_exp=4, max_terms=6, coeff_bound=9):
 
 polys2 = _poly_strategy(P2)
 polys4 = _poly_strategy(P4, max_exp=3, max_terms=5)
+qpolys2 = _poly_strategy(P2, rational=True)
 points3 = st.tuples(*([st.integers(-20, 20)] * 3))
 
 
@@ -84,6 +89,20 @@ def test_exact_division_round_trip(p, q):
     assert (p * q).exact_div(q) == p
 
 
+@given(st.one_of(polys2, qpolys2), st.one_of(polys2, qpolys2))
+def test_exact_division_round_trip_over_q(p, q):
+    assume(not q.is_zero())
+    assert (p * q).exact_div(q) == p
+
+
+@given(st.one_of(polys2, qpolys2), st.one_of(polys2, qpolys2), st.integers(1, 9))
+def test_exact_division_rejects_a_remainder(p, q, c):
+    # q of positive degree cannot divide the nonzero constant c
+    assume(q.degree() >= 1)
+    with pytest.raises(NotDivisibleError):
+        (p * q + c).exact_div(q)
+
+
 def test_exact_division_failure():
     p = poly_parse("x^2 + y", P2)
     q = poly_parse("x + 1", P2)
@@ -135,6 +154,27 @@ def test_int_radical_values():
     assert int_radical(8) == 2
     assert int_radical(2310) == 2310
     assert int_radical(-12) == 6
+
+
+# strong pseudoprimes to the first 12 and 13 prime bases (Sorenson & Webster)
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+
+
+def test_factorize_strong_pseudoprimes():
+    assert factorize(PSI12) == {399165290221: 1, 798330580441: 1}
+    assert factorize(PSI13) == {1287836182261: 1, 2575672364521: 1}
+    assert int_radical(PSI12) == PSI12
+
+
+def test_primality_above_psi13_is_proved_or_refused():
+    mersenne = 2**89 - 1
+    assert mersenne > PSI13
+    assert _is_prime(mersenne, FactorBudget())
+    assert factorize(mersenne) == {mersenne: 1}
+    # proving it needs the factors of 2^89 - 2; without them, refuse
+    with pytest.raises(FactorBudgetError):
+        _is_prime(mersenne, FactorBudget(trial_limit=10, rho_iterations=2))
 
 
 def test_factor_budget_exhaustion():

@@ -1,8 +1,11 @@
 """CLI contract: report schema, exit codes, determinism, payload round trips."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from icotk.cli import run
 
@@ -130,3 +133,75 @@ def test_suite_ttau(capsys):
     assert code == 0
     assert rep["result"]["passed"] is True
     assert rep["provenance"] == ["suite:ttau"]
+
+
+def test_division_by_zero_input_exits_two(capsys):
+    code, rep = _invoke(capsys, "bound", "thmC", "--dx", "1", "--nu", "1", "--hX", "1/0")
+    assert code == 2
+    assert rep["schema"] == "icotk-report/1"
+    assert rep["provenance"] == ["input-error"]
+    assert "error" in rep["result"]
+
+
+def test_internal_error_gets_its_own_exit_code(capsys, monkeypatch):
+    import icotk.cli as cli
+
+    def broken(n):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli, "genus_general", broken)
+    code, rep = _invoke(capsys, "genus", "-n", "2")
+    assert code == 4
+    assert rep["provenance"] == ["internal-error"]
+    assert rep["result"]["error"] == "AssertionError: invariant broken"
+
+
+# light commands only: none builds the fixed geometry or runs long.  INT
+# slots get integers, so argparse accepts every argv and each run reaches
+# its handler; STR slots get arbitrary payload text ("=" keeps a leading
+# "-" from reading as an option).
+LIGHT_COMMANDS = [
+    ["bound", "thmE", "--nu=INT"],
+    ["bound", "corD", "-d=INT", "--absF=INT"],
+    ["bound", "corF", "-a=STR", "--factor-budget", "2000"],
+    ["bound", "thmC", "--dx=INT", "--nu=INT", "--hX=STR"],
+    ["genus", "-n=INT"],
+    ["fermat", "bound", "-a=STR", "--factor-budget", "2000"],
+    ["fermat", "unit-reduce", "-a=STR", "-n=INT", "-x=STR", "--factor-budget", "2000"],
+    ["groebner", "-i=STR", "--ring", "x,y,z", "--gb-steps", "200"],
+]
+FUZZ_TEXT = [
+    "0", "1", "-1", "7", "1/0", "0/0", "1/2", "-3/4", "abc", "", " ", "1e3",
+    "1e-3", "-2e5", "1,2", "1,1,1,1,1", "1,-1,2,1,-3", "0,0,0,0,0", "2,2,1,1,0",
+    "1,1,-2,1,1", "1,1,1,0,0", "x", "x^2 - y*z", "x;;y", "x*y + 1/0", "(x",
+    "@/nonexistent/file",
+]
+EXIT_PROVENANCE = {
+    0: None, 1: None, 2: ["input-error"], 3: ["budget-exceeded"], 4: ["internal-error"],
+}
+
+
+@given(
+    st.sampled_from(LIGHT_COMMANDS),
+    st.lists(st.integers(-3, 12), min_size=3, max_size=3),
+    st.lists(st.sampled_from(FUZZ_TEXT), min_size=3, max_size=3),
+)
+@example(LIGHT_COMMANDS[3], [1, 1, 1], ["1/0", "1/0", "1/0"])  # zero denominators
+@settings(max_examples=300)
+def test_argv_fuzz_one_envelope_per_run(template, ints, texts):
+    ints, texts = iter(ints), iter(texts)
+    argv = [
+        tok.replace("INT", str(next(ints))) if "INT" in tok
+        else tok.replace("STR", next(texts)) if "STR" in tok
+        else tok
+        for tok in template
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    rep = json.loads(out.getvalue())  # exactly one JSON document
+    assert rep["schema"] == "icotk-report/1"
+    assert rep["command"]["argv"] == argv
+    assert code in EXIT_PROVENANCE
+    assert EXIT_PROVENANCE[code] in (None, rep["provenance"])
+    assert code != 4, rep["result"]

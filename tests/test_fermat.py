@@ -237,3 +237,17 @@ def test_sunit_validation_and_budget():
         sunit_bounded({2}, 0, 1)
     with pytest.raises(BudgetExceededError):
         sunit_bounded({2, 3, 5}, 4, 6, enumeration_cap=1000)
+
+
+def test_sunit_cap_is_checked_before_enumerating(monkeypatch):
+    import icotk.fermat as fermat
+
+    class NoProduct:
+        @staticmethod
+        def product(*args, **kwargs):
+            raise AssertionError("the unit box was enumerated before the cap check")
+
+    monkeypatch.setattr(fermat, "itertools", NoProduct)
+    # 2 * 5^2 = 50 units, 50^2 = 2500 pairs > 10
+    with pytest.raises(BudgetExceededError, match="50\\^2"):
+        sunit_bounded({2, 3}, 2, 2, enumeration_cap=10)

@@ -5,6 +5,8 @@ genus 9) were computed independently with sympy before this engine existed;
 see scripts/freeze_oracles.py.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,9 @@ from icotk.groebner import (
     GREVLEX,
     LEX,
     Ideal,
+    _leading,
     arithmetic_genus,
+    block_order,
     dim_degree,
     eliminate,
     hilbert_function,
@@ -116,6 +120,90 @@ def test_radical_membership():
     assert radical_member(_p2("x*y"), I)
     assert not radical_member(_p2("y"), I)
     assert radical_member(Poly.zero(P2), I)
+
+
+# -- the division kernel against a plain leading-term loop --------------------
+
+
+def _reduce_once(p, basis, order):
+    """One top-reduction of p by the first basis element whose LT divides
+    LT(p); (new p, True), or (p, False) when no reducer applies."""
+    pe, pc = _leading(p, order)
+    for g in basis:
+        ge, gc = _leading(g, order)
+        if all(a <= b for a, b in zip(ge, pe)):
+            shift = tuple(a - b for a, b in zip(pe, ge))
+            return p - Poly.monomial(p.ring, shift, Fraction(pc) / gc) * g, True
+    return p, False
+
+
+def _oracle_normal_form(p, basis, order):
+    """(remainder, reduction steps) of the plain leading-term loop."""
+    tail, done, steps = p, Poly.zero(p.ring), 0
+    while tail.terms:
+        tail, reduced = _reduce_once(tail, basis, order)
+        if reduced:
+            steps += 1
+        else:
+            e, c = _leading(tail, order)
+            done = done + Poly.monomial(p.ring, e, c)
+            tail = tail - Poly.monomial(p.ring, e, c)
+    return done, steps
+
+
+def _normal_form_steps(p, basis, order):
+    """Reduction steps normal_form spends: the least budget it runs within."""
+    k = 0
+    while True:
+        try:
+            r = normal_form(p, basis, order, GroebnerBudget(max_reductions=k))
+            return r, k
+        except BudgetExceededError:
+            k += 1
+
+
+mid_polys = st.lists(
+    st.tuples(
+        st.tuples(*([st.integers(0, 4)] * 3)),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda items: Poly.from_terms(P2, items))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(P2, {"x"})], ids=lambda o: o.tag())
+@given(p=mid_polys, divisors=st.lists(small_polys, min_size=1, max_size=3))
+@settings(max_examples=40)
+def test_normal_form_matches_the_term_loop(order, p, divisors):
+    divisors = [d for d in divisors if not d.is_zero()]
+    if not divisors:
+        return
+    want, steps = _oracle_normal_form(p, divisors, order)
+    got, spent = _normal_form_steps(p, divisors, order)
+    assert got == want
+    assert spent == steps
+
+
+# reduction steps each basis takes, pinned from the plain leading-term loop:
+# the budget fails at k - 1 and succeeds at k
+PINNED_STEPS = [
+    ("x0^2*x1 - x2^3; x1^2*x3 - x4^3; x0*x4 - x2*x3", GREVLEX, 20),
+    ("SURFACE", GREVLEX, 23),
+    ("SURFACE", LEX, 38),
+    ("SURFACE; x0 + 2*x1 + 3*x2 + 5*x3 + 7*x4", GREVLEX, 86),
+]
+
+
+@pytest.mark.parametrize("gens, order, k", PINNED_STEPS)
+def test_budget_threshold_is_unchanged(gens, order, k, monkeypatch):
+    monkeypatch.delenv("ICOTK_CACHE_DIR", raising=False)  # no basis read from disk
+    geo = fixed_geometry()
+    gens = gens.replace("SURFACE", f"{geo.sigma2}; {geo.sigma4}")
+    polys = [_p4(g) for g in gens.split(";")]
+    with pytest.raises(BudgetExceededError):
+        Ideal(P4, polys).groebner(order, GroebnerBudget(max_reductions=k - 1))
+    Ideal(P4, polys).groebner(order, GroebnerBudget(max_reductions=k))
 
 
 def test_budget_is_honoured():
