@@ -578,6 +578,46 @@ def divide(p: Poly, divisors, key=grevlex_key, spend=None, full=True):
     return [Poly(p.ring, q) for q in quots], Poly(p.ring, done if full else rem)
 
 
+class Echelon:
+    """Exact Gaussian elimination over Q on sparse vectors, dicts from an
+    index to nonzero int/Fraction entries, added one at a time and numbered
+    0, 1, ... in that order."""
+
+    def __init__(self):
+        self._count = 0
+        self._rows = []  # (pivot, row, combination of added vectors = row)
+
+    def add(self, vec: dict):
+        """Record vec.  Returns None when it is independent of the vectors
+        added before it; else {number: coefficient}, the combination of
+        earlier independent vectors that equals it."""
+        own = self._count
+        self._count += 1
+        vec = dict(vec)
+        comb = {own: 1}
+        for piv, row, row_comb in self._rows:
+            c = vec.get(piv)
+            if c is not None:
+                factor = _norm_coeff(Fraction(c) / row[piv])
+                _sub_scaled(vec, factor, row)
+                _sub_scaled(comb, factor, row_comb)
+        if vec:
+            self._rows.append((next(iter(vec)), vec, comb))
+            return None
+        del comb[own]
+        return {k: -c for k, c in comb.items()}
+
+
+def _sub_scaled(acc: dict, factor, vec: dict) -> None:
+    """acc -= factor * vec in place, dropping entries that cancel."""
+    for k, c in vec.items():
+        s = acc.get(k, 0) - factor * c
+        if s:
+            acc[k] = _norm_coeff(s)
+        else:
+            acc.pop(k, None)
+
+
 # ---------------------------------------------------------------------------
 # parsing (grammar in module docs: terms joined by +/-, coeff [-]a or a/b,
 # monomial var[^k] products joined by *, parentheses allowed)

@@ -2,8 +2,10 @@
 
 Internal engine for the criterion-(tau) resultant pipeline: fraction-free
 Bareiss determinants (Sylvester resultants), binary homogeneous forms as
-coefficient lists, repeated exact division by linear forms, and Lagrange
-interpolation for resultants computed by specialization.
+coefficient lists, root stripping by fraction-free synthetic division by a
+linear form (exact in the ring, the quotient scaled by a power of the
+form's s-coefficient), and Lagrange interpolation for resultants computed
+by specialization.
 
 Z[phi] is the ring of integers of Q(sqrt 5): pairs (a, b) standing for
 a + b*phi with phi^2 = phi + 1.  Everything stays in the ring -- divisions
@@ -171,36 +173,16 @@ def form_is_zero(f, dom=ZZ):
     return all(dom.is_zero(c) for c in f)
 
 
-def form_mul(f, g, dom=ZZ):
-    out = [dom.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if dom.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = dom.add(out[i + j], dom.mul(a, b))
-    return out
-
-
-def form_eval(f, s, t, dom=ZZ):
-    d = len(f) - 1
-    total = dom.zero
-    sp = [dom.one]
-    tp = [dom.one]
-    for _ in range(d):
-        sp.append(dom.mul(sp[-1], s))
-        tp.append(dom.mul(tp[-1], t))
-    for i, c in enumerate(f):
-        total = dom.add(total, dom.mul(c, dom.mul(sp[d - i], tp[i])))
-    return total
-
-
 def divide_linear(f, a, b, dom=ZZ):
-    """Divide the binary form f by (b*s - a*t), the linear form vanishing at
-    (s:t) = (a:b).  Returns a quotient *up to a nonzero ring constant*, or
-    None when the division has a remainder.
+    """Divide the binary form f of degree d by (b*s - a*t), the linear form
+    vanishing at (s:t) = (a:b).  Returns b^d times the quotient, or None
+    when the division has a remainder.
 
-    Divisibility is decided over the fraction field (the scalar is
-    irrelevant for root bookkeeping, the only thing callers do with this).
+    Fraction-free synthetic division: p_0 = f_0 and p_i = b^i f_i + a p_(i-1)
+    give b^d q_i = b^(d-1-i) p_i, and the remainder is zero iff p_d is.  The
+    scalar b^d is irrelevant to root bookkeeping, the only thing callers do
+    with this.  For b = 0 the linear form is a multiple of t and the quotient
+    is returned unscaled.
     """
     if form_is_zero(f, dom):
         return None
@@ -212,49 +194,14 @@ def divide_linear(f, a, b, dom=ZZ):
         if not dom.is_zero(f[0]):
             return None
         return list(f[1:])
-    return _field_divide_linear(f, a, b, dom)
-
-
-def _field_divide_linear(f, a, b, dom):
-    """Quotient of f by (b s - a t) over the fraction field; None when the
-    remainder is nonzero.  Field elements are (numerator, denominator) pairs."""
-    d = len(f) - 1
-    # long division by leading coefficient b (descending in s)
-    num = list(f)
-    den = [dom.one] * len(f)
-    quot_n = []
-    quot_d = []
-    for i in range(d):
-        qn, qd = num[i], dom.mul(den[i], b)
-        quot_n.append(qn)
-        quot_d.append(qd)
-        # subtract (qn/qd) * (b s - a t) * s^(d-1-i) t^i  -> affects slot i+1
-        # slot i becomes zero; slot i+1 -= (qn/qd)*(-a)
-        cn = dom.mul(qn, a)  # -(qn/qd)*(-a) = +qn*a/qd
-        # num[i+1]/den[i+1] += cn/qd
-        n2 = dom.add(dom.mul(num[i + 1], qd), dom.mul(cn, den[i + 1]))
-        d2 = dom.mul(den[i + 1], qd)
-        num[i + 1], den[i + 1] = n2, d2
-    # remainder is the last slot
-    if not dom.is_zero(num[d]):
+    p = [f[0]]
+    bpow = [dom.one]
+    for i in range(1, d + 1):
+        bpow.append(dom.mul(bpow[-1], b))
+        p.append(dom.add(dom.mul(bpow[i], f[i]), dom.mul(a, p[-1])))
+    if not dom.is_zero(p[d]):
         return None
-    return _clear(list(zip(quot_n, quot_d)), dom)
-
-
-def _clear(pairs, dom):
-    """Clear the denominators of (num, den) pairs by exact cross-multiplying:
-    returns ring coefficients of the monic-free quotient, scaled by the lcm
-    substitute (product works; content does not matter for divisibility)."""
-    # multiply every numerator by the product of the other denominators
-    out = []
-    n = len(pairs)
-    for i in range(n):
-        v = pairs[i][0]
-        for j in range(n):
-            if j != i:
-                v = dom.mul(v, pairs[j][1])
-        out.append(v)
-    return out
+    return [dom.mul(bpow[d - 1 - i], p[i]) for i in range(d)]
 
 
 def strip_root(f, a, b, dom=ZZ):
@@ -281,18 +228,6 @@ def form_content_free(f):
     if g <= 1:
         return list(f)
     return [c // g for c in f]
-
-
-def zphi_form_reduce(f):
-    """Z[phi] forms: divide all coefficients by their integer content."""
-    from math import gcd
-
-    g = 0
-    for a, b in f:
-        g = gcd(gcd(g, a), b)
-    if g <= 1:
-        return list(f)
-    return [(a // g, b // g) for a, b in f]
 
 
 # ---------------------------------------------------------------------------

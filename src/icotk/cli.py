@@ -1,12 +1,13 @@
 """Command-line front end: one JSON report per invocation.
 
-Every subcommand writes a single report object to standard output with the
+Every invocation writes a single report object to standard output with the
 schema tag "icotk-report/1" and exits 0 on success, 1 on a negative
 mathematical verdict (a criterion fails, non-trivial points found), 2 on
-usage or input errors, 3 when a work budget is exceeded, and 4 on an
-internal error (a bug, reported with provenance "internal-error").  Budget
-flags are echoed into the report so runs are reproducible from the payload
-alone.
+usage or input errors (a command line that argparse rejects too; its report
+has null "flags"), 3 when a work budget is exceeded, and 4 on an internal
+error (a bug, reported with provenance "internal-error").  Only --help and
+--version print argparse's text instead.  Budget flags are echoed into the
+report so runs are reproducible from the payload alone.
 """
 
 from __future__ import annotations
@@ -423,6 +424,15 @@ def _cmd_suite(args, gb, fb):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line by raising, so that run() reports it in an
+    envelope; --help and --version still print and exit 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise IcotkError(f"{self.prog}: error: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -443,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--digits", type=int, default=30, help="digits in rendered log10 bounds"
     )
 
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="icotk",
         description="exact constructions on the icosahedron surface",
     )
@@ -557,26 +567,27 @@ def _emit(report: dict) -> None:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    gb = GroebnerBudget(max_reductions=args.gb_steps)
-    fb = FactorBudget(
-        trial_limit=min(DEFAULT_FACTOR_BUDGET.trial_limit, args.factor_budget),
-        rho_iterations=args.factor_budget,
-    )
     envelope = {
         "schema": SCHEMA,
         "version": __version__,
-        "command": {"verb": args.verb, "argv": list(argv)},
-        "flags": {
+        "command": {"verb": None, "argv": list(argv)},
+        "flags": None,  # stays None for a command line the parser rejects
+    }
+    t0 = time.perf_counter()
+    try:
+        args = _build_parser().parse_args(argv)
+        envelope["command"]["verb"] = args.verb
+        envelope["flags"] = {
             "gb_steps": args.gb_steps,
             "factor_budget": args.factor_budget,
             "samples": args.samples,
             "seed": args.seed,
-        },
-    }
-    t0 = time.perf_counter()
-    try:
+        }
+        gb = GroebnerBudget(max_reductions=args.gb_steps)
+        fb = FactorBudget(
+            trial_limit=min(DEFAULT_FACTOR_BUDGET.trial_limit, args.factor_budget),
+            rho_iterations=args.factor_budget,
+        )
         result, provenance, code = args.handler(args, gb, fb)
     except BudgetExceededError as exc:
         result, provenance, code = {"error": str(exc)}, ["budget-exceeded"], 3

@@ -173,6 +173,7 @@ def scan_surface(B: int, threads: int | None = None) -> ScanReport:
     t0 = time.perf_counter()
     if threads is None:
         threads = default_threads()
+    threads = min(threads, os.cpu_count() or 1)  # reports do not depend on it
     v1_all = list(range(-B, B + 1))
     if threads <= 1 or B <= 4:
         raw_sets = [_scan_chunk((B, v1_all))]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import P4, Poly, grevlex_key, int_radical
+from .algebra import P4, Echelon, Poly, grevlex_key, int_radical
 from .config import DEFAULT_FACTOR_BUDGET, DEFAULT_GB_BUDGET, FactorBudget, GroebnerBudget
 from .errors import IcotkError
 from .groebner import GREVLEX, Ideal, dim_degree, normal_form
@@ -79,17 +79,6 @@ def is_degenerate(model: IcoModel) -> bool:
     return any(all(a == 0 for a in row) for row in model.diagonal())
 
 
-def meets_degeneracy_locus(model: IcoModel) -> bool:
-    """True iff the model's zero scheme contains a coordinate point e_i,
-    i.e. some e_i kills every defining polynomial.  Coincides with
-    is_degenerate because f_j(e_i) is the (i,j) diagonal entry."""
-    for i in range(5):
-        point = [1 if k == i else 0 for k in range(5)]
-        if all(f.evaluate(point) == 0 for f in model.polys):
-            return True
-    return False
-
-
 def nu_f(model: IcoModel, budget: FactorBudget = DEFAULT_FACTOR_BUDGET) -> int:
     """Radical of the product of all nonzero diagonal entries (empty
     product = 1)."""
@@ -151,31 +140,12 @@ def basis_An(n: int, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> tuple:
     surface = fixed_geometry().surface_ideal()
     basis_polys = surface.groebner(GREVLEX, budget)
 
-    # row reduction state: pivot monomial -> reduced coefficient row (dict)
-    pivots: dict = {}
-
-    def try_add(vec: dict) -> bool:
-        vec = dict(vec)
-        for piv, row in pivots.items():
-            if piv in vec:
-                factor = Fraction(vec[piv]) / row[piv]
-                for e, c in row.items():
-                    s = vec.get(e, 0) - factor * c
-                    if s:
-                        vec[e] = s
-                    else:
-                        vec.pop(e, None)
-        if not vec:
-            return False
-        piv = max(vec, key=grevlex_key)
-        pivots[piv] = vec
-        return True
-
+    echelon = Echelon()
     chosen = []
     for i in range(5):
         expo = tuple(n if k == i else 0 for k in range(5))
         nf = normal_form(Poly.monomial(P4, expo), basis_polys, GREVLEX, budget)
-        if not try_add(nf.terms):
+        if echelon.add(nf.terms) is not None:
             raise IcotkError(f"pure powers are dependent in A_{n}")
         chosen.append(expo)
     for expo in _degree_monomials(n):
@@ -184,7 +154,7 @@ def basis_An(n: int, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> tuple:
         if expo in chosen:
             continue
         nf = normal_form(Poly.monomial(P4, expo), basis_polys, GREVLEX, budget)
-        if try_add(nf.terms):
+        if echelon.add(nf.terms) is None:
             chosen.append(expo)
     if len(chosen) != r:
         raise IcotkError(

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import P2, P4, Poly, Ring, grevlex_key
+from .algebra import P2, P4, Echelon, Poly, Ring, divide
 from .binaryforms import ZPhi, strip_root, sylvester_resultant, interpolate, form_content_free
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
 from .errors import BudgetExceededError, IcotkError, NotDivisibleError
@@ -47,6 +47,7 @@ from .ico_models import IcoModel, _degree_monomials, general_model, is_degenerat
 from .ico_surface import fixed_geometry
 
 _PARAM_RING = Ring(("s", "t"))
+_LINE_RING = Ring(("s",))
 
 
 class PlaneCurve:
@@ -344,43 +345,17 @@ def _graded_piece(curve: PlaneCurve, m: int, tau_pows, budget: GroebnerBudget):
     if m in curve._pieces:
         return curve._pieces[m]
     monos = _degree_monomials(m)
-    vectors = []
+    echelon = Echelon()
+    out = []
     for expo in monos:
         comp = Poly.constant(P2, 1)
         for i, k in enumerate(expo):
             if k:
                 comp = comp * _tau_power(tau_pows, i, k)
-        nf = normal_form(comp, [curve.F], GREVLEX, budget)
-        vectors.append(dict(nf.terms))
-
-    pivots = {}
-    out = []
-    for j, w in enumerate(vectors):
-        vec = dict(w)
-        expr = {j: Fraction(1)}
-        while vec:
-            piv = max(vec, key=grevlex_key)
-            if piv not in pivots:
-                break
-            bvec, bexpr = pivots[piv]
-            factor = Fraction(vec[piv]) / Fraction(bvec[piv])
-            for e, c in bvec.items():
-                s = vec.get(e, 0) - factor * c
-                if s:
-                    vec[e] = s
-                else:
-                    vec.pop(e, None)
-            for k, c in bexpr.items():
-                s = expr.get(k, 0) - factor * c
-                if s:
-                    expr[k] = s
-                else:
-                    expr.pop(k, None)
-        if vec:
-            pivots[piv] = (vec, expr)
-        else:
-            G = Poly.from_terms(P4, [(monos[k], c) for k, c in expr.items()])
-            out.append(G.primitive_part())
+        comb = echelon.add(normal_form(comp, [curve.F], GREVLEX, budget).terms)
+        if comb is not None:
+            items = [(expo, 1)] + [(monos[k], -c) for k, c in comb.items()]
+            out.append(Poly.from_terms(P4, items).primitive_part())
     curve._pieces[m] = tuple(out)
     return curve._pieces[m]
 
@@ -406,53 +381,22 @@ def _line_points(F: Poly):
     return (1, 0, 0), (0, 1, 0)
 
 
-def _uni_strip(p):
-    i = 0
-    while i < len(p) and p[i] == 0:
-        i += 1
-    return p[i:]
-
-
-def _uni_mod(a, b):
-    r = [Fraction(c) for c in a]
-    while len(r) >= len(b) and r:
-        f = r[0] / b[0]
-        for i in range(len(b)):
-            r[i] -= f * b[i]
-        r = list(_uni_strip(r))
-        if not r:
-            break
-    return r
-
-
-def _uni_gcd(a, b):
-    while b:
-        a, b = b, _uni_mod(a, b)
-    return a
-
-
-def _uni_gcd_degree(polys) -> int:
-    g = []
-    for p in polys:
-        p = list(_uni_strip([Fraction(c) for c in p]))
-        if not p:
-            continue
-        g = p if not g else _uni_gcd(g, p)
-        if len(g) == 1:
-            return 0
-    if not g:
-        raise ValueError("all inputs vanished")
-    return len(g) - 1
-
-
 def _form_gcd_degree(forms):
-    """Degree of the gcd of binary forms (descending coefficient lists);
-    zero forms are neutral; None if every form is zero."""
-    nz = [f for f in forms if any(f)]
+    """Degree of the gcd of binary forms in s, t; zero forms are neutral;
+    None if every form is zero.  The gcd is t^k, k the least t-degree,
+    times the gcd over Q of the forms at t = 1, found by Euclid."""
+    nz = [f for f in forms if f]
     if not nz:
         return None
-    t_mult = min(next(i for i, c in enumerate(f) if c) for f in nz)
-    return t_mult + _uni_gcd_degree([list(f) for f in nz])
+    t_mult = min(e[1] for f in nz for e in f.terms)
+    g = Poly.zero(_LINE_RING)
+    for f in nz:
+        r = Poly(_LINE_RING, {(es,): c for (es, _), c in f.terms.items()})
+        while r:
+            g, r = r, divide(g, [r])[1]
+        if g.degree() == 0:
+            break
+    return t_mult + g.degree()
 
 
 def _line_image_failure(curve: PlaneCurve):
@@ -462,13 +406,7 @@ def _line_image_failure(curve: PlaneCurve):
     s = Poly.variable(_PARAM_RING, "s")
     t = Poly.variable(_PARAM_RING, "t")
     images = [s * P[i] + t * Q[i] for i in range(3)]
-    forms = []
-    for taui in fixed_geometry().tau:
-        comp = taui.substitute(images)
-        coeffs = [0] * 13
-        for (es, _), c in comp.terms.items():
-            coeffs[12 - es] = c
-        forms.append(coeffs)
+    forms = [taui.substitute(images) for taui in fixed_geometry().tau]
     full = _form_gcd_degree(forms)
     if full is None:  # pragma: no cover - tau has no 1-dim base components
         raise AssertionError("line maps entirely into T_tau")

@@ -11,15 +11,35 @@ from icotk.binaryforms import (
     ZPhi,
     bareiss_det,
     divide_linear,
-    form_eval,
-    form_mul,
     interpolate,
     strip_root,
     sylvester_resultant,
-    zphi_form_reduce,
 )
 
 zphi_elems = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+
+
+def form_mul(f, g, dom=ZZ):
+    """Oracle: product of two binary forms given as coefficient lists."""
+    out = [dom.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = dom.add(out[i + j], dom.mul(a, b))
+    return out
+
+
+def form_eval(f, s, t, dom=ZZ):
+    """Oracle: the binary form f at (s:t)."""
+    d = len(f) - 1
+    total = dom.zero
+    for i, c in enumerate(f):
+        term = c
+        for _ in range(d - i):
+            term = dom.mul(term, s)
+        for _ in range(i):
+            term = dom.mul(term, t)
+        total = dom.add(total, term)
+    return total
 
 
 @given(zphi_elems, zphi_elems, zphi_elems)
@@ -122,10 +142,38 @@ def test_strip_root_removes_exactly_the_root(coeffs, a, b):
     assert form_eval(reduced, a, b) != 0 or len(reduced) == 1
 
 
-def test_zphi_form_reduce():
-    f = [(2, 4), (6, -2)]
-    assert zphi_form_reduce(f) == [(1, 2), (3, -1)]
-    assert zphi_form_reduce([(0, 0), (0, 0)]) == [(0, 0), (0, 0)]
+@st.composite
+def _forms_and_roots(draw):
+    """(dom, g, a, b): a random form g and a point (a:b) with b != 0, over
+    ZZ or ZPhi; over ZZ the point is primitive."""
+    if draw(st.booleans()):
+        g = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+        a = draw(st.integers(-6, 6))
+        b = draw(st.integers(1, 6))
+        g_ab = gcd(a, b)
+        return ZZ, g, a // g_ab, b // g_ab
+    small = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    g = draw(st.lists(small, min_size=1, max_size=5))
+    b = draw(small.filter(lambda u: u != (0, 0)))
+    return ZPhi, g, draw(small), b
+
+
+@given(_forms_and_roots())
+@settings(max_examples=200)
+def test_divide_linear_scales_the_quotient_by_b_to_the_degree(case):
+    dom, g, a, b = case
+    f = form_mul(g, [b, dom.neg(a)], dom)  # g * (b*s - a*t), degree len(g)
+    scale = dom.one
+    for _ in range(len(g)):
+        scale = dom.mul(scale, b)
+    if all(dom.is_zero(c) for c in g):
+        assert divide_linear(f, a, b, dom) is None  # the zero form
+        return
+    assert divide_linear(f, a, b, dom) == [dom.mul(scale, c) for c in g]
+    # a nonzero t^d term added moves f(a, b) by a multiple of b^d != 0
+    f[-1] = dom.add(f[-1], dom.one)
+    assert not dom.is_zero(form_eval(f, a, b, dom))
+    assert divide_linear(f, a, b, dom) is None
 
 
 def test_interpolation_round_trip():

@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from icotk import __version__
 from icotk.cli import run
 
 
@@ -54,13 +55,29 @@ def test_verify_sampled(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["fermat", "scan", "-a", "1,1,1,1,1"])  # missing -n/-B
-    assert exc.value.code == 2
-    # semantic input errors are also exit 2, but with a JSON report
+    # a command line argparse rejects gets an envelope, usage goes to stderr
+    for argv in (["fermat", "scan", "-a", "1,1,1,1,1"],  # missing -n/-B
+                 ["bound", "corF", "-a", "-3/4"]):  # "-3/4" reads as an option
+        code, rep = _invoke(capsys, *argv)
+        assert code == 2
+        assert rep["schema"] == "icotk-report/1"
+        assert rep["command"] == {"verb": None, "argv": argv}
+        assert rep["flags"] is None
+        assert rep["provenance"] == ["input-error"]
+        assert "error" in rep["result"]
+    # semantic input errors are also exit 2
     code, rep = _invoke(capsys, "family", "curve", "-n", "1", "-v", "1,2")
     assert code == 2
     assert "error" in rep["result"]
+
+
+@pytest.mark.parametrize("flag, text", [("--help", "usage: icotk"),
+                                        ("--version", f"icotk {__version__}")])
+def test_help_and_version_keep_argparse_output(capsys, flag, text):
+    with pytest.raises(SystemExit) as exc:
+        run([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(text)
 
 
 def test_budget_exit_three(capsys):
@@ -157,18 +174,18 @@ def test_internal_error_gets_its_own_exit_code(capsys, monkeypatch):
 
 
 # light commands only: none builds the fixed geometry or runs long.  INT
-# slots get integers, so argparse accepts every argv and each run reaches
-# its handler; STR slots get arbitrary payload text ("=" keeps a leading
-# "-" from reading as an option).
+# slots get integers or payload text, STR slots payload text; text that
+# argparse rejects (a non-integer INT, a STR such as "-3/4" that reads as
+# an option) must give an input-error envelope too.
 LIGHT_COMMANDS = [
-    ["bound", "thmE", "--nu=INT"],
-    ["bound", "corD", "-d=INT", "--absF=INT"],
-    ["bound", "corF", "-a=STR", "--factor-budget", "2000"],
-    ["bound", "thmC", "--dx=INT", "--nu=INT", "--hX=STR"],
-    ["genus", "-n=INT"],
-    ["fermat", "bound", "-a=STR", "--factor-budget", "2000"],
-    ["fermat", "unit-reduce", "-a=STR", "-n=INT", "-x=STR", "--factor-budget", "2000"],
-    ["groebner", "-i=STR", "--ring", "x,y,z", "--gb-steps", "200"],
+    ["bound", "thmE", "--nu", "INT"],
+    ["bound", "corD", "-d", "INT", "--absF", "INT"],
+    ["bound", "corF", "-a", "STR", "--factor-budget", "2000"],
+    ["bound", "thmC", "--dx", "INT", "--nu", "INT", "--hX", "STR"],
+    ["genus", "-n", "INT"],
+    ["fermat", "bound", "-a", "STR", "--factor-budget", "2000"],
+    ["fermat", "unit-reduce", "-a", "STR", "-n", "INT", "-x", "STR", "--factor-budget", "2000"],
+    ["groebner", "-i", "STR", "--ring", "x,y,z", "--gb-steps", "200"],
 ]
 FUZZ_TEXT = [
     "0", "1", "-1", "7", "1/0", "0/0", "1/2", "-3/4", "abc", "", " ", "1e3",
@@ -179,25 +196,23 @@ FUZZ_TEXT = [
 EXIT_PROVENANCE = {
     0: None, 1: None, 2: ["input-error"], 3: ["budget-exceeded"], 4: ["internal-error"],
 }
+INT_TEXT = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(FUZZ_TEXT))
 
 
 @given(
     st.sampled_from(LIGHT_COMMANDS),
-    st.lists(st.integers(-3, 12), min_size=3, max_size=3),
+    st.lists(INT_TEXT, min_size=3, max_size=3),
     st.lists(st.sampled_from(FUZZ_TEXT), min_size=3, max_size=3),
 )
-@example(LIGHT_COMMANDS[3], [1, 1, 1], ["1/0", "1/0", "1/0"])  # zero denominators
+@example(LIGHT_COMMANDS[3], ["1", "1", "1"], ["1/0", "1/0", "1/0"])  # zero denominators
+@example(LIGHT_COMMANDS[2], ["1", "1", "1"], ["-3/4", "1", "1"])  # rejected by argparse
 @settings(max_examples=300)
 def test_argv_fuzz_one_envelope_per_run(template, ints, texts):
     ints, texts = iter(ints), iter(texts)
-    argv = [
-        tok.replace("INT", str(next(ints))) if "INT" in tok
-        else tok.replace("STR", next(texts)) if "STR" in tok
-        else tok
-        for tok in template
-    ]
+    argv = [next(ints) if tok == "INT" else next(texts) if tok == "STR" else tok
+            for tok in template]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
     rep = json.loads(out.getvalue())  # exactly one JSON document
     assert rep["schema"] == "icotk-report/1"

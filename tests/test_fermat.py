@@ -85,6 +85,36 @@ def test_scan_threads_agree():
     assert serial.points == parallel.points
 
 
+def test_scan_caps_workers_at_cpu_count(monkeypatch):
+    import icotk.fermat as fermat
+
+    sizes = []
+
+    class RecordingPool:  # runs the chunks in this process, starts nothing
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    class RecordingContext:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(fermat, "get_context", lambda method: RecordingContext)
+    monkeypatch.setattr(fermat.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("ICOTK_THREADS", "100000")
+    serial = scan_surface(8, threads=1)
+    assert scan_surface(8, threads=100_000).points == serial.points
+    assert scan_surface(8).points == serial.points
+    assert sizes == [3, 3]
+
+
 def test_scan_rejects_bad_bound():
     with pytest.raises(ValueError):
         scan_surface(0)

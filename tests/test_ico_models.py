@@ -16,7 +16,6 @@ from icotk.ico_models import (
     genus_phi_sum,
     is_curve,
     is_degenerate,
-    meets_degeneracy_locus,
     model_ideal,
     nu_f,
 )
@@ -25,6 +24,13 @@ from icotk.ico_surface import fixed_geometry
 
 def _p4(text):
     return poly_parse(text, P4)
+
+
+def meets_degeneracy_locus(model):
+    """Oracle for is_degenerate: some coordinate point e_i kills every
+    defining polynomial."""
+    points = [[1 if k == i else 0 for k in range(5)] for i in range(5)]
+    return any(all(f.evaluate(e) == 0 for f in model.polys) for e in points)
 
 
 def test_diagonal_example():
@@ -137,6 +143,30 @@ def test_basis_pure_power_relation_is_detected():
     # x0^n, ..., x4^n are independent mod the surface for n = 1, 2, 3
     # (the guard raises only if that ever fails)
     basis_An(2)
+
+
+# basis_An(n) as exponent tuples, each written as its five digits.  Which
+# monomials the greedy completion keeps depends only on ranks, not on how
+# the elimination runs.
+BASIS_AN_EXPONENTS = {
+    1: "10000 01000 00100 00010 00001",
+    2: "20000 02000 00200 00020 00002 11000 10100 01100 10010 01010 00110 "
+       "10001 01001 00101",
+    3: "30000 03000 00300 00030 00003 21000 12000 20100 11100 02100 10200 "
+       "01200 20010 11010 02010 10110 01110 00210 10020 01020 00120 20001 "
+       "11001 02001 10101 01101 00201 10002 01002 00102",
+    4: "40000 04000 00400 00040 00004 31000 22000 13000 30100 21100 12100 "
+       "03100 20200 11200 02200 10300 01300 30010 21010 12010 03010 20110 "
+       "11110 02110 10210 01210 00310 20020 11020 02020 10120 01120 00220 "
+       "10030 01030 00130 30001 21001 12001 03001 20101 11101 02101 10201 "
+       "00301 20002 11002 02002 10102 01102 00202 10003 01003 00103",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BASIS_AN_EXPONENTS))
+def test_basis_An_exponents_pinned(n):
+    expos = [next(iter(p.terms)) for p in basis_An(n)]
+    assert " ".join("".join(map(str, e)) for e in expos) == BASIS_AN_EXPONENTS[n]
 
 
 def test_general_model_length_check():

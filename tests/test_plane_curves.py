@@ -93,6 +93,19 @@ def test_line_image_membership_helper():
         assert _line_image_failure(_curve(text)) == 0
 
 
+def test_form_gcd_degree_counts_the_power_of_t():
+    from icotk.plane_curves import _PARAM_RING, _form_gcd_degree
+
+    s = Poly.variable(_PARAM_RING, "s")
+    t = Poly.variable(_PARAM_RING, "t")
+    zero = Poly.zero(_PARAM_RING)
+    # gcd t^3 (s - t): t^3 is invisible at t = 1
+    assert _form_gcd_degree([t**3 * (s - t) * (s + 2 * t), t**4 * (s - t) * s]) == 4
+    assert _form_gcd_degree([zero, s * t**2]) == 3  # zero forms are neutral
+    assert _form_gcd_degree([s**2 + t**2, s * t]) == 0
+    assert _form_gcd_degree([zero, zero]) is None
+
+
 SEED_VECTORS = [
     (1, 1, 1, 1, 1),
     (1, 2, 3, 4, 5),
@@ -147,6 +160,44 @@ def test_image_ideal_line_example():
     q2 = tau_point((2, 4, 16)).coords  # another point of the line, x = 2
     for g in J.gens:
         assert g.evaluate(q2) == 0
+
+
+# J_1 and J_2 as generator strings.  Each generator is the unique kernel
+# vector with coefficient 1 at its own monomial and support on the earlier
+# independent ones, so any exact elimination must reproduce them.
+GRADED_PIECES = {
+    "family (1,2,3,4,5)": {
+        1: ["x0 + 2*x1 + 3*x2 + 4*x3 + 5*x4"],
+        2: [
+            "x0^2 - 2*x0*x1 + 2*x1^2 - x0*x2 + 3*x2^2 + x1*x3 + 2*x2*x3 + 4*x3^2",
+            "x0^2 + 2*x0*x1 + 3*x0*x2 + 4*x0*x3 + 5*x0*x4",
+            "x0*x1 + 2*x1^2 + 3*x1*x2 + 4*x1*x3 + 5*x1*x4",
+            "x0*x2 + 2*x1*x2 + 3*x2^2 + 4*x2*x3 + 5*x2*x4",
+            "x0^2 - 2*x0*x1 + 2*x1^2 - x0*x2 + 3*x2^2 - x0*x3 - x1*x3 - x2*x3"
+            " - 5*x3*x4",
+            "3*x0^2 - 12*x0*x1 + 4*x1^2 - 10*x0*x2 - 12*x1*x2 + 3*x2^2 - 8*x0*x3"
+            " - 12*x1*x3 - 16*x2*x3 + 25*x4^2",
+        ],
+    },
+    "2*x - y": {
+        1: [],
+        2: ["x0*x1 + x0*x2 + x1*x2 + x0*x3 + x1*x3 + x2*x3 + x0*x4 + x1*x4"
+            " + x2*x4 + x3*x4"],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_PIECES))
+def test_graded_pieces_pinned(name):
+    if name.startswith("family"):
+        curve = family_curve(1, (1, 2, 3, 4, 5))
+    else:
+        curve = _curve(name)
+    pieces = GRADED_PIECES[name]
+    J1 = [str(g) for g in image_ideal(curve, max_image_degree=1).gens[2:]]
+    J12 = [str(g) for g in image_ideal(curve, max_image_degree=2).gens[2:]]
+    assert J1 == pieces[1]
+    assert J12 == pieces[1] + pieces[2]
 
 
 def test_image_ideal_of_family_contains_model():
