@@ -249,11 +249,6 @@ def _cmd_fermat_scan(args, gb, fb):
     return result, ["fermat:scan"], 0 if rep.is_trivial else 1
 
 
-def _cmd_fermat_bound(args, gb, fb):
-    cert = bound_corF(_csv_ints(args.a), fb)
-    return _certificate_result(cert, args.digits), ["height:CorF"], 0
-
-
 def _cmd_fermat_unit_reduce(args, gb, fb):
     inst = FermatInstance(_csv_ints(args.a), args.n)
     ue = unit_reduce(inst, _csv_ints(args.x), fb)
@@ -528,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_fermat_scan)
     q = fer_sub.add_parser("bound", parents=[common])
     q.add_argument("-a", required=True)
-    q.set_defaults(handler=_cmd_fermat_bound)
+    q.set_defaults(handler=_cmd_bound, bound_kind="corF")
     q = fer_sub.add_parser("unit-reduce", parents=[common])
     q.add_argument("-a", required=True)
     q.add_argument("-n", type=int, required=True)

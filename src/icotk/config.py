@@ -30,7 +30,11 @@ DEFAULT_GB_BUDGET = GroebnerBudget()
 
 
 def cache_dir() -> str | None:
-    """Directory for the on-disk Groebner basis cache, or None if disabled."""
+    """The ICOTK_CACHE_DIR directory, or None if unset.
+
+    icotk itself no longer reads it: Groebner bases are only held in memory.
+    The benchmark's tracer still imports it to watch that directory.
+    """
     return os.environ.get("ICOTK_CACHE_DIR") or None
 
 

@@ -6,25 +6,20 @@ accounted in *reduction steps* against a budget: running out raises
 BudgetExceededError and never returns a partial basis.
 
 Basis elements are kept as primitive integer polynomials with positive
-leading coefficient, so a reduced basis has exactly one canonical printout;
-the optional on-disk cache (ICOTK_CACHE_DIR) stores that printout and
-re-verifies the Buchberger criterion on load, treating any mismatch as a
-cache miss.
+leading coefficient, so a reduced basis has exactly one canonical printout.
+Each Ideal keeps the bases it has computed in memory.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .algebra import Poly, Ring, divide, grevlex_key, poly_parse
-from .config import DEFAULT_GB_BUDGET, GroebnerBudget, cache_dir
-from .errors import BudgetExceededError, ParseError
+from .algebra import Poly, Ring, divide, grevlex_key
+from .config import DEFAULT_GB_BUDGET, GroebnerBudget
+from .errors import BudgetExceededError
 
 # ---------------------------------------------------------------------------
 # monomial orders
@@ -211,63 +206,18 @@ def _interreduce(basis, order, tracker) -> list:
     return reduced
 
 
-def _is_groebner(basis, order, budget) -> bool:
-    """Buchberger criterion: every S-polynomial normal-forms to zero."""
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = _spoly(basis[i], basis[j], order)
-            if normal_form(s, basis, order, budget).terms:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# the Ideal wrapper and the disk cache
+# the Ideal wrapper
 # ---------------------------------------------------------------------------
-
-
-def _cache_path(ring: Ring, gens, order) -> str | None:
-    root = cache_dir()
-    if root is None:
-        return None
-    payload = "|".join(str(g) for g in gens) + "@" + ",".join(ring.names) + "@" + order.tag()
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    return os.path.join(root, f"gb-{digest}.txt")
-
-
-def _cache_load(path, ring, order, budget):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        basis = [poly_parse(ln, ring) for ln in lines]
-    except (OSError, ParseError, ValueError):
-        return None
-    if basis and _is_groebner(basis, order, budget):
-        return basis
-    return None
-
-
-def _cache_store(path, basis):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for g in basis:
-                fh.write(str(g) + "\n")
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
 
 
 class Ideal:
     """Generator list plus a per-order cache of reduced Groebner bases.
 
-    The in-memory cache uses single-writer/multi-reader locking: concurrent
-    callers trigger at most one Buchberger run per (ideal, order); published
-    bases are immutable.
+    Lookups and publication happen under a lock, but Buchberger runs outside
+    it, so threads that miss at the same time each compute the basis.  The
+    first basis published for an order wins and every caller gets that list;
+    published bases are immutable.
     """
 
     def __init__(self, ring: Ring, gens):
@@ -289,14 +239,7 @@ class Ideal:
         with self._lock:
             if tag in self._bases:
                 return self._bases[tag]
-        path = _cache_path(self.ring, self.gens, order)
-        basis = None
-        if path is not None and os.path.exists(path):
-            basis = _cache_load(path, self.ring, order, budget)
-        if basis is None:
-            basis = _buchberger(list(self.gens), order, budget)
-            if path is not None:
-                _cache_store(path, basis)
+        basis = _buchberger(list(self.gens), order, budget)
         with self._lock:
             self._bases.setdefault(tag, basis)
             return self._bases[tag]

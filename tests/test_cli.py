@@ -71,6 +71,15 @@ def test_usage_errors_exit_two(capsys):
     assert "error" in rep["result"]
 
 
+def test_fermat_bound_is_bound_corF(capsys):
+    reports = [_invoke(capsys, *verb, "-a", "1,-1,2,1,-3")
+               for verb in (["fermat", "bound"], ["bound", "corF"])]
+    for _, rep in reports:
+        del rep["command"], rep["millis"]
+    assert reports[0] == reports[1]
+    assert reports[0][1]["provenance"] == ["height:CorF"]
+
+
 @pytest.mark.parametrize("flag, text", [("--help", "usage: icotk"),
                                         ("--version", f"icotk {__version__}")])
 def test_help_and_version_keep_argparse_output(capsys, flag, text):

@@ -5,6 +5,7 @@ genus 9) were computed independently with sympy before this engine existed;
 see scripts/freeze_oracles.py.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -196,14 +197,36 @@ PINNED_STEPS = [
 
 
 @pytest.mark.parametrize("gens, order, k", PINNED_STEPS)
-def test_budget_threshold_is_unchanged(gens, order, k, monkeypatch):
-    monkeypatch.delenv("ICOTK_CACHE_DIR", raising=False)  # no basis read from disk
+def test_budget_threshold_is_unchanged(gens, order, k, tmp_path, monkeypatch):
     geo = fixed_geometry()
     gens = gens.replace("SURFACE", f"{geo.sigma2}; {geo.sigma4}")
     polys = [_p4(g) for g in gens.split(";")]
-    with pytest.raises(BudgetExceededError):
-        Ideal(P4, polys).groebner(order, GroebnerBudget(max_reductions=k - 1))
-    Ideal(P4, polys).groebner(order, GroebnerBudget(max_reductions=k))
+    # the same threshold with ICOTK_CACHE_DIR unset and set to a directory
+    # that a default-budget run of the same ideal has used first
+    for cache in (None, tmp_path):
+        if cache is None:
+            monkeypatch.delenv("ICOTK_CACHE_DIR", raising=False)
+        else:
+            monkeypatch.setenv("ICOTK_CACHE_DIR", str(cache))
+            Ideal(P4, polys).groebner(order)
+        with pytest.raises(BudgetExceededError):
+            Ideal(P4, polys).groebner(order, GroebnerBudget(max_reductions=k - 1))
+        Ideal(P4, polys).groebner(order, GroebnerBudget(max_reductions=k))
+
+
+def test_a_file_in_the_cache_dir_is_not_a_basis(tmp_path, monkeypatch):
+    # x0, x1 planted where an on-disk basis cache keyed the surface ideal
+    # under grevlex: the basis must still be the surface's, degree 8
+    geo = fixed_geometry()
+    gens = [geo.sigma2, geo.sigma4]
+    payload = "|".join(map(str, gens)) + "@" + ",".join(P4.names) + "@" + GREVLEX.tag()
+    planted = tmp_path / f"gb-{hashlib.sha256(payload.encode()).hexdigest()}.txt"
+    planted.write_text("x0\nx1\n")
+    monkeypatch.setenv("ICOTK_CACHE_DIR", str(tmp_path))
+    ideal = Ideal(P4, gens)
+    assert len(ideal.groebner()) == 3
+    assert dim_degree(ideal) == (2, 8)
+    assert list(tmp_path.iterdir()) == [planted]
 
 
 def test_budget_is_honoured():
