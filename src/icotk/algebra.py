@@ -282,11 +282,6 @@ class Poly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_degree(self) -> int:
-        if not self.is_homogeneous():
-            raise ValueError("polynomial is not homogeneous")
-        return self.degree()
-
     def coeff(self, expo) -> Fraction:
         return self.terms.get(tuple(expo), 0)
 

@@ -14,6 +14,12 @@ pair is recovered from integer roots of T^2 - P*T + Q.  The singular case
 D = 0 is consistent only when e2 = e3 = 0, i.e. the triple is {a, 0, 0};
 there Q = -a*P and the sweep over |P| <= 2B^2 is enumerated in closed form
 through the factorization (x3 + a)(x4 + a) = a^2.
+
+sigma_2 and sigma_4 are symmetric and of even degree: they take one value
+on a whole orbit of S_5 x {+-1} (permuting and negating coordinates), and
+the scan's point set is a union of such orbits.  So nothing is lost when
+the workers return one canonical tuple per orbit and only the report
+expands each orbit into its points.
 """
 
 from __future__ import annotations
@@ -134,6 +140,15 @@ def _complete_triple(B, v1, v2, v3):
             yield (x3, x4)
 
 
+def _orbit(t5):
+    """The canonical tuple of the S_5 x {+-1} orbit of a nonzero integer
+    tuple: divided by its gcd, sorted, the lesser of that and its sorted
+    negation."""
+    g = math.gcd(*t5)
+    up = tuple(sorted(c // g for c in t5))
+    return min(up, tuple(sorted(-c for c in up)))
+
+
 def _scan_chunk(task):
     B, v1_list = task
     found = set()
@@ -143,7 +158,7 @@ def _scan_chunk(task):
                 for x3, x4 in _complete_triple(B, v1, v2, v3):
                     t5 = (v1, v2, v3, x3, x4)
                     if any(t5):
-                        found.add(t5)
+                        found.add(_orbit(t5))
     return found
 
 
@@ -152,17 +167,20 @@ class ScanReport:
     B: int
     strategy: str
     points: tuple  # sorted ProjPoints
-    trivial: tuple
-    nontrivial: tuple
     millis: float
+
+    @property
+    def trivial(self) -> tuple:
+        """The points with every coordinate in {-1, 0, 1}, in order."""
+        return tuple(p for p in self.points if all(abs(c) <= 1 for c in p.coords))
+
+    @property
+    def nontrivial(self) -> tuple:
+        return tuple(p for p in self.points if any(abs(c) > 1 for c in p.coords))
 
     @property
     def is_trivial(self) -> bool:
         return not self.nontrivial
-
-
-def _is_trivial_point(pt: ProjPoint) -> bool:
-    return all(abs(c) <= 1 for c in pt.coords)
 
 
 def scan_surface(B: int, threads: int | None = None) -> ScanReport:
@@ -176,28 +194,22 @@ def scan_surface(B: int, threads: int | None = None) -> ScanReport:
     threads = min(threads, os.cpu_count() or 1)  # reports do not depend on it
     v1_all = list(range(-B, B + 1))
     if threads <= 1 or B <= 4:
-        raw_sets = [_scan_chunk((B, v1_all))]
+        orbit_sets = [_scan_chunk((B, v1_all))]
     else:
         tasks = [(B, v1_all[i :: 4 * threads]) for i in range(4 * threads)]
         with get_context("fork").Pool(threads) as pool:
-            raw_sets = pool.map(_scan_chunk, tasks)
+            orbit_sets = pool.map(_scan_chunk, tasks)
     points = set()
-    for raw in raw_sets:
-        for t5 in raw:
-            for perm in set(itertools.permutations(t5)):
-                pt = ProjPoint(perm)
-                if _sigma24(pt.coords) != (0, 0):
-                    raise AssertionError(f"scan emitted an off-surface point {pt}")
-                points.add(pt)
-    pts = tuple(sorted(points, key=lambda p: p.coords))
-    trivial = tuple(p for p in pts if _is_trivial_point(p))
-    nontrivial = tuple(p for p in pts if not _is_trivial_point(p))
+    for orbit in set().union(*orbit_sets):
+        for perm in set(itertools.permutations(orbit)):
+            pt = ProjPoint(perm)
+            if _sigma24(pt.coords) != (0, 0):
+                raise AssertionError(f"scan emitted an off-surface point {pt}")
+            points.add(pt)
     return ScanReport(
         B=B,
         strategy="three-two-split",
-        points=pts,
-        trivial=trivial,
-        nontrivial=nontrivial,
+        points=tuple(sorted(points, key=lambda p: p.coords)),
         millis=(time.perf_counter() - t0) * 1000.0,
     )
 
@@ -206,16 +218,7 @@ def scan_instance(inst: FermatInstance, B: int, threads: int | None = None) -> S
     """Surface points additionally satisfying the instance equation."""
     surf = scan_surface(B, threads)
     kept = tuple(p for p in surf.points if inst.lhs(p.coords) == 0)
-    trivial = tuple(p for p in kept if _is_trivial_point(p))
-    nontrivial = tuple(p for p in kept if not _is_trivial_point(p))
-    return ScanReport(
-        B=B,
-        strategy="three-two-split+instance-filter",
-        points=kept,
-        trivial=trivial,
-        nontrivial=nontrivial,
-        millis=surf.millis,
-    )
+    return ScanReport(B, "three-two-split+instance-filter", kept, surf.millis)
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +333,8 @@ def z_triviality_scan(B: int, threads: int | None = None) -> ScanReport:
     """Non-trivial surface points in the Z locus with three smallest
     coordinates <= B; expected empty (any hit is a finding, not an error)."""
     surf = scan_surface(B, threads)
-    kept = tuple(
-        p for p in surf.points if z_member(p) and not _is_trivial_point(p)
-    )
-    return ScanReport(
-        B=B,
-        strategy="three-two-split+z-filter",
-        points=kept,
-        trivial=(),
-        nontrivial=kept,
-        millis=surf.millis,
-    )
+    kept = tuple(p for p in surf.nontrivial if z_member(p))
+    return ScanReport(B, "three-two-split+z-filter", kept, surf.millis)
 
 
 # ---------------------------------------------------------------------------

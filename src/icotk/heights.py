@@ -198,6 +198,8 @@ class LogBound:
     def render(self, digits: int = 30) -> str:
         """Scientific-notation decimal with `digits` fractional digits,
         guaranteed >= the exact value (50 guard digits, final ceiling)."""
+        if digits < 0:
+            raise ValueError(f"digits must be >= 0, got {digits}")
         size_hint = len(str(abs(self.E.numerator))) + sum(
             len(str(m)) for m, _ in self.terms
         )

@@ -50,10 +50,6 @@ class ProjPoint:
                 break
         self.coords = tuple(ints)
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.coords) - 1
-
     def __iter__(self):
         return iter(self.coords)
 

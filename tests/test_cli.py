@@ -71,6 +71,18 @@ def test_usage_errors_exit_two(capsys):
     assert "error" in rep["result"]
 
 
+def test_negative_digits_is_an_input_error(capsys):
+    # a negative digit count would print "0.E+13" for 10^12 + 24*log10(2),
+    # below the value; zero digits still give an upper bound
+    code, rep = _invoke(capsys, "bound", "thmE", "--nu", "2", "--digits", "-1")
+    assert code == 2
+    assert rep["provenance"] == ["input-error"]
+    assert "digits" in rep["result"]["error"]
+    code, rep = _invoke(capsys, "bound", "thmE", "--nu", "2", "--digits", "0")
+    assert code == 0
+    assert rep["result"]["log10_bound_rendered"] == "2.E+12"
+
+
 def test_fermat_bound_is_bound_corF(capsys):
     reports = [_invoke(capsys, *verb, "-a", "1,-1,2,1,-3")
                for verb in (["fermat", "bound"], ["bound", "corF"])]

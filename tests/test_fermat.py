@@ -1,6 +1,9 @@
 """Surface scanning, unit reduction, the Z locus, and the S-unit oracle."""
 
+import hashlib
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from icotk.errors import BudgetExceededError
 from icotk.fermat import (
     FermatInstance,
+    _orbit,
     _sigma24,
     instance_model,
     scan_instance,
@@ -85,6 +89,64 @@ def test_scan_threads_agree():
     assert serial.points == parallel.points
 
 
+# scan_surface(30) computed by expanding every raw triple hit into all its
+# permutations: its size and the first 16 hex digits of the sha256 of its
+# JSON coordinate list
+SCAN30_POINTS = 2675
+SCAN30_DIGEST = "a414bfca8da6871d"
+
+
+def test_scan_b30_is_pinned():
+    serial = scan_surface(30, threads=1)
+    coords = [list(p.coords) for p in serial.points]
+    assert len(coords) == SCAN30_POINTS
+    assert hashlib.sha256(json.dumps(coords).encode()).hexdigest()[:16] == SCAN30_DIGEST
+    assert scan_surface(30, threads=2).points == serial.points
+
+
+@given(
+    st.tuples(*[st.integers(-40, 40)] * 5).filter(any),
+    st.permutations(range(5)),
+    st.integers(-7, 7).filter(bool),
+)
+def test_orbit_is_one_tuple_per_orbit(t5, perm, k):
+    rep = _orbit(t5)
+    assert _orbit(tuple(t5[i] for i in perm)) == rep
+    assert _orbit(tuple(-c for c in t5)) == rep
+    assert _orbit(tuple(k * c for c in t5)) == rep
+    assert list(rep) == sorted(rep) and math.gcd(*rep) == 1
+    g = math.gcd(*t5)
+    assert sorted(rep) in (sorted(c // g for c in t5), sorted(-c // g for c in t5))
+
+
+def test_scan_builds_at_most_two_points_per_reported_point(monkeypatch):
+    import icotk.fermat as fermat
+
+    made = []
+
+    class CountingProjPoint(ProjPoint):
+        def __init__(self, coords):
+            made.append(coords)
+            super().__init__(coords)
+
+    monkeypatch.setattr(fermat, "ProjPoint", CountingProjPoint)
+    rep = scan_surface(30, threads=1)
+    assert len(rep.points) == SCAN30_POINTS
+    assert len(made) <= 2 * len(rep.points)
+
+
+def test_trivial_and_nontrivial_split_the_points_in_order():
+    rep = scan_surface(8)
+    trivial, nontrivial = set(rep.trivial), set(rep.nontrivial)
+    assert not trivial & nontrivial
+    assert trivial | nontrivial == set(rep.points)
+    assert list(rep.trivial) == [p for p in rep.points if p in trivial]
+    assert list(rep.nontrivial) == [p for p in rep.points if p in nontrivial]
+    assert all(max(map(abs, p.coords)) == 1 for p in rep.trivial)
+    assert all(max(map(abs, p.coords)) > 1 for p in rep.nontrivial)
+    assert len(rep.trivial) == 5 and not rep.is_trivial
+
+
 def test_scan_caps_workers_at_cpu_count(monkeypatch):
     import icotk.fermat as fermat
 
@@ -146,6 +208,20 @@ def test_scan_instance_filters():
     expected = [p for p in surf.points if sum(p.coords) == 0]
     assert list(rep.points) == expected
     assert all(inst.lhs(p.coords) == 0 for p in rep.points)
+
+
+def test_scan_instance_split():
+    # (1, 0, 0, -2, -2) and its orbit under permuting the last four
+    # coordinates solve 4*x0 + x1 + x2 + x3 + x4 = 0; the only trivial
+    # surface points are the coordinate points, which solve no instance
+    rep = scan_instance(FermatInstance((4, 1, 1, 1, 1), 1), 8)
+    assert [p.coords for p in rep.points] == [
+        (1, -2, -2, 0, 0), (1, -2, 0, -2, 0), (1, -2, 0, 0, -2),
+        (1, 0, -2, -2, 0), (1, 0, -2, 0, -2), (1, 0, 0, -2, -2),
+    ]
+    assert rep.trivial == ()
+    assert rep.nontrivial == rep.points
+    assert not rep.is_trivial
 
 
 # -- unit reduction ----------------------------------------------------------------
@@ -233,6 +309,7 @@ def test_z_triviality_scan_empty():
     rep = z_triviality_scan(8)
     assert rep.is_trivial
     assert rep.points == ()
+    assert rep.trivial == ()
 
 
 # -- bounded S-unit oracle ------------------------------------------------------------

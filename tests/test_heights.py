@@ -89,6 +89,15 @@ def test_rendered_value_is_an_upper_bound():
     assert val < Fraction(4771212548, 10**10)
 
 
+def test_render_rejects_negative_digits():
+    # a negative digit count would print 10^12 + 24*log10(2) as "0.E+13",
+    # below the value
+    b = LogBound(10**12, [(2, 24)])
+    assert b.render(0) == "2.E+12"
+    with pytest.raises(ValueError):
+        b.render(-1)
+
+
 def test_render_pure_integer():
     assert LogBound(10**12, []).render(30) == (
         "1.000000000000000000000000000000E+12"
