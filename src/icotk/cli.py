@@ -27,7 +27,6 @@ from .config import (
     DEFAULT_GB_BUDGET,
     FactorBudget,
     GroebnerBudget,
-    default_threads,
 )
 from .errors import BudgetExceededError, IcotkError
 from .fermat import (
@@ -519,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("-a", required=True)
     q.add_argument("-n", type=int, required=True)
     q.add_argument("-B", type=int, required=True)
-    q.add_argument("--threads", type=int, default=None)
+    q.add_argument("--threads", type=int, default=None, help="ignored; scans run in one process")
     q.set_defaults(handler=_cmd_fermat_scan)
     q = fer_sub.add_parser("bound", parents=[common])
     q.add_argument("-a", required=True)
@@ -531,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_fermat_unit_reduce)
     q = fer_sub.add_parser("z-scan", parents=[common])
     q.add_argument("-B", type=int, required=True)
-    q.add_argument("--threads", type=int, default=None)
+    q.add_argument("--threads", type=int, default=None, help="ignored; scans run in one process")
     q.set_defaults(handler=_cmd_fermat_z_scan)
 
     p = sub.add_parser("groebner", parents=[common], help="reduced Groebner basis")

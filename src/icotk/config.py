@@ -37,11 +37,3 @@ def cache_dir() -> str | None:
     """
     return os.environ.get("ICOTK_CACHE_DIR") or None
 
-
-def default_threads() -> int:
-    raw = os.environ.get("ICOTK_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -15,10 +15,20 @@ D = 0 is consistent only when e2 = e3 = 0, i.e. the triple is {a, 0, 0};
 there Q = -a*P and the sweep over |P| <= 2B^2 is enumerated in closed form
 through the factorization (x3 + a)(x4 + a) = a^2.
 
+The determinant factors as D = (a + b)(a + c)(b + c).  When D != 0, P =
+-e2^2/D must be an integer; as e2 = a*b + c*(a + b) is -a^2 modulo a + b,
+this forces (a + b) | a^4, and likewise (a + c) | a^4 and (b + c) | b^4.  So
+for a sorted triple a <= b <= c with a != 0 the scan takes b and c among the
+(signed divisors of a^4) - a, and for a = 0 it takes c among the (signed
+divisors of b^4) - b, or every c when b = 0.  Of the triples with D = 0 only
+{a, 0, 0} has a completion, and it meets the condition.  The condition is
+only necessary: every triple that meets it still goes through the exact
+completion, so the filter drops no point and admits none.
+
 sigma_2 and sigma_4 are symmetric and of even degree: they take one value
 on a whole orbit of S_5 x {+-1} (permuting and negating coordinates), and
 the scan's point set is a union of such orbits.  So nothing is lost when
-the workers return one canonical tuple per orbit and only the report
+the enumeration returns one canonical tuple per orbit and only the report
 expands each orbit into its points.
 """
 
@@ -26,14 +36,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import get_context
 
 from .algebra import P4, Poly, factorize
-from .config import DEFAULT_FACTOR_BUDGET, FactorBudget, default_threads
+from .config import DEFAULT_FACTOR_BUDGET, FactorBudget
 from .errors import BudgetExceededError
 from .ico_models import IcoModel
 from .ico_surface import ProjPoint
@@ -92,15 +100,12 @@ def _sigma24(coords):
     return e2, e4
 
 
-def _signed_divisors(m: int):
-    """All divisors of m > 0, both signs."""
-    out = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            out.extend((d, -d, m // d, -(m // d)))
-        d += 1
-    return set(out)
+def _signed_divisors(m: int, k: int) -> list:
+    """All divisors of m^k, m != 0, both signs."""
+    divs = [1]
+    for p, e in factorize(m).items():
+        divs = [d * p**i for d in divs for i in range(e * k + 1)]
+    return divs + [-d for d in divs]
 
 
 def _complete_triple(B, v1, v2, v3):
@@ -133,7 +138,7 @@ def _complete_triple(B, v1, v2, v3):
         yield (1, 0)
         return
     cap = 2 * B * B
-    for d in _signed_divisors(a * a):
+    for d in _signed_divisors(a, 2):
         x3 = d - a
         x4 = a * a // d - a
         if abs(x3 + x4) <= cap:
@@ -149,14 +154,24 @@ def _orbit(t5):
     return min(up, tuple(sorted(-c for c in up)))
 
 
+def _window(x: int, B: int) -> list:
+    """The sorted y in [x, B] with (x + y) | x^4: all of them for x = 0."""
+    if x == 0:
+        return list(range(B + 1))
+    return sorted(y for y in (d - x for d in _signed_divisors(x, 4)) if x <= y <= B)
+
+
 def _scan_chunk(task):
+    """The orbits of the completions of the sorted triples (a, b, c), a in
+    v1_list, that meet the divisibility condition of the module docstring."""
     B, v1_list = task
     found = set()
-    for v1 in v1_list:
-        for v2 in range(v1, B + 1):
-            for v3 in range(v2, B + 1):
-                for x3, x4 in _complete_triple(B, v1, v2, v3):
-                    t5 = (v1, v2, v3, x3, x4)
+    for a in v1_list:
+        win = _window(a, B)
+        for i, b in enumerate(win):
+            for c in win[i:] if a else _window(b, B):
+                for x3, x4 in _complete_triple(B, a, b, c):
+                    t5 = (a, b, c, x3, x4)
                     if any(t5):
                         found.add(_orbit(t5))
     return found
@@ -185,22 +200,14 @@ class ScanReport:
 
 def scan_surface(B: int, threads: int | None = None) -> ScanReport:
     """All primitive surface points (up to sign) whose three smallest
-    absolute coordinates are <= B, enumerated by the 3+2 split."""
+    absolute coordinates are <= B, enumerated by the 3+2 split.
+
+    ``threads`` is accepted and ignored: the scan runs in one process."""
     if B < 1:
         raise ValueError("B >= 1 required")
     t0 = time.perf_counter()
-    if threads is None:
-        threads = default_threads()
-    threads = min(threads, os.cpu_count() or 1)  # reports do not depend on it
-    v1_all = list(range(-B, B + 1))
-    if threads <= 1 or B <= 4:
-        orbit_sets = [_scan_chunk((B, v1_all))]
-    else:
-        tasks = [(B, v1_all[i :: 4 * threads]) for i in range(4 * threads)]
-        with get_context("fork").Pool(threads) as pool:
-            orbit_sets = pool.map(_scan_chunk, tasks)
     points = set()
-    for orbit in set().union(*orbit_sets):
+    for orbit in _scan_chunk((B, list(range(-B, B + 1)))):
         for perm in set(itertools.permutations(orbit)):
             pt = ProjPoint(perm)
             if _sigma24(pt.coords) != (0, 0):

@@ -26,29 +26,27 @@ from .groebner import Ideal, normal_form
 
 class ProjPoint:
     """A projective point with canonical primitive integer coordinates:
-    gcd 1, first nonzero coordinate positive."""
+    gcd 1, first nonzero coordinate positive.  Coordinates are ints or
+    Fractions; anything else raises TypeError rather than being truncated."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        coords = list(coords)
-        if not coords or all(c == 0 for c in coords):
+        ints = list(coords)
+        if not all(type(c) is int for c in ints):
+            denom = 1
+            for c in ints:
+                if isinstance(c, Fraction):
+                    denom = denom * c.denominator // gcd(denom, c.denominator)
+                elif not isinstance(c, int):
+                    raise TypeError(f"coordinate {c!r} is neither an int nor a Fraction")
+            ints = [int(c * denom) for c in ints]
+        if not any(ints):
             raise ValueError("projective point needs a nonzero coordinate")
-        denom = 1
-        for c in coords:
-            if isinstance(c, Fraction):
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in coords]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        ints = [c // g for c in ints]
-        for c in ints:
-            if c:
-                if c < 0:
-                    ints = [-v for v in ints]
-                break
-        self.coords = tuple(ints)
+        g = gcd(*ints)
+        if next(c for c in ints if c) < 0:
+            g = -g
+        self.coords = tuple(c // g for c in ints)
 
     def __iter__(self):
         return iter(self.coords)

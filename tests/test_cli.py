@@ -37,6 +37,19 @@ def test_determinism_modulo_timing(capsys):
     assert rep1 == rep2
 
 
+@pytest.mark.parametrize("a, B, code, count", [("1,1,1,1,1", "30", 0, 0), ("4,1,1,1,1", "8", 1, 6)])
+def test_scan_threads_flag_is_ignored(capsys, a, B, code, count):
+    argv = ["fermat", "scan", "-a", a, "-n", "1", "-B", B]
+    code1, rep1 = _invoke(capsys, *argv)
+    code2, rep2 = _invoke(capsys, *argv, "--threads", "4")
+    assert code1 == code2 == code
+    assert rep1["result"]["count"] == count
+    for rep in (rep1, rep2):
+        rep.pop("millis"), rep["result"].pop("millis", None)
+    assert rep2["command"].pop("argv") == rep1["command"].pop("argv") + ["--threads", "4"]
+    assert rep1 == rep2
+
+
 def test_tau_check_negative_verdict_exit_code(capsys):
     code, rep = _invoke(capsys, "tau", "check", "-F", "x")
     assert code == 1

@@ -1,5 +1,6 @@
 """Surface scanning, unit reduction, the Z locus, and the S-unit oracle."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -13,8 +14,12 @@ from hypothesis import given, settings, strategies as st
 from icotk.errors import BudgetExceededError
 from icotk.fermat import (
     FermatInstance,
+    _complete_triple,
     _orbit,
+    _scan_chunk,
     _sigma24,
+    _signed_divisors,
+    _window,
     instance_model,
     scan_instance,
     scan_surface,
@@ -104,6 +109,75 @@ def test_scan_b30_is_pinned():
     assert scan_surface(30, threads=2).points == serial.points
 
 
+# scan_surface(200): its size and digest, computed as for SCAN30 above
+SCAN200_POINTS = 24155
+SCAN200_DIGEST = "4ab037e0a28c150c"
+
+
+def test_scan_b200_is_pinned():
+    coords = [list(p.coords) for p in scan_surface(200).points]
+    assert len(coords) == SCAN200_POINTS
+    assert hashlib.sha256(json.dumps(coords).encode()).hexdigest()[:16] == SCAN200_DIGEST
+
+
+@functools.lru_cache(maxsize=None)
+def _every_triple_hits(B):
+    """The raw hits of every sorted triple in [-B, B]: the enumeration the
+    divisor-driven scan replaces."""
+    hits = []
+    for a in range(-B, B + 1):
+        for b in range(a, B + 1):
+            for c in range(b, B + 1):
+                for x3, x4 in _complete_triple(B, a, b, c):
+                    if any((a, b, c, x3, x4)):
+                        hits.append((a, b, c, x3, x4))
+    return tuple(hits)
+
+
+@pytest.mark.parametrize("B", [1, 2, 8, 30, 70])
+def test_divisor_scan_finds_every_orbit_of_the_triple_loop(B):
+    # the orbits agree for each smallest coordinate a on its own, not only
+    # in the union, where the negated triple can stand in for a lost one
+    want = {a: set() for a in range(-B, B + 1)}
+    for t5 in _every_triple_hits(B):
+        want[t5[0]].add(_orbit(t5))
+    for a, orbits in want.items():
+        assert _scan_chunk((B, [a])) == orbits, a
+    assert _scan_chunk((B, list(range(-B, B + 1)))) == set().union(*want.values())
+
+
+def test_every_completed_triple_meets_the_divisor_condition():
+    # the lemma of the fermat docstring, on every raw hit with D != 0
+    checked = 0
+    for a, b, c, _, _ in _every_triple_hits(30):
+        if (a + b) * (a + c) * (b + c) == 0:
+            continue
+        assert a**4 % (a + b) == 0
+        assert a**4 % (a + c) == 0
+        assert b**4 % (b + c) == 0
+        checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("x", [-60, -12, -7, -1, 1, 2, 16, 30])
+def test_window_is_the_divisor_condition(x):
+    B = 70
+    want = [y for y in range(x, B + 1) if x + y and x**4 % (x + y) == 0]
+    assert _window(x, B) == want
+
+
+@given(st.integers(-300, 300).filter(bool), st.integers(1, 4))
+def test_signed_divisors_are_the_divisors_of_the_power(m, k):
+    n = abs(m) ** k
+    want = [d for d in range(1, n + 1) if n % d == 0] if n < 10**4 else None
+    got = _signed_divisors(m, k)
+    assert len(got) == len(set(got))
+    assert all(n % d == 0 for d in got)
+    assert set(got) == {-d for d in got}
+    if want is not None:
+        assert sorted(d for d in got if d > 0) == want
+
+
 @given(
     st.tuples(*[st.integers(-40, 40)] * 5).filter(any),
     st.permutations(range(5)),
@@ -145,36 +219,6 @@ def test_trivial_and_nontrivial_split_the_points_in_order():
     assert all(max(map(abs, p.coords)) == 1 for p in rep.trivial)
     assert all(max(map(abs, p.coords)) > 1 for p in rep.nontrivial)
     assert len(rep.trivial) == 5 and not rep.is_trivial
-
-
-def test_scan_caps_workers_at_cpu_count(monkeypatch):
-    import icotk.fermat as fermat
-
-    sizes = []
-
-    class RecordingPool:  # runs the chunks in this process, starts nothing
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(task) for task in tasks]
-
-    class RecordingContext:
-        Pool = RecordingPool
-
-    monkeypatch.setattr(fermat, "get_context", lambda method: RecordingContext)
-    monkeypatch.setattr(fermat.os, "cpu_count", lambda: 3)
-    monkeypatch.setenv("ICOTK_THREADS", "100000")
-    serial = scan_surface(8, threads=1)
-    assert scan_surface(8, threads=100_000).points == serial.points
-    assert scan_surface(8).points == serial.points
-    assert sizes == [3, 3]
 
 
 def test_scan_rejects_bad_bound():
@@ -276,6 +320,13 @@ def test_unit_reduce_on_scanned_points(n):
         ue = unit_reduce(inst, p)
         assert sum(ue.u) == 1
         assert not ue.off_surface
+
+
+def test_unit_reduce_rejects_float_coordinates():
+    # 1.5 used to be truncated, reducing (1, 1, 1, 0, 0) instead
+    inst = FermatInstance((1, 1, -2, 1, 1), 1)
+    with pytest.raises(TypeError):
+        unit_reduce(inst, (1.5, 1, 1, 0, 0))
 
 
 def test_unit_reduce_scaling_invariance():

@@ -1,6 +1,7 @@
 """The fixed geometry: tau/rho identities, T_tau, C_tau, frozen point oracles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +189,19 @@ def test_proj_point_normalization():
     assert ProjPoint((0, 0, -5)).coords == (0, 0, 1)
     with pytest.raises(ValueError):
         ProjPoint((0, 0, 0))
+
+
+def test_proj_point_fractions_and_ints_agree():
+    assert ProjPoint((Fraction(1, 2), 1, Fraction(-3, 4))).coords == (2, 4, -3)
+    assert ProjPoint((Fraction(4), 2, 0)) == ProjPoint((2, 1, 0))
+    assert ProjPoint((True, 0, 2)).coords == (1, 0, 2)  # an int subclass
+
+
+@pytest.mark.parametrize("bad", [(0.5, 1, 0), (1, 2.0, 3), (1, "2", 3), (1, None, 0)])
+def test_proj_point_rejects_other_coordinate_types(bad):
+    # (0.5, 1, 0) used to become (0:1:0)
+    with pytest.raises(TypeError):
+        ProjPoint(bad)
 
 
 def test_quadratic_point_conjugate():
