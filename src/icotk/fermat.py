@@ -47,6 +47,16 @@ from .ico_models import IcoModel
 from .ico_surface import ProjPoint
 
 
+def _ints(values, what: str) -> tuple:
+    """values as a tuple; anything but an int raises TypeError rather than
+    being truncated, as in ProjPoint."""
+    out = tuple(values)
+    for c in out:
+        if not isinstance(c, int):
+            raise TypeError(f"{what} {c!r} is not an int")
+    return out
+
+
 @dataclass(frozen=True)
 class FermatInstance:
     """The equation a_0 x_0^n + ... + a_4 x_4^n = 0."""
@@ -55,14 +65,16 @@ class FermatInstance:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
+        object.__setattr__(self, "a", _ints(self.a, "coefficient"))
+        if not isinstance(self.n, int):
+            raise TypeError(f"exponent {self.n!r} is not an int")
         if len(self.a) != 5 or any(v == 0 for v in self.a):
             raise ValueError("need five nonzero coefficients")
         if self.n < 1:
             raise ValueError("exponent n >= 1 required")
 
     def lhs(self, coords) -> int:
-        return sum(ai * int(c) ** self.n for ai, c in zip(self.a, coords))
+        return sum(ai * c**self.n for ai, c in zip(self.a, _ints(coords, "coordinate")))
 
 
 def instance_model(inst: FermatInstance) -> IcoModel:
@@ -319,7 +331,7 @@ def z_member(x) -> bool:
     """True iff every coordinate is zero or agrees up to sign with some
     other coordinate.  Computed both from the ratio definition and from
     the binomial equations x_i^2 x_j - x_j^3; the two must agree."""
-    coords = tuple(x.coords) if isinstance(x, ProjPoint) else tuple(int(c) for c in x)
+    coords = x.coords if isinstance(x, ProjPoint) else _ints(x, "coordinate")
     if len(coords) < 2:
         raise ValueError("need at least two coordinates")
     idx = range(len(coords))
@@ -354,7 +366,7 @@ def sunit_bounded(S, k: int, E: int, enumeration_cap: int = 2_000_000):
 
     A bounded oracle: complete inside the exponent box, silent about
     anything outside it.  k = 1 is allowed (the answer is [(1,)])."""
-    primes = sorted(set(int(p) for p in S))
+    primes = sorted(set(_ints(S, "prime")))
     for p in primes:
         if p < 2 or factorize(p) != {p: 1}:
             raise ValueError(f"S must consist of primes, got {p}")

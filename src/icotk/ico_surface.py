@@ -4,9 +4,11 @@ curve C_tau = V(lambda), and the base locus T_tau.
 
 Everything is *constructed* from the defining data (t_j and r_i) at first
 use rather than transcribed as expanded constants, so a typo in the inputs
-breaks loudly in the degree and identity checks.  Composing lambda =
-rho_0(tau)/x is most of the build (about half a second); the geometry is
-therefore built once and shared (it is immutable).
+breaks loudly in the degree and identity checks.  The build itself stays
+below degree 25: C_tau's factors come from the four cubics through two
+bracket identities, and lambda = rho_0(tau)/x (degree 95, 2228 terms) is
+expanded only when something reads it -- the symbolic identity suite and
+the tests.  The geometry is built once and shared (it is immutable).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, prod
 
 from .algebra import P2, P4, Poly, elementary_symmetric, poly_parse
@@ -115,14 +117,17 @@ class FixedGeometry:
         self.sigma2 = elementary_symmetric(P4, 2)
         self.sigma4 = elementary_symmetric(P4, 4)
 
-        # lambda = rho_0(tau)/x from rho_0's factored form, r_i(tau) being the
-        # product of the tau_j with j != i; verify_identities checks the
-        # expanded substitution rho_0(tau) independently
-        rt = [prod(t for j, t in enumerate(self.tau) if j != i) for i in range(4)]
-        x = Poly.variable(P2, "x")
-        self.lam = (-(rt[1] + rt[3]) * (rt[0] + rt[1] + rt[2])).exact_div(x)
-        if self.lam.degree() != 95:
-            raise AssertionError("lambda does not have degree 95")
+        # rho_0 = -(r1 + r3)(r0 + r1 + r2) with (r1 + r3)(tau) = tau0 tau2 tau4
+        # (tau1 + tau3) and (r0 + r1 + r2)(tau) = tau3 tau4 (tau1 tau2 + tau0
+        # tau2 + tau0 tau1).  The two brackets below, checked against the
+        # cubics, make lambda = rho_0(tau)/x = (t0 t1 t2 t3 (sum t))^6 * v with
+        # v = -(t1 + t3)(t0 + t1 + t2)/x, so ctau_factors needs no lambda
+        t, tau = self.t, self.tau
+        if tau[1] + tau[3] != -(self.t_sum * t[0] * t[2] * (t[1] + t[3])):
+            raise AssertionError("bracket identity tau1 + tau3 broken")
+        if (tau[1] * tau[2] + tau[0] * tau[2] + tau[0] * tau[1]
+                != self.t_sum**2 * prod_all * t[3] * (t[0] + t[1] + t[2])):
+            raise AssertionError("bracket identity tau1 tau2 + tau0 tau2 + tau0 tau1 broken")
 
         self.e_points = tuple(
             ProjPoint([1 if j == i else 0 for j in range(5)]) for i in range(5)
@@ -141,6 +146,26 @@ class FixedGeometry:
 
     # -- derived data -------------------------------------------------------
 
+    @cached_property
+    def lam(self) -> Poly:
+        """lambda = rho_0(tau)/x, degree 95 and 2228 terms, built on first
+        use from rho_0's factored form, r_i(tau) being the product of the
+        tau_j with j != i.  Nothing on the criterion (tau) path reads it:
+        C_tau comes from the cubics (ctau_factors) and lambda(p) from
+        lam_at; verify_identities checks the expanded substitution."""
+        rt = [prod(t for j, t in enumerate(self.tau) if j != i) for i in range(4)]
+        x = Poly.variable(P2, "x")
+        lam = (-(rt[1] + rt[3]) * (rt[0] + rt[1] + rt[2])).exact_div(x)
+        if lam.degree() != 95:
+            raise AssertionError("lambda does not have degree 95")
+        return lam
+
+    def lam_at(self, p):
+        """lambda(p) = (t0 t1 t2 t3 (sum t))(p)^6 * v(p), without lambda."""
+        vals = [t.evaluate(p) for t in self.t]
+        core = vals[0] * vals[1] * vals[2] * vals[3] * sum(vals)
+        return core**6 * self.ctau_factors()[-1].evaluate(p)
+
     def surface_ideal(self) -> Ideal:
         if self._surface_ideal is None:
             self._surface_ideal = Ideal(P4, [self.sigma2, self.sigma4])
@@ -149,26 +174,28 @@ class FixedGeometry:
     def ctau_factors(self) -> tuple:
         """A factor list of lambda whose zero sets union to C_tau.
 
-        lambda = (t0 t1 t2 t3 (sum t))^6 * v with deg v = 5 (verified here by
-        exact division); three of the t_j split off visible linear factors.
+        lambda = (t0 t1 t2 t3 (sum t))^6 * v with the quintic
+        v = -(t1 + t3)(t0 + t1 + t2)/x (the bracket identities of the build;
+        the expanded product is checked by symbolic verify_identities);
+        three of the t_j split off visible linear factors.
         The list need not consist of irreducibles -- the per-factor geometry
         in plane_curves is sound for any decomposition covering V(lambda).
         """
         if self._ctau_factors is None:
+            t = self.t
             x = Poly.variable(P2, "x")
             z = Poly.variable(P2, "z")
             lin0 = poly_parse("y - z", P2)
             q0 = poly_parse("x*y + x*z - z^2", P2)
             q2 = poly_parse("z^2 - y^2 - x*z", P2)
             q3 = poly_parse("y*z - x*z + x^2 - y^2", P2)
-            core = (self.t[0] * self.t[1] * self.t[2] * self.t[3] * self.t_sum) ** 6
-            v = self.lam.exact_div(core)
+            v = (-(t[1] + t[3]) * (t[0] + t[1] + t[2])).exact_div(x)
             if v.degree() != 5:
                 raise AssertionError("lambda cofactor is not a quintic")
             # consistency: the visible splittings really multiply back
-            if self.t[0] != lin0 * q0 or self.t[2] != x * q2 or self.t[3] != z * q3:
+            if t[0] != lin0 * q0 or t[2] != x * q2 or t[3] != z * q3:
                 raise AssertionError("t_j factor bookkeeping broken")
-            self._ctau_factors = (x, z, lin0, q0, q2, q3, self.t[1], self.t_sum, v)
+            self._ctau_factors = (x, z, lin0, q0, q2, q3, t[1], self.t_sum, v)
         return self._ctau_factors
 
     def ttau_all_phi(self) -> tuple:
@@ -259,10 +286,10 @@ class IdentityReport:
         return all(ok for _, ok in self.checks)
 
 
-def _random_plane_point(rng, lam) -> tuple:
+def _random_plane_point(rng, geo) -> tuple:
     while True:
         p = tuple(rng.randint(-1000, 1000) for _ in range(3))
-        if any(p) and lam.evaluate(p) != 0:
+        if any(p) and geo.lam_at(p) != 0:
             return p
 
 
@@ -277,6 +304,8 @@ def verify_identities(
 
     (a) sigma_2(tau) = sigma_4(tau) = 0;
     (b) rho_0(tau) = lambda*x, rho_1(tau) = lambda*y, rho_2(tau) = lambda*z;
+        symbolically also lambda = (t0 t1 t2 t3 (sum t))^6 * v, the factored
+        form that ctau_factors and lam_at use without expanding lambda;
     (c) tau_i(rho)*x_j - tau_j(rho)*x_i in (sigma_2, sigma_4) for all i < j.
 
     mode="symbolic" expands (a) and (b) as polynomials; identity (c) is
@@ -294,7 +323,7 @@ def verify_identities(
     geo = fixed_geometry()
     checks = []
     rng = random.Random(seed)
-    pts = [_random_plane_point(rng, geo.lam) for _ in range(samples)]
+    pts = [_random_plane_point(rng, geo) for _ in range(samples)]
 
     if mode == "symbolic":
         s2t = geo.sigma2.substitute(geo.tau)
@@ -308,6 +337,9 @@ def verify_identities(
                 (f"rho_{'xyz'.index(name)}(tau) == lambda*{name}",
                  rho_i.substitute(geo.tau) == lam * var)
             )
+        core = geo.t[0] * geo.t[1] * geo.t[2] * geo.t[3] * geo.t_sum
+        checks.append(("lambda == (t0*t1*t2*t3*sum(t))^6 * v",
+                       lam == core**6 * geo.ctau_factors()[-1]))
         if symbolic_c:
             surface = geo.surface_ideal()
             taurho = [t.substitute(geo.rho) for t in geo.tau]
@@ -328,7 +360,7 @@ def verify_identities(
             q = [t.evaluate(p) for t in geo.tau]
             if geo.sigma2.evaluate(q) != 0 or geo.sigma4.evaluate(q) != 0:
                 ok_a = False
-            lam_p = geo.lam.evaluate(p)
+            lam_p = geo.lam_at(p)
             if tuple(r.evaluate(q) for r in geo.rho) != tuple(lam_p * c for c in p):
                 ok_b = False
         checks.append(("sigma2(tau) == sigma4(tau) == 0 on samples", ok_a))

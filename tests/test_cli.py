@@ -9,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from icotk import __version__
 from icotk.cli import run
+from icotk.ico_surface import fixed_geometry
+from icotk.plane_curves import family_curve
 
 
 def _invoke(capsys, *argv):
@@ -65,6 +67,21 @@ def test_verify_sampled(capsys):
     assert rep["result"]["passed"]
     assert rep["flags"]["samples"] == 5
     assert rep["flags"]["seed"] == 7
+
+
+def test_cold_tau_paths_never_build_lambda(capsys):
+    # C_tau comes from the cubics and lambda(p) from its factored form, so
+    # none of these expands the degree-95 lambda in a fresh geometry
+    curve = str(family_curve(1, (1, 2, 3, 4, 5)).F)
+    for argv, want in (
+        (["tau", "check", "-F", "x"], 1),
+        (["containing-model", "-F", curve], 0),
+        (["verify", "--mode", "sampled", "--samples", "5", "--seed", "7"], 0),
+    ):
+        fixed_geometry.cache_clear()
+        code, _ = _invoke(capsys, *argv)
+        assert code == want, argv
+        assert "lam" not in vars(fixed_geometry()), argv
 
 
 def test_usage_errors_exit_two(capsys):

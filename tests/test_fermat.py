@@ -243,6 +243,29 @@ def test_instance_validation():
         FermatInstance((1, 1, 1, 1), 2)
     with pytest.raises(ValueError):
         FermatInstance((1, 1, 1, 1, 1), 0)
+    # floats used to be truncated by int(c): the next .a was (1, 1, 1, 1, 1)
+    with pytest.raises(TypeError):
+        FermatInstance((1.5, 1, 1, 1, 1), 1)
+    with pytest.raises(TypeError):
+        FermatInstance((1, 1, 1, 1, 1), 1.0)
+
+
+# floats used to be truncated by int(c): z_member((2.5, 2, 0)) was True and
+# lhs((0.9, -1, 0, 0, 0)) was -1, its value at (0, -1, 0, 0, 0)
+def test_z_member_rejects_non_int_coordinates():
+    with pytest.raises(TypeError):
+        z_member((2.5, 2, 0))
+    with pytest.raises(TypeError):
+        z_member((2, "2", 0))
+
+
+def test_lhs_rejects_non_int_coordinates():
+    inst = FermatInstance((1, 1, 1, 1, 1), 1)
+    assert inst.lhs((0, -1, 0, 0, 0)) == -1
+    with pytest.raises(TypeError):
+        inst.lhs((0.9, -1, 0, 0, 0))
+    with pytest.raises(TypeError):
+        inst.lhs((Fraction(1, 2), 0, 0, 0, 0))
 
 
 def test_scan_instance_filters():
@@ -393,6 +416,8 @@ def test_sunit_validation_and_budget():
         sunit_bounded({4}, 2, 1)
     with pytest.raises(ValueError):
         sunit_bounded({2}, 0, 1)
+    with pytest.raises(TypeError):  # (2.5, 3) was read as the primes {2, 3}
+        sunit_bounded((2.5, 3), 2, 1)
     with pytest.raises(BudgetExceededError):
         sunit_bounded({2, 3, 5}, 4, 6, enumeration_cap=1000)
 

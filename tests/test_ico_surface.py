@@ -1,5 +1,6 @@
 """The fixed geometry: tau/rho identities, T_tau, C_tau, frozen point oracles."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from icotk.algebra import P2, Poly, poly_parse
 from icotk.binaryforms import ZPhi
 from icotk.errors import BasePointError, NotOnSurfaceError
 from icotk.ico_surface import (
+    FixedGeometry,
     ProjPoint,
     evaluate_phi,
     fixed_geometry,
@@ -46,6 +48,64 @@ def test_lambda_factorization(geo):
 
 def test_ctau_factor_degrees(geo):
     assert sorted(f.degree() for f in geo.ctau_factors()) == [1, 1, 1, 2, 2, 2, 3, 3, 5]
+
+
+# sha256 of the printed lambda and ctau_factors() tuple, first 16 hex digits,
+# computed when the build still expanded lambda and ctau_factors divided it
+LAMBDA_DIGEST = "36cad524c907cedf"
+CTAU_FACTORS_DIGEST = "92c85ad82451fbc8"
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_lambda_and_ctau_factors_are_pinned(geo):
+    assert _digest(str(geo.ctau_factors())) == CTAU_FACTORS_DIGEST
+    assert _digest(str(geo.lam)) == LAMBDA_DIGEST
+
+
+@given(st.tuples(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60)))
+@settings(max_examples=60)
+def test_lambda_at_a_point_from_its_factored_form(geo, p):
+    vals = [t.evaluate(p) for t in geo.t]
+    core = vals[0] * vals[1] * vals[2] * vals[3] * sum(vals)
+    want = geo.lam.evaluate(p)
+    assert core**6 * geo.ctau_factors()[-1].evaluate(p) == want
+    assert geo.lam_at(p) == want
+
+
+def _perturbed_geometry(perturb):
+    """A FixedGeometry whose t/tau are changed by perturb(geo) right after
+    tau is built, i.e. before the bracket identities read them."""
+
+    class Perturbed(FixedGeometry):
+        def __setattr__(self, name, value):
+            object.__setattr__(self, name, value)
+            if name == "tau":
+                perturb(self)
+
+    return Perturbed()
+
+
+def _bump(seq, j):
+    seq = list(seq)
+    seq[j] = seq[j] + poly_parse("y^3", P2)
+    return tuple(seq)
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_perturbed_cubic_fails_the_build(j):
+    # tau comes from the true cubics; the check reads a perturbed t_j
+    with pytest.raises(AssertionError, match="bracket identity tau1 \\+ tau3"):
+        _perturbed_geometry(lambda g: object.__setattr__(g, "t", _bump(g.t, j)))
+
+
+@pytest.mark.parametrize("i", [0, 2])
+def test_perturbed_tau_fails_the_second_bracket_identity(i):
+    # tau0 and tau2 enter only the second identity
+    with pytest.raises(AssertionError, match="bracket identity tau1 tau2"):
+        _perturbed_geometry(lambda g: object.__setattr__(g, "tau", _bump(g.tau, i)))
 
 
 # -- frozen point oracles ------------------------------------------------------
