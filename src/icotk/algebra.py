@@ -17,6 +17,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
+from .binaryforms import Phi
 from .config import DEFAULT_FACTOR_BUDGET, FactorBudget
 from .errors import FactorBudgetError, NotDivisibleError, ParseError
 
@@ -384,10 +385,11 @@ class Poly:
     # -- evaluation / substitution ------------------------------------------
 
     def evaluate(self, point):
-        """Exact value at a rational point (sequence of int/Fraction)."""
+        """Exact value at a point of ints and Fractions, or of ints and Phis
+        (a point over Z[phi]; its polynomial needs integer coefficients)."""
         if len(point) != self.ring.nvars:
             raise ValueError("arity mismatch")
-        point = [_norm_coeff(Fraction(v)) if not isinstance(v, (int, Fraction)) else v
+        point = [v if isinstance(v, (int, Fraction, Phi)) else _norm_coeff(Fraction(v))
                  for v in point]
         total = 0
         for e, c in self.terms.items():

@@ -7,111 +7,122 @@ linear form (exact in the ring, the quotient scaled by a power of the
 form's s-coefficient), and Lagrange interpolation for resultants computed
 by specialization.
 
-Z[phi] is the ring of integers of Q(sqrt 5): pairs (a, b) standing for
-a + b*phi with phi^2 = phi + 1.  Everything stays in the ring -- divisions
-are exactness-checked, never floating.
+Z[phi] is the ring of integers of Q(sqrt 5).  Its elements are Phi numbers
+a + b*phi with phi^2 = phi + 1; they mix with int on either side of the
+operators, and Phi(a, 0) == a.  So every routine here takes ints, Phis or
+both through Python's operators: there are no domain tables, and a
+computation stays in int until a Phi enters it.  Everything stays in the
+ring -- divisions are exactness-checked through divmod, never floating.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-# ---------------------------------------------------------------------------
-# coefficient domains
-# ---------------------------------------------------------------------------
+ZZ = int  # read only by perfbench/tracing.py, which counts resultants by ring
 
 
-class ZZ:
-    """Plain integers."""
+class Phi:
+    """a + b*phi in Z[phi], phi^2 = phi + 1.  Immutable; mixes with int."""
 
-    zero = 0
-    one = 1
+    __slots__ = ("a", "b")
 
-    @staticmethod
-    def add(a, b):
-        return a + b
+    def __init__(self, a: int = 0, b: int = 0):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
-    @staticmethod
-    def sub(a, b):
-        return a - b
+    def __setattr__(self, name, value):
+        raise AttributeError("Phi is immutable")
 
-    @staticmethod
-    def mul(a, b):
-        return a * b
+    def __add__(self, other):
+        if isinstance(other, Phi):
+            return Phi(self.a + other.a, self.b + other.b)
+        if isinstance(other, int):
+            return Phi(self.a + other, self.b)
+        return NotImplemented
 
-    @staticmethod
-    def neg(a):
-        return -a
+    __radd__ = __add__
 
-    @staticmethod
-    def is_zero(a):
-        return a == 0
+    def __sub__(self, other):
+        if isinstance(other, Phi):
+            return Phi(self.a - other.a, self.b - other.b)
+        if isinstance(other, int):
+            return Phi(self.a - other, self.b)
+        return NotImplemented
 
-    @staticmethod
-    def exact_div(a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError(f"{a} not divisible by {b}")
-        return q
+    def __rsub__(self, other):
+        if isinstance(other, int):
+            return Phi(other - self.a, -self.b)
+        return NotImplemented
 
-    @staticmethod
-    def from_int(n):
-        return n
+    def __mul__(self, other):
+        if isinstance(other, Phi):
+            a, b, c, d = self.a, self.b, other.a, other.b
+            bd = b * d
+            return Phi(a * c + bd, a * d + b * c + bd)
+        if isinstance(other, int):
+            return Phi(self.a * other, self.b * other)
+        return NotImplemented
 
+    __rmul__ = __mul__
 
-class ZPhi:
-    """Z[phi], phi^2 = phi + 1, elements as pairs (a, b) = a + b*phi."""
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            return NotImplemented
+        out, base = Phi(1), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
 
-    zero = (0, 0)
-    one = (1, 0)
-    phi = (0, 1)
+    def __neg__(self):
+        return Phi(-self.a, -self.b)
 
-    @staticmethod
-    def add(u, v):
-        return (u[0] + v[0], u[1] + v[1])
+    def __bool__(self):
+        return bool(self.a or self.b)
 
-    @staticmethod
-    def sub(u, v):
-        return (u[0] - v[0], u[1] - v[1])
-
-    @staticmethod
-    def mul(u, v):
-        a, b = u
-        c, d = v
-        return (a * c + b * d, a * d + b * c + b * d)
-
-    @staticmethod
-    def neg(u):
-        return (-u[0], -u[1])
-
-    @staticmethod
-    def is_zero(u):
-        return u == (0, 0)
-
-    @staticmethod
-    def conj(u):
+    def conj(self) -> "Phi":
         """Galois conjugate: phi -> 1 - phi."""
-        a, b = u
-        return (a + b, -b)
+        return Phi(self.a + self.b, -self.b)
 
-    @staticmethod
-    def norm(u) -> int:
-        a, b = u
+    def norm(self) -> int:
+        """u * conj(u), an int; zero only for u = 0."""
+        a, b = self.a, self.b
         return a * a + a * b - b * b
 
-    @classmethod
-    def exact_div(cls, u, v):
-        n = cls.norm(v)
+    def __divmod__(self, other):
+        """(q, r) with self = q*other + r: q is u*conj(v)/norm(v) floored
+        coordinatewise, so r == 0 exactly when other divides self."""
+        if isinstance(other, int):
+            other = Phi(other)
+        elif not isinstance(other, Phi):
+            return NotImplemented
+        n = other.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Z[phi]")
-        w = cls.mul(u, cls.conj(v))
-        if w[0] % n or w[1] % n:
-            raise ArithmeticError(f"{u} not divisible by {v} in Z[phi]")
-        return (w[0] // n, w[1] // n)
+        w = self * other.conj()
+        q = Phi(w.a // n, w.b // n)
+        return q, self - q * other
 
-    @staticmethod
-    def from_int(n):
-        return (n, 0)
+    def __rdivmod__(self, other):
+        if isinstance(other, int):
+            return divmod(Phi(other), self)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, Phi):
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, int):
+            return self.b == 0 and self.a == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+
+    def __repr__(self):
+        return f"Phi({self.a}, {self.b})"
 
 
 # ---------------------------------------------------------------------------
@@ -119,36 +130,44 @@ class ZPhi:
 # ---------------------------------------------------------------------------
 
 
-def bareiss_det(matrix, dom=ZZ):
-    """Exact determinant of a square matrix over the given domain."""
+def bareiss_det(matrix):
+    """Exact determinant of a square matrix of ints and Phis."""
     n = len(matrix)
     if n == 0:
-        return dom.one
+        return 1
     m = [row[:] for row in matrix]
     sign = 1
-    prev = dom.one
+    prev = 1
     for k in range(n - 1):
-        if dom.is_zero(m[k][k]):
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if not dom.is_zero(m[r][k]):
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
-                return dom.zero
-        for i in range(k + 1, n):
+                return 0
+        row_k = m[k]
+        pivot = row_k[k]
+        for row in m[k + 1:]:
+            lead = row[k]
             for j in range(k + 1, n):
-                num = dom.sub(dom.mul(m[i][j], m[k][k]), dom.mul(m[i][k], m[k][j]))
-                m[i][j] = dom.exact_div(num, prev)
-            m[i][k] = dom.zero
-        prev = m[k][k]
+                q, r = divmod(row[j] * pivot - lead * row_k[j], prev)
+                if r:
+                    raise ArithmeticError(f"Bareiss step not exact: {r} left by {prev}")
+                row[j] = q
+            row[k] = 0
+        prev = pivot
     det = m[n - 1][n - 1]
-    return dom.neg(det) if sign < 0 else det
+    return -det if sign < 0 else det
 
 
-def sylvester_resultant(f, g, dom=ZZ):
+def sylvester_resultant(f, g, dom=None):
     """Resultant of two univariate polynomials given as coefficient lists
-    (descending powers; leading coefficient first).  deg f, deg g >= 1."""
+    (descending powers; leading coefficient first).  deg f, deg g >= 1.
+
+    ``dom`` is accepted and ignored: the coefficient ring follows from the
+    coefficients themselves."""
     f = list(f)
     g = list(g)
     dn = len(f) - 1
@@ -158,10 +177,10 @@ def sylvester_resultant(f, g, dom=ZZ):
     size = dn + dm
     rows = []
     for i in range(dm):
-        rows.append([dom.zero] * i + f + [dom.zero] * (size - i - dn - 1))
+        rows.append([0] * i + f + [0] * (size - i - dn - 1))
     for i in range(dn):
-        rows.append([dom.zero] * i + g + [dom.zero] * (size - i - dm - 1))
-    return bareiss_det(rows, dom)
+        rows.append([0] * i + g + [0] * (size - i - dm - 1))
+    return bareiss_det(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +188,7 @@ def sylvester_resultant(f, g, dom=ZZ):
 # ---------------------------------------------------------------------------
 
 
-def form_is_zero(f, dom=ZZ):
-    return all(dom.is_zero(c) for c in f)
-
-
-def divide_linear(f, a, b, dom=ZZ):
+def divide_linear(f, a, b):
     """Divide the binary form f of degree d by (b*s - a*t), the linear form
     vanishing at (s:t) = (a:b).  Returns b^d times the quotient, or None
     when the division has a remainder.
@@ -184,33 +199,33 @@ def divide_linear(f, a, b, dom=ZZ):
     with this.  For b = 0 the linear form is a multiple of t and the quotient
     is returned unscaled.
     """
-    if form_is_zero(f, dom):
+    if not any(f):
         return None
     d = len(f) - 1
     if d < 1:
         return None
-    if dom.is_zero(b):
+    if not b:
         # linear form is a multiple of t; divisible iff no s^d term
-        if not dom.is_zero(f[0]):
+        if f[0]:
             return None
         return list(f[1:])
     p = [f[0]]
-    bpow = [dom.one]
+    bpow = [1]
     for i in range(1, d + 1):
-        bpow.append(dom.mul(bpow[-1], b))
-        p.append(dom.add(dom.mul(bpow[i], f[i]), dom.mul(a, p[-1])))
-    if not dom.is_zero(p[d]):
+        bpow.append(bpow[-1] * b)
+        p.append(bpow[i] * f[i] + a * p[-1])
+    if p[d]:
         return None
-    return [dom.mul(bpow[d - 1 - i], p[i]) for i in range(d)]
+    return [bpow[d - 1 - i] * p[i] for i in range(d)]
 
 
-def strip_root(f, a, b, dom=ZZ):
+def strip_root(f, a, b):
     """Remove the root (a:b) from the binary form f as often as it divides.
     Returns (reduced form, multiplicity)."""
     mult = 0
     cur = f
     while len(cur) > 1:
-        nxt = divide_linear(cur, a, b, dom)
+        nxt = divide_linear(cur, a, b)
         if nxt is None:
             break
         cur = nxt

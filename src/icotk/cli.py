@@ -20,8 +20,7 @@ import traceback
 from fractions import Fraction
 
 from . import __version__
-from .algebra import P2, P4, Poly, poly_parse
-from .binaryforms import ZPhi
+from .algebra import P2, P4, poly_parse
 from .config import (
     DEFAULT_FACTOR_BUDGET,
     DEFAULT_GB_BUDGET,
@@ -44,7 +43,6 @@ from .heights import (
     bound_corF,
     bound_thmC,
     bound_thmE,
-    point_height,
 )
 from .ico_models import (
     IcoModel,
@@ -55,9 +53,7 @@ from .ico_models import (
     nu_f,
 )
 from .ico_surface import (
-    evaluate_phi,
     fixed_geometry,
-    tau_point,
     ttau_points,
     verify_identities,
 )
@@ -356,7 +352,7 @@ def _suite_ttau(args, gb, fb):
         ("(1,1,phi)", quadratic.coords),
         ("conjugate", quadratic.conjugate()),
     ):
-        ok = all(ZPhi.is_zero(evaluate_phi(t, coords)) for t in geo.tau)
+        ok = all(t.evaluate(coords) == 0 for t in geo.tau)
         checks.append((f"quadratic point {label} annihilates every tau_i", ok))
     off = [t.evaluate((1, 1, 0)) for t in geo.tau]
     checks.append(("(1,1,0) is not in T_tau (tau_3 = 1)", off[3] == 1 and any(off)))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, localcontext
 from fractions import Fraction
 
 from .algebra import int_radical
@@ -44,36 +44,6 @@ def _split_small(m: int) -> dict:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
-
-
-def _log10_interval(m: int, prec: int):
-    """Directed [lo, hi] enclosure of log10(m) for an integer m >= 2."""
-    with localcontext() as ctx:
-        ctx.prec = prec
-        ctx.rounding = ROUND_FLOOR
-        ln_m_lo = Decimal(m).ln()
-        ln10_lo = Decimal(10).ln()
-    with localcontext() as ctx:
-        ctx.prec = prec
-        ctx.rounding = ROUND_CEILING
-        ln_m_hi = Decimal(m).ln()
-        ln10_hi = Decimal(10).ln()
-    with localcontext() as ctx:
-        ctx.prec = prec
-        ctx.rounding = ROUND_FLOOR
-        lo = ln_m_lo / ln10_hi
-    with localcontext() as ctx:
-        ctx.prec = prec
-        ctx.rounding = ROUND_CEILING
-        hi = ln_m_hi / ln10_lo
-    return lo, hi
-
-
-def _frac_dec(fr: Fraction, prec: int, rounding) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = prec
-        ctx.rounding = rounding
-        return Decimal(fr.numerator) / Decimal(fr.denominator)
 
 
 class LogBound:
@@ -128,27 +98,30 @@ class LogBound:
     # -- numeric enclosure --------------------------------------------------
 
     def _interval(self, prec: int):
-        with localcontext() as ctx:
-            ctx.prec = prec
-            ctx.rounding = ROUND_FLOOR
-            lo = _frac_dec(self.E, prec, ROUND_FLOOR)
-            hi = _frac_dec(self.E, prec, ROUND_CEILING)
-            for m, c in self.terms:
-                l_lo, l_hi = _log10_interval(m, prec)
-                c_lo = _frac_dec(c, prec, ROUND_FLOOR)
-                c_hi = _frac_dec(c, prec, ROUND_CEILING)
-                if c > 0:
-                    t_lo, t_hi = c_lo * l_lo, c_hi * l_hi
-                else:
-                    t_lo, t_hi = c_lo * l_hi, c_hi * l_lo
-                with localcontext() as c2:
-                    c2.prec = prec
-                    c2.rounding = ROUND_FLOOR
-                    lo = lo + t_lo
-                with localcontext() as c2:
-                    c2.prec = prec
-                    c2.rounding = ROUND_CEILING
-                    hi = hi + t_hi
+        """Directed [lo, hi] enclosure of the value at prec digits.  Each
+        operation for lo runs in a ROUND_FLOOR context and each one for hi
+        in a ROUND_CEILING context.  Decimal.ln is correctly rounded
+        half-even whatever the context says, so every logarithm is widened
+        by one ulp on each side."""
+        down = Context(prec=prec, rounding=ROUND_FLOOR)
+        up = Context(prec=prec, rounding=ROUND_CEILING)
+        lo = down.divide(self.E.numerator, self.E.denominator)
+        hi = up.divide(self.E.numerator, self.E.denominator)
+        if self.terms:
+            ln10 = down.ln(10)
+            ln10_lo, ln10_hi = down.next_minus(ln10), up.next_plus(ln10)
+        for m, c in self.terms:
+            ln_m = down.ln(m)
+            l_lo = down.divide(down.next_minus(ln_m), ln10_hi)  # log10(m) > 0
+            l_hi = up.divide(up.next_plus(ln_m), ln10_lo)
+            c_lo = down.divide(c.numerator, c.denominator)
+            c_hi = up.divide(c.numerator, c.denominator)
+            if c > 0:
+                lo = down.add(lo, down.multiply(c_lo, l_lo))
+                hi = up.add(hi, up.multiply(c_hi, l_hi))
+            else:
+                lo = down.add(lo, down.multiply(c_lo, l_hi))
+                hi = up.add(hi, up.multiply(c_hi, l_lo))
         return lo, hi
 
     def compare(self, other: "LogBound") -> int:

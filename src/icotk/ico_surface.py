@@ -4,11 +4,14 @@ curve C_tau = V(lambda), and the base locus T_tau.
 
 Everything is *constructed* from the defining data (t_j and r_i) at first
 use rather than transcribed as expanded constants, so a typo in the inputs
-breaks loudly in the degree and identity checks.  The build itself stays
-below degree 25: C_tau's factors come from the four cubics through two
-bracket identities, and lambda = rho_0(tau)/x (degree 95, 2228 terms) is
-expanded only when something reads it -- the symbolic identity suite and
-the tests.  The geometry is built once and shared (it is immutable).
+breaks loudly in the degree and identity checks.  Before tau is built, the
+four cubics must satisfy (sum t) e_2(t) = e_3(t), which is what makes
+sigma_2(tau) = sigma_4(tau) = 0; after it, tau must satisfy two bracket
+identities.  The build itself stays below degree 25: C_tau's factors come
+from the four cubics through those bracket identities, and lambda =
+rho_0(tau)/x (degree 95, 2228 terms) is expanded only when something reads
+it -- the symbolic identity suite and the tests.  The geometry is built
+once and shared (it is immutable).
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import gcd, prod
 
 from .algebra import P2, P4, Poly, elementary_symmetric, poly_parse
-from .binaryforms import ZPhi
+from .binaryforms import Phi
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
 from .errors import BasePointError, NotOnSurfaceError
 from .groebner import Ideal, normal_form
@@ -72,13 +76,13 @@ class ProjPoint:
 @dataclass(frozen=True)
 class QuadraticPoint:
     """The non-rational T_tau representative (1, 1, t), t^2 = t + 1, with
-    coordinates as Z[phi] pairs (a, b) = a + b*phi."""
+    Phi coordinates (1, 1, phi)."""
 
-    coords: tuple = ((1, 0), (1, 0), (0, 1))
+    coords: tuple = (Phi(1), Phi(1), Phi(0, 1))
     minpoly: str = "t^2 - t - 1"
 
     def conjugate(self) -> tuple:
-        return tuple(ZPhi.conj(c) for c in self.coords)
+        return tuple(c.conj() for c in self.coords)
 
 
 class FixedGeometry:
@@ -92,6 +96,14 @@ class FixedGeometry:
             poly_parse("z*(y*z - x*z + x^2 - y^2)", P2),
         )
         self.t_sum = self.t[0] + self.t[1] + self.t[2] + self.t[3]
+        # For tau_i = -(sum t) P / t_i (i < 4) and tau_4 = P, P = t0 t1 t2 t3,
+        # sigma_4(tau) = 0 and sigma_2(tau) = P (sum t) ((sum t) e_2(t) - e_3(t))
+        # for any four forms, so this degree-9 check of the cubics gives
+        # sigma_2(tau) = sigma_4(tau) = 0 without expanding either
+        e2 = sum(a * b for a, b in combinations(self.t, 2))
+        e3 = sum(a * b * c for a, b, c in combinations(self.t, 3))
+        if self.t_sum * e2 != e3:
+            raise AssertionError("cubic identity sum(t)*e2(t) == e3(t) broken")
         prod_all = self.t[0] * self.t[1] * self.t[2] * self.t[3]
         taus = []
         for i in range(4):
@@ -198,12 +210,6 @@ class FixedGeometry:
             self._ctau_factors = (x, z, lin0, q0, q2, q3, t[1], self.t_sum, v)
         return self._ctau_factors
 
-    def ttau_all_phi(self) -> tuple:
-        """All eight geometric T_tau points with Z[phi] coordinates."""
-        rat = [tuple(ZPhi.from_int(c) for c in p.coords) for p in self.ttau_rational]
-        quad = self.ttau_quadratic
-        return tuple(rat) + (quad.coords, quad.conjugate())
-
 
 @lru_cache(maxsize=1)
 def fixed_geometry() -> FixedGeometry:
@@ -250,23 +256,6 @@ def ttau_points() -> tuple:
     """(six rational T_tau points, quadratic representative)."""
     geo = fixed_geometry()
     return geo.ttau_rational, geo.ttau_quadratic
-
-
-def evaluate_phi(p: Poly, coords) -> tuple:
-    """Evaluate an integer polynomial at a point with Z[phi] coordinates
-    (pairs (a, b) = a + b*phi); returns a Z[phi] pair."""
-    total = ZPhi.zero
-    for expo, c in p.terms.items():
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError("integer coefficients required")
-            c = c.numerator
-        term = ZPhi.from_int(int(c))
-        for base, e in zip(coords, expo):
-            for _ in range(e):
-                term = ZPhi.mul(term, base)
-        total = ZPhi.add(total, term)
-    return total
 
 
 # ---------------------------------------------------------------------------

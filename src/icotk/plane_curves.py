@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import P2, P4, Echelon, Poly, Ring, divide
-from .binaryforms import ZPhi, strip_root, sylvester_resultant, interpolate, form_content_free
+from .binaryforms import form_content_free, interpolate, strip_root, sylvester_resultant
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
 from .errors import BudgetExceededError, IcotkError, NotDivisibleError
 from .groebner import GREVLEX, Ideal, normal_form
@@ -178,16 +178,6 @@ def _adjugate3(m):
     return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
 
 
-def _mat_vec_zphi(m, p):
-    out = []
-    for i in range(3):
-        acc = ZPhi.zero
-        for j in range(3):
-            acc = ZPhi.add(acc, (m[i][j] * p[j][0], m[i][j] * p[j][1]))
-        out.append(acc)
-    return tuple(out)
-
-
 def _find_transform(curve: PlaneCurve):
     """A unimodular U (with inverse A) such that, in the new coordinates:
     the center (1:0:0) lies neither on the curve nor on C_tau, and the
@@ -195,7 +185,8 @@ def _find_transform(curve: PlaneCurve):
     conditions fail only on proper closed loci, so a small deterministic
     search always lands."""
     geo = fixed_geometry()
-    pts = geo.ttau_all_phi()
+    quad = geo.ttau_quadratic
+    pts = [p.coords for p in geo.ttau_rational] + [quad.coords, quad.conjugate()]
     for trial in range(500):
         rng = random.Random(1_000_003 * trial + 7)
         lo = [[1, 0, 0], [rng.randint(-3, 3), 1, 0], [rng.randint(-3, 3), rng.randint(-3, 3), 1]]
@@ -210,19 +201,10 @@ def _find_transform(curve: PlaneCurve):
             continue
         if any(g.evaluate(center) == 0 for g in geo.ctau_factors()):
             continue
-        moved = [_mat_vec_zphi(U, p) for p in pts]
-        ok = True
-        for q in moved:
-            if ZPhi.is_zero(q[1]) and ZPhi.is_zero(q[2]):
-                ok = False  # point hit the projection center
-                break
-        if ok:
-            for qa, qb in itertools.combinations(moved, 2):
-                cross = ZPhi.sub(ZPhi.mul(qa[1], qb[2]), ZPhi.mul(qa[2], qb[1]))
-                if ZPhi.is_zero(cross):
-                    ok = False
-                    break
-        if ok:
+        moved = [tuple(sum(U[i][j] * p[j] for j in range(3)) for i in range(3)) for p in pts]
+        if any(not q[1] and not q[2] for q in moved):
+            continue  # a point hit the projection center
+        if all(qa[1] * qb[2] != qa[2] * qb[1] for qa, qb in itertools.combinations(moved, 2)):
             return A, moved
     raise IcotkError("no suitable unimodular transform found")  # pragma: no cover
 
@@ -244,24 +226,16 @@ def _x_coefficient_forms(poly: Poly):
     return out
 
 
-def _eval_yz_int(coeffs: dict, y: int, z: int) -> int:
-    total = 0
-    for (ey, ez), c in coeffs.items():
-        total += c * y**ey * z**ez
-    return total
+def _eval_yz(coeffs: dict, ypows, zpows):
+    """A (y, z)-coefficient dict at the point whose power tables are given."""
+    return sum(c * ypows[ey] * zpows[ez] for (ey, ez), c in coeffs.items())
 
 
-def _eval_yz_zphi(coeffs: dict, ypows, zpows):
-    total = ZPhi.zero
-    for (ey, ez), c in coeffs.items():
-        total = ZPhi.add(total, ZPhi.mul((c, 0), ZPhi.mul(ypows[ey], zpows[ez])))
-    return total
-
-
-def _zphi_powers(base, n):
-    out = [ZPhi.one]
+def _powers(base, n):
+    """[1, base, ..., base^n]; ints stay ints and Phis stay Phis."""
+    out = [1]
     for _ in range(n):
-        out.append(ZPhi.mul(out[-1], base))
+        out.append(out[-1] * base)
     return out
 
 
@@ -275,15 +249,17 @@ def _resultant_in_x(fc, gc):
     if list(fc[d]) != [(0, 0)] or list(gc[e]) != [(0, 0)]:
         raise AssertionError("leading x-coefficients must be constants")
     de = d * e
+    ones = [1] * (max(d, e) + 1)
     samples = []
     for m in range(de + 1):
-        fdesc = [_eval_yz_int(fc[k], m, 1) for k in range(d, -1, -1)]
-        gdesc = [_eval_yz_int(gc[k], m, 1) for k in range(e, -1, -1)]
+        mpows = _powers(m, max(d, e))
+        fdesc = [_eval_yz(fc[k], mpows, ones) for k in range(d, -1, -1)]
+        gdesc = [_eval_yz(gc[k], mpows, ones) for k in range(e, -1, -1)]
         samples.append((m, sylvester_resultant(fdesc, gdesc)))
     uni = interpolate(samples)
     if any(isinstance(c, Fraction) for c in uni):
         raise AssertionError("resultant interpolation left fractions")
-    if all(c == 0 for c in uni):
+    if not any(uni):
         return None  # identically zero: common component
     return [0] * (de + 1 - len(uni)) + list(uni)
 
@@ -297,11 +273,7 @@ def _stage2(curve: PlaneCurve):
     fc = _x_coefficient_forms(Ft)
     d = curve.degree
 
-    point_data = []
-    for q in moved:
-        ypows = _zphi_powers(q[1], max(d, 5))
-        zpows = _zphi_powers(q[2], max(d, 5))
-        point_data.append((q, ypows, zpows))
+    point_data = [(q, _powers(q[1], max(d, 5)), _powers(q[2], max(d, 5))) for q in moved]
 
     for g in geo.ctau_factors():
         gt = _transformed(g, A)
@@ -310,9 +282,11 @@ def _stage2(curve: PlaneCurve):
         R = _resultant_in_x(fc, gc)
         if R is None:
             return f"V(F) and V({g}) share a component"
-        rem = [(c, 0) for c in form_content_free(R)]
+        # the six rational projections come first and keep rem in Z; only
+        # the conjugate pair moves it to Z[phi]
+        rem = form_content_free(R)
         for q, _, _ in point_data:
-            rem, _ = strip_root(rem, q[1], q[2], ZPhi)
+            rem, _ = strip_root(rem, q[1], q[2])
         if len(rem) > 1:
             return (
                 f"V(F) meets V({g}) at a point off T_tau "
@@ -321,12 +295,12 @@ def _stage2(curve: PlaneCurve):
         # every intersection projects onto a base-point fiber; check each
         # fiber carries nothing but the base point itself
         for q, ypows, zpows in point_data:
-            fl = [_eval_yz_zphi(fc[k], ypows, zpows) for k in range(d, -1, -1)]
-            gl = [_eval_yz_zphi(gc[k], ypows, zpows) for k in range(e, -1, -1)]
-            fl, _ = strip_root(fl, q[0], ZPhi.one, ZPhi)
-            gl, _ = strip_root(gl, q[0], ZPhi.one, ZPhi)
+            fl = [_eval_yz(fc[k], ypows, zpows) for k in range(d, -1, -1)]
+            gl = [_eval_yz(gc[k], ypows, zpows) for k in range(e, -1, -1)]
+            fl, _ = strip_root(fl, q[0], 1)
+            gl, _ = strip_root(gl, q[0], 1)
             if len(fl) > 1 and len(gl) > 1:
-                if ZPhi.is_zero(sylvester_resultant(fl, gl, ZPhi)):
+                if sylvester_resultant(fl, gl) == 0:
                     return (
                         f"V(F) meets V({g}) at a second point on the "
                         "fiber line of a T_tau point"

@@ -15,7 +15,6 @@ import pytest
 
 from conftest import record_acceptance
 from icotk.algebra import P2, P4, factorize, poly_parse
-from icotk.binaryforms import ZPhi
 from icotk.groebner import arithmetic_genus, dim_degree, hilbert_function, normal_form
 from icotk.heights import LogBound, bound_corD, bound_corF, bound_thmE, point_height
 from icotk.ico_models import (
@@ -26,7 +25,6 @@ from icotk.ico_models import (
 )
 from icotk.ico_surface import (
     ProjPoint,
-    evaluate_phi,
     fixed_geometry,
     rho_point,
     tau_point,
@@ -107,7 +105,7 @@ def test_criterion_03_ttau_points():
         for p in rational:
             assert all(t.evaluate(p.coords) == 0 for t in geo.tau)
         for coords in (quadratic.coords, quadratic.conjugate()):
-            assert all(ZPhi.is_zero(evaluate_phi(t, coords)) for t in geo.tau)
+            assert all(t.evaluate(coords) == 0 for t in geo.tau)
         vals = [t.evaluate((1, 1, 0)) for t in geo.tau]
         assert vals[3] == 1 and any(vals)
 

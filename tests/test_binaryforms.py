@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from icotk.algebra import P2, poly_parse
 from icotk.binaryforms import (
-    ZZ,
-    ZPhi,
+    Phi,
     bareiss_det,
     divide_linear,
     interpolate,
@@ -16,56 +17,135 @@ from icotk.binaryforms import (
     sylvester_resultant,
 )
 
-zphi_elems = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+small_ints = st.integers(-20, 20)
+zphi_elems = st.builds(Phi, small_ints, small_ints)
+mixed_elems = st.one_of(small_ints, zphi_elems)
+PHI = Phi(0, 1)
 
 
-def form_mul(f, g, dom=ZZ):
+def form_mul(f, g):
     """Oracle: product of two binary forms given as coefficient lists."""
-    out = [dom.zero] * (len(f) + len(g) - 1)
+    out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         for j, b in enumerate(g):
-            out[i + j] = dom.add(out[i + j], dom.mul(a, b))
+            out[i + j] = out[i + j] + a * b
     return out
 
 
-def form_eval(f, s, t, dom=ZZ):
+def form_eval(f, s, t):
     """Oracle: the binary form f at (s:t)."""
     d = len(f) - 1
-    total = dom.zero
+    total = 0
     for i, c in enumerate(f):
         term = c
         for _ in range(d - i):
-            term = dom.mul(term, s)
+            term = term * s
         for _ in range(i):
-            term = dom.mul(term, t)
-        total = dom.add(total, term)
+            term = term * t
+        total = total + term
     return total
 
 
 @given(zphi_elems, zphi_elems, zphi_elems)
 def test_zphi_is_a_commutative_ring(u, v, w):
-    assert ZPhi.mul(u, v) == ZPhi.mul(v, u)
-    assert ZPhi.mul(ZPhi.mul(u, v), w) == ZPhi.mul(u, ZPhi.mul(v, w))
-    assert ZPhi.mul(u, ZPhi.add(v, w)) == ZPhi.add(ZPhi.mul(u, v), ZPhi.mul(u, w))
-    assert ZPhi.add(u, ZPhi.neg(u)) == ZPhi.zero
-    assert ZPhi.mul(u, ZPhi.one) == u
+    assert u * v == v * u
+    assert (u * v) * w == u * (v * w)
+    assert u * (v + w) == u * v + u * w
+    assert u + (-u) == 0
+    assert u * 1 == u
+
+
+@given(mixed_elems, mixed_elems, mixed_elems)
+def test_ring_identities_with_mixed_operands(u, v, w):
+    assert u * v == v * u and u + v == v + u
+    assert (u * v) * w == u * (v * w)
+    assert u * (v + w) == u * v + u * w
+    assert u - v == u + (-v) == -(v - u)
+    assert u * 0 == 0 and u * 1 == u and u + 0 == u
+    # an int operand acts as Phi(n, 0) on either side
+    as_phi = [x if isinstance(x, Phi) else Phi(x, 0) for x in (u, v)]
+    assert u * v == as_phi[0] * as_phi[1] and u - v == as_phi[0] - as_phi[1]
 
 
 def test_phi_satisfies_its_minimal_polynomial():
     # phi^2 = phi + 1
-    assert ZPhi.mul(ZPhi.phi, ZPhi.phi) == ZPhi.add(ZPhi.phi, ZPhi.one)
+    assert PHI * PHI == PHI + 1
+    assert PHI**2 == PHI + 1 and PHI**0 == 1
 
 
-@given(zphi_elems)
-def test_zphi_norm_is_multiplicative_with_conjugate(u):
-    assert ZPhi.mul(u, ZPhi.conj(u)) == ZPhi.from_int(ZPhi.norm(u))
+@given(zphi_elems, zphi_elems)
+def test_zphi_norm_is_multiplicative_with_conjugate(u, v):
+    assert u * u.conj() == u.norm()
+    assert (u * v).norm() == u.norm() * v.norm()
+    assert (u * v).conj() == u.conj() * v.conj()
 
 
 @given(zphi_elems, zphi_elems)
 def test_zphi_exact_division_round_trip(u, v):
-    if ZPhi.norm(v) == 0:
+    if v.norm() == 0:
         return
-    assert ZPhi.exact_div(ZPhi.mul(u, v), v) == u
+    assert divmod(u * v, v) == (u, 0)
+
+
+def _quotient_over_q(u, v):
+    """u/v in the basis (1, phi) over Q, by Cramer's rule on
+    (x + y*phi)(c + d*phi) = u: the oracle for divisibility."""
+    c, d = v.a, v.b
+    det = c * (c + d) - d * d
+    x = Fraction(u.a * (c + d) - d * u.b, det)
+    y = Fraction(c * u.b - d * u.a, det)
+    return x, y
+
+
+@given(mixed_elems, mixed_elems)
+@settings(max_examples=200)
+def test_divmod_remainder_is_zero_iff_the_division_is_exact(u, v):
+    if not v:
+        with pytest.raises(ZeroDivisionError):
+            divmod(u, v)
+        return
+    q, r = divmod(u, v)
+    assert q * v + r == u
+    x, y = _quotient_over_q(Phi(u) if isinstance(u, int) else u,
+                            Phi(v) if isinstance(v, int) else v)
+    assert (r == 0) == (x.denominator == 1 and y.denominator == 1)
+
+
+def test_divmod_by_a_zero_phi_raises():
+    with pytest.raises(ZeroDivisionError):
+        divmod(Phi(3, 1), Phi(0, 0))
+    with pytest.raises(ZeroDivisionError):
+        divmod(5, Phi(0, 0))
+
+
+@given(small_ints, small_ints)
+def test_phi_with_zero_phi_part_is_the_int(a, b):
+    assert Phi(a, 0) == a and a == Phi(a, 0)
+    assert hash(Phi(a, 0)) == hash(a)
+    assert len({a, Phi(a, 0)}) == 1
+    assert bool(Phi(a, 0)) == bool(a)
+    if b:
+        assert Phi(a, b) != a and bool(Phi(a, b))
+
+
+def test_phi_rejects_other_operands():
+    u = Phi(1, 2)
+    for other in (Fraction(1, 2), 0.5, "1", None):
+        for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q, divmod):
+            with pytest.raises(TypeError):
+                op(u, other)
+            with pytest.raises(TypeError):
+                op(other, u)
+        assert u != other
+    with pytest.raises(AttributeError):
+        u.a = 5
+
+
+def test_polynomials_evaluate_at_phi_points():
+    f = poly_parse("x^2 - x*y - y^2", P2)  # phi is a root of t^2 - t - 1
+    assert f.evaluate((PHI, 1, 7)) == 0
+    assert f.evaluate((PHI.conj(), Phi(1, 0), 0)) == 0
+    assert f.evaluate((PHI, 2, 0)) == Phi(-3, -1)  # phi + 1 - 2 phi - 4
 
 
 def test_bareiss_known_determinants():
@@ -89,6 +169,40 @@ def test_bareiss_against_cofactor_expansion(m):
         )
 
     assert bareiss_det(m) == det3(m)
+
+
+def _cofactor_det(a):
+    if len(a) == 1:
+        return a[0][0]
+    total = 0
+    for j, c in enumerate(a[0]):
+        minor = [row[:j] + row[j + 1:] for row in a[1:]]
+        term = c * _cofactor_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.one_of(st.integers(-4, 4),
+                                          st.builds(Phi, st.integers(-3, 3), st.integers(-3, 3))),
+                                min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(max_examples=150)
+def test_bareiss_over_zphi_and_mixed_entries_against_cofactor_expansion(m):
+    assert bareiss_det(m) == _cofactor_det(m)
+
+
+def test_bareiss_over_zphi_known_determinant():
+    # [[phi, 1], [1, phi]] has determinant phi^2 - 1 = phi
+    assert bareiss_det([[PHI, 1], [1, PHI]]) == PHI
+    # rows (1, phi) and (phi, phi + 1) are proportional
+    assert bareiss_det([[1, PHI, 2], [PHI, PHI + 1, 2 * PHI], [3, 0, Phi(1, 1)]]) == 0
+
+
+def test_bareiss_refuses_an_inexact_step():
+    # outside a ring a step leaves a remainder; it is an error, never floored
+    with pytest.raises(ArithmeticError):
+        bareiss_det([[Fraction(1, 2), 1], [1, 1]])
 
 
 def test_resultant_detects_common_roots():
@@ -144,36 +258,36 @@ def test_strip_root_removes_exactly_the_root(coeffs, a, b):
 
 @st.composite
 def _forms_and_roots(draw):
-    """(dom, g, a, b): a random form g and a point (a:b) with b != 0, over
-    ZZ or ZPhi; over ZZ the point is primitive."""
+    """(g, a, b): a random form g and a point (a:b) with b != 0, over Z or
+    Z[phi]; over Z the point is primitive."""
     if draw(st.booleans()):
         g = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
         a = draw(st.integers(-6, 6))
         b = draw(st.integers(1, 6))
         g_ab = gcd(a, b)
-        return ZZ, g, a // g_ab, b // g_ab
-    small = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+        return g, a // g_ab, b // g_ab
+    small = st.builds(Phi, st.integers(-5, 5), st.integers(-5, 5))
     g = draw(st.lists(small, min_size=1, max_size=5))
-    b = draw(small.filter(lambda u: u != (0, 0)))
-    return ZPhi, g, draw(small), b
+    b = draw(small.filter(bool))
+    return g, draw(small), b
 
 
 @given(_forms_and_roots())
 @settings(max_examples=200)
 def test_divide_linear_scales_the_quotient_by_b_to_the_degree(case):
-    dom, g, a, b = case
-    f = form_mul(g, [b, dom.neg(a)], dom)  # g * (b*s - a*t), degree len(g)
-    scale = dom.one
+    g, a, b = case
+    f = form_mul(g, [b, -a])  # g * (b*s - a*t), degree len(g)
+    scale = 1
     for _ in range(len(g)):
-        scale = dom.mul(scale, b)
-    if all(dom.is_zero(c) for c in g):
-        assert divide_linear(f, a, b, dom) is None  # the zero form
+        scale = scale * b
+    if not any(g):
+        assert divide_linear(f, a, b) is None  # the zero form
         return
-    assert divide_linear(f, a, b, dom) == [dom.mul(scale, c) for c in g]
+    assert divide_linear(f, a, b) == [scale * c for c in g]
     # a nonzero t^d term added moves f(a, b) by a multiple of b^d != 0
-    f[-1] = dom.add(f[-1], dom.one)
-    assert not dom.is_zero(form_eval(f, a, b, dom))
-    assert divide_linear(f, a, b, dom) is None
+    f[-1] = f[-1] + 1
+    assert form_eval(f, a, b) != 0
+    assert divide_linear(f, a, b) is None
 
 
 def test_interpolation_round_trip():

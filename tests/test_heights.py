@@ -1,6 +1,7 @@
 """Exact log-scale bounds: decomposition, ordering, rendering, certificates."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,52 @@ def test_comparison_escalation_raises_on_equal_atoms():
     else:
         with pytest.raises(ArithmeticError):
             a < b  # noqa: B015  - evaluating the comparison is the test
+
+
+def _value_300(bound):
+    """The value of a LogBound to 300 digits, far past the 30 and 60 digit
+    enclosures checked against it."""
+    with localcontext() as ctx:
+        ctx.prec = 300
+        total = Decimal(bound.E.numerator) / Decimal(bound.E.denominator)
+        ln10 = Decimal(10).ln()
+        for m, c in bound.terms:
+            total += Decimal(c.numerator) / Decimal(c.denominator) * Decimal(m).ln() / ln10
+        return total
+
+
+@given(
+    st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=50).map(lambda f: f % 100)),
+    st.lists(
+        st.tuples(st.integers(2, 2999),
+                  st.one_of(st.sampled_from([1, -1, 2, -3]),
+                            st.fractions(max_denominator=9).filter(bool))),
+        min_size=1, max_size=3,
+    ),
+    st.sampled_from([30, 60]),
+)
+@settings(max_examples=200)
+def test_interval_encloses_the_value(E, terms, prec):
+    bound = LogBound(E, terms)
+    lo, hi = bound._interval(prec)
+    assert lo <= _value_300(bound) <= hi
+
+
+def test_interval_of_log10_3_encloses_it():
+    # Decimal.ln rounds to nearest in any context: 30 digits of ln(3) and
+    # ln(10) rounded "down" gave an upper end below log10(3)
+    lo, hi = LogBound(0, [(3, 1)])._interval(30)
+    assert lo <= _value_300(LogBound(0, [(3, 1)])) <= hi
+
+
+def test_compare_sees_a_tiny_positive_difference():
+    # E + log10(3) - log10(5) = 10^-70 up to 10^-300
+    with localcontext() as ctx:
+        ctx.prec = 300
+        d = Decimal(3).ln() / Decimal(10).ln() - Decimal(5).ln() / Decimal(10).ln()
+    E = -Fraction(d) + Fraction(1, 10**70)
+    assert LogBound(E, [(3, 1), (5, -1)]).compare(LogBound.exact(0)) == 1
+    assert LogBound(-E, [(3, -1), (5, 1)]).compare(LogBound.exact(0)) == -1
 
 
 # -- point heights ---------------------------------------------------------------

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icotk.algebra import P2, Poly, poly_parse
-from icotk.binaryforms import ZPhi
+from icotk.binaryforms import Phi
 from icotk.errors import BasePointError, NotOnSurfaceError
 from icotk.ico_surface import (
     FixedGeometry,
     ProjPoint,
-    evaluate_phi,
     fixed_geometry,
     rho_point,
     tau_point,
@@ -75,14 +74,15 @@ def test_lambda_at_a_point_from_its_factored_form(geo, p):
     assert geo.lam_at(p) == want
 
 
-def _perturbed_geometry(perturb):
+def _perturbed_geometry(perturb, after="tau"):
     """A FixedGeometry whose t/tau are changed by perturb(geo) right after
-    tau is built, i.e. before the bracket identities read them."""
+    the attribute `after` is assigned: by default right after tau is built,
+    i.e. before the bracket identities read them."""
 
     class Perturbed(FixedGeometry):
         def __setattr__(self, name, value):
             object.__setattr__(self, name, value)
-            if name == "tau":
+            if name == after:
                 perturb(self)
 
     return Perturbed()
@@ -99,6 +99,20 @@ def test_perturbed_cubic_fails_the_build(j):
     # tau comes from the true cubics; the check reads a perturbed t_j
     with pytest.raises(AssertionError, match="bracket identity tau1 \\+ tau3"):
         _perturbed_geometry(lambda g: object.__setattr__(g, "t", _bump(g.t, j)))
+
+
+@pytest.mark.parametrize("j,term", [(0, "x*y*z"), (1, "x*y*z"), (2, "x*y*z"),
+                                    (3, "x*y*z"), (1, "x^3"), (2, "y^3")])
+def test_perturbed_input_cubic_fails_the_cubic_identity(j, term):
+    # the cubics are wrong from the start, so tau is never built from them
+
+    def bump(g):
+        t = list(g.t)
+        t[j] = t[j] + poly_parse(term, P2)
+        object.__setattr__(g, "t", tuple(t))
+
+    with pytest.raises(AssertionError, match="cubic identity"):
+        _perturbed_geometry(bump, after="t")
 
 
 @pytest.mark.parametrize("i", [0, 2])
@@ -157,7 +171,7 @@ def test_ttau_rational_points(geo):
     for p in rational:
         assert all(t.evaluate(p.coords) == 0 for t in geo.tau)
     for coords in (quadratic.coords, quadratic.conjugate()):
-        assert all(ZPhi.is_zero(evaluate_phi(t, coords)) for t in geo.tau)
+        assert all(t.evaluate(coords) == 0 for t in geo.tau)
 
 
 def test_110_is_not_a_base_point(geo):
@@ -266,5 +280,5 @@ def test_proj_point_rejects_other_coordinate_types(bad):
 
 def test_quadratic_point_conjugate():
     _, quad = ttau_points()
-    assert quad.coords == ((1, 0), (1, 0), (0, 1))
-    assert quad.conjugate() == ((1, 0), (1, 0), (1, -1))
+    assert quad.coords == (Phi(1, 0), Phi(1, 0), Phi(0, 1))
+    assert quad.conjugate() == (Phi(1, 0), Phi(1, 0), Phi(1, -1))

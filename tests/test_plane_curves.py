@@ -1,5 +1,7 @@
 """Criterion (tau) for plane curves, pullbacks, and containing models."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -262,3 +264,51 @@ def test_check_tau_report_is_cached():
     r1 = check_tau(F)
     r2 = check_tau(F)
     assert r1 is r2
+
+
+# -- stage 2 pinned on a corpus ------------------------------------------------
+
+
+def _random_curve_through_012(rng, d):
+    """A random degree-d form with F(0, 1, 2) = 0: the y^d coefficient
+    absorbs the value of the others.  (0:1:2) lies on V(x) but not in
+    T_tau, so these curves fail through stage 2."""
+    terms = {}
+    for ex in range(d + 1):
+        for ey in range(d + 1 - ex):
+            terms[(ex, ey, d - ex - ey)] = rng.randint(-3, 3)
+    terms[(0, d, 0)] -= sum(c * 2 ** e[2] for e, c in terms.items() if e[0] == 0)
+    return Poly(P2, {e: c for e, c in terms.items() if c})
+
+
+def _stage2_corpus():
+    curves = []
+    for a, b, c in itertools.product(range(-2, 3), repeat=3):
+        if (a, b, c) != (0, 0, 0):
+            terms = zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (a, b, c))
+            curves.append(PlaneCurve(Poly(P2, {e: k for e, k in terms if k})))
+    rng = random.Random(8)
+    for d in (2, 3, 4):
+        for _ in range(6):
+            F = _random_curve_through_012(rng, d)
+            if F.degree() == d:
+                curves.append(PlaneCurve(F))
+    curves.append(family_curve(1, (1, 2, 3, 4, 5)))
+    curves.append(family_curve(1, (2, -1, 3, 1, 1)))
+    return curves
+
+
+def test_stage2_verdicts_pinned():
+    # digest of (verdict, stage, witness) over the corpus, computed before
+    # stage 2 moved from the ZZ/ZPhi tables to int and Phi arithmetic
+    curves = _stage2_corpus()
+    reports = [check_tau(c) for c in curves]
+    line_witnesses = " | ".join(r.witness for r in reports[:124])
+    for kind in ("divides F", "F divides the C_tau factor", "at a point off T_tau",
+                 "second point on the fiber line of a T_tau point"):
+        assert kind in line_witnesses
+    assert all(r.satisfies for r in reports[-2:])
+    h = hashlib.sha256()
+    for r in reports:
+        h.update(repr((r.verdict, r.stage, r.witness)).encode())
+    assert (len(curves), h.hexdigest()[:16]) == (144, "67d1dcd631d544d9")
