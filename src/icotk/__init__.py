@@ -27,7 +27,6 @@ from .groebner import (
     arithmetic_genus,
     dim_degree,
     eliminate,
-    groebner_basis,
     hilbert_function,
     normal_form,
     radical_member,
@@ -37,9 +36,7 @@ from .ico_surface import (
     ProjPoint,
     QuadraticPoint,
     fixed_geometry,
-    rho_map,
     rho_point,
-    tau_map,
     tau_point,
     ttau_points,
     verify_identities,

@@ -1,11 +1,11 @@
-"""Exact linear algebra and binary-form arithmetic over Z and Z[phi].
+"""Exact polynomial and binary-form arithmetic over Z and Z[phi].
 
-Internal engine for the criterion-(tau) resultant pipeline: fraction-free
-Bareiss determinants (Sylvester resultants), binary homogeneous forms as
-coefficient lists, root stripping by fraction-free synthetic division by a
-linear form (exact in the ring, the quotient scaled by a power of the
-form's s-coefficient), and Lagrange interpolation for resultants computed
-by specialization.
+Internal engine for the criterion-(tau) resultant pipeline, all on
+coefficient lists: resultants by the subresultant polynomial remainder
+sequence (no Sylvester matrix is built), root stripping of binary forms by
+fraction-free synthetic division by a linear form (exact in the ring, the
+quotient scaled by a power of the form's s-coefficient), and Lagrange
+interpolation for resultants computed by specialization.
 
 Z[phi] is the ring of integers of Q(sqrt 5).  Its elements are Phi numbers
 a + b*phi with phi^2 = phi + 1; they mix with int on either side of the
@@ -18,6 +18,7 @@ ring -- divisions are exactness-checked through divmod, never floating.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 ZZ = int  # read only by perfbench/tracing.py, which counts resultants by ring
 
@@ -126,61 +127,74 @@ class Phi:
 
 
 # ---------------------------------------------------------------------------
-# Bareiss determinant (fraction-free; works over any integral domain)
+# resultants: the subresultant polynomial remainder sequence
 # ---------------------------------------------------------------------------
 
 
-def bareiss_det(matrix):
-    """Exact determinant of a square matrix of ints and Phis."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        row_k = m[k]
-        pivot = row_k[k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                q, r = divmod(row[j] * pivot - lead * row_k[j], prev)
-                if r:
-                    raise ArithmeticError(f"Bareiss step not exact: {r} left by {prev}")
-                row[j] = q
-            row[k] = 0
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+def _exact(a, d):
+    """a / d, which must be exact in the ring."""
+    q, r = divmod(a, d)
+    if r:
+        raise ArithmeticError(f"subresultant step not exact: {r} left by {d}")
+    return q
+
+
+def pseudo_remainder(a, b):
+    """prem(a, b) of coefficient lists (descending, b[0] != 0): the R with
+    deg R < deg b and b[0]^(deg a - deg b + 1) * a = Q*b + R, leading zeros
+    dropped (the zero polynomial is []).  When deg a < deg b it is a."""
+    lead, tail, m = b[0], b[1:], len(b)
+    r = list(a)
+    for _ in range(len(a) - m + 1):
+        c = r[0]
+        r = [lead * x - c * y for x, y in zip(r[1:], tail)] + [lead * x for x in r[m:]]
+    while r and not r[0]:
+        r = r[1:]
+    return r
 
 
 def sylvester_resultant(f, g, dom=None):
-    """Resultant of two univariate polynomials given as coefficient lists
-    (descending powers; leading coefficient first).  deg f, deg g >= 1.
+    """Res(f, g) of two univariate polynomials given as coefficient lists
+    (descending powers): the determinant of their Sylvester matrix, which is
+    never built.  Needs deg f, deg g >= 1 and nonzero leading coefficients,
+    else ValueError.
 
-    ``dom`` is accepted and ignored: the coefficient ring follows from the
-    coefficients themselves."""
-    f = list(f)
-    g = list(g)
-    dn = len(f) - 1
-    dm = len(g) - 1
-    if dn < 1 or dm < 1:
+    Subresultant PRS (Collins 1967; Brown-Traub 1971; Cohen, GTM 138,
+    Alg. 3.3.7 without its content step).  With deg A >= deg B and
+    delta = deg A - deg B, each step sets A, B = B, prem(A, B)/(g*h^delta),
+    g = lc(A), h = g^delta/h^(delta-1), and flips the sign when both degrees
+    are odd (also when f and g are swapped at the start).  The result is
+    sign * lc(B)^deg A / h^(deg A - 1) once B is constant, 0 if B vanishes:
+    O(deg f * deg g) ring operations on subresultant-sized numbers.  Every
+    division is exact in an integral domain (ints, Phis or both); divmod
+    checks it, and a remainder raises ArithmeticError, never a floored value.
+
+    ``dom`` is accepted and ignored: the ring follows from the coefficients."""
+    a, b = list(f), list(g)
+    if len(a) < 2 or len(b) < 2:
         raise ValueError("sylvester_resultant needs two positive-degree inputs")
-    size = dn + dm
-    rows = []
-    for i in range(dm):
-        rows.append([0] * i + f + [0] * (size - i - dn - 1))
-    for i in range(dn):
-        rows.append([0] * i + g + [0] * (size - i - dm - 1))
-    return bareiss_det(rows)
+    if not a[0] or not b[0]:
+        raise ValueError("sylvester_resultant needs nonzero leading coefficients")
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            sign = -sign
+    lc, h = 1, 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            sign = -sign
+        r = pseudo_remainder(a, b)
+        if not r:
+            return 0
+        scale = lc * h**delta
+        a, b = b, [_exact(c, scale) for c in r]
+        lc = a[0]
+        if delta:
+            h = _exact(lc**delta, h ** (delta - 1))
+    deg_a = len(a) - 1
+    return sign * _exact(b[0] ** deg_a, h ** (deg_a - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +249,8 @@ def strip_root(f, a, b):
 
 def form_content_free(f):
     """Integer forms only: divide by the gcd of the coefficients (sign kept)."""
-    from math import gcd
-
-    g = 0
-    for c in f:
-        g = gcd(g, c)
-    if g <= 1:
-        return list(f)
-    return [c // g for c in f]
+    g = gcd(*f)
+    return [c // g for c in f] if g > 1 else list(f)
 
 
 # ---------------------------------------------------------------------------

@@ -245,14 +245,6 @@ class Ideal:
             return self._bases[tag]
 
 
-def groebner_basis(
-    I: Ideal,
-    order: MonomialOrder = GREVLEX,
-    budget: GroebnerBudget = DEFAULT_GB_BUDGET,
-) -> list:
-    return I.groebner(order, budget)
-
-
 def eliminate(
     I: Ideal,
     first_block,

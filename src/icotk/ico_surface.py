@@ -221,14 +221,6 @@ def fixed_geometry() -> FixedGeometry:
 # ---------------------------------------------------------------------------
 
 
-def tau_map() -> tuple:
-    return fixed_geometry().tau
-
-
-def rho_map() -> tuple:
-    return fixed_geometry().rho
-
-
 def tau_point(p) -> ProjPoint:
     """Image of a plane point under tau; raises BasePointError on T_tau."""
     p = p if isinstance(p, ProjPoint) else ProjPoint(p)

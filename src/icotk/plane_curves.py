@@ -37,8 +37,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import P2, P4, Echelon, Poly, Ring, divide
-from .binaryforms import form_content_free, interpolate, strip_root, sylvester_resultant
+from .algebra import P2, P4, Echelon, Poly, Ring
+from .binaryforms import (form_content_free, interpolate, pseudo_remainder, strip_root,
+                          sylvester_resultant)
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
 from .errors import BudgetExceededError, IcotkError, NotDivisibleError
 from .groebner import GREVLEX, Ideal, normal_form
@@ -47,7 +48,6 @@ from .ico_models import IcoModel, _degree_monomials, general_model, is_degenerat
 from .ico_surface import fixed_geometry
 
 _PARAM_RING = Ring(("s", "t"))
-_LINE_RING = Ring(("s",))
 
 
 class PlaneCurve:
@@ -356,21 +356,23 @@ def _line_points(F: Poly):
 
 
 def _form_gcd_degree(forms):
-    """Degree of the gcd of binary forms in s, t; zero forms are neutral;
-    None if every form is zero.  The gcd is t^k, k the least t-degree,
-    times the gcd over Q of the forms at t = 1, found by Euclid."""
+    """Degree of the gcd of integer binary forms in s, t; zero forms are
+    neutral; None if every form is zero.  The gcd is t^k, k the least
+    t-degree, times the gcd of the forms at t = 1, found by Euclid on
+    primitive pseudo-remainders."""
     nz = [f for f in forms if f]
     if not nz:
         return None
     t_mult = min(e[1] for f in nz for e in f.terms)
-    g = Poly.zero(_LINE_RING)
+    g = []
     for f in nz:
-        r = Poly(_LINE_RING, {(es,): c for (es, _), c in f.terms.items()})
+        d, top = f.degree(), max(es for es, _ in f.terms)
+        r = [f.coeff((es, d - es)) for es in range(top, -1, -1)]
         while r:
-            g, r = r, divide(g, [r])[1]
-        if g.degree() == 0:
+            g, r = r, form_content_free(pseudo_remainder(g, r))
+        if len(g) == 1:
             break
-    return t_mult + g.degree()
+    return t_mult + len(g) - 1
 
 
 def _line_image_failure(curve: PlaneCurve):

@@ -1,4 +1,5 @@
-"""Z[phi] arithmetic, Bareiss determinants, binary-form root stripping."""
+"""Z[phi] arithmetic, subresultant resultants against a Bareiss-of-Sylvester
+oracle, binary-form root stripping."""
 
 import random
 from fractions import Fraction
@@ -10,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from icotk.algebra import P2, poly_parse
 from icotk.binaryforms import (
     Phi,
-    bareiss_det,
     divide_linear,
     interpolate,
+    pseudo_remainder,
     strip_root,
     sylvester_resultant,
 )
@@ -148,6 +149,49 @@ def test_polynomials_evaluate_at_phi_points():
     assert f.evaluate((PHI, 2, 0)) == Phi(-3, -1)  # phi + 1 - 2 phi - 4
 
 
+def bareiss_det(matrix):
+    """Oracle: exact determinant of a square matrix of ints and Phis by
+    fraction-free Bareiss elimination; an inexact step raises."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        row_k = m[k]
+        pivot = row_k[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                q, r = divmod(row[j] * pivot - lead * row_k[j], prev)
+                if r:
+                    raise ArithmeticError(f"Bareiss step not exact: {r} left by {prev}")
+                row[j] = q
+            row[k] = 0
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def sylvester_det(f, g):
+    """Oracle: Res(f, g) as the Bareiss determinant of the Sylvester matrix
+    (deg g shifted rows of f, then deg f shifted rows of g)."""
+    dn, dm = len(f) - 1, len(g) - 1
+    size = dn + dm
+    rows = [[0] * i + list(f) + [0] * (size - i - dn - 1) for i in range(dm)]
+    rows += [[0] * i + list(g) + [0] * (size - i - dm - 1) for i in range(dn)]
+    return bareiss_det(rows)
+
+
 def test_bareiss_known_determinants():
     assert bareiss_det([[2]]) == 2
     assert bareiss_det([[1, 2], [3, 4]]) == -2
@@ -222,7 +266,81 @@ def test_resultant_of_linears(a, b, c):
         return
     r = sylvester_resultant([1, -a], [1, -b])
     assert abs(r) == abs(a - b)
-    assert sylvester_resultant([c, -c * a], [1, -b]) == c * r if r or True else None
+    assert sylvester_resultant([c, -c * a], [1, -b]) == c * r
+
+
+@st.composite
+def _resultant_pairs(draw):
+    """(f, g, shape): coefficient lists with nonzero leads over Z, Z[phi] or
+    both mixed; shape forces deg f < deg g, both degrees odd, or a common
+    factor."""
+    elems = draw(st.sampled_from([small_ints, zphi_elems, mixed_elems]))
+    shape = draw(st.sampled_from(["any", "deg f < deg g", "both odd", "common factor"]))
+
+    def poly(deg):
+        return [draw(elems.filter(bool))] + draw(st.lists(elems, min_size=deg, max_size=deg))
+
+    if shape == "both odd":
+        df, dg = draw(st.sampled_from([1, 3, 5])), draw(st.sampled_from([1, 3, 5]))
+    else:
+        df, dg = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        if shape == "deg f < deg g":
+            df, dg = min(df, dg), max(df, dg) + 1
+    f, g = poly(df), poly(dg)
+    if shape == "common factor":
+        c = poly(draw(st.integers(1, 2)))
+        f, g = form_mul(f, c), form_mul(g, c)
+    return f, g, shape
+
+
+@given(_resultant_pairs())
+@settings(max_examples=400, deadline=None)
+def test_subresultant_prs_equals_the_sylvester_determinant(case):
+    f, g, shape = case
+    res = sylvester_resultant(f, g)
+    assert res == sylvester_det(f, g)
+    if shape == "common factor":
+        assert res == 0
+
+
+@given(st.lists(small_ints, min_size=1, max_size=4).filter(lambda q: q[0]),
+       st.lists(small_ints, min_size=2, max_size=4).filter(lambda b: b[0]),
+       st.data())
+def test_pseudo_remainder_scales_the_remainder(q, b, data):
+    # a = q*b + r with deg r < deg b, so prem(a, b) = lc(b)^(deg a - deg b + 1) * r
+    r = data.draw(st.lists(small_ints, min_size=len(b) - 1, max_size=len(b) - 1))
+    a = form_mul(q, b)
+    a[len(a) - len(r):] = [x + y for x, y in zip(a[len(a) - len(r):], r)]
+    scale = b[0] ** (len(a) - len(b) + 1)
+    expected = [scale * c for c in r]
+    while expected and not expected[0]:
+        expected = expected[1:]
+    assert pseudo_remainder(a, b) == expected
+
+
+def test_pseudo_remainder_of_a_lower_degree_is_itself():
+    assert pseudo_remainder([2, 3], [1, 0, 1]) == [2, 3]
+    assert pseudo_remainder([5], [1, 1]) == [5]
+    assert pseudo_remainder([], [1, 1]) == []
+
+
+def test_resultant_refuses_a_zero_leading_coefficient():
+    with pytest.raises(ValueError):
+        sylvester_resultant([0, 1, 2], [1, 3])
+    with pytest.raises(ValueError):
+        sylvester_resultant([1, 3], [0, 0, 1])
+    with pytest.raises(ValueError):
+        sylvester_resultant([1, 3], [Phi(0, 0), PHI])
+    with pytest.raises(ValueError):
+        sylvester_resultant([5], [1, 3])  # a constant is not positive degree
+
+
+def test_resultant_refuses_a_fraction_input():
+    # outside a ring a division leaves a remainder: an error, never floored
+    with pytest.raises(ArithmeticError):
+        sylvester_resultant([Fraction(1, 2), 1], [1, 1])
+    with pytest.raises(ArithmeticError):
+        sylvester_resultant([1, 0, Fraction(1, 3)], [1, 1])
 
 
 def test_strip_root_multiplicity():

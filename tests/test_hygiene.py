@@ -1,12 +1,19 @@
-"""Lint: every name a module imports is read somewhere in that module."""
+"""Lint: every name a module imports is read somewhere in that module, and
+every top-level function or class is used outside its own definition."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "icotk"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "icotk"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# Where a use counts: the program (bar the package's re-exports), its tests,
+# its scripts and the benchmark, which also names functions in strings.
+USERS = MODULES + sorted(
+    p for d in ("tests", "scripts", "perfbench") for p in (ROOT / d).glob("*.py")
+)
 
 
 def _unused_imports(tree):
@@ -31,3 +38,51 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom math import gcd, prod\nprint(gcd(os.sep, 1))\n")
     assert _unused_imports(tree) == ["prod (line 2)"]
+
+
+def _names_used(nodes):
+    """Names read, attributes taken and dotted parts of string constants."""
+    used = set()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(node.value.split("."))
+    return used
+
+
+def _unused_defs(modules, users):
+    """'module.name' for each top-level def or class of the given modules
+    that no user file refers to outside that definition."""
+    trees = {path: ast.parse(path.read_text()) for path in set(modules) | set(users)}
+    elsewhere = {path: _names_used(ast.walk(trees[path])) for path in users}
+    unused = []
+    for path in modules:
+        tree = trees[path]
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            others = [n for top in tree.body if top is not node for n in ast.walk(top)]
+            if node.name in _names_used(others):
+                continue
+            if not any(node.name in elsewhere[p] for p in users if p != path):
+                unused.append(f"{path.stem}.{node.name}")
+    return sorted(unused)
+
+
+def test_every_top_level_def_is_used():
+    assert _unused_defs(MODULES, USERS) == []
+
+
+def test_the_check_sees_an_unused_def(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def used():\n    return helper()\n\n"
+                   "def helper():\n    return 1\n\n"
+                   "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+                   "class Named:\n    pass\n\n"
+                   "def dead():\n    return used()\n")
+    user = tmp_path / "user.py"
+    user.write_text("from lib import used\nused()\nSPANS = ('lib.Named',)\n")
+    assert _unused_defs([lib], [lib, user]) == ["lib.dead", "lib.recursive"]
