@@ -21,6 +21,17 @@ from .binaryforms import Phi
 from .config import DEFAULT_FACTOR_BUDGET, FactorBudget
 from .errors import FactorBudgetError, NotDivisibleError, ParseError
 
+
+def _ints(values, what: str) -> tuple:
+    """values as a tuple; anything but an int raises TypeError rather than
+    being truncated, as in ProjPoint."""
+    out = tuple(values)
+    for c in out:
+        if not isinstance(c, int):
+            raise TypeError(f"{what} {c!r} is not an int")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # integer arithmetic: radicals with a factoring budget
 # ---------------------------------------------------------------------------
@@ -403,8 +414,10 @@ class Poly:
     def substitute(self, images) -> "Poly":
         """Compose: plug images[i] in for the i-th variable.
 
-        All images must share a ring.  Powers of each image are cached, so a
-        polynomial with many terms in few variables stays cheap.
+        All images must share a ring.  Horner's rule in images[0], each
+        coefficient (a polynomial in the later variables) built the same way
+        in images[1:]: every step multiplies by one image, so no power of an
+        image is ever formed.
         """
         if len(images) != self.ring.nvars:
             raise ValueError("arity mismatch")
@@ -414,24 +427,7 @@ class Poly:
         for im in images:
             if im.ring != target:
                 raise ValueError("images must share one ring")
-        # cache[i][k] = images[i] ** k
-        cache = [{0: Poly.constant(target, 1)} for _ in images]
-
-        def power(i, k):
-            c = cache[i]
-            if k not in c:
-                half = power(i, k // 2)
-                c[k] = half * half * images[i] if k % 2 else half * half
-            return c[k]
-
-        out = Poly.zero(target)
-        for e, c in self.terms.items():
-            term = Poly.constant(target, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
+        return _horner(self.terms.items(), images, target)
 
     # -- division ----------------------------------------------------------
 
@@ -508,6 +504,24 @@ class Poly:
 # ---------------------------------------------------------------------------
 # division
 # ---------------------------------------------------------------------------
+
+
+def _horner(items, images, ring) -> Poly:
+    """The sum of c * prod images[i]**e[i] over the (e, c) in items, each e
+    as long as images, by Horner's rule in images[0] from the top exponent
+    down.  With no images left, items holds the one constant term."""
+    if not images:
+        return Poly.constant(ring, items[0][1])
+    groups: dict = {}
+    for e, c in items:
+        groups.setdefault(e[0], []).append((e[1:], c))
+    out = Poly.zero(ring)
+    for k in range(max(groups, default=-1), -1, -1):
+        if out.terms:
+            out = out * images[0]
+        if k in groups:
+            out = out + _horner(groups[k], images[1:], ring)
+    return out
 
 
 def _negated(key):

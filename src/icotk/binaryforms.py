@@ -4,8 +4,8 @@ Internal engine for the criterion-(tau) resultant pipeline, all on
 coefficient lists: resultants by the subresultant polynomial remainder
 sequence (no Sylvester matrix is built), root stripping of binary forms by
 fraction-free synthetic division by a linear form (exact in the ring, the
-quotient scaled by a power of the form's s-coefficient), and Lagrange
-interpolation for resultants computed by specialization.
+quotient scaled by a power of the form's s-coefficient), and integer
+interpolation at the nodes 0..n for resultants computed by specialization.
 
 Z[phi] is the ring of integers of Q(sqrt 5).  Its elements are Phi numbers
 a + b*phi with phi^2 = phi + 1; they mix with int on either side of the
@@ -17,7 +17,6 @@ ring -- divisions are exactness-checked through divmod, never floating.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 ZZ = int  # read only by perfbench/tracing.py, which counts resultants by ring
@@ -254,35 +253,38 @@ def form_content_free(f):
 
 
 # ---------------------------------------------------------------------------
-# Lagrange interpolation (exact, over Q)
+# interpolation at the nodes 0..n, in Z
 # ---------------------------------------------------------------------------
 
 
-def interpolate(points) -> list:
-    """Coefficients (descending) of the unique poly of degree < len(points)
-    through the given (x, y) pairs, as exact Fractions collapsed to int when
-    possible.  Newton's divided differences keep it O(n^2)."""
-    xs = [Fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    coeffs = [Fraction(y) for _, y in points]
-    n = len(points)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    # expand the Newton form to the monomial basis (descending order)
-    poly = [coeffs[n - 1]]
-    for i in range(n - 2, -1, -1):
-        poly = _mul_shift(poly, xs[i])
-        poly[-1] += coeffs[i]
-    while len(poly) > 1 and poly[0] == 0:
-        poly = poly[1:]
-    return [int(c) if c.denominator == 1 else c for c in poly]
+def interpolate(values):
+    """Coefficients (descending) of the unique p of degree <= n with
+    p(i) = values[i] for i = 0..n, leading zeros dropped (the zero
+    polynomial is [0]); None when p has a coefficient outside Z, as
+    divide_linear returns None for a remainder.
 
-
-def _mul_shift(poly, root):
-    """poly(x) * (x - root), coefficients descending."""
-    out = list(poly) + [Fraction(0)]
-    for j in range(len(poly)):
-        out[j + 1] -= poly[j] * root
+    With the forward differences d_k = (Delta^k p)(0),
+    n! p(x) = sum_k d_k (n!/k!) x(x-1)...(x-k+1): Horner's rule in that
+    falling-factorial basis stays in Z, and one exact divmod by n! per
+    coefficient ends it."""
+    if not values:
+        raise ValueError("interpolate needs at least one value")
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    n = len(diffs) - 1
+    poly, scale = [diffs[n]], 1  # scale = n!/k! at step k
+    for k in range(n - 1, -1, -1):
+        scale *= k + 1
+        tail = diffs[k] * scale - k * poly[-1]
+        poly = [poly[0]] + [c - k * p for c, p in zip(poly[1:], poly)] + [tail]
+    out = []
+    for c in poly:
+        q, r = divmod(c, scale)
+        if r:
+            return None
+        out.append(q)
+    while len(out) > 1 and not out[0]:
+        out = out[1:]
     return out

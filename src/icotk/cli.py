@@ -465,9 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("-F", required=True, help="plane curve in x,y,z (or @file)")
     q.add_argument("--max-image-degree", type=int, default=4)
     q.set_defaults(handler=_cmd_tau_check)
-    q = tau_sub.add_parser("containing-model", parents=[common])
-    q.add_argument("-F", required=True, help="plane curve in x,y,z (or @file)")
-    q.set_defaults(handler=_cmd_containing_model)
 
     p = sub.add_parser(
         "containing-model",

@@ -40,21 +40,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import P4, Poly, factorize
+from .algebra import P4, Poly, _ints, factorize
 from .config import DEFAULT_FACTOR_BUDGET, FactorBudget
 from .errors import BudgetExceededError
 from .ico_models import IcoModel
 from .ico_surface import ProjPoint
-
-
-def _ints(values, what: str) -> tuple:
-    """values as a tuple; anything but an int raises TypeError rather than
-    being truncated, as in ProjPoint."""
-    out = tuple(values)
-    for c in out:
-        if not isinstance(c, int):
-            raise TypeError(f"{what} {c!r} is not an int")
-    return out
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, localcontext
 from fractions import Fraction
 
-from .algebra import int_radical
+from .algebra import _ints, int_radical
 from .config import DEFAULT_FACTOR_BUDGET, FactorBudget
 
 _TRIAL_LIMIT = 10_000
@@ -250,7 +250,7 @@ class PointHeight:
 
 
 def point_height(point) -> PointHeight:
-    m = max(abs(int(c)) for c in point)
+    m = max(abs(c) for c in _ints(point, "coordinate"))
     if m == 0:
         raise ValueError("zero vector has no height")
     return PointHeight(m)
@@ -283,7 +283,7 @@ class HeightCertificate:
 def bound_thmE(nu: int) -> HeightCertificate:
     """Height bound for points of non-degenerate ico curves:
     log10(B) = 10^12 + 24*log10(nu)."""
-    nu = int(nu)
+    (nu,) = _ints((nu,), "nu")
     if nu < 1:
         raise ValueError("nu >= 1 required")
     bound = LogBound(10**12, [(nu, 24)])
@@ -293,8 +293,7 @@ def bound_thmE(nu: int) -> HeightCertificate:
 def bound_corD(d: int, absF: int) -> HeightCertificate:
     """Effective Mordell for plane curves satisfying the tau criterion:
     log10(B) = kappa^2*d*log10(8) + kappa*log10(|F|), kappa = 8^8*d^2."""
-    d = int(d)
-    absF = int(absF)
+    d, absF = _ints((d, absF), "bound input")
     if d < 1 or absF < 1:
         raise ValueError("d >= 1 and |F| >= 1 required")
     kappa = 8**8 * d * d
@@ -305,7 +304,7 @@ def bound_corD(d: int, absF: int) -> HeightCertificate:
 def bound_corF(a, budget: FactorBudget = DEFAULT_FACTOR_BUDGET) -> HeightCertificate:
     """Generalized-Fermat coefficient bound: nu = rad(prod a_i),
     log10(B) = 10^12 + 24*log10(nu)."""
-    coeffs = [int(v) for v in a]
+    coeffs = _ints(a, "coefficient")
     if not coeffs or any(v == 0 for v in coeffs):
         raise ValueError("coefficients must be nonzero")
     prod = 1
@@ -313,7 +312,7 @@ def bound_corF(a, budget: FactorBudget = DEFAULT_FACTOR_BUDGET) -> HeightCertifi
         prod *= v
     nu = int_radical(prod, budget)
     bound = LogBound(10**12, [(nu, 24)])
-    return HeightCertificate("CorF", bound, (("a", tuple(coeffs)), ("nu", nu)))
+    return HeightCertificate("CorF", bound, (("a", coeffs), ("nu", nu)))
 
 
 def _parse_positive(hX) -> LogBound:
@@ -336,8 +335,7 @@ def _parse_positive(hX) -> LogBound:
 def bound_thmC(d_X: int, nu: int, h_X=0) -> HeightCertificate:
     """Height bound c*d_X*nu^24 + h(X) in log10 form; the sum is majorized
     by max + log10(2) unless h(X) = 0, in which case it is exact."""
-    d_X = int(d_X)
-    nu = int(nu)
+    d_X, nu = _ints((d_X, nu), "bound input")
     if d_X < 1 or nu < 1:
         raise ValueError("d_X >= 1 and nu >= 1 required")
     term = LogBound(10**12, [(d_X, 1), (nu, 24)])
@@ -360,8 +358,7 @@ def bound_pullback(d: int, absF: int) -> HeightCertificate:
     """Coefficient bound for the containing-model construction applied to
     a degree-d plane curve: |f~| <= u*|F|^v with u = 3^((86d)^5) and
     v = (258d)^2, reported as log10(u*|F|^v)."""
-    d = int(d)
-    absF = int(absF)
+    d, absF = _ints((d, absF), "bound input")
     if d < 1 or absF < 1:
         raise ValueError("d >= 1 and |F| >= 1 required")
     u_exp = (86 * d) ** 5

@@ -35,7 +35,6 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import P2, P4, Echelon, Poly, Ring
 from .binaryforms import (form_content_free, interpolate, pseudo_remainder, strip_root,
@@ -243,7 +242,7 @@ def _resultant_in_x(fc, gc):
     """Res_x of two ternary forms given by their x-coefficient dicts, as an
     integer binary form in (y, z).  Requires constant nonzero leading
     coefficients (the center conditions), so specialization commutes with
-    the resultant and interpolation at deg_f*deg_g + 1 nodes is exact."""
+    the resultant and interpolation at the nodes 0..deg_f*deg_g is exact."""
     d = len(fc) - 1
     e = len(gc) - 1
     if list(fc[d]) != [(0, 0)] or list(gc[e]) != [(0, 0)]:
@@ -255,13 +254,13 @@ def _resultant_in_x(fc, gc):
         mpows = _powers(m, max(d, e))
         fdesc = [_eval_yz(fc[k], mpows, ones) for k in range(d, -1, -1)]
         gdesc = [_eval_yz(gc[k], mpows, ones) for k in range(e, -1, -1)]
-        samples.append((m, sylvester_resultant(fdesc, gdesc)))
+        samples.append(sylvester_resultant(fdesc, gdesc))
     uni = interpolate(samples)
-    if any(isinstance(c, Fraction) for c in uni):
-        raise AssertionError("resultant interpolation left fractions")
+    if uni is None:
+        raise AssertionError("resultant interpolation is not integral")
     if not any(uni):
         return None  # identically zero: common component
-    return [0] * (de + 1 - len(uni)) + list(uni)
+    return [0] * (de + 1 - len(uni)) + uni
 
 
 def _stage2(curve: PlaneCurve):

@@ -194,3 +194,55 @@ def test_power_matches_repeated_product(p, k):
     for _ in range(k):
         expected = expected * p
     assert p**k == expected
+
+
+def substitute_by_powers(p, images):
+    """The term-by-term loop Poly.substitute replaced, with its cache of
+    image powers: the oracle."""
+    target = images[0].ring
+    cache = [{0: Poly.constant(target, 1)} for _ in images]
+
+    def power(i, k):
+        c = cache[i]
+        if k not in c:
+            half = power(i, k // 2)
+            c[k] = half * half * images[i] if k % 2 else half * half
+        return c[k]
+
+    out = Poly.zero(target)
+    for e, c in p.terms.items():
+        term = Poly.constant(target, c)
+        for i, k in enumerate(e):
+            if k:
+                term = term * power(i, k)
+        out = out + term
+    return out
+
+
+_IMAGE_RINGS = (Ring(("s", "t")), P2, P4)
+
+
+@given(st.one_of(polys2, qpolys2), st.sampled_from(_IMAGE_RINGS), st.data())
+def test_horner_substitute_equals_the_power_loop(p, ring, data):
+    # p ranges over the zero polynomial, constants, Fraction coefficients and
+    # exponent gaps; the images over zero and a ring of another arity
+    image = st.one_of(
+        st.just(Poly.zero(ring)),
+        _poly_strategy(ring, max_exp=2, max_terms=3, rational=True),
+    )
+    images = [data.draw(image) for _ in range(P2.nvars)]
+    assert p.substitute(images) == substitute_by_powers(p, images)
+
+
+def test_substitute_edge_cases():
+    s, t = (Poly.variable(Ring(("s", "t")), n) for n in ("s", "t"))
+    images = [s, t, s + t]
+    assert Poly.zero(P2).substitute(images) == Poly.zero(s.ring)
+    assert Poly.constant(P2, Fraction(3, 4)).substitute(images) == Fraction(3, 4)
+    assert poly_parse("x^3*z - 2*y^5", P2).substitute(images) == s**3 * (s + t) - 2 * t**5
+    with pytest.raises(ValueError):
+        poly_parse("x", P2).substitute([s, t])
+    with pytest.raises(ValueError):
+        poly_parse("x", P2).substitute([s, t, Poly.variable(P2, "x")])
+    with pytest.raises(ValueError):
+        Poly.constant(Ring(()), 1).substitute([])

@@ -408,23 +408,71 @@ def test_divide_linear_scales_the_quotient_by_b_to_the_degree(case):
     assert divide_linear(f, a, b) is None
 
 
+def interpolate_over_q(points):
+    """The routine interpolate replaced, kept as the oracle: coefficients
+    (descending) of the unique poly of degree < len(points) through the
+    given (x, y) pairs, as exact Fractions collapsed to int when possible,
+    by Newton's divided differences."""
+    xs = [Fraction(x) for x, _ in points]
+    coeffs = [Fraction(y) for _, y in points]
+    n = len(points)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
+    # expand the Newton form to the monomial basis: poly * (x - xs[i]) per node
+    poly = [coeffs[n - 1]]
+    for i in range(n - 2, -1, -1):
+        poly = [poly[0]] + [c - xs[i] * p for c, p in zip(poly[1:], poly)] + [-xs[i] * poly[-1]]
+        poly[-1] += coeffs[i]
+    while len(poly) > 1 and poly[0] == 0:
+        poly = poly[1:]
+    return [int(c) if c.denominator == 1 else c for c in poly]
+
+
+def _horner_eval(coeffs, x):
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
 def test_interpolation_round_trip():
     rng = random.Random(11)
     coeffs = [rng.randint(-9, 9) for _ in range(5)]
-
-    def val(x):
-        acc = 0
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
-
-    pts = [(x, val(x)) for x in range(-2, 3)]
-    got = interpolate(pts)
+    got = interpolate([_horner_eval(coeffs, x) for x in range(5)])
     lead = next(i for i, c in enumerate(coeffs) if c) if any(coeffs) else None
     expected = coeffs[lead:] if lead is not None else [0]
     assert got == expected
 
 
 def test_interpolation_fractional_result():
-    # through (0, 0) and (2, 1): x/2
-    assert interpolate([(0, 0), (2, 1)]) == [Fraction(1, 2), 0]
+    # through (0, 0), (1, 0) and (2, 1): x(x - 1)/2, integer-valued at every
+    # integer but without integer coefficients
+    assert interpolate_over_q([(0, 0), (1, 0), (2, 1)]) == [Fraction(1, 2), Fraction(-1, 2), 0]
+    assert interpolate([0, 0, 1]) is None
+    assert interpolate([0, 1]) == [1, 0]
+    assert interpolate([7]) == [7]
+    assert interpolate([0, 0, 0]) == [0]
+    with pytest.raises(ValueError):
+        interpolate([])
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9))
+def test_interpolation_equals_the_newton_oracle(values):
+    expected = interpolate_over_q(list(enumerate(values)))
+    if any(isinstance(c, Fraction) for c in expected):
+        assert interpolate(values) is None
+    else:
+        assert interpolate(values) == expected
+
+
+@given(st.integers(0, 4), st.lists(small_ints, min_size=1, max_size=7))
+def test_interpolation_recovers_integer_polynomials(zeros, coeffs):
+    # leading zeros in the coefficient list and more nodes than the degree
+    # needs: interpolate returns the polynomial with its leading zeros dropped
+    padded = [0] * zeros + coeffs
+    values = [_horner_eval(padded, x) for x in range(len(padded))]
+    got = interpolate(values)
+    assert got == interpolate_over_q(list(enumerate(values)))
+    lead = next((i for i, c in enumerate(coeffs) if c), len(coeffs) - 1)
+    assert got == coeffs[lead:]

@@ -101,6 +101,15 @@ def test_usage_errors_exit_two(capsys):
     assert "error" in rep["result"]
 
 
+def test_containing_model_has_one_parser_entry(capsys):
+    # "tau containing-model" was a second spelling of "containing-model"
+    argv = ["tau", "containing-model", "-F", "x"]
+    code, rep = _invoke(capsys, *argv)
+    assert code == 2
+    assert rep["command"] == {"verb": None, "argv": argv}
+    assert rep["provenance"] == ["input-error"]
+
+
 def test_negative_digits_is_an_input_error(capsys):
     # a negative digit count would print "0.E+13" for 10^12 + 24*log10(2),
     # below the value; zero digits still give an upper bound

@@ -251,3 +251,24 @@ def test_pullback_certificate_scales_with_degree():
     assert c1.tag == c2.tag == "CorPullback"
     assert c1.bound < c2.bound
     assert c1.input("absF") == 2
+
+
+@pytest.mark.parametrize("fn, args", [
+    (bound_thmE, (1.9,)),  # int() would certify nu = 1
+    (bound_thmE, (Fraction(3, 2),)),
+    (bound_thmE, ("2",)),
+    (point_height, ((2.9, 1),)),  # int() would report max_abs 2
+    (point_height, ((0.5, 0.4),)),  # int() would call it a zero vector
+    (point_height, ((Fraction(1, 2), 1),)),
+    (bound_corD, (1.5, 1)),
+    (bound_corD, (1, 2.5)),
+    (bound_corF, ((1, 1, 1, 1, 2.5),)),
+    (bound_thmC, (8.5, 2)),
+    (bound_thmC, (8, 2.5)),
+    (bound_pullback, (1, 2.5)),
+    (bound_pullback, (Fraction(1), 2)),
+])
+def test_height_entry_points_refuse_non_integers(fn, args):
+    # a truncated input would certify a bound or a height for another input
+    with pytest.raises(TypeError):
+        fn(*args)

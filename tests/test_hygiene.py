@@ -1,7 +1,10 @@
-"""Lint: every name a module imports is read somewhere in that module, and
-every top-level function or class is used outside its own definition."""
+"""Lint: every name a module imports is read somewhere in that module,
+every top-level function or class is used outside its own definition, and
+every name the benchmark's tracer looks up in icotk exists."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -86,3 +89,79 @@ def test_the_check_sees_an_unused_def(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("from lib import used\nused()\nSPANS = ('lib.Named',)\n")
     assert _unused_defs([lib], [lib, user]) == ["lib.dead", "lib.recursive"]
+
+
+# -- the tracer contract ---------------------------------------------------------
+# perfbench/tracing.py patches icotk by name, and program changes leave
+# perfbench/ alone: a rename in icotk must not break a traced run unseen.
+
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def _tracer_lookups(tree):
+    """(module, dotted path) pairs a tracer source looks up in icotk: its
+    SPANNED table, the names it imports from icotk modules, and attribute
+    chains on the icotk modules it imports."""
+    pairs, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SPANNED" for t in node.targets):
+            pairs += [(module, path) for module, path, _ in ast.literal_eval(node.value)]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "icotk":
+            for alias in node.names:
+                if node.module == "icotk":
+                    modules[alias.asname or alias.name] = f"icotk.{alias.name}"
+                else:
+                    pairs.append((node.module, alias.name))
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in modules:
+            pairs.append((modules[node.id], ".".join(reversed(parts))))
+    return pairs
+
+
+def _unresolved(pairs):
+    """'module.path' for each pair that does not resolve to an object."""
+    missing = []
+    for module, path in pairs:
+        try:
+            obj = importlib.import_module(module)
+            for part in path.split("."):
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError):
+            missing.append(f"{module}.{path}")
+    return sorted(set(missing))
+
+
+def test_every_name_the_tracer_patches_exists():
+    pairs = _tracer_lookups(ast.parse(TRACING.read_text()))
+    for needed in [("icotk.algebra", "Poly.substitute"),
+                   ("icotk.binaryforms", "interpolate"),
+                   ("icotk.binaryforms", "ZZ"),
+                   ("icotk.config", "cache_dir")]:
+        assert needed in pairs
+    assert _unresolved(pairs) == []
+
+
+def test_the_tracer_calls_the_resultant_with_three_positional_arguments():
+    from icotk.binaryforms import sylvester_resultant
+
+    inspect.signature(sylvester_resultant).bind([1, 1], [1, 2], int)
+
+
+def test_the_check_sees_a_missing_tracer_name():
+    tree = ast.parse(
+        "from icotk import algebra\n"
+        "from icotk.binaryforms import no_such_name\n"
+        "SPANNED = (('icotk.algebra', 'Poly.no_such_method', 'a.b'),\n"
+        "           ('icotk.algebra', 'Poly.substitute', 'a.c'))\n"
+        "algebra.Poly.exact_div\n"
+        "algebra.no_such_attr\n")
+    assert _unresolved(_tracer_lookups(tree)) == [
+        "icotk.algebra.Poly.no_such_method",
+        "icotk.algebra.no_such_attr",
+        "icotk.binaryforms.no_such_name",
+    ]

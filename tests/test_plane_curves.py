@@ -312,3 +312,15 @@ def test_stage2_verdicts_pinned():
     for r in reports:
         h.update(repr((r.verdict, r.stage, r.witness)).encode())
     assert (len(curves), h.hexdigest()[:16]) == (144, "67d1dcd631d544d9")
+
+
+def test_degree_24_family_curve_pinned():
+    # digest of (verdict, stage, witness, image pieces) of check_tau on a
+    # degree-24 family curve, computed before Poly.substitute used Horner's
+    # rule and interpolate stayed in Z
+    curve = family_curve(2, tuple(range(1, 15)))
+    assert curve.degree == 24
+    r = check_tau(curve)
+    pieces = tuple((m, tuple(str(g) for g in polys)) for m, polys in r.image_pieces)
+    h = hashlib.sha256(repr((r.verdict, r.stage, r.witness, pieces)).encode())
+    assert (r.verdict, h.hexdigest()[:16]) == ("satisfies", "8a19a99555e0c0c3")
