@@ -12,7 +12,6 @@ Each Ideal keeps the bases it has computed in memory.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -214,17 +213,14 @@ def _interreduce(basis, order, tracker) -> list:
 class Ideal:
     """Generator list plus a per-order cache of reduced Groebner bases.
 
-    Lookups and publication happen under a lock, but Buchberger runs outside
-    it, so threads that miss at the same time each compute the basis.  The
-    first basis published for an order wins and every caller gets that list;
-    published bases are immutable.
+    Each basis is computed on the first request for its order; every later
+    caller gets that same list, which is never mutated.
     """
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
         self.gens = tuple(g for g in gens)
         self._bases: dict = {}
-        self._lock = threading.Lock()
 
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.gens)
@@ -236,13 +232,9 @@ class Ideal:
         budget: GroebnerBudget = DEFAULT_GB_BUDGET,
     ) -> list:
         tag = order.tag()
-        with self._lock:
-            if tag in self._bases:
-                return self._bases[tag]
-        basis = _buchberger(list(self.gens), order, budget)
-        with self._lock:
-            self._bases.setdefault(tag, basis)
-            return self._bases[tag]
+        if tag not in self._bases:
+            self._bases[tag] = _buchberger(list(self.gens), order, budget)
+        return self._bases[tag]
 
 
 def eliminate(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from icotk import algebra
 from icotk.algebra import (
     P2,
     P4,
@@ -246,3 +247,169 @@ def test_substitute_edge_cases():
         poly_parse("x", P2).substitute([s, t, Poly.variable(P2, "x")])
     with pytest.raises(ValueError):
         Poly.constant(Ring(()), 1).substitute([])
+
+
+# -- the packed-integer (Kronecker) kernel ------------------------------------
+
+# digits are whole bytes: 2**(8m-1) - 1 is the largest coefficient an m-byte
+# digit holds, 2**(8m-1) the smallest that needs one byte more
+_DIGIT_EDGES = [s * (2 ** (8 * m - 1) + t) for m in (1, 2, 25) for t in (-1, 0) for s in (1, -1)]
+_int_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from(_DIGIT_EDGES),
+)
+
+
+@st.composite
+def _forms(draw, ring, degree, max_terms=6):
+    """A form of the given degree with int coefficients: small ones that
+    cancel, 200-bit ones and ones at a byte edge of the digit width."""
+    heads = st.tuples(*([st.integers(0, degree)] * (ring.nvars - 1)))
+    items = draw(st.lists(st.tuples(heads, _int_coeffs), min_size=1, max_size=max_terms))
+    terms = [(h + (degree - sum(h),), c) for h, c in items if sum(h) <= degree]
+    return Poly.from_terms(ring, terms)
+
+
+def product_by_terms(p, q):
+    """The double loop over the terms: the oracle for the packed product."""
+    return Poly.from_terms(
+        p.ring,
+        [(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+         for e1, c1 in p.terms.items() for e2, c2 in q.terms.items()],
+    )
+
+
+def _generic_substitute(p, images):
+    out = algebra._horner(list(p.terms.items()), images)
+    return out if isinstance(out, Poly) else Poly.constant(images[0].ring, out)
+
+
+@given(st.sampled_from(_IMAGE_RINGS), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_packed_product_equals_the_generic_product(ring, dp, dq, data):
+    # operands of different degrees, single terms, cancellation to zero
+    p, q = data.draw(_forms(ring, dp)), data.draw(_forms(ring, dq))
+    assume(p and q)
+    packed = algebra._packed_product(p, q)
+    if not algebra._dense_box(ring.nvars, dp + dq):
+        assert packed is None  # P^4 in degree >= 2
+        return
+    assert packed == product_by_terms(p, q)
+    assert all(type(c) is int and c for c in packed.terms.values())
+
+
+@given(st.sampled_from(_IMAGE_RINGS), st.integers(1, 4), st.integers(1, 3), st.data())
+def test_packed_substitution_equals_horner(ring, d, k, data):
+    p = data.draw(_forms(P2, d))
+    images = [data.draw(_forms(ring, k, max_terms=4)) for _ in range(P2.nvars)]
+    assume(p and all(images))
+    packed = algebra._packed_substitute(p, images)
+    expected = _generic_substitute(p, images)
+    assert expected == substitute_by_powers(p, images)
+    if not algebra._dense_box(ring.nvars, d * k):
+        assert packed is None
+    else:
+        assert packed == expected
+    assert p.substitute(images) == expected
+
+
+def test_packed_kernel_edge_cases():
+    x, y, z = (Poly.variable(P2, n) for n in "xyz")
+    # products that cancel to zero and to a single term
+    assert algebra._packed_product(x - y, Poly.zero(P2)) is None
+    assert algebra._packed_substitute(x - y, [x + z, x + z, y]).is_zero()
+    assert algebra._packed_product(x + y, x - y) == x * x - y * y
+    # coefficients exactly at the bound: (c x + c y)^2 has 2 c^2 * x*y; the
+    # digits are 2 bytes wide for c = 127 (15 bits) and 3 for c = 128, where
+    # c^2 alone would fit in 2
+    for c in (127, -127, 128, -128, 2**99, 2**100 + 1):
+        f = c * x + c * y
+        assert algebra._packed_product(f, f) == product_by_terms(f, f)
+        assert algebra._packed_product(f, -f).coeff((1, 1, 0)) == -2 * c * c
+    for c in _DIGIT_EDGES:
+        assert algebra._packed_product(c * x * x, y) == c * x * x * y
+        assert algebra._packed_product(c * x * x, -y) == -c * x * x * y
+        assert algebra._packed_substitute(c * x, [z, y, x]) == c * z
+    # a digit off the degree-1 simplex (x*y in degree 1) is refused
+    with pytest.raises(AssertionError):
+        algebra._unpack(1 << (8 * 3), P2, 1, 1)
+
+
+def test_generic_path_inputs():
+    x, y, z = (Poly.variable(P2, n) for n in "xyz")
+    half = Poly.constant(P2, Fraction(1, 2))
+    # Fraction coefficients, polynomials that are not forms
+    assert algebra._packed_product(half * x, y) is None
+    assert algebra._packed_product(x + 1, y) is None
+    assert algebra._packed_substitute(half * x, [x, y, z]) is None
+    assert algebra._packed_substitute(x * y + z, [x, y, z]) is None
+    assert algebra._packed_substitute(x * y, [half * x, y, z]) is None
+    # images of mixed degrees, images that are not forms, constants
+    assert algebra._packed_substitute(x * y, [x * x, y, z]) is None
+    assert algebra._packed_substitute(x * y, [x + 1, y + 1, z + 1]) is None
+    assert algebra._packed_substitute(x * y, [Poly.constant(P2, 2)] * 3) is None
+    assert algebra._packed_substitute(Poly.constant(P2, 3), [x, y, z]) is None
+    assert algebra._packed_substitute(x * y, [x, Poly.zero(P2), z]) is None
+    # the results agree with the generic path all the same
+    assert (x * y).substitute([x * x, y, z]) == x * x * y
+    assert (half * x).substitute([x, y, z]) == half * x
+
+
+def test_the_density_guard():
+    # every box in 2 or 3 variables is dense; in P^4 only degree 1 is
+    assert all(algebra._dense_box(n, D) for n in (1, 2, 3) for D in range(200))
+    assert algebra._dense_box(5, 1) and not algebra._dense_box(5, 2)
+    # tau_i(rho), the expansion of `verify --symbolic-c`: degree 12 * 8 = 96
+    # in five variables, a box of 97**4 digits, stays on the generic path
+    from icotk.ico_surface import fixed_geometry
+
+    geo = fixed_geometry()
+    D = geo.tau[0].degree() * geo.rho[0].degree()
+    assert (geo.rho[0].ring.nvars, D) == (5, 96)
+    assert not algebra._dense_box(5, D)
+    assert algebra._packed_substitute(geo.tau[0], geo.rho) is None
+    # while rho_i(tau), degree 8 * 12 = 96 in three variables, packs
+    assert algebra._dense_box(geo.tau[0].ring.nvars, D)
+
+
+def _terms_of_degree(d, count):
+    """count distinct monomials of degree d in three variables, as terms."""
+    heads = ((i, j) for i in range(d + 1) for j in range(d + 1 - i))
+    return {(i, j, d - i - j): 1 for (i, j), _ in zip(heads, range(count))}
+
+
+def test_packing_pays_on_measured_products():
+    # shapes of products in `verify --mode symbolic` (terms, degree) and the
+    # path that timed faster: lambda * x, a shift by one term, is 3x slower
+    # packed; 38 x 38 terms of degree 15 is 2.5x faster packed, 587 x 545
+    # of degree 48 35x faster
+    pays = algebra._packing_pays
+    assert not pays(_terms_of_degree(95, 2228), _terms_of_degree(1, 1), 3)
+    assert not pays(_terms_of_degree(20, 75), _terms_of_degree(1, 4), 3)
+    assert pays(_terms_of_degree(15, 38), _terms_of_degree(15, 38), 3)
+    assert pays(_terms_of_degree(48, 587), _terms_of_degree(48, 545), 3)
+    assert not pays({}, _terms_of_degree(1, 3), 3)
+
+
+def test_mul_packs_only_where_packing_pays(monkeypatch):
+    calls = []
+    real = algebra._packed_product
+    monkeypatch.setattr(algebra, "_packed_product",
+                        lambda p, q: calls.append((len(p.terms), len(q.terms))) or real(p, q))
+    x, y, z = (Poly.variable(P2, n) for n in "xyz")
+    f = Poly(P2, {e: (-1) ** sum(e[:2]) * (e[0] + 1) for e in _terms_of_degree(20, 231)})
+    # a product by one term, and 231 x 3 terms: 693 pairs, fewer than
+    # 5/4 of the 234 terms and 22**2 digits, stay on the double loop
+    g = x + 2 * y - 3 * z
+    assert f * x == product_by_terms(f, x) and f * g == product_by_terms(f, g)
+    assert calls == []
+    # 231 x 6 terms: 1386 pairs against 5/4 of 237 terms and 23**2 digits
+    h = g * g
+    assert f * h == product_by_terms(f, h)
+    assert calls == [(231, 6)]
+    # in P^4 the box outgrows the pairs: 35 x 35 terms of degree 3 against
+    # 7**4 digits
+    v = [Poly.variable(P4, f"x{i}") for i in range(5)]
+    s1 = v[0] + v[1] + v[2] + v[3] + v[4]
+    s3 = s1 * s1 * s1
+    assert algebra._packing_pays(s3.terms, s3.terms, 5) is False
