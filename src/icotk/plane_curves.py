@@ -8,6 +8,12 @@ tau collapses C_tau minus T_tau onto the e_i themselves, the test splits:
               maps straight onto an e_i and the criterion fails.
   stage 3:    no e_i lies on cl(tau(X minus C_tau)).
 
+Stage 1 asks whether a C_tau factor g divides F or F divides g.  Both are
+primitive, so by Gauss's lemma a | b means b = a*h with h integral, and
+then deg a <= deg b and a(p) | b(p) at the integer point p = _PROBE, where
+no g vanishes; exact division runs only when both tests pass.  (F(p) = 0
+rules out F | g, since g(p) = F(p)*h(p) would vanish.)
+
 Stage 2 is decided exactly, factor by factor, with resultants.  After one
 unimodular change of coordinates -- center off X, off C_tau, and
 separating the eight base-point images in the (y:z) projection --
@@ -15,8 +21,15 @@ Res_x(F~, g~) is a binary form whose roots are exactly the projections of
 V(F~) meet V(g~).  Stripping the eight base-point projections and then
 re-examining each fiber line decides containment in T_tau over the
 algebraic closure; the two conjugate base points are handled in Z[phi].
-(The alternative, a Groebner basis of (F, lambda) in three variables, is
-hopeless: lambda has degree 95 and 2228 terms.)
+Only "center off X" depends on the curve, so each geometry keeps the
+transforms that meet the rest, in trial order, and a curve takes the first
+whose center is off X.  The fiber check runs at one of the conjugate pair:
+F~ and g~ have integer coefficients, so at the other point every value is
+the image under phi -> 1 - phi, a ring automorphism of Z[phi], which
+commutes with the ring operations, zero tests and exact quotients of root
+stripping and resultants; the two checks agree.  (The alternative, a
+Groebner basis of (F, lambda) in three variables, is hopeless: lambda has
+degree 95 and 2228 terms.)
 
 Stage 3 works with graded pieces of the ideal of Y:
 J_m = {G of degree m : F divides G(tau)}.  Membership certifies vanishing
@@ -34,7 +47,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import P2, P4, Echelon, Poly, Ring
 from .binaryforms import (form_content_free, interpolate, pseudo_remainder, strip_root,
@@ -138,23 +153,75 @@ def tau_witness(model: IcoModel) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# stage 1: common-factor fast path
+# what stages 1-2 keep per geometry; stage 1, the common-factor fast path
 # ---------------------------------------------------------------------------
 
+_PROBE = (1009, -733, 2039)  # no C_tau factor vanishes here
+# An admissible transform v = A*w: its center A*(1, 0, 0), the moved T_tau
+# points (conjugate pair last), and per C_tau factor (g, x-coefficients of g~,
+# their values at the nodes (m, 1) so far, g~ on the fiber lines of moved[:7]).
+_Move = namedtuple("_Move", "A center moved factors")
 
-def _divides(a: Poly, b: Poly) -> bool:
+
+@lru_cache(maxsize=1)
+def _cache(geo):
+    """Built on the first criterion-(tau) call of a geometry: the C_tau
+    factors with their values at _PROBE, the admissible transforms found so
+    far, and the trial generator that finds the next ones."""
+    probed = [(g, g.evaluate(_PROBE)) for g in geo.ctau_factors()]
+    if any(not gp or abs(g.content_primitive()[0]) != 1 for g, gp in probed):
+        raise AssertionError("the probe needs primitive C_tau factors off _PROBE")
+    return probed, [], _admissible(geo)
+
+
+def _admissible(geo):
+    """In a fixed trial order, each unimodular U (with inverse A) such that,
+    in the new coordinates, the center (1:0:0) lies off C_tau and the eight
+    T_tau points have pairwise distinct (y:z) projections.  Both conditions
+    fail only on proper closed loci, so a small deterministic search lands."""
+    quad = geo.ttau_quadratic
+    pts = [p.coords for p in geo.ttau_rational] + [quad.coords, quad.conjugate()]
+    for trial in range(500):
+        rng = random.Random(1_000_003 * trial + 7)
+        lo = [[1, 0, 0], [rng.randint(-3, 3), 1, 0], [rng.randint(-3, 3), rng.randint(-3, 3), 1]]
+        up = [[1, rng.randint(-3, 3), rng.randint(-3, 3)], [0, 1, rng.randint(-3, 3)], [0, 0, 1]]
+        U = tuple(
+            tuple(sum(up[i][k] * lo[k][j] for k in range(3)) for j in range(3))
+            for i in range(3)
+        )
+        A = _adjugate3(U)
+        center = tuple(A[i][0] for i in range(3))
+        if any(g.evaluate(center) == 0 for g in geo.ctau_factors()):
+            continue
+        moved = [tuple(sum(U[i][j] * p[j] for j in range(3)) for i in range(3)) for p in pts]
+        if any(not q[1] and not q[2] for q in moved):
+            continue  # a point hit the projection center
+        if all(qa[1] * qb[2] != qa[2] * qb[1] for qa, qb in itertools.combinations(moved, 2)):
+            factors = []
+            for g in geo.ctau_factors():
+                gc = _x_coefficients(_transformed(g, A), g.degree())
+                factors.append((g, gc, [], [_fiber(gc, q) for q in moved[:-1]]))
+            yield _Move(A, center, moved, factors)
+    raise IcotkError("no suitable unimodular transform found")  # pragma: no cover
+
+
+def _divides(a: Poly, ap, b: Poly, bp) -> bool:
+    """a | b for primitive integer forms with values ap, bp at _PROBE."""
+    if a.degree() > b.degree() or not ap or bp % ap:
+        return False
     try:
         b.exact_div(a)
-        return True
     except NotDivisibleError:
         return False
+    return True
 
 
 def _stage1(curve: PlaneCurve):
-    for g in fixed_geometry().ctau_factors():
-        if _divides(g, curve.F):
+    F, Fp = curve.F, curve.F.evaluate(_PROBE)
+    for g, gp in _cache(fixed_geometry())[0]:
+        if _divides(g, gp, F, Fp):
             return f"C_tau factor ({g}) divides F"
-        if _divides(curve.F, g):
+        if _divides(F, Fp, g, gp):
             return f"F divides the C_tau factor ({g})"
     return None
 
@@ -177,85 +244,56 @@ def _adjugate3(m):
     return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
 
 
-def _find_transform(curve: PlaneCurve):
-    """A unimodular U (with inverse A) such that, in the new coordinates:
-    the center (1:0:0) lies neither on the curve nor on C_tau, and the
-    eight T_tau points have pairwise distinct (y:z) projections.  Both
-    conditions fail only on proper closed loci, so a small deterministic
-    search always lands."""
-    geo = fixed_geometry()
-    quad = geo.ttau_quadratic
-    pts = [p.coords for p in geo.ttau_rational] + [quad.coords, quad.conjugate()]
-    for trial in range(500):
-        rng = random.Random(1_000_003 * trial + 7)
-        lo = [[1, 0, 0], [rng.randint(-3, 3), 1, 0], [rng.randint(-3, 3), rng.randint(-3, 3), 1]]
-        up = [[1, rng.randint(-3, 3), rng.randint(-3, 3)], [0, 1, rng.randint(-3, 3)], [0, 0, 1]]
-        U = tuple(
-            tuple(sum(up[i][k] * lo[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)
-        )
-        A = _adjugate3(U)
-        center = tuple(A[i][0] for i in range(3))
-        if curve.F.evaluate(center) == 0:
-            continue
-        if any(g.evaluate(center) == 0 for g in geo.ctau_factors()):
-            continue
-        moved = [tuple(sum(U[i][j] * p[j] for j in range(3)) for i in range(3)) for p in pts]
-        if any(not q[1] and not q[2] for q in moved):
-            continue  # a point hit the projection center
-        if all(qa[1] * qb[2] != qa[2] * qb[1] for qa, qb in itertools.combinations(moved, 2)):
-            return A, moved
-    raise IcotkError("no suitable unimodular transform found")  # pragma: no cover
+def _transform(F: Poly) -> _Move:
+    """The first admissible transform, in trial order, whose center is off
+    V(F): the one a search over all trials for this curve would pick."""
+    _, kept, pending = _cache(fixed_geometry())
+    for i in itertools.count():
+        if i == len(kept):
+            kept.append(next(pending))
+        if F.evaluate(kept[i].center) != 0:
+            return kept[i]
 
 
 def _transformed(poly: Poly, A) -> Poly:
-    xs = [Poly.variable(P2, n) for n in P2.names]
-    images = [
-        xs[0] * A[i][0] + xs[1] * A[i][1] + xs[2] * A[i][2] for i in range(3)
-    ]
-    return poly.substitute(images)
+    x, y, z = (Poly.variable(P2, n) for n in P2.names)
+    return poly.substitute([x * a + y * b + z * c for a, b, c in A])
 
 
-def _x_coefficient_forms(poly: Poly):
-    """List indexed by x-degree k of {(ey, ez): c} coefficient dicts."""
-    d = poly.degree()
-    out = [dict() for _ in range(d + 1)]
-    for (ex, ey, ez), c in poly.terms.items():
-        out[ex][(ey, ez)] = c
+def _x_coefficients(poly: Poly, d: int):
+    """[c_d, ..., c_0] for the degree-d form poly = sum_k c_k x^k, each c_k
+    the coefficient list of a binary form in descending powers of y."""
+    out = [[0] * (k + 1) for k in range(d + 1)]
+    for (ex, _, ez), c in poly.terms.items():
+        out[d - ex][ez] = c
     return out
 
 
-def _eval_yz(coeffs: dict, ypows, zpows):
-    """A (y, z)-coefficient dict at the point whose power tables are given."""
-    return sum(c * ypows[ey] * zpows[ez] for (ey, ez), c in coeffs.items())
+def _at(coeffs, y, z=1):
+    """sum_i c_i y^(n-i) z^i for coeffs = [c_0..c_n], by Horner's rule in y
+    carrying the power of z."""
+    acc, zi = 0, 1
+    for c in coeffs:
+        acc = acc * y + c * zi
+        zi *= z
+    return acc
 
 
-def _powers(base, n):
-    """[1, base, ..., base^n]; ints stay ints and Phis stay Phis."""
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * base)
-    return out
+def _fiber(xc, q):
+    """The form on the fiber line of the projection of q, in x, with the
+    root q itself stripped."""
+    return strip_root([_at(c, q[1], q[2]) for c in xc], q[0], 1)[0]
 
 
-def _resultant_in_x(fc, gc):
-    """Res_x of two ternary forms given by their x-coefficient dicts, as an
-    integer binary form in (y, z).  Requires constant nonzero leading
-    coefficients (the center conditions), so specialization commutes with
-    the resultant and interpolation at the nodes 0..deg_f*deg_g is exact."""
-    d = len(fc) - 1
-    e = len(gc) - 1
-    if list(fc[d]) != [(0, 0)] or list(gc[e]) != [(0, 0)]:
-        raise AssertionError("leading x-coefficients must be constants")
-    de = d * e
-    ones = [1] * (max(d, e) + 1)
-    samples = []
-    for m in range(de + 1):
-        mpows = _powers(m, max(d, e))
-        fdesc = [_eval_yz(fc[k], mpows, ones) for k in range(d, -1, -1)]
-        gdesc = [_eval_yz(gc[k], mpows, ones) for k in range(e, -1, -1)]
-        samples.append(sylvester_resultant(fdesc, gdesc))
-    uni = interpolate(samples)
+def _resultant_in_x(fc, fvals, gc, gvals, de):
+    """Res_x(F~, g~) as an integer binary form in (y, z) of degree de, from
+    the x-coefficients fc, gc at the nodes (m, 1), m = 0..de; fvals, gvals
+    hold their values at the nodes so far and are extended here.  The
+    leading ones are the nonzero constants F(center), g(center), so
+    specialization commutes with the resultant and interpolation is exact."""
+    for xc, vals in ((fc, fvals), (gc, gvals)):
+        vals.extend([_at(c, m) for c in xc] for m in range(len(vals), de + 1))
+    uni = interpolate([sylvester_resultant(fvals[m], gvals[m]) for m in range(de + 1)])
     if uni is None:
         raise AssertionError("resultant interpolation is not integral")
     if not any(uni):
@@ -266,25 +304,19 @@ def _resultant_in_x(fc, gc):
 def _stage2(curve: PlaneCurve):
     """None if X meets C_tau only inside T_tau (decided over the algebraic
     closure); else a failure description."""
-    geo = fixed_geometry()
-    A, moved = _find_transform(curve)
-    Ft = _transformed(curve.F, A)
-    fc = _x_coefficient_forms(Ft)
     d = curve.degree
-
-    point_data = [(q, _powers(q[1], max(d, 5)), _powers(q[2], max(d, 5))) for q in moved]
-
-    for g in geo.ctau_factors():
-        gt = _transformed(g, A)
-        gc = _x_coefficient_forms(gt)
-        e = g.degree()
-        R = _resultant_in_x(fc, gc)
+    move = _transform(curve.F)
+    fc = _x_coefficients(_transformed(curve.F, move.A), d)
+    fvals, fibers = [], None
+    for g, gc, gvals, gfibers in move.factors:
+        de = d * (len(gc) - 1)
+        R = _resultant_in_x(fc, fvals, gc, gvals, de)
         if R is None:
             return f"V(F) and V({g}) share a component"
         # the six rational projections come first and keep rem in Z; only
         # the conjugate pair moves it to Z[phi]
         rem = form_content_free(R)
-        for q, _, _ in point_data:
+        for q in move.moved:
             rem, _ = strip_root(rem, q[1], q[2])
         if len(rem) > 1:
             return (
@@ -292,18 +324,16 @@ def _stage2(curve: PlaneCurve):
                 "(projection survives base-point stripping)"
             )
         # every intersection projects onto a base-point fiber; check each
-        # fiber carries nothing but the base point itself
-        for q, ypows, zpows in point_data:
-            fl = [_eval_yz(fc[k], ypows, zpows) for k in range(d, -1, -1)]
-            gl = [_eval_yz(gc[k], ypows, zpows) for k in range(e, -1, -1)]
-            fl, _ = strip_root(fl, q[0], 1)
-            gl, _ = strip_root(gl, q[0], 1)
-            if len(fl) > 1 and len(gl) > 1:
-                if sylvester_resultant(fl, gl) == 0:
-                    return (
-                        f"V(F) meets V({g}) at a second point on the "
-                        "fiber line of a T_tau point"
-                    )
+        # fiber carries nothing but the base point itself (the conjugate
+        # point's check is the Galois conjugate of the one before it)
+        if fibers is None:
+            fibers = [_fiber(fc, q) for q in move.moved[:-1]]
+        for fl, gl in zip(fibers, gfibers):
+            if len(fl) > 1 and len(gl) > 1 and sylvester_resultant(fl, gl) == 0:
+                return (
+                    f"V(F) meets V({g}) at a second point on the "
+                    "fiber line of a T_tau point"
+                )
     return None
 
 

@@ -1,19 +1,36 @@
 """Criterion (tau) for plane curves, pullbacks, and containing models."""
 
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from icotk.algebra import P2, P4, Poly, poly_parse
+from icotk.binaryforms import Phi, form_content_free, strip_root, sylvester_resultant
+from icotk.errors import NotDivisibleError
 from icotk.groebner import normal_form
 from icotk.ico_models import general_model, is_degenerate
+from icotk import plane_curves
 from icotk.ico_surface import fixed_geometry, tau_point
 from icotk.plane_curves import (
+    _PROBE,
     PlaneCurve,
+    _adjugate3,
+    _at,
+    _cache,
+    _divides,
+    _fiber,
+    _resultant_in_x,
+    _stage1,
+    _stage2,
+    _transform,
+    _transformed,
+    _x_coefficients,
     check_tau,
     containing_model,
     family_curve,
@@ -324,3 +341,207 @@ def test_degree_24_family_curve_pinned():
     pieces = tuple((m, tuple(str(g) for g in polys)) for m, polys in r.image_pieces)
     h = hashlib.sha256(repr((r.verdict, r.stage, r.witness, pieces)).encode())
     assert (r.verdict, h.hexdigest()[:16]) == ("satisfies", "8a19a99555e0c0c3")
+
+
+# -- stages 1-2: what is kept per geometry, against per-curve oracles ----------
+
+
+def _find_transform(curve):
+    """Oracle: the transform search done for one curve alone, the first
+    trial whose center lies off the curve and off C_tau and whose moved
+    T_tau points have pairwise distinct (y:z) projections."""
+    geo = fixed_geometry()
+    quad = geo.ttau_quadratic
+    pts = [p.coords for p in geo.ttau_rational] + [quad.coords, quad.conjugate()]
+    for trial in range(500):
+        rng = random.Random(1_000_003 * trial + 7)
+        lo = [[1, 0, 0], [rng.randint(-3, 3), 1, 0], [rng.randint(-3, 3), rng.randint(-3, 3), 1]]
+        up = [[1, rng.randint(-3, 3), rng.randint(-3, 3)], [0, 1, rng.randint(-3, 3)], [0, 0, 1]]
+        U = tuple(
+            tuple(sum(up[i][k] * lo[k][j] for k in range(3)) for j in range(3))
+            for i in range(3)
+        )
+        A = _adjugate3(U)
+        center = tuple(A[i][0] for i in range(3))
+        if curve.F.evaluate(center) == 0:
+            continue
+        if any(g.evaluate(center) == 0 for g in geo.ctau_factors()):
+            continue
+        moved = [tuple(sum(U[i][j] * p[j] for j in range(3)) for i in range(3)) for p in pts]
+        if any(not q[1] and not q[2] for q in moved):
+            continue
+        if all(qa[1] * qb[2] != qa[2] * qb[1] for qa, qb in itertools.combinations(moved, 2)):
+            return A, moved
+    raise AssertionError("no suitable unimodular transform found")
+
+
+def _stage1_without_probe(curve):
+    """Oracle: stage 1 with an exact division for every pair."""
+
+    def divides(a, b):
+        try:
+            b.exact_div(a)
+            return True
+        except NotDivisibleError:
+            return False
+
+    for g in fixed_geometry().ctau_factors():
+        if divides(g, curve.F):
+            return f"C_tau factor ({g}) divides F"
+        if divides(curve.F, g):
+            return f"F divides the C_tau factor ({g})"
+    return None
+
+
+def test_kept_transforms_equal_the_per_curve_search():
+    through_center = _curve("y*z + 6*x^2")  # through (1, 2, -3), trial 1's center
+    assert through_center.F.evaluate((1, 2, -3)) == 0
+    curves = _stage2_corpus() + [family_curve(2, tuple(range(1, 15))), through_center]
+    centers = set()
+    for curve in curves:
+        move = _transform(curve.F)
+        assert (move.A, move.moved) == _find_transform(curve)
+        centers.add(move.center)
+    assert _transform(through_center.F).center != (1, 2, -3)
+    assert (1, 2, -3) in centers and len(centers) >= 2
+
+
+def test_kept_transforms_follow_the_geometry():
+    F = poly_parse("x + y + z", P2)  # through (1, 2, -3): two transforms kept
+    fixed_geometry.cache_clear()
+    geo = fixed_geometry()
+    A = _transform(F).A
+    kept = _cache(geo)[1]
+    assert len(kept) == 2
+    ref = weakref.ref(geo)
+    fixed_geometry.cache_clear()
+    del geo
+    assert _transform(F).A == A
+    assert _cache(fixed_geometry())[1] is not kept
+    gc.collect()
+    assert ref() is None
+
+
+def test_stage1_probe_keeps_the_witnesses_of_the_corpus():
+    px, py, pz = _PROBE  # curves through the probe point, where F(p) = 0
+    x, y, z = (Poly.variable(P2, n) for n in "xyz")
+    through_probe = [PlaneCurve(F) for F in (x * py - y * px, y * pz - z * py,
+                                             x * x * (py * pz) - y * z * (px * px))]
+    assert all(c.F.evaluate(_PROBE) == 0 for c in through_probe)
+    curves = _stage2_corpus() + through_probe
+    witnesses = [_stage1(c) for c in curves]
+    assert witnesses == [_stage1_without_probe(c) for c in curves]
+    assert sum(w is not None for w in witnesses) >= 10
+
+
+_FORM_TERMS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-9, 9)), max_size=6
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 3), _FORM_TERMS, st.booleans())
+def test_a_factor_times_any_form_passes_the_probe(k, d, terms, vanish):
+    """g*h passes the probe and stage 1 finds a factor for every C_tau
+    factor g and integer form h, also when h vanishes at the probe point."""
+    g = fixed_geometry().ctau_factors()[k]
+    h = Poly(P2, {})
+    for ex, ey, c in terms:
+        if ex + ey <= d and c:
+            h = h + Poly.monomial(P2, (ex, ey, d - ex - ey), c)
+    if h.is_zero():
+        h = Poly.monomial(P2, (0, 0, d))
+    if vanish:  # times a linear form through the probe point
+        h = h * (Poly.variable(P2, "x") * _PROBE[1] - Poly.variable(P2, "y") * _PROBE[0])
+        assert h.evaluate(_PROBE) == 0
+    curve = PlaneCurve(g * h)
+    gp, Fp = g.evaluate(_PROBE), curve.F.evaluate(_PROBE)
+    assert gp != 0 and Fp % gp == 0
+    assert _divides(g, gp, curve.F, Fp)
+    witness = _stage1(curve)
+    assert witness is not None and witness == _stage1_without_probe(curve)
+
+
+def _conj(v):
+    return v.conj() if isinstance(v, Phi) else v
+
+
+def test_the_conjugate_fiber_check_agrees():
+    reached = 0
+    for curve in _stage2_corpus():
+        d = curve.degree
+        move = _transform(curve.F)
+        fc = _x_coefficients(_transformed(curve.F, move.A), d)
+        for g, gc, _, _ in move.factors:
+            de = d * g.degree()
+            R = _resultant_in_x(fc, [], gc, [], de)
+            if R is None:
+                continue
+            rem = form_content_free(R)
+            for q in move.moved:
+                rem, _ = strip_root(rem, q[1], q[2])
+            if len(rem) > 1:
+                continue
+            reached += 1
+            answers = []
+            for q in move.moved[-2:]:
+                fl, gl = _fiber(fc, q), _fiber(gc, q)
+                answers.append((len(fl) > 1 and len(gl) > 1
+                                and sylvester_resultant(fl, gl) == 0, fl, gl))
+            (meets, fl, gl), (meets_bar, fl_bar, gl_bar) = answers
+            assert meets == meets_bar
+            assert (fl_bar, gl_bar) == ([_conj(c) for c in fl], [_conj(c) for c in gl])
+    assert reached >= 18  # the two family curves pass stage 2
+
+
+class _OneConicGeometry:
+    """The T_tau points of the fixed geometry, with C_tau replaced by the
+    conic V(x*y + x*z - z^2) through the conjugate pair."""
+
+    def __init__(self):
+        geo = fixed_geometry()
+        self.ttau_rational, self.ttau_quadratic = geo.ttau_rational, geo.ttau_quadratic
+
+    def ctau_factors(self):
+        return (poly_parse("x*y + x*z - z^2", P2),)
+
+
+def test_stage2_fails_on_the_fiber_of_the_conjugate_pair(monkeypatch):
+    """The line from the center c = (1, 2, -3) to Q = (1:1:phi) meets the
+    conic again at R; F is a conic of the pencil through Q, R and their
+    conjugates.  So V(F) meets the conic on the fiber lines of the
+    conjugate pair only, and stage 2 can find R only there."""
+    geo = _OneConicGeometry()
+    monkeypatch.setattr(plane_curves, "fixed_geometry", lambda: geo)
+    conic = geo.ctau_factors()[0]
+    curve = _curve("11*x^2 - 29*x*y + 11*y^2 - 14*x*z + 7*y*z + 7*z^2")
+    c, Q = _transform(curve.F).center, geo.ttau_quadratic.coords
+    R = (Phi(-10, -7), Phi(-10, -14), Phi(0, 11))
+    assert c == (1, 2, -3)
+    assert [p.evaluate(P) for p in (conic, curve.F) for P in (Q, R)] == [0] * 4
+    det = (c[0] * (Q[1] * R[2] - Q[2] * R[1]) - c[1] * (Q[0] * R[2] - Q[2] * R[0])
+           + c[2] * (Q[0] * R[1] - Q[1] * R[0]))
+    assert det == 0 and R != Q
+    assert _stage1(curve) is None
+    assert _stage2(curve) == (f"V(F) meets V({conic}) at a second point on the "
+                              "fiber line of a T_tau point")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.lists(st.integers(-50, 50), min_size=28, max_size=28),
+    st.tuples(*[st.integers(-20, 20)] * 3),
+    st.integers(0, 60),
+    st.tuples(*[st.tuples(st.integers(-5, 5), st.integers(-5, 5))] * 3),
+)
+def test_horner_on_x_coefficients_equals_evaluate(d, coeffs, point, m, phi_point):
+    monos = [(ex, ey, d - ex - ey) for ex in range(d + 1) for ey in range(d + 1 - ex)]
+    P = Poly(P2, {e: c for e, c in zip(monos, coeffs) if c})
+    xc = _x_coefficients(P, d)
+    assert [len(c) for c in xc] == list(range(1, d + 2))
+    phi_pt = tuple(Phi(a, b) for a, b in phi_point)
+    for x, y, z in (point, (0, m, 1), (1, m, 1), (3, m, 1), phi_pt):
+        value = sum(_at(c, y, z) * x ** (d - i) for i, c in enumerate(xc))
+        assert value == P.evaluate((x, y, z))
+    assert [_at(c, m) for c in xc] == [_at(c, m, 1) for c in xc]
