@@ -36,10 +36,11 @@ J_m = {G of degree m : F divides G(tau)}.  Membership certifies vanishing
 on Y, so a G with G(e_i) != 0 is a sound witness that e_i is not in Y.
 (J_m equals the full degree-m piece when F is squarefree and no component
 of X lies in C_tau; in general it is a subideal, which only ever makes the
-witness search harder, never wrong.)  For lines the image of X is computed
-exactly through the parametrization, so both verdicts are available; for
-d >= 2 an e_i that no witness separates after max_image_degree pieces
-raises BudgetExceededError rather than guessing.
+witness search harder, never wrong.)  An e_i that no witness separates
+after max_image_degree pieces raises BudgetExceededError rather than
+guessing, so stage 3 either proves the criterion or refuses; a report's
+stage is "none" or "curve-meets-Ctau-off-Ttau".  No line reaches stage 3
+(proof in check_tau).
 """
 
 from __future__ import annotations
@@ -51,17 +52,14 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import P2, P4, Echelon, Poly, Ring
-from .binaryforms import (form_content_free, interpolate, pseudo_remainder, strip_root,
-                          sylvester_resultant)
+from .algebra import P2, P4, Echelon, Poly
+from .binaryforms import form_content_free, interpolate, strip_root, sylvester_resultant
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
 from .errors import BudgetExceededError, IcotkError, NotDivisibleError
 from .groebner import GREVLEX, Ideal, normal_form
 from .heights import LogBound, bound_pullback
 from .ico_models import IcoModel, _degree_monomials, general_model, is_degenerate
 from .ico_surface import fixed_geometry
-
-_PARAM_RING = Ring(("s", "t"))
 
 
 class PlaneCurve:
@@ -89,7 +87,7 @@ class PlaneCurve:
 @dataclass(frozen=True)
 class TauReport:
     verdict: str  # "satisfies" | "fails"
-    stage: str  # "none" | "curve-meets-Ctau-off-Ttau" | "image-contains-e<i>"
+    stage: str  # "none" | "curve-meets-Ctau-off-Ttau"
     witness: str
     image_pieces: tuple  # ((m, (Poly, ...)), ...) graded pieces actually computed
     millis: float
@@ -167,11 +165,12 @@ _Move = namedtuple("_Move", "A center moved factors")
 def _cache(geo):
     """Built on the first criterion-(tau) call of a geometry: the C_tau
     factors with their values at _PROBE, the admissible transforms found so
-    far, and the trial generator that finds the next ones."""
+    far, the trial generator that finds the next ones, and the powers
+    {(i, k): tau_i^k} formed so far by stage 3."""
     probed = [(g, g.evaluate(_PROBE)) for g in geo.ctau_factors()]
     if any(not gp or abs(g.content_primitive()[0]) != 1 for g, gp in probed):
         raise AssertionError("the probe needs primitive C_tau factors off _PROBE")
-    return probed, [], _admissible(geo)
+    return probed, [], _admissible(geo), {}
 
 
 def _admissible(geo):
@@ -247,7 +246,7 @@ def _adjugate3(m):
 def _transform(F: Poly) -> _Move:
     """The first admissible transform, in trial order, whose center is off
     V(F): the one a search over all trials for this curve would pick."""
-    _, kept, pending = _cache(fixed_geometry())
+    _, kept, pending, _ = _cache(fixed_geometry())
     for i in itertools.count():
         if i == len(kept):
             kept.append(next(pending))
@@ -342,11 +341,12 @@ def _stage2(curve: PlaneCurve):
 # ---------------------------------------------------------------------------
 
 
-def _graded_piece(curve: PlaneCurve, m: int, tau_pows, budget: GroebnerBudget):
+def _graded_piece(curve: PlaneCurve, m: int, budget: GroebnerBudget):
     """Primitive generators of J_m = {G homogeneous of degree m with
     F | G(tau)}, by exact kernel computation of the composition map."""
     if m in curve._pieces:
         return curve._pieces[m]
+    tau_pows = _cache(fixed_geometry())[3]
     monos = _degree_monomials(m)
     echelon = Echelon()
     out = []
@@ -363,64 +363,32 @@ def _graded_piece(curve: PlaneCurve, m: int, tau_pows, budget: GroebnerBudget):
     return curve._pieces[m]
 
 
-def _tau_power(tau_pows, i, k):
-    cache = tau_pows[i]
-    if k not in cache:
-        cache[k] = _tau_power(tau_pows, i, k - 1) * fixed_geometry().tau[i]
-    return cache[k]
+def _tau_power(pows, i, k):
+    """tau_i^k for k >= 1, kept in the powers {(i, k): tau_i^k}."""
+    if (i, k) not in pows:
+        taui = fixed_geometry().tau[i]
+        pows[i, k] = taui if k == 1 else _tau_power(pows, i, k - 1) * taui
+    return pows[i, k]
 
 
-# -- exact image for lines ---------------------------------------------------
-
-
-def _line_points(F: Poly):
-    a = F.coeff((1, 0, 0))
-    b = F.coeff((0, 1, 0))
-    c = F.coeff((0, 0, 1))
-    if a:
-        return (-b, a, 0), (-c, 0, a)
-    if b:
-        return (1, 0, 0), (0, -c, b)
-    return (1, 0, 0), (0, 1, 0)
-
-
-def _form_gcd_degree(forms):
-    """Degree of the gcd of integer binary forms in s, t; zero forms are
-    neutral; None if every form is zero.  The gcd is t^k, k the least
-    t-degree, times the gcd of the forms at t = 1, found by Euclid on
-    primitive pseudo-remainders."""
-    nz = [f for f in forms if f]
-    if not nz:
-        return None
-    t_mult = min(e[1] for f in nz for e in f.terms)
-    g = []
-    for f in nz:
-        d, top = f.degree(), max(es for es, _ in f.terms)
-        r = [f.coeff((es, d - es)) for es in range(top, -1, -1)]
-        while r:
-            g, r = r, form_content_free(pseudo_remainder(g, r))
-        if len(g) == 1:
-            break
-    return t_mult + len(g) - 1
-
-
-def _line_image_failure(curve: PlaneCurve):
-    """Exact e_i membership in the closed image for a line: parametrize,
-    compose with tau, and compare gcd degrees with/without each coordinate."""
-    P, Q = _line_points(curve.F)
-    s = Poly.variable(_PARAM_RING, "s")
-    t = Poly.variable(_PARAM_RING, "t")
-    images = [s * P[i] + t * Q[i] for i in range(3)]
-    forms = [taui.substitute(images) for taui in fixed_geometry().tau]
-    full = _form_gcd_degree(forms)
-    if full is None:  # pragma: no cover - tau has no 1-dim base components
-        raise AssertionError("line maps entirely into T_tau")
-    for i in range(5):
-        others = [f for j, f in enumerate(forms) if j != i]
-        deg = _form_gcd_degree(others)
-        if deg is None or deg > full:
-            return i
-    return None
+def _stage3(curve: PlaneCurve, budget: GroebnerBudget, max_image_degree: int):
+    """The pieces ((m, J_m), ...) up to the first m at which every e_i has a
+    witness G with G(e_i) != 0; BudgetExceededError if none is found by
+    max_image_degree."""
+    e_points = fixed_geometry().e_points
+    pieces, missing = [], set(range(5))
+    for m in range(1, max_image_degree + 1):
+        piece = _graded_piece(curve, m, budget)
+        pieces.append((m, piece))
+        missing = {i for i in missing
+                   if all(G.evaluate(e_points[i].coords) == 0 for G in piece)}
+        if not missing:
+            return tuple(pieces)
+    raise BudgetExceededError(
+        "no image-ideal witness separates "
+        + ", ".join(f"e{i}" for i in sorted(missing))
+        + f" within degree {max_image_degree}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,62 +401,37 @@ def check_tau(
     budget: GroebnerBudget = DEFAULT_GB_BUDGET,
     max_image_degree: int = 4,
 ) -> TauReport:
+    """Decide criterion (tau) for the curve; the report is cached on it.
+
+    Stages 1-2 fail X when it meets C_tau off T_tau.  Otherwise stage 3
+    looks for witnesses in J_1..J_max_image_degree and raises
+    BudgetExceededError if some e_i stays unseparated.
+
+    No line reaches stage 3.  Stage 1 fails the C_tau components V(x),
+    V(z) and V(y - z) (among ctau_factors).  Any other line L meets each of
+    them in one point, and stage 2 passes only if all three points lie in
+    T_tau.  T_tau meets V(x) in {(0:1:0), (0:0:1), (0:1:1)}, V(z) in
+    {(1:0:0), (0:1:0)} and V(y - z) in {(1:0:0), (0:1:1), (1:1:1)}; the
+    conjugate pair (1:1:phi), (1:1:1-phi) lies on none of the three lines,
+    and no point lies in all three sets.  So L holds two distinct rational
+    T_tau points.  The 15 pairs of rational T_tau points span exactly seven
+    lines -- x, y, z, x - z, y - z, x - y, x + y - z -- and each of them
+    fails at stage 1: it divides a C_tau factor or is one.
+    """
+    if max_image_degree < 1:
+        raise ValueError("max_image_degree must be at least 1")
     if curve._report is not None:
         return curve._report
     t0 = time.perf_counter()
-
-    def done(report):
-        curve._report = report
-        return report
-
-    def millis():
-        return (time.perf_counter() - t0) * 1000.0
-
-    witness = _stage1(curve)
+    witness = _stage1(curve) or _stage2(curve)
     if witness is None:
-        witness = _stage2(curve)
-    if witness is not None:
-        return done(
-            TauReport("fails", "curve-meets-Ctau-off-Ttau", witness, (), millis())
-        )
-
-    geo = fixed_geometry()
-    tau_pows = [{0: Poly.constant(P2, 1), 1: taui} for taui in geo.tau]
-    pieces = []
-    missing = set(range(5))
-    for m in range(1, max_image_degree + 1):
-        piece = _graded_piece(curve, m, tau_pows, budget)
-        pieces.append((m, piece))
-        for G in piece:
-            for i in list(missing):
-                if G.evaluate(geo.e_points[i].coords) != 0:
-                    missing.discard(i)
-        if not missing:
-            break
-    pieces = tuple(pieces)
-
-    if missing and curve.degree == 1:
-        bad = _line_image_failure(curve)
-        if bad is not None:
-            return done(
-                TauReport(
-                    "fails",
-                    f"image-contains-e{bad}",
-                    f"the image of the line contains e{bad} "
-                    "(exact parametrized computation)",
-                    pieces,
-                    millis(),
-                )
-            )
-        missing = set()
-
-    if missing:
-        raise BudgetExceededError(
-            "no image-ideal witness separates "
-            + ", ".join(f"e{i}" for i in sorted(missing))
-            + f" within degree {max_image_degree}"
-        )
-    return done(TauReport("satisfies", "none", "", pieces, millis()))
+        verdict, stage, witness = "satisfies", "none", ""
+        pieces = _stage3(curve, budget, max_image_degree)
+    else:
+        verdict, stage, pieces = "fails", "curve-meets-Ctau-off-Ttau", ()
+    millis = (time.perf_counter() - t0) * 1000.0
+    curve._report = TauReport(verdict, stage, witness, pieces, millis)
+    return curve._report
 
 
 def image_ideal(
@@ -504,10 +447,9 @@ def image_ideal(
     C_tau (closure semantics).  When check_tau already ran, its cached
     pieces are reused and extended as needed."""
     geo = fixed_geometry()
-    tau_pows = [{0: Poly.constant(P2, 1), 1: taui} for taui in geo.tau]
     gens = [geo.sigma2, geo.sigma4]
     for m in range(1, max_image_degree + 1):
-        gens.extend(_graded_piece(curve, m, tau_pows, budget))
+        gens.extend(_graded_piece(curve, m, budget))
     return Ideal(P4, gens)
 
 

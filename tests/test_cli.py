@@ -59,6 +59,17 @@ def test_tau_check_negative_verdict_exit_code(capsys):
     assert rep["result"]["stage"] == "curve-meets-Ctau-off-Ttau"
 
 
+def test_max_image_degree_below_one_is_an_input_error(capsys):
+    # a failing curve and a family curve that stage 3 would refuse
+    family = str(family_curve(1, (1, 2, 3, 4, 5)).F)
+    for F in ("x", family):
+        for k in ("0", "-1"):
+            code, rep = _invoke(capsys, "tau", "check", "-F", F, "--max-image-degree", k)
+            assert code == 2, (F, k)
+            assert rep["provenance"] == ["input-error"]
+            assert "max_image_degree" in rep["result"]["error"]
+
+
 def test_verify_sampled(capsys):
     code, rep = _invoke(
         capsys, "verify", "--mode", "sampled", "--samples", "5", "--seed", "7"

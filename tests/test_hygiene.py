@@ -1,6 +1,7 @@
 """Lint: every name a module imports is read somewhere in that module,
-every top-level function or class is used outside its own definition, and
-every name the benchmark's tracer looks up in icotk exists."""
+every top-level function or class is used outside its own definition (a
+private one by the program itself), and every name the benchmark's tracer
+looks up in icotk exists."""
 
 import ast
 import importlib
@@ -89,6 +90,28 @@ def test_the_check_sees_an_unused_def(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("from lib import used\nused()\nSPANS = ('lib.Named',)\n")
     assert _unused_defs([lib], [lib, user]) == ["lib.dead", "lib.recursive"]
+
+
+def _private(names):
+    return [name for name in names if name.split(".", 1)[1].startswith("_")]
+
+
+def test_every_private_def_is_used_by_the_program():
+    # code that only tests, scripts or the benchmark call moves into them
+    assert _private(_unused_defs(MODULES, MODULES)) == []
+
+
+def test_the_check_sees_a_private_def_only_tests_use(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def public():\n    return _kept()\n\n"
+                   "def _kept():\n    return 1\n\n"
+                   "def _tested():\n    return 2\n\n"
+                   "def unused_public():\n    return 3\n")
+    test = tmp_path / "test_lib.py"
+    test.write_text("from lib import _tested, public, unused_public\n"
+                    "assert public() + _tested() + unused_public()\n")
+    assert _unused_defs([lib], [lib, test]) == []
+    assert _private(_unused_defs([lib], [lib])) == ["lib._tested"]
 
 
 # -- the tracer contract ---------------------------------------------------------

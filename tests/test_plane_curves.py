@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from icotk.algebra import P2, P4, Poly, poly_parse
 from icotk.binaryforms import Phi, form_content_free, strip_root, sylvester_resultant
-from icotk.errors import NotDivisibleError
+from icotk.errors import BudgetExceededError, NotDivisibleError
 from icotk.groebner import normal_form
 from icotk.ico_models import general_model, is_degenerate
 from icotk import plane_curves
@@ -101,28 +101,81 @@ def test_generic_line_fails_by_intersection():
     assert "off T_tau" in rep.witness
 
 
-def test_line_image_membership_helper():
-    # Every line meets V(y - z) somewhere, and away from T_tau that
-    # component collapses to e_0, so the image closure of a generic line
-    # contains e_0.  (check_tau already rejects these lines at the C_tau
-    # stage; the helper is the exact degree-1 backstop for stage 3.)
-    from icotk.plane_curves import _line_image_failure
+# -- no line reaches stage 3 (the proof in the check_tau docstring) -------------
 
-    for text in ("2*x - y", "x + 2*y + 5*z", "x - 4*z"):
-        assert _line_image_failure(_curve(text)) == 0
+# the C_tau lines that every other line meets
+_MET_LINES = {text: poly_parse(text, P2) for text in ("x", "z", "y - z")}
+
+# the lines spanned by two rational T_tau points, with their stage-1 witness
+SEVEN_LINES = {
+    "x": "C_tau factor (x) divides F",
+    "y": "F divides the C_tau factor (-x^2*y - y^2*z + y*z^2)",
+    "z": "C_tau factor (z) divides F",
+    "x - z": "F divides the C_tau factor (-x^2*y + x*z^2 + y*z^2 - z^3)",
+    "y - z": "C_tau factor (y - z) divides F",
+    "x + y - z": "F divides the C_tau factor (x^2 - y^2 - x*z + y*z)",
+    "x - y": "F divides the C_tau factor (x^2 - y^2 - x*z + y*z)",
+}
 
 
-def test_form_gcd_degree_counts_the_power_of_t():
-    from icotk.plane_curves import _PARAM_RING, _form_gcd_degree
+def _line(a, b, c):
+    terms = zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (a, b, c))
+    return PlaneCurve(Poly(P2, {e: k for e, k in terms if k}))
 
-    s = Poly.variable(_PARAM_RING, "s")
-    t = Poly.variable(_PARAM_RING, "t")
-    zero = Poly.zero(_PARAM_RING)
-    # gcd t^3 (s - t): t^3 is invisible at t = 1
-    assert _form_gcd_degree([t**3 * (s - t) * (s + 2 * t), t**4 * (s - t) * s]) == 4
-    assert _form_gcd_degree([zero, s * t**2]) == 3  # zero forms are neutral
-    assert _form_gcd_degree([s**2 + t**2, s * t]) == 0
-    assert _form_gcd_degree([zero, zero]) is None
+
+def test_the_premises_of_the_line_proof():
+    geo = fixed_geometry()
+    assert all(L in geo.ctau_factors() for L in _MET_LINES.values())
+    rational = [p.coords for p in geo.ttau_rational]
+    met = {name: {p for p in rational if L.evaluate(p) == 0} for name, L in _MET_LINES.items()}
+    assert met == {
+        "x": {(0, 1, 0), (0, 0, 1), (0, 1, 1)},
+        "z": {(1, 0, 0), (0, 1, 0)},
+        "y - z": {(1, 0, 0), (0, 1, 1), (1, 1, 1)},
+    }
+    assert not set.intersection(*met.values())
+    quad = geo.ttau_quadratic
+    for p in (quad.coords, quad.conjugate()):
+        assert all(L.evaluate(p) != 0 for L in _MET_LINES.values())
+    spanned = set()
+    for p, q in itertools.combinations(rational, 2):
+        a, b, c = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+                   p[0] * q[1] - p[1] * q[0])
+        spanned.add(str(_line(a, b, c).F))
+    assert spanned == {str(_curve(text).F) for text in SEVEN_LINES}
+
+
+@pytest.mark.parametrize("text", sorted(SEVEN_LINES))
+def test_the_lines_through_two_ttau_points_fail_at_stage_1(text):
+    curve = _curve(text)
+    assert _stage1(curve) == SEVEN_LINES[text]
+    rep = check_tau(curve)
+    assert (rep.verdict, rep.stage, rep.witness) == (
+        "fails", "curve-meets-Ctau-off-Ttau", SEVEN_LINES[text])
+
+
+def test_every_small_line_fails_before_stage_3():
+    for a, b, c in itertools.product(range(-4, 5), repeat=3):
+        if (a, b, c) != (0, 0, 0):
+            assert check_tau(_line(a, b, c)).stage == "curve-meets-Ctau-off-Ttau", (a, b, c)
+
+
+def test_a_line_forced_into_stage_3_is_refused(monkeypatch):
+    # stage 3 has no line branch: without stages 1-2 a line gets no verdict
+    monkeypatch.setattr(plane_curves, "_stage1", lambda curve: None)
+    monkeypatch.setattr(plane_curves, "_stage2", lambda curve: None)
+    curve = _curve("x + 2*y + 5*z")
+    with pytest.raises(BudgetExceededError):
+        check_tau(curve, max_image_degree=1)
+    assert curve._report is None
+
+
+def test_max_image_degree_is_checked_before_the_cached_report():
+    curve = _curve("x")
+    assert check_tau(curve).verdict == "fails"
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="max_image_degree"):
+            check_tau(curve, max_image_degree=k)
 
 
 SEED_VECTORS = [
@@ -299,11 +352,8 @@ def _random_curve_through_012(rng, d):
 
 
 def _stage2_corpus():
-    curves = []
-    for a, b, c in itertools.product(range(-2, 3), repeat=3):
-        if (a, b, c) != (0, 0, 0):
-            terms = zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (a, b, c))
-            curves.append(PlaneCurve(Poly(P2, {e: k for e, k in terms if k})))
+    curves = [_line(a, b, c) for a, b, c in itertools.product(range(-2, 3), repeat=3)
+              if (a, b, c) != (0, 0, 0)]
     rng = random.Random(8)
     for d in (2, 3, 4):
         for _ in range(6):
