@@ -24,6 +24,16 @@ result degree D in n variables is at most four times the number of
 monomials of degree D: always in 2 or 3 variables, in 5 only for D = 1.  Every other input (Fraction coefficients, polynomials that are not
 forms, images of mixed degrees, sparse boxes) takes the generic path, with
 the same result.
+
+Division under grevlex packs monomials too (Monagan & Pearce, CASC 2007):
+each exponent vector of p and of the divisors becomes one int, with the
+total degree in the top field and below it M - e_i for each variable from
+the last to the first, each field B bits wide under a zero guard bit and
+M = 2**B - 1 >= deg p.  No term of a grevlex division of p has a degree
+above deg p, so no field overflows: the ints compare as grevlex_key does, a
+shift by a monomial is one addition, and a divisibility test is one
+subtraction masked by the guard bits.  Lex and block orders divide on
+exponent tuples.
 """
 
 from __future__ import annotations
@@ -319,7 +329,9 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # the exact-type test first: isinstance(., Fraction) on a Poly goes
+        # through ABCMeta.__instancecheck__, several times slower
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             other = Poly.constant(self.ring, other)
         return (
             isinstance(other, Poly)
@@ -376,7 +388,7 @@ class Poly:
         digits to unpack (_packing_pays) and their box is dense
         (_dense_box); every other product, Fraction coefficients included,
         runs the double loop over the terms."""
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             other = _norm_coeff(other)
             if other == 0:
                 return Poly.zero(self.ring)
@@ -428,7 +440,8 @@ class Poly:
         (a point over Z[phi]; its polynomial needs integer coefficients)."""
         if len(point) != self.ring.nvars:
             raise ValueError("arity mismatch")
-        point = [v if isinstance(v, (int, Fraction, Phi)) else _norm_coeff(Fraction(v))
+        # Fraction last, for the reason given in __eq__
+        point = [v if isinstance(v, (int, Phi, Fraction)) else _norm_coeff(Fraction(v))
                  for v in point]
         total = 0
         for e, c in self.terms.items():
@@ -700,7 +713,18 @@ def divide(p: Poly, divisors, key=grevlex_key, spend=None, full=True):
     remainder) or moves to the remainder (``full=True``: a normal form).
 
     Returns ``(quotients, remainder)`` with p = sum(q_i * d_i) + remainder.
+
+    When ``key`` is ``grevlex_key`` itself, the division runs on packed
+    monomials (_divide_packed): one int per exponent vector, the total
+    degree in the top field, then M - e_i for each variable from the last
+    to the first, each field under a zero guard bit, M = 2**B - 1 >= deg p.
+    No term of a grevlex division exceeds deg p, so the fields never
+    overflow.  Every other key, lex and block orders included, runs on
+    exponent tuples; both give the same quotients, remainder, term order
+    and ``spend()`` calls.
     """
+    if key is grevlex_key and p.terms:
+        return _divide_packed(p, divisors, spend, full)
     heads = []
     for d in divisors:
         lead = max(d.terms, key=key)
@@ -746,6 +770,89 @@ def divide(p: Poly, divisors, key=grevlex_key, spend=None, full=True):
                 else:
                     del rem[k]
     return [Poly(p.ring, q) for q in quots], Poly(p.ring, done if full else rem)
+
+
+def _divide_packed(p: Poly, divisors, spend, full):
+    """divide(p, divisors, grevlex_key, spend, full) on packed monomials
+    (Monagan & Pearce, CASC 2007).
+
+    With B = (deg p).bit_length() and M = 2**B - 1 >= deg p, the exponent
+    vector e of n variables packs into K(e): from the top, the total degree,
+    then the fields M - e_(n-1), ..., M - e_0, each of B bits under a zero
+    guard bit.  Ints then compare as grevlex_key does, and
+    K(e + f) = K(e) + K(f) - K(0), as long as deg(e + f) <= M.  That holds
+    here: a grevlex reduction of a term e adds terms of degree at most
+    deg e, so no term ever exceeds deg p, and a divisor whose leading term
+    has a higher degree can reduce nothing and is skipped (its quotient
+    stays zero).  lead divides e iff no field of K(lead) - K(e) below the
+    degree, e_i - lead_i, borrows, which sets its guard bit.
+
+    The terms are packed on entry and unpacked on exit in the same order,
+    so the result's dicts are ordered as on exponent tuples."""
+    n, deg = p.ring.nvars, p.degree()
+    bits = deg.bit_length()
+    M, width = (1 << bits) - 1, bits + 1
+    guards = sum(1 << (width * i + bits) for i in range(n))
+    zero = sum(M << (width * i) for i in range(n))  # K(0)
+    places = [(1 << (width * n)) - (1 << (width * i)) for i in range(n)]
+
+    def pack(e):
+        return zero + sum(map(int.__mul__, e, places))
+
+    def unpack(terms):
+        # field by field over all keys: a third of the time of key by key
+        fields = [[M - (k >> s & M) for k in terms] for s in range(0, width * n, width)]
+        exponents = zip(*fields) if n else [()] * len(terms)
+        return dict(zip(exponents, terms.values()))
+
+    heads = []
+    for i, d in enumerate(divisors):
+        if d.degree() > deg:
+            continue
+        packed = {pack(e): c for e, c in d.terms.items()}
+        lead = max(packed)
+        lc = packed.pop(lead)
+        heads.append((i, lead, lc, [(k - lead, c) for k, c in packed.items()]))
+    rem = {pack(e): c for e, c in p.terms.items()}
+    heap = [-k for k in rem]
+    heapify(heap)
+    quots = [{} for _ in divisors]
+    done: dict = {}
+    while heap:
+        e = -heappop(heap)
+        c = rem.get(e)
+        if c is None:  # cancelled after it was pushed
+            continue
+        for i, lead, lc, tail in heads:
+            if not (lead - e) & guards:
+                break
+        else:
+            if not full:
+                break
+            done[e] = rem.pop(e)
+            continue
+        if spend is not None:
+            spend()
+        del rem[e]
+        if type(c) is int and type(lc) is int and c % lc == 0:
+            factor = c // lc
+        else:
+            factor = _norm_coeff(Fraction(c) / lc)
+        quots[i][e - lead + zero] = factor
+        for step, tc in tail:
+            k = e + step
+            old = rem.get(k)
+            if old is None:
+                rem[k] = _norm_coeff(-factor * tc)
+                heappush(heap, -k)
+            else:
+                s = old - factor * tc
+                if s:
+                    rem[k] = _norm_coeff(s)
+                else:
+                    del rem[k]
+    return ([Poly(p.ring, unpack(q)) for q in quots],
+            Poly(p.ring, unpack(done if full else rem)))
 
 
 class Echelon:

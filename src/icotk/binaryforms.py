@@ -4,8 +4,9 @@ Internal engine for the criterion-(tau) resultant pipeline, all on
 coefficient lists: resultants by the subresultant polynomial remainder
 sequence (no Sylvester matrix is built), root stripping of binary forms by
 fraction-free synthetic division by a linear form (exact in the ring, the
-quotient scaled by a power of the form's s-coefficient), and integer
-interpolation at the nodes 0..n for resultants computed by specialization.
+quotient scaled by a power of the form's s-coefficient) or by exact division
+in Z by a primitive integer form, and integer interpolation at the nodes
+0..n for resultants computed by specialization.
 
 Z[phi] is the ring of integers of Q(sqrt 5).  Its elements are Phi numbers
 a + b*phi with phi^2 = phi + 1; they mix with int on either side of the
@@ -244,6 +245,31 @@ def strip_root(f, a, b):
         cur = nxt
         mult += 1
     return cur, mult
+
+
+def strip_factor(f, g):
+    """Remove the primitive integer form g of degree >= 1, with g[0] != 0,
+    from the integer form f as often as it divides; returns the reduced
+    form.
+
+    By Gauss's lemma a quotient of f by the primitive g over Q is integral.
+    So long division from the top stays in Z: each quotient coefficient is
+    an exact divmod by g[0], and the first one that leaves a remainder, or
+    a nonzero remainder form, shows that g does not divide."""
+    m, cur = len(g) - 1, list(f)
+    while len(cur) > m:
+        r, quot = list(cur), []
+        for j in range(len(cur) - m):
+            q, left = divmod(r[j], g[0])
+            if left:
+                return cur
+            quot.append(q)
+            for k in range(1, m + 1):
+                r[j + k] -= q * g[k]
+        if any(r[-m:]):
+            return cur
+        cur = quot
+    return cur
 
 
 def form_content_free(f):

@@ -39,16 +39,22 @@ class MonomialOrder:
     kind: str = "grevlex"
     block: tuple = ()  # sorted variable indices; only for kind="block"
 
-    def key(self, expo):
+    @property
+    def key(self):
+        """The sort key on exponent tuples: grevlex_key itself for grevlex,
+        so that divide runs on packed monomials."""
         if self.kind == "grevlex":
-            return grevlex_key(expo)
+            return grevlex_key
         if self.kind == "lex":
-            return expo
+            return tuple
         if self.kind == "block":
-            inside = tuple(expo[i] for i in self.block)
-            rest = tuple(e for i, e in enumerate(expo) if i not in self.block)
-            return (grevlex_key(inside), grevlex_key(rest))
+            return self._block_key
         raise ValueError(f"unknown order kind {self.kind!r}")
+
+    def _block_key(self, expo):
+        inside = tuple(expo[i] for i in self.block)
+        rest = tuple(e for i, e in enumerate(expo) if i not in self.block)
+        return (grevlex_key(inside), grevlex_key(rest))
 
     def tag(self) -> str:
         if self.kind == "block":

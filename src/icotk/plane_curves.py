@@ -20,7 +20,8 @@ separating the eight base-point images in the (y:z) projection --
 Res_x(F~, g~) is a binary form whose roots are exactly the projections of
 V(F~) meet V(g~).  Stripping the eight base-point projections and then
 re-examining each fiber line decides containment in T_tau over the
-algebraic closure; the two conjugate base points are handled in Z[phi].
+algebraic closure; the conjugate pair of base points is stripped at once,
+by the integer quadratic of their projections (_pair_quadratic).
 Only "center off X" depends on the curve, so each geometry keeps the
 transforms that meet the rest, in trial order, and a curve takes the first
 whose center is off X.  The fiber check runs at one of the conjugate pair:
@@ -53,7 +54,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import P2, P4, Echelon, Poly
-from .binaryforms import form_content_free, interpolate, strip_root, sylvester_resultant
+from .binaryforms import (
+    form_content_free,
+    interpolate,
+    strip_factor,
+    strip_root,
+    sylvester_resultant,
+)
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
 from .errors import BudgetExceededError, IcotkError, NotDivisibleError
 from .groebner import GREVLEX, Ideal, normal_form
@@ -156,9 +163,11 @@ def tau_witness(model: IcoModel) -> bool:
 
 _PROBE = (1009, -733, 2039)  # no C_tau factor vanishes here
 # An admissible transform v = A*w: its center A*(1, 0, 0), the moved T_tau
-# points (conjugate pair last), and per C_tau factor (g, x-coefficients of g~,
-# their values at the nodes (m, 1) so far, g~ on the fiber lines of moved[:7]).
-_Move = namedtuple("_Move", "A center moved factors")
+# points (conjugate pair last), the integer quadratic of the pair's
+# projections (_pair_quadratic), and per C_tau factor (g, x-coefficients of
+# g~, their values at the nodes (m, 1) so far, g~ on the fiber lines of
+# moved[:7]).
+_Move = namedtuple("_Move", "A center moved pair factors")
 
 
 @lru_cache(maxsize=1)
@@ -200,7 +209,7 @@ def _admissible(geo):
             for g in geo.ctau_factors():
                 gc = _x_coefficients(_transformed(g, A), g.degree())
                 factors.append((g, gc, [], [_fiber(gc, q) for q in moved[:-1]]))
-            yield _Move(A, center, moved, factors)
+            yield _Move(A, center, moved, _pair_quadratic(moved[-2]), factors)
     raise IcotkError("no suitable unimodular transform found")  # pragma: no cover
 
 
@@ -284,6 +293,25 @@ def _fiber(xc, q):
     return strip_root([_at(c, q[1], q[2]) for c in xc], q[0], 1)[0]
 
 
+def _pair_quadratic(q):
+    """The primitive integer form proportional to
+    (q2*y - q1*z)*(q2'*y - q1'*z), for the moved point q of the conjugate
+    pair and ' the Galois conjugate phi -> 1 - phi: the coefficients are
+    N(q2), -Tr(q2*q1') and N(q1).
+
+    Stripping it from an integer form (strip_factor) leaves the degree that
+    stripping the roots (q1:q2) and (q1':q2') one after the other in Z[phi]
+    leaves, and stage 2 reads only the degree.  If (q2*y - q1*z)^k exactly
+    divides the integer form, conjugation shows that (q2'*y - q1'*z)^k
+    exactly divides it too: both roots have multiplicity k.  The two linear
+    forms are coprime (the projections are distinct), so their product to
+    the k-th power divides the form and the (k+1)-th does not; that product
+    is a rational form, so this holds over Q as well.  Both routes lower the
+    degree by 2k."""
+    u = q[2] * q[1].conj()
+    return form_content_free([q[2].norm(), -(2 * u.a + u.b), q[1].norm()])
+
+
 def _resultant_in_x(fc, fvals, gc, gvals, de):
     """Res_x(F~, g~) as an integer binary form in (y, z) of degree de, from
     the x-coefficients fc, gc at the nodes (m, 1), m = 0..de; fvals, gvals
@@ -312,11 +340,11 @@ def _stage2(curve: PlaneCurve):
         R = _resultant_in_x(fc, fvals, gc, gvals, de)
         if R is None:
             return f"V(F) and V({g}) share a component"
-        # the six rational projections come first and keep rem in Z; only
-        # the conjugate pair moves it to Z[phi]
+        # the six rational projections, then the conjugate pair at once
         rem = form_content_free(R)
-        for q in move.moved:
+        for q in move.moved[:-2]:
             rem, _ = strip_root(rem, q[1], q[2])
+        rem = strip_factor(rem, move.pair)
         if len(rem) > 1:
             return (
                 f"V(F) meets V({g}) at a point off T_tau "

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from icotk import algebra
 from icotk.algebra import (
@@ -413,3 +413,93 @@ def test_mul_packs_only_where_packing_pays(monkeypatch):
     s1 = v[0] + v[1] + v[2] + v[3] + v[4]
     s3 = s1 * s1 * s1
     assert algebra._packing_pays(s3.terms, s3.terms, 5) is False
+
+
+# -- divide on packed grevlex monomials, against the tuple path ----------------
+
+# total degrees of p at the edges of the field width (deg p).bit_length()
+_WIDTH_EDGES = (0, 1, 3, 4, 7, 8, 15, 16)
+_small_coeffs = st.one_of(
+    st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+)
+
+
+def _tuple_key(e):
+    """grevlex_key under another name, which keeps divide on exponent
+    tuples: the oracle for the packed path."""
+    return algebra.grevlex_key(e)
+
+
+@st.composite
+def _monomials(draw, ring, degree, exact=False):
+    """An exponent vector of total degree `degree`, or at most that."""
+    size = degree if exact else draw(st.integers(0, degree))
+    picks = draw(st.lists(st.integers(0, ring.nvars - 1), min_size=size, max_size=size))
+    return tuple(picks.count(i) for i in range(ring.nvars))
+
+
+@st.composite
+def _of_degree(draw, ring, degree, max_terms):
+    """A polynomial of total degree exactly `degree`, not homogeneous in
+    general, with int and Fraction coefficients."""
+    top = draw(_monomials(ring, degree, exact=True))
+    lead = draw(_small_coeffs.filter(bool))
+    rest = draw(st.lists(st.tuples(_monomials(ring, degree), _small_coeffs), max_size=max_terms))
+    return Poly.from_terms(ring, [(e, c) for e, c in rest if e != top] + [(top, lead)])
+
+
+def _divide_both_ways(p, divisors, full):
+    """(quotients, remainder, spend() calls) of the packed path and of the
+    tuple path, the terms as lists so that their order counts."""
+    runs = []
+    for key in (algebra.grevlex_key, _tuple_key):
+        spent = []
+        quots, rem = algebra.divide(p, divisors, key, lambda: spent.append(1), full)
+        runs.append(([list(q.terms.items()) for q in quots], list(rem.terms.items()),
+                     len(spent)))
+    return runs
+
+
+@given(st.sampled_from([P2, P4]), st.sampled_from(_WIDTH_EDGES), st.booleans(), st.data())
+def test_packed_division_equals_the_tuple_path(ring, degree, full, data):
+    p = data.draw(_of_degree(ring, degree, 8))
+    divisors = data.draw(st.lists(
+        st.integers(0, 2).flatmap(lambda d: _of_degree(ring, d, 2)), min_size=1, max_size=3))
+    # a divisor of higher degree than p reduces nothing and keeps its slot
+    higher = data.draw(st.integers(1, 3).flatmap(lambda k: _of_degree(ring, degree + k, 2)))
+    divisors.insert(data.draw(st.integers(0, len(divisors))), higher)
+    packed, tuples = _divide_both_ways(p, divisors, full)
+    assert packed == tuples
+    quots, rem = algebra.divide(p, divisors, full=full)
+    assert sum((q * d for q, d in zip(quots, divisors)), rem) == p
+    assert not quots[divisors.index(higher)]
+
+
+def test_packed_division_at_the_width_edges():
+    # x^(2^B - 1) fills a field: dividing by x^k for every k up to and past
+    # it, and by y, whose field is next to x's
+    for B in range(1, 6):
+        M = 2**B - 1
+        x, y, z = (Poly.variable(P2, n) for n in "xyz")
+        p = x**M + y * z ** (M - 1) - 3
+        for k in range(M + 2):
+            for divisor in (x**k, y, x**k * y):
+                for full in (True, False):
+                    packed, tuples = _divide_both_ways(p, [divisor], full)
+                    assert packed == tuples
+        assert (x**M).exact_div(x ** (M - 1)) == x
+    # a constant p: no field bits at all
+    assert _divide_both_ways(Poly.constant(P4, 6), [Poly.constant(P4, 4)], True) == \
+        [([[((0,) * 5, Fraction(3, 2))]], [], 1)] * 2
+
+
+@given(st.sampled_from([P2, P4]), st.data())
+@settings(max_examples=60)
+def test_exact_division_with_large_exponents(ring, data):
+    a = data.draw(_poly_strategy(ring, max_exp=20, max_terms=4))
+    b = data.draw(_poly_strategy(ring, max_exp=20, max_terms=4))
+    assume(a and b)
+    ab = a * b  # exponents up to 40
+    assert ab.exact_div(b) == a
+    (quot,), rem = algebra.divide(ab, [b], _tuple_key, full=False)
+    assert quot == a and not rem

@@ -14,9 +14,11 @@ from icotk.binaryforms import (
     divide_linear,
     interpolate,
     pseudo_remainder,
+    strip_factor,
     strip_root,
     sylvester_resultant,
 )
+from icotk.plane_curves import _pair_quadratic
 
 small_ints = st.integers(-20, 20)
 zphi_elems = st.builds(Phi, small_ints, small_ints)
@@ -354,6 +356,44 @@ def test_strip_root_multiplicity():
     reduced2, mult2 = strip_root(g, 1, 0)
     assert mult2 == 2
     assert reduced2 == [1, 2]
+
+
+@given(zphi_elems, zphi_elems, st.integers(0, 3),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.data())
+@settings(max_examples=150)
+def test_the_pair_quadratic_strips_what_two_root_strippings_strip(q1, q2, k, h, data):
+    """For a point (q0, q1, q2) over Z[phi] off its conjugate in the (y:z)
+    projection, stripping _pair_quadratic from an integer form leaves the
+    degree of stripping (q1:q2) and then (q1':q2') in Z[phi]."""
+    conj = (q1.conj(), q2.conj())
+    if q1 * conj[1] == conj[0] * q2:
+        return  # (q1:q2) is rational, or q1 = q2 = 0
+    if not any(h):
+        h = [1]
+    # h times both linear forms to the k-th power, with a zero coefficient
+    # or a common factor of the two thrown in at times
+    f = h
+    for a, b in [(q1, q2), conj] * k:
+        f = form_mul(f, [b, -a])
+    assert all(isinstance(c, int) or not c.b for c in f)  # the phi parts cancel
+    f = [c if isinstance(c, int) else c.a for c in f]
+    f = data.draw(st.sampled_from([f, f + [0], [3 * c for c in f]]))
+    pair = _pair_quadratic((1, q1, q2))
+    assert gcd(*pair) == 1 and pair[0] != 0
+    by_roots, _ = strip_root(f, q1, q2)
+    by_roots, _ = strip_root(by_roots, *conj)
+    by_pair = strip_factor(f, pair)
+    assert len(by_pair) == len(by_roots)
+    assert len(by_pair) <= len(f) - 2 * k
+    assert all(isinstance(c, int) for c in by_pair)
+
+
+def test_strip_factor_stops_at_a_remainder():
+    q = [1, 0, -2]  # s^2 - 2 t^2, irreducible over Q
+    assert strip_factor(form_mul(form_mul(q, q), [1, 3]), q) == [1, 3]
+    assert strip_factor([1, 0, -2, 1], q) == [1, 0, -2, 1]  # inexact remainder form
+    assert strip_factor([3, 0, -5], [2, 0, -3]) == [3, 0, -5]  # inexact divmod by g[0]
+    assert strip_factor([5, 1], q) == [5, 1]  # degree below g
 
 
 def test_divide_linear_rejects_non_roots():
