@@ -25,15 +25,13 @@ monomials of degree D: always in 2 or 3 variables, in 5 only for D = 1.  Every o
 forms, images of mixed degrees, sparse boxes) takes the generic path, with
 the same result.
 
-Division under grevlex packs monomials too (Monagan & Pearce, CASC 2007):
-each exponent vector of p and of the divisors becomes one int, with the
-total degree in the top field and below it M - e_i for each variable from
-the last to the first, each field B bits wide under a zero guard bit and
-M = 2**B - 1 >= deg p.  No term of a grevlex division of p has a degree
-above deg p, so no field overflows: the ints compare as grevlex_key does, a
-shift by a monomial is one addition, and a divisibility test is one
-subtraction masked by the guard bits.  Lex and block orders divide on
-exponent tuples.
+Division packs monomials too (Monagan & Pearce, CASC 2007) under every
+order icotk uses, each a sequence of grevlex blocks of variables: per block
+from the top, a degree field and then M - e_i for its variables from the
+last to the first, each under a zero guard bit, with M >= every block
+degree the division can reach (the bound is proved in ``divide``).  The
+ints compare as the order does, a shift is one addition, and divisibility
+is one subtraction, biased by M at the degree fields, masked by the guards.
 """
 
 from __future__ import annotations
@@ -487,7 +485,8 @@ class Poly:
         q = self._coerce(q)
         if q.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        (quot,), rem = divide(self, [q], full=False)
+        grevlex = (tuple(range(self.ring.nvars)),)  # one block of every variable
+        (quot,), rem = divide(self, [q], grevlex, full=False)
         if rem.terms:
             raise NotDivisibleError("not divisible")
         return quot
@@ -696,123 +695,96 @@ def _kronecker(ring: Ring, D: int, bound: int, forms, combine):
 # ---------------------------------------------------------------------------
 
 
-def _negated(key):
-    """Order-reversing image of a sort key made of ints and tuples of equal
-    shape, so that a min-heap on it pops the largest key first."""
-    return -key if type(key) is int else tuple(map(_negated, key))
+def divide(p: Poly, divisors, blocks, spend=None, full=True):
+    """Sparse division of p by a list of nonzero polynomials under the
+    monomial order given by blocks: tuples of variable indices, every
+    variable in exactly one, compared in turn, by grevlex inside each.
+    One block of all variables is grevlex, one block per variable is lex.
 
-
-def divide(p: Poly, divisors, key=grevlex_key, spend=None, full=True):
-    """Sparse division of p by a list of nonzero polynomials.
-
-    Remainder terms are taken in decreasing ``key`` order from a heap
-    (Monagan & Pearce, JSC 2011), and each one is reduced by the *first*
-    divisor whose leading term divides it; every reduction calls ``spend()``
-    once.  The first term that no divisor reduces either ends the division
+    Remainder terms are taken in decreasing order from a heap (Monagan &
+    Pearce, JSC 2011), and each one is reduced by the *first* divisor whose
+    leading term divides it; every reduction calls ``spend()`` once.  The
+    first term that no divisor reduces either ends the division
     (``full=False``: top-reduction, returning everything left as the
     remainder) or moves to the remainder (``full=True``: a normal form).
 
     Returns ``(quotients, remainder)`` with p = sum(q_i * d_i) + remainder.
 
-    When ``key`` is ``grevlex_key`` itself, the division runs on packed
-    monomials (_divide_packed): one int per exponent vector, the total
-    degree in the top field, then M - e_i for each variable from the last
-    to the first, each field under a zero guard bit, M = 2**B - 1 >= deg p.
-    No term of a grevlex division exceeds deg p, so the fields never
-    overflow.  Every other key, lex and block orders included, runs on
-    exponent tuples; both give the same quotients, remainder, term order
-    and ``spend()`` calls.
-    """
-    if key is grevlex_key and p.terms:
-        return _divide_packed(p, divisors, spend, full)
-    heads = []
-    for d in divisors:
-        lead = max(d.terms, key=key)
-        tail = [(e, c) for e, c in d.terms.items() if e != lead]
-        heads.append((lead, d.terms[lead], tail))
-    rem = dict(p.terms)
-    heap = [(_negated(key(e)), e) for e in rem]
-    heapify(heap)
-    quots = [{} for _ in heads]
-    done: dict = {}
-    while heap:
-        e = heappop(heap)[1]
-        c = rem.get(e)
-        if c is None:  # cancelled after it was pushed
-            continue
-        for i, (lead, lc, tail) in enumerate(heads):
-            if all(map(int.__le__, lead, e)):
-                break
-        else:
-            if not full:
-                break
-            done[e] = rem.pop(e)
-            continue
-        if spend is not None:
-            spend()
-        del rem[e]
-        shift = tuple(map(int.__sub__, e, lead))
-        if type(c) is int and type(lc) is int and c % lc == 0:
-            factor = c // lc
-        else:
-            factor = _norm_coeff(Fraction(c) / lc)
-        quots[i][shift] = factor
-        for te, tc in tail:
-            k = tuple(map(int.__add__, te, shift))
-            old = rem.get(k)
-            if old is None:
-                rem[k] = _norm_coeff(-factor * tc)
-                heappush(heap, (_negated(key(k)), k))
-            else:
-                s = old - factor * tc
-                if s:
-                    rem[k] = _norm_coeff(s)
-                else:
-                    del rem[k]
-    return [Poly(p.ring, q) for q in quots], Poly(p.ring, done if full else rem)
+    Monomials are packed (Monagan & Pearce, CASC 2007): the exponent vector
+    e becomes the int K(e) whose fields are, from the top, for each block
+    its degree, then M - e_i for its variables from the last to the first,
+    each field B bits wide under a zero guard bit, M = 2**B - 1.  K is
+    affine in e, so a shift by a monomial is one addition; while every
+    block degree is at most M, the ints compare as the order does; and with
+    M added at each degree field (the bias), lead divides e iff no guard
+    bit of K(lead) + bias - K(e) is set, since then no field borrows.
+    Without the bias a lower block's degree field, deg(lead) - deg(e) <= 0,
+    would borrow from the block above it.
 
-
-def _divide_packed(p: Poly, divisors, spend, full):
-    """divide(p, divisors, grevlex_key, spend, full) on packed monomials
-    (Monagan & Pearce, CASC 2007).
-
-    With B = (deg p).bit_length() and M = 2**B - 1 >= deg p, the exponent
-    vector e of n variables packs into K(e): from the top, the total degree,
-    then the fields M - e_(n-1), ..., M - e_0, each of B bits under a zero
-    guard bit.  Ints then compare as grevlex_key does, and
-    K(e + f) = K(e) + K(f) - K(0), as long as deg(e + f) <= M.  That holds
-    here: a grevlex reduction of a term e adds terms of degree at most
-    deg e, so no term ever exceeds deg p, and a divisor whose leading term
-    has a higher degree can reduce nothing and is skipped (its quotient
-    stays zero).  lead divides e iff no field of K(lead) - K(e) below the
-    degree, e_i - lead_i, borrows, which sets its guard bit.
+    Field bound.  Let D be the largest divisor degree and moves_0 = 0; for
+    the blocks B_1, B_2, ... in turn, d_j = deg p + D * moves_(j-1) and
+    moves_j = moves_(j-1) + (moves_(j-1) + 1) * (C(d_j + |B_j|, |B_j|) - 1).
+    Then M >= d_1 + d_2 + ... .  Proof: every term of the division comes
+    from a term of p by a chain of reductions, each replacing t by
+    t - lead + s for a tail term s < lead of a divisor.  Let the step be
+    decided in block j, the first block where s and lead differ.  It
+    leaves the earlier blocks of t alone, moves block j down in grevlex
+    (so its degree does not rise), and raises the degree of each later
+    block by at most deg s <= D.  So along a chain the degree of block j
+    rises only at steps decided in earlier blocks, at most moves_(j-1) of
+    them, and stays at most d_j; block j then takes at most
+    C(d_j + |B_j|, |B_j|) values, so between two steps decided in earlier
+    blocks at most that many less one steps are decided in block j, and
+    moves_j bounds the steps decided in blocks 1..j.  Each term thus has
+    block degrees at most d_j and total degree at most M.  A divisor of
+    degree above M can reduce nothing (its tail would give a term of
+    degree above M) and is skipped; its quotient stays zero.  With one
+    block the bound is deg p.
 
     The terms are packed on entry and unpacked on exit in the same order,
     so the result's dicts are ordered as on exponent tuples."""
+    if not p.terms:
+        return [Poly.zero(p.ring) for _ in divisors], p
     n, deg = p.ring.nvars, p.degree()
-    bits = deg.bit_length()
+    degrees = [d.degree() for d in divisors]
+    top = max(degrees, default=0)
+    bound = moves = 0
+    for block in blocks:
+        d = deg + top * moves
+        bound += d
+        moves += (moves + 1) * (comb(d + len(block), len(block)) - 1)
+    bits = bound.bit_length()
     M, width = (1 << bits) - 1, bits + 1
-    guards = sum(1 << (width * i + bits) for i in range(n))
-    zero = sum(M << (width * i) for i in range(n))  # K(0)
-    places = [(1 << (width * n)) - (1 << (width * i)) for i in range(n)]
+    places, shifts = [0] * n, [0] * n
+    zero = bias = guards = at = 0  # zero = K(0)
+    for block in reversed(blocks):  # from the bottom field up
+        for i in block:
+            places[i], shifts[i] = -(1 << at), at
+            zero += M << at
+            guards += 1 << (at + bits)
+            at += width
+        for i in block:
+            places[i] += 1 << at
+        bias += M << at
+        at += width
 
     def pack(e):
         return zero + sum(map(int.__mul__, e, places))
 
     def unpack(terms):
         # field by field over all keys: a third of the time of key by key
-        fields = [[M - (k >> s & M) for k in terms] for s in range(0, width * n, width)]
+        fields = [[M - (k >> s & M) for k in terms] for s in shifts]
         exponents = zip(*fields) if n else [()] * len(terms)
         return dict(zip(exponents, terms.values()))
 
     heads = []
     for i, d in enumerate(divisors):
-        if d.degree() > deg:
+        if degrees[i] > M:
             continue
         packed = {pack(e): c for e, c in d.terms.items()}
         lead = max(packed)
         lc = packed.pop(lead)
-        heads.append((i, lead, lc, [(k - lead, c) for k, c in packed.items()]))
+        heads.append((i, lead + bias, lead, lc, [(k - lead, c) for k, c in packed.items()]))
     rem = {pack(e): c for e, c in p.terms.items()}
     heap = [-k for k in rem]
     heapify(heap)
@@ -823,8 +795,8 @@ def _divide_packed(p: Poly, divisors, spend, full):
         c = rem.get(e)
         if c is None:  # cancelled after it was pushed
             continue
-        for i, lead, lc, tail in heads:
-            if not (lead - e) & guards:
+        for i, test, lead, lc, tail in heads:
+            if not (test - e) & guards:
                 break
         else:
             if not full:

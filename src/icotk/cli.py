@@ -564,6 +564,8 @@ def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         envelope["command"]["verb"] = args.verb
+        if min(args.gb_steps, args.factor_budget) < 0:
+            raise ValueError("--gb-steps and --factor-budget must be >= 0")
         envelope["flags"] = {
             "gb_steps": args.gb_steps,
             "factor_budget": args.factor_budget,

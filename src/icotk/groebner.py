@@ -41,8 +41,7 @@ class MonomialOrder:
 
     @property
     def key(self):
-        """The sort key on exponent tuples: grevlex_key itself for grevlex,
-        so that divide runs on packed monomials."""
+        """The sort key on exponent tuples; divide takes ``blocks`` instead."""
         if self.kind == "grevlex":
             return grevlex_key
         if self.kind == "lex":
@@ -55,6 +54,16 @@ class MonomialOrder:
         inside = tuple(expo[i] for i in self.block)
         rest = tuple(e for i, e in enumerate(expo) if i not in self.block)
         return (grevlex_key(inside), grevlex_key(rest))
+
+    def blocks(self, n: int) -> tuple:
+        """The blocks of variable indices the order compares in turn by grevlex."""
+        if self.kind == "grevlex":
+            return (tuple(range(n)),)
+        if self.kind == "lex":
+            return tuple((i,) for i in range(n))
+        if self.kind == "block":
+            return (self.block, tuple(i for i in range(n) if i not in self.block))
+        raise ValueError(f"unknown order kind {self.kind!r}")
 
     def tag(self) -> str:
         if self.kind == "block":
@@ -112,7 +121,8 @@ def normal_form(
         basis = basis.groebner(order, budget)
     if p.is_zero() or not basis:
         return p
-    return divide(p, basis, order.key, _Budget(budget.max_reductions).spend)[1]
+    blocks = order.blocks(p.ring.nvars)
+    return divide(p, basis, blocks, _Budget(budget.max_reductions).spend)[1]
 
 
 def _strip(p: Poly) -> Poly:
@@ -120,13 +130,17 @@ def _strip(p: Poly) -> Poly:
     return p.primitive_part() if p.terms else p
 
 
-def _spoly(f: Poly, g: Poly, order) -> Poly:
-    fe, fc = _leading(f, order)
-    ge, gc = _leading(g, order)
+def _spoly(f: Poly, fe, g: Poly, ge) -> Poly:
+    """The S-polynomial of f and g, whose leading monomials are fe and ge."""
     lcm = tuple(max(a, b) for a, b in zip(fe, ge))
-    mf = Poly.monomial(f.ring, tuple(map(int.__sub__, lcm, fe)), gc)
-    mg = Poly.monomial(g.ring, tuple(map(int.__sub__, lcm, ge)), fc)
+    mf = Poly.monomial(f.ring, tuple(map(int.__sub__, lcm, fe)), g.terms[ge])
+    mg = Poly.monomial(g.ring, tuple(map(int.__sub__, lcm, ge)), f.terms[fe])
     return mf * f - mg * g
+
+
+def _sorted_by_leading(pairs, order) -> list:
+    """(leading monomial, polynomial) pairs by the monomial, then the printout."""
+    return sorted(pairs, key=lambda t: (order.key(t[0]), str(t[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +151,12 @@ def _spoly(f: Poly, g: Poly, order) -> Poly:
 def _buchberger(gens, order, budget) -> list:
     tracker = _Budget(budget.max_reductions)
     basis = [_strip(g) for g in gens if not g.is_zero()]
-    basis.sort(key=lambda g: (order.key(_leading(g, order)[0]), str(g)))
     if not basis:
         return []
+    blocks = order.blocks(basis[0].ring.nvars)
+    pairs = _sorted_by_leading([(_leading(g, order)[0], g) for g in basis], order)
+    lts, basis = [e for e, _ in pairs], [g for _, g in pairs]
     sugar = [g.degree() for g in basis]
-    lts = [_leading(g, order)[0] for g in basis]
 
     def lcm(i, j):
         return tuple(max(a, b) for a, b in zip(lts[i], lts[j]))
@@ -175,9 +190,9 @@ def _buchberger(gens, order, budget) -> list:
         pending.discard((i, j))
         if coprime(i, j) or chain_skippable(i, j):
             continue
-        s = _spoly(basis[i], basis[j], order)
+        s = _spoly(basis[i], lts[i], basis[j], lts[j])
         # top-reduction suffices inside the loop; tails are cleaned up at the end
-        rem = divide(s, basis, order.key, tracker.spend, full=False)[1]
+        rem = divide(s, basis, blocks, tracker.spend, full=False)[1]
         if rem.terms:
             rem = _strip(rem)
             basis.append(rem)
@@ -185,30 +200,30 @@ def _buchberger(gens, order, budget) -> list:
             lts.append(_leading(rem, order)[0])
             n = len(basis) - 1
             pending.update((k, n) for k in range(n))
-    return _interreduce(basis, order, tracker)
+    return _interreduce(list(zip(lts, basis)), order, blocks, tracker)
 
 
-def _interreduce(basis, order, tracker) -> list:
+def _interreduce(pairs, order, blocks, tracker) -> list:
     # minimalize: drop elements whose LT is divisible by another's LT
-    basis = sorted(basis, key=lambda g: (order.key(_leading(g, order)[0]), str(g)))
-    lts = [_leading(g, order)[0] for g in basis]
+    pairs = _sorted_by_leading(pairs, order)
+    lts = [e for e, _ in pairs]
     keep = []
-    for i, g in enumerate(basis):
+    for i, pair in enumerate(pairs):
         dominated = any(
             j != i and _divides(lts[j], lts[i]) and (lts[j] != lts[i] or j < i)
-            for j in range(len(basis))
+            for j in range(len(pairs))
         )
         if not dominated:
-            keep.append(g)
-    # tail-reduce each element against the others
+            keep.append(pair)
+    # tail-reduce each element against the others; no other leading
+    # monomial divides its own, which therefore stays
     reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        done = divide(g, others, order.key, tracker.spend)[1]
+    for i, (lt, g) in enumerate(keep):
+        others = [h for _, h in keep[:i] + keep[i + 1 :]]
+        done = divide(g, others, blocks, tracker.spend)[1]
         if done.terms:
-            reduced.append(_strip(done))
-    reduced.sort(key=lambda g: (order.key(_leading(g, order)[0]), str(g)))
-    return reduced
+            reduced.append((lt, _strip(done)))
+    return [g for _, g in _sorted_by_leading(reduced, order)]
 
 
 # ---------------------------------------------------------------------------

@@ -302,10 +302,12 @@ def bound_corD(d: int, absF: int) -> HeightCertificate:
 
 
 def bound_corF(a, budget: FactorBudget = DEFAULT_FACTOR_BUDGET) -> HeightCertificate:
-    """Generalized-Fermat coefficient bound: nu = rad(prod a_i),
-    log10(B) = 10^12 + 24*log10(nu)."""
+    """Generalized-Fermat coefficient bound for five nonzero coefficients
+    a_i: nu = rad(prod a_i), log10(B) = 10^12 + 24*log10(nu)."""
     coeffs = _ints(a, "coefficient")
-    if not coeffs or any(v == 0 for v in coeffs):
+    if len(coeffs) != 5:
+        raise ValueError(f"five coefficients required, got {len(coeffs)}")
+    if any(v == 0 for v in coeffs):
         raise ValueError("coefficients must be nonzero")
     prod = 1
     for v in coeffs:

@@ -1,6 +1,7 @@
 """Ring axioms, the text grammar round trip, and integer factorization."""
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +20,7 @@ from icotk.algebra import (
 )
 from icotk.config import FactorBudget
 from icotk.errors import FactorBudgetError, NotDivisibleError, ParseError
+from icotk.groebner import GREVLEX, LEX, block_order
 
 
 def _poly_strategy(ring, max_exp=4, max_terms=6, coeff_bound=9, rational=False):
@@ -415,19 +417,76 @@ def test_mul_packs_only_where_packing_pays(monkeypatch):
     assert algebra._packing_pays(s3.terms, s3.terms, 5) is False
 
 
-# -- divide on packed grevlex monomials, against the tuple path ----------------
+# -- divide on packed monomials, against the tuple loop ------------------------
 
-# total degrees of p at the edges of the field width (deg p).bit_length()
+# total degrees of p at the edges of the grevlex field width (deg p).bit_length()
 _WIDTH_EDGES = (0, 1, 3, 4, 7, 8, 15, 16)
 _small_coeffs = st.one_of(
     st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 )
 
 
-def _tuple_key(e):
-    """grevlex_key under another name, which keeps divide on exponent
-    tuples: the oracle for the packed path."""
-    return algebra.grevlex_key(e)
+def _orders(ring):
+    """GREVLEX, LEX and three block orders: the first variable, the second
+    and third, and every variable (an empty second block) before the rest."""
+    return [GREVLEX, LEX] + [block_order(ring, names)
+                             for names in (ring.names[:1], ring.names[1:3], ring.names)]
+
+
+def _negated(key):
+    """Order-reversing image of a sort key made of ints and tuples of equal
+    shape, so that a min-heap on it pops the largest key first."""
+    return -key if type(key) is int else tuple(map(_negated, key))
+
+
+def _tuple_divide(p, divisors, key, spend=None, full=True):
+    """algebra.divide on exponent tuples, the order given by a sort key:
+    the oracle for the packed loop."""
+    heads = []
+    for d in divisors:
+        lead = max(d.terms, key=key)
+        tail = [(e, c) for e, c in d.terms.items() if e != lead]
+        heads.append((lead, d.terms[lead], tail))
+    rem = dict(p.terms)
+    heap = [(_negated(key(e)), e) for e in rem]
+    heapify(heap)
+    quots = [{} for _ in heads]
+    done = {}
+    while heap:
+        e = heappop(heap)[1]
+        c = rem.get(e)
+        if c is None:  # cancelled after it was pushed
+            continue
+        for i, (lead, lc, tail) in enumerate(heads):
+            if all(map(int.__le__, lead, e)):
+                break
+        else:
+            if not full:
+                break
+            done[e] = rem.pop(e)
+            continue
+        if spend is not None:
+            spend()
+        del rem[e]
+        shift = tuple(map(int.__sub__, e, lead))
+        if type(c) is int and type(lc) is int and c % lc == 0:
+            factor = c // lc
+        else:
+            factor = algebra._norm_coeff(Fraction(c) / lc)
+        quots[i][shift] = factor
+        for te, tc in tail:
+            k = tuple(map(int.__add__, te, shift))
+            old = rem.get(k)
+            if old is None:
+                rem[k] = algebra._norm_coeff(-factor * tc)
+                heappush(heap, (_negated(key(k)), k))
+            else:
+                s = old - factor * tc
+                if s:
+                    rem[k] = algebra._norm_coeff(s)
+                else:
+                    del rem[k]
+    return [Poly(p.ring, q) for q in quots], Poly(p.ring, done if full else rem)
 
 
 @st.composite
@@ -448,36 +507,46 @@ def _of_degree(draw, ring, degree, max_terms):
     return Poly.from_terms(ring, [(e, c) for e, c in rest if e != top] + [(top, lead)])
 
 
-def _divide_both_ways(p, divisors, full):
-    """(quotients, remainder, spend() calls) of the packed path and of the
-    tuple path, the terms as lists so that their order counts."""
-    runs = []
-    for key in (algebra.grevlex_key, _tuple_key):
-        spent = []
-        quots, rem = algebra.divide(p, divisors, key, lambda: spent.append(1), full)
-        runs.append(([list(q.terms.items()) for q in quots], list(rem.terms.items()),
-                     len(spent)))
-    return runs
+def _divide_both_ways(p, divisors, order, full):
+    """(quotients, remainder, spend() calls) of the packed loop and of the
+    tuple loop, the terms as lists so that their order counts."""
+    spent = [], []
+    runs = (algebra.divide(p, divisors, order.blocks(p.ring.nvars),
+                           lambda: spent[0].append(1), full),
+            _tuple_divide(p, divisors, order.key, lambda: spent[1].append(1), full))
+    return [([list(q.terms.items()) for q in quots], list(rem.terms.items()), len(n))
+            for (quots, rem), n in zip(runs, spent)]
 
 
-@given(st.sampled_from([P2, P4]), st.sampled_from(_WIDTH_EDGES), st.booleans(), st.data())
-def test_packed_division_equals_the_tuple_path(ring, degree, full, data):
+def _assert_same_division(p, divisors, order, full):
+    packed, tuples = _divide_both_ways(p, divisors, order, full)
+    assert packed == tuples
+    return packed
+
+
+@given(st.sampled_from([P2, P4]), st.integers(0, 4), st.sampled_from(_WIDTH_EDGES),
+       st.booleans(), st.data())
+def test_packed_division_equals_the_tuple_path(ring, which, degree, full, data):
+    order = _orders(ring)[which]
+    if order != GREVLEX:
+        # lex and block divisions multiply terms far faster with degree
+        degree = min(degree, 7)
     p = data.draw(_of_degree(ring, degree, 8))
     divisors = data.draw(st.lists(
         st.integers(0, 2).flatmap(lambda d: _of_degree(ring, d, 2)), min_size=1, max_size=3))
-    # a divisor of higher degree than p reduces nothing and keeps its slot
     higher = data.draw(st.integers(1, 3).flatmap(lambda k: _of_degree(ring, degree + k, 2)))
     divisors.insert(data.draw(st.integers(0, len(divisors))), higher)
-    packed, tuples = _divide_both_ways(p, divisors, full)
-    assert packed == tuples
-    quots, rem = algebra.divide(p, divisors, full=full)
+    _assert_same_division(p, divisors, order, full)
+    quots, rem = algebra.divide(p, divisors, order.blocks(ring.nvars), full=full)
     assert sum((q * d for q, d in zip(quots, divisors)), rem) == p
-    assert not quots[divisors.index(higher)]
+    if order == GREVLEX:
+        # a divisor of higher degree than p reduces nothing and keeps its slot
+        assert not quots[divisors.index(higher)]
 
 
 def test_packed_division_at_the_width_edges():
-    # x^(2^B - 1) fills a field: dividing by x^k for every k up to and past
-    # it, and by y, whose field is next to x's
+    # x^(2^B - 1) fills a grevlex field: dividing by x^k for every k up to
+    # and past it, and by y, whose field is next to x's
     for B in range(1, 6):
         M = 2**B - 1
         x, y, z = (Poly.variable(P2, n) for n in "xyz")
@@ -485,12 +554,14 @@ def test_packed_division_at_the_width_edges():
         for k in range(M + 2):
             for divisor in (x**k, y, x**k * y):
                 for full in (True, False):
-                    packed, tuples = _divide_both_ways(p, [divisor], full)
-                    assert packed == tuples
+                    for order in _orders(P2):
+                        _assert_same_division(p, [divisor], order, full)
         assert (x**M).exact_div(x ** (M - 1)) == x
     # a constant p: no field bits at all
-    assert _divide_both_ways(Poly.constant(P4, 6), [Poly.constant(P4, 4)], True) == \
-        [([[((0,) * 5, Fraction(3, 2))]], [], 1)] * 2
+    for order in _orders(P4):
+        six, four = Poly.constant(P4, 6), Poly.constant(P4, 4)
+        assert _assert_same_division(six, [four], order, True) == \
+            ([[((0,) * 5, Fraction(3, 2))]], [], 1)
 
 
 @given(st.sampled_from([P2, P4]), st.data())
@@ -501,5 +572,38 @@ def test_exact_division_with_large_exponents(ring, data):
     assume(a and b)
     ab = a * b  # exponents up to 40
     assert ab.exact_div(b) == a
-    (quot,), rem = algebra.divide(ab, [b], _tuple_key, full=False)
+    (quot,), rem = _tuple_divide(ab, [b], algebra.grevlex_key, full=False)
     assert quot == a and not rem
+
+
+# -- divisions whose terms outgrow p: the field bound's D * moves term ---------
+
+
+@pytest.mark.parametrize("ring", [P2, P4], ids=["P2", "P4"])
+@pytest.mark.parametrize("a, b, k", [(2, 2, 1), (3, 2, 5), (5, 4, 5), (10, 10, 1)])
+def test_lex_growth_chains(ring, a, b, k):
+    # x^k + y by [x - y^a, y - z^b] under LEX: every reduction of x raises
+    # the degree in y, every reduction of y the degree in z, up to z^(abk)
+    x, y, z = (Poly.variable(ring, n) for n in ring.names[:3])
+    p, divisors = x**k + y, [x - y**a, y - z**b]
+    for full in (True, False):
+        quots, rem, steps = _assert_same_division(p, divisors, LEX, full)
+    assert rem == [((0,) * 2 + (a * b * k,) + (0,) * (ring.nvars - 3), 1),
+                   ((0, 0, b) + (0,) * (ring.nvars - 3), 1)]
+
+
+@pytest.mark.parametrize("ring", [P2, P4], ids=["P2", "P4"])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_rabinowitsch_shaped_division(ring, k):
+    # (w*g)^k h by 1 - w*g under the elimination order of w, beside
+    # w*x - y^9, by which each reduction of w raises the degree in the
+    # rest by 8: w^(k+1) x^(k+1) becomes y^(9k+9), far above deg p
+    big = ring.extend("w")
+    v = [Poly.variable(big, n) for n in big.names]
+    w, g = v[-1], v[0] * v[1] - v[2] ** 2 + 3 * v[1]
+    order = block_order(big, {"w"})
+    p = (w * g) ** k * (v[0] + v[2]) + (w * v[0]) ** (k + 1)
+    for divisors in ([1 - w * g], [1 - w * g, v[0] * v[1] - 1],
+                     [w * v[0] - v[1] ** 9, v[2] ** 3 - v[0], 1 - w * g]):
+        for full in (True, False):
+            _assert_same_division(p, divisors, order, full)

@@ -133,6 +133,32 @@ def test_negative_digits_is_an_input_error(capsys):
     assert rep["result"]["log10_bound_rendered"] == "2.E+12"
 
 
+@pytest.mark.parametrize("verb", [["fermat", "bound"], ["bound", "corF"]])
+def test_corF_needs_five_coefficients(capsys, verb):
+    for a in ("1,2", "1,1,1,1", "1,1,1,1,1,2"):
+        code, rep = _invoke(capsys, *verb, "-a", a)
+        assert code == 2
+        assert rep["provenance"] == ["input-error"]
+        assert "five coefficients" in rep["result"]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["groebner", "-i", "x0^2 - x1; x0*x1", "--gb-steps", "-1"],
+    ["ico", "info", "-f", "x0*x1 + x2*x3", "--factor-budget", "-5"],
+    ["bound", "corF", "-a", "1,1,1,1,2", "--factor-budget", "-1"],
+])
+def test_negative_budgets_are_input_errors(capsys, argv):
+    code, rep = _invoke(capsys, *argv)
+    assert code == 2
+    assert rep["flags"] is None
+    assert rep["provenance"] == ["input-error"]
+    assert "must be >= 0" in rep["result"]["error"]
+    # zero is a budget: no reduction step, no factoring effort
+    argv[-1] = "0"
+    code, rep = _invoke(capsys, *argv)
+    assert code in (0, 1, 3) and rep["flags"] is not None
+
+
 def test_fermat_bound_is_bound_corF(capsys):
     reports = [_invoke(capsys, *verb, "-a", "1,-1,2,1,-3")
                for verb in (["fermat", "bound"], ["bound", "corF"])]

@@ -186,25 +186,6 @@ def test_normal_form_matches_the_term_loop(order, p, divisors):
     assert spent == steps
 
 
-def test_only_grevlex_runs_on_packed_monomials(monkeypatch):
-    from icotk import algebra
-
-    calls = []
-    real = algebra._divide_packed
-    monkeypatch.setattr(algebra, "_divide_packed",
-                        lambda *args: calls.append(args[0]) or real(*args))
-    gens = [_p2("x^2*y - z^3 + x"), _p2("x*y^2 - 2*z^2")]
-    p = _p2("x^3*y^2 + y^3*z - 5")
-    for order in (LEX, block_order(P2, {"x"})):
-        basis = Ideal(P2, gens).groebner(order)
-        normal_form(p, basis, order)
-        eliminate(Ideal(P2, gens), {"x"})
-        assert order.key is not algebra.grevlex_key
-    assert calls == []
-    normal_form(p, Ideal(P2, gens).groebner(GREVLEX), GREVLEX)
-    assert GREVLEX.key is algebra.grevlex_key and calls
-
-
 # reduction steps each basis takes, pinned from the plain leading-term loop:
 # the budget fails at k - 1 and succeeds at k
 PINNED_STEPS = [

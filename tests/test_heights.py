@@ -228,6 +228,14 @@ def test_corF_certificate():
         bound_corF((1, 0, 1, 1, 1))
 
 
+@pytest.mark.parametrize("a", [(), (2,), (1, 2), (1, 1, 1, 2), (1, 1, 1, 1, 1, 2)])
+def test_corF_needs_five_coefficients(a):
+    # the generalized-Fermat equation has five coefficients; with two the
+    # certificate read nu = 2 for an equation that does not exist
+    with pytest.raises(ValueError, match="five coefficients"):
+        bound_corF(a)
+
+
 def test_corF_radical_of_product():
     cert = bound_corF((2, 4, -8, 3, 9))
     # product 2*4*8*3*9, radical 6
