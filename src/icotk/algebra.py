@@ -250,7 +250,7 @@ def _norm_coeff(c):
 
 def grevlex_key(expo):
     """Sort key: e1 > e2 in grevlex iff grevlex_key(e1) > grevlex_key(e2)."""
-    return (sum(expo), tuple(-e for e in reversed(expo)))
+    return (sum(expo), tuple(map(int.__neg__, reversed(expo))))
 
 
 class Poly:
@@ -486,7 +486,7 @@ class Poly:
         if q.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         grevlex = (tuple(range(self.ring.nvars)),)  # one block of every variable
-        (quot,), rem = divide(self, [q], grevlex, full=False)
+        (quot,), rem = divide(self, [q], grevlex, full=False, quotients=True)
         if rem.terms:
             raise NotDivisibleError("not divisible")
         return quot
@@ -695,7 +695,7 @@ def _kronecker(ring: Ring, D: int, bound: int, forms, combine):
 # ---------------------------------------------------------------------------
 
 
-def divide(p: Poly, divisors, blocks, spend=None, full=True):
+def divide(p: Poly, divisors, blocks, spend=None, full=True, quotients=False, scale=False):
     """Sparse division of p by a list of nonzero polynomials under the
     monomial order given by blocks: tuples of variable indices, every
     variable in exactly one, compared in turn, by grevlex inside each.
@@ -708,7 +708,12 @@ def divide(p: Poly, divisors, blocks, spend=None, full=True):
     (``full=False``: top-reduction, returning everything left as the
     remainder) or moves to the remainder (``full=True``: a normal form).
 
-    Returns ``(quotients, remainder)`` with p = sum(q_i * d_i) + remainder.
+    Returns the remainder r, or with ``quotients=True`` the pair
+    ``(quotients, r)`` with p = sum(q_i * d_i) + r.  ``scale=True`` (no
+    quotients) keeps int coefficients in Z: where lc does not divide c, all
+    terms left and done are first multiplied by |lc|/gcd(c, lc), so r comes
+    out times a positive int.  A nonzero scale keeps every support, so each
+    step reduces the same term by the same divisor, with one spend() each.
 
     Monomials are packed (Monagan & Pearce, CASC 2007): the exponent vector
     e becomes the int K(e) whose fields are, from the top, for each block
@@ -744,7 +749,7 @@ def divide(p: Poly, divisors, blocks, spend=None, full=True):
     The terms are packed on entry and unpacked on exit in the same order,
     so the result's dicts are ordered as on exponent tuples."""
     if not p.terms:
-        return [Poly.zero(p.ring) for _ in divisors], p
+        return ([Poly.zero(p.ring) for _ in divisors], p) if quotients else p
     n, deg = p.ring.nvars, p.degree()
     degrees = [d.degree() for d in divisors]
     top = max(degrees, default=0)
@@ -788,7 +793,7 @@ def divide(p: Poly, divisors, blocks, spend=None, full=True):
     rem = {pack(e): c for e, c in p.terms.items()}
     heap = [-k for k in rem]
     heapify(heap)
-    quots = [{} for _ in divisors]
+    quots = [{} for _ in divisors] if quotients else None
     done: dict = {}
     while heap:
         e = -heappop(heap)
@@ -806,11 +811,17 @@ def divide(p: Poly, divisors, blocks, spend=None, full=True):
         if spend is not None:
             spend()
         del rem[e]
+        if scale and type(c) is int and type(lc) is int and c % lc:
+            mult = abs(lc) // gcd(c, lc)
+            rem = {k: v * mult for k, v in rem.items()}
+            done = {k: v * mult for k, v in done.items()}
+            c *= mult
         if type(c) is int and type(lc) is int and c % lc == 0:
             factor = c // lc
         else:
             factor = _norm_coeff(Fraction(c) / lc)
-        quots[i][e - lead + zero] = factor
+        if quots is not None:
+            quots[i][e - lead + zero] = factor
         for step, tc in tail:
             k = e + step
             old = rem.get(k)
@@ -823,8 +834,8 @@ def divide(p: Poly, divisors, blocks, spend=None, full=True):
                     rem[k] = _norm_coeff(s)
                 else:
                     del rem[k]
-    return ([Poly(p.ring, unpack(q)) for q in quots],
-            Poly(p.ring, unpack(done if full else rem)))
+    r = Poly(p.ring, unpack(done if full else rem))
+    return ([Poly(p.ring, unpack(q)) for q in quots], r) if quotients else r
 
 
 class Echelon:

@@ -5,15 +5,16 @@ pair-skipping criteria (coprime leading terms; chain criterion).  Work is
 accounted in *reduction steps* against a budget: running out raises
 BudgetExceededError and never returns a partial basis.
 
-Basis elements are kept as primitive integer polynomials with positive
-leading coefficient, so a reduced basis has exactly one canonical printout.
-Each Ideal keeps the bases it has computed in memory.
+Basis elements are primitive integer polynomials with positive grevlex-leading
+coefficient under every order (reductions stay in Z), so a reduced basis has
+exactly one canonical printout.  Each Ideal keeps its bases in memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import comb, factorial
 
 from .algebra import Poly, Ring, divide, grevlex_key
@@ -39,21 +40,9 @@ class MonomialOrder:
     kind: str = "grevlex"
     block: tuple = ()  # sorted variable indices; only for kind="block"
 
-    @property
-    def key(self):
-        """The sort key on exponent tuples; divide takes ``blocks`` instead."""
-        if self.kind == "grevlex":
-            return grevlex_key
-        if self.kind == "lex":
-            return tuple
-        if self.kind == "block":
-            return self._block_key
-        raise ValueError(f"unknown order kind {self.kind!r}")
-
-    def _block_key(self, expo):
-        inside = tuple(expo[i] for i in self.block)
-        rest = tuple(e for i, e in enumerate(expo) if i not in self.block)
-        return (grevlex_key(inside), grevlex_key(rest))
+    def key(self, expo):
+        """The sort key on exponent tuples: one grevlex key per block."""
+        return tuple([grevlex_key([expo[i] for i in b]) for b in self.blocks(len(expo))])
 
     def blocks(self, n: int) -> tuple:
         """The blocks of variable indices the order compares in turn by grevlex."""
@@ -121,12 +110,11 @@ def normal_form(
         basis = basis.groebner(order, budget)
     if p.is_zero() or not basis:
         return p
-    blocks = order.blocks(p.ring.nvars)
-    return divide(p, basis, blocks, _Budget(budget.max_reductions).spend)[1]
+    return divide(p, basis, order.blocks(p.ring.nvars), _Budget(budget.max_reductions).spend)
 
 
 def _strip(p: Poly) -> Poly:
-    """Primitive integer form with positive leading coefficient."""
+    """Primitive integer form with positive grevlex-leading coefficient."""
     return p.primitive_part() if p.terms else p
 
 
@@ -140,7 +128,9 @@ def _spoly(f: Poly, fe, g: Poly, ge) -> Poly:
 
 def _sorted_by_leading(pairs, order) -> list:
     """(leading monomial, polynomial) pairs by the monomial, then the printout."""
-    return sorted(pairs, key=lambda t: (order.key(t[0]), str(t[1])))
+    if len({e for e, _ in pairs}) < len(pairs):  # print only to break a tie
+        pairs = sorted(pairs, key=lambda t: str(t[1]))
+    return sorted(pairs, key=lambda t: order.key(t[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +148,20 @@ def _buchberger(gens, order, budget) -> list:
     lts, basis = [e for e, _ in pairs], [g for _, g in pairs]
     sugar = [g.degree() for g in basis]
 
-    def lcm(i, j):
-        return tuple(max(a, b) for a, b in zip(lts[i], lts[j]))
+    def keyed(i, j):
+        # (sugar, order key of the lcm, (i, j)) selects the pair; then the lcm
+        m = tuple(map(max, lts[i], lts[j]))
+        s = max(sugar[i] + sum(m) - sum(lts[i]), sugar[j] + sum(m) - sum(lts[j]))
+        return s, order.key(m), (i, j), m
 
-    def pair_sugar(i, j):
-        m = lcm(i, j)
-        return max(
-            sugar[i] + sum(m) - sum(lts[i]),
-            sugar[j] + sum(m) - sum(lts[j]),
-        )
+    heap = [keyed(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapify(heap)
+    pending = {pair for _, _, pair, _ in heap}
 
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-
-    def coprime(i, j):
-        return all(a == 0 or b == 0 for a, b in zip(lts[i], lts[j]))
-
-    def chain_skippable(i, j):
-        m = lcm(i, j)
+    def skippable(i, j, m):
+        # coprime leading terms, or the chain criterion
+        if all(a == 0 or b == 0 for a, b in zip(lts[i], lts[j])):
+            return True
         for k in range(len(basis)):
             if k in (i, j):
                 continue
@@ -185,21 +172,23 @@ def _buchberger(gens, order, budget) -> list:
                     return True
         return False
 
-    while pending:
-        i, j = min(pending, key=lambda p: (pair_sugar(*p), order.key(lcm(*p)), p))
+    while heap:
+        _, _, (i, j), m = heappop(heap)
         pending.discard((i, j))
-        if coprime(i, j) or chain_skippable(i, j):
+        if skippable(i, j, m):
             continue
         s = _spoly(basis[i], lts[i], basis[j], lts[j])
         # top-reduction suffices inside the loop; tails are cleaned up at the end
-        rem = divide(s, basis, blocks, tracker.spend, full=False)[1]
+        rem = divide(s, basis, blocks, tracker.spend, full=False, scale=True)
         if rem.terms:
             rem = _strip(rem)
             basis.append(rem)
             sugar.append(rem.degree())
             lts.append(_leading(rem, order)[0])
             n = len(basis) - 1
-            pending.update((k, n) for k in range(n))
+            for k in range(n):
+                heappush(heap, keyed(k, n))
+                pending.add((k, n))
     return _interreduce(list(zip(lts, basis)), order, blocks, tracker)
 
 
@@ -220,7 +209,7 @@ def _interreduce(pairs, order, blocks, tracker) -> list:
     reduced = []
     for i, (lt, g) in enumerate(keep):
         others = [h for _, h in keep[:i] + keep[i + 1 :]]
-        done = divide(g, others, blocks, tracker.spend)[1]
+        done = divide(g, others, blocks, tracker.spend, scale=True)
         if done.terms:
             reduced.append((lt, _strip(done)))
     return [g for _, g in _sorted_by_leading(reduced, order)]
@@ -439,7 +428,7 @@ def hilbert_data(
     if any(g.is_constant() and not g.is_zero() for g in basis):
         # unit ideal: the quotient is zero
         return HilbertData(nvars=nvars, numerator=(), reduced=(), krull_dim=0, degree=0)
-    lts = frozenset(_leading(g, GREVLEX)[0] for g in basis)
+    lts = frozenset(max(g.terms, key=grevlex_key) for g in basis)
     num = _hilbert_numerator(lts, {}) if basis else {0: 1}
     # cancel (1-t) factors: numerator(1) == 0 means a pole drops
     reduced = dict(num)

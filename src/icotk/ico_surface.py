@@ -356,9 +356,7 @@ def _sampled_c(geo: FixedGeometry, pts) -> tuple:
     for p in pts:
         q = [t.evaluate(p) for t in geo.tau]
         back = [r.evaluate(q) for r in geo.rho]
-        tq = [t.evaluate(back) for t in geo.tau]
-        for i in range(5):
-            for j in range(i + 1, 5):
-                if tq[i] * q[j] != tq[j] * q[i]:
-                    ok = False
+        g = gcd(*back) or 1  # tau is homogeneous: each tq scales by g^-12
+        tq = [t.evaluate([c // g for c in back]) for t in geo.tau]
+        ok = ok and all(tq[i] * q[j] == tq[j] * q[i] for i, j in combinations(range(5), 2))
     return ("tau_i(rho(q))q_j == tau_j(rho(q))q_i on samples", ok)

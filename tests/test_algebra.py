@@ -498,12 +498,12 @@ def _monomials(draw, ring, degree, exact=False):
 
 
 @st.composite
-def _of_degree(draw, ring, degree, max_terms):
+def _of_degree(draw, ring, degree, max_terms, coeffs=_small_coeffs):
     """A polynomial of total degree exactly `degree`, not homogeneous in
-    general, with int and Fraction coefficients."""
+    general, with coefficients from `coeffs` (by default int and Fraction)."""
     top = draw(_monomials(ring, degree, exact=True))
-    lead = draw(_small_coeffs.filter(bool))
-    rest = draw(st.lists(st.tuples(_monomials(ring, degree), _small_coeffs), max_size=max_terms))
+    lead = draw(coeffs.filter(bool))
+    rest = draw(st.lists(st.tuples(_monomials(ring, degree), coeffs), max_size=max_terms))
     return Poly.from_terms(ring, [(e, c) for e, c in rest if e != top] + [(top, lead)])
 
 
@@ -512,7 +512,7 @@ def _divide_both_ways(p, divisors, order, full):
     tuple loop, the terms as lists so that their order counts."""
     spent = [], []
     runs = (algebra.divide(p, divisors, order.blocks(p.ring.nvars),
-                           lambda: spent[0].append(1), full),
+                           lambda: spent[0].append(1), full, quotients=True),
             _tuple_divide(p, divisors, order.key, lambda: spent[1].append(1), full))
     return [([list(q.terms.items()) for q in quots], list(rem.terms.items()), len(n))
             for (quots, rem), n in zip(runs, spent)]
@@ -537,11 +537,61 @@ def test_packed_division_equals_the_tuple_path(ring, which, degree, full, data):
     higher = data.draw(st.integers(1, 3).flatmap(lambda k: _of_degree(ring, degree + k, 2)))
     divisors.insert(data.draw(st.integers(0, len(divisors))), higher)
     _assert_same_division(p, divisors, order, full)
-    quots, rem = algebra.divide(p, divisors, order.blocks(ring.nvars), full=full)
+    quots, rem = algebra.divide(p, divisors, order.blocks(ring.nvars), full=full,
+                                quotients=True)
     assert sum((q * d for q, d in zip(quots, divisors)), rem) == p
     if order == GREVLEX:
         # a divisor of higher degree than p reduces nothing and keeps its slot
         assert not quots[divisors.index(higher)]
+
+
+def _scaled_and_exact(p, divisors, order, full):
+    """((remainder, spend() calls) with scale=True, the same without)."""
+    runs = []
+    for scale in (True, False):
+        spent = []
+        rem = algebra.divide(p, divisors, order.blocks(p.ring.nvars),
+                             lambda: spent.append(1), full, scale=scale)
+        runs.append((rem, len(spent)))
+    return runs
+
+
+@given(st.sampled_from([P2, P4]), st.integers(0, 2), st.integers(0, 6), st.booleans(),
+       st.data())
+def test_scaled_division_is_the_exact_one_times_an_int(ring, which, degree, full, data):
+    order = [GREVLEX, LEX, block_order(ring, ring.names[1:3])][which]
+    ints = st.integers(-30, 30)
+    p = data.draw(_of_degree(ring, degree, 8, ints))
+    divisors = data.draw(st.lists(
+        st.integers(0, 3).flatmap(lambda d: _of_degree(ring, d, 3, ints)),
+        min_size=1, max_size=3))
+    (scaled, steps), (exact, want_steps) = _scaled_and_exact(p, divisors, order, full)
+    assert steps == want_steps
+    assert all(type(c) is int for c in scaled.terms.values())
+    # the same support, in the same order, and one positive int factor
+    assert list(scaled.terms) == list(exact.terms)
+    if exact.terms:
+        factor = Fraction(next(iter(scaled.terms.values()))) / next(iter(exact.terms.values()))
+        assert factor.denominator == 1 and factor > 0
+        assert scaled == exact * factor.numerator
+
+
+def test_scaled_division_scales_what_is_done_and_what_is_left():
+    # y^2 + 3xz by 2x - z: y^2 is done first, then 3xz scales it by 2
+    x, y, z = (Poly.variable(P2, n) for n in "xyz")
+    (scaled, steps), (exact, _) = _scaled_and_exact(y**2 + 3 * x * z, [2 * x - z],
+                                                    GREVLEX, True)
+    assert (scaled, steps) == (2 * y**2 + 3 * z**2, 1)
+    assert exact == y**2 + Fraction(3, 2) * z**2
+    # 3x^2 + y^2 by 2x - y: x^2 and then x*y each scale what is left by 2
+    (scaled, steps), (exact, _) = _scaled_and_exact(3 * x**2 + y**2, [2 * x - y],
+                                                    GREVLEX, True)
+    assert (scaled, steps) == (7 * y**2, 2)
+    assert exact == Fraction(7, 4) * y**2
+    # a Fraction coefficient keeps the exact division
+    (scaled, _), (exact, _) = _scaled_and_exact(Fraction(1, 3) * x**2 + y, [2 * x - y],
+                                                GREVLEX, True)
+    assert scaled == exact == Fraction(1, 12) * y**2 + y
 
 
 def test_packed_division_at_the_width_edges():

@@ -190,6 +190,15 @@ def test_budget_exit_three(capsys):
     assert rep["provenance"] == ["budget-exceeded"]
 
 
+def test_lex_basis_keeps_the_grevlex_leading_sign(capsys):
+    # basis elements are normalized on the grevlex-leading coefficient under
+    # every order: the lex-leading term x2*x3*x4^4 of the first keeps a -1
+    code, rep = _invoke(capsys, "groebner", "-i", "x0^2 - x1; x1^2 - x2*x3; x0*x4 - x3^2",
+                        "--order", "lex")
+    assert code == 0
+    assert rep["result"]["basis"][0] == "x3^8 - x2*x3*x4^4"
+
+
 def test_ico_info_degenerate_exit(capsys):
     code, rep = _invoke(capsys, "ico", "info", "-f", "x0*x1 + x2*x3")
     assert code == 1

@@ -6,12 +6,14 @@ see scripts/freeze_oracles.py.
 """
 
 import hashlib
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icotk.algebra import P2, P4, Poly, poly_parse
+from icotk.algebra import P2, P4, Poly, elementary_symmetric, grevlex_key, poly_parse
 from icotk.config import GroebnerBudget
 from icotk.errors import BudgetExceededError
 from icotk.groebner import (
@@ -186,13 +188,16 @@ def test_normal_form_matches_the_term_loop(order, p, divisors):
     assert spent == steps
 
 
-# reduction steps each basis takes, pinned from the plain leading-term loop:
-# the budget fails at k - 1 and succeeds at k
+# reduction steps each basis takes: the budget fails at k - 1 and succeeds
+# at k.  The first four rows were pinned from the plain leading-term loop.
+# The last pins pair selection: taking pairs of equal sugar other than in
+# the order of their lcm makes it 17.
 PINNED_STEPS = [
     ("x0^2*x1 - x2^3; x1^2*x3 - x4^3; x0*x4 - x2*x3", GREVLEX, 20),
     ("SURFACE", GREVLEX, 23),
     ("SURFACE", LEX, 38),
     ("SURFACE; x0 + 2*x1 + 3*x2 + 5*x3 + 7*x4", GREVLEX, 86),
+    ("x0^2*x1 - x2^3; x1^2*x3 - x4^3; x0*x4 - x2*x3", LEX, 16),
 ]
 
 
@@ -214,6 +219,35 @@ def test_budget_threshold_is_unchanged(gens, order, k, tmp_path, monkeypatch):
         Ideal(P4, polys).groebner(order, GroebnerBudget(max_reductions=k))
 
 
+def _basis_steps(gens, order):
+    """(basis, the least budget it is computed within), by bisection."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            basis = Ideal(P2, gens).groebner(order, GroebnerBudget(max_reductions=hi))
+            break
+        except BudgetExceededError:
+            lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            Ideal(P2, gens).groebner(order, GroebnerBudget(max_reductions=mid))
+            hi = mid
+        except BudgetExceededError:
+            lo = mid + 1
+    return basis, hi
+
+
+@given(st.lists(small_polys, min_size=2, max_size=4), st.data())
+@settings(max_examples=30)
+def test_basis_and_its_steps_do_not_depend_on_the_order_of_generators(gens, data):
+    # generators are sorted by leading monomial, and equal ones by printout
+    gens = [g for g in gens if not g.is_zero()]
+    shuffled = data.draw(st.permutations(gens))
+    for order in (GREVLEX, LEX):
+        assert _basis_steps(shuffled, order) == _basis_steps(gens, order)
+
+
 def test_a_file_in_the_cache_dir_is_not_a_basis(tmp_path, monkeypatch):
     # x0, x1 planted where an on-disk basis cache keyed the surface ideal
     # under grevlex: the basis must still be the surface's, degree 8
@@ -233,6 +267,50 @@ def test_budget_is_honoured():
     gens = [_p4("x0^2*x1 - x2^3"), _p4("x1^2*x3 - x4^3"), _p4("x0*x4 - x2*x3")]
     with pytest.raises(BudgetExceededError):
         Ideal(P4, gens).groebner(GREVLEX, GroebnerBudget(max_reductions=3))
+
+
+def _general_form(rng, n):
+    """A degree-n form in x0..x4 over every monomial, each coefficient a
+    nonzero int of absolute value at most 1000."""
+    monomials = [e for e in product(range(n + 1), repeat=5) if sum(e) == n]
+    return Poly(P4, {e: rng.choice((-1, 1)) * rng.randint(1, 1000) for e in monomials})
+
+
+def test_bases_with_large_leading_coefficients_are_pinned():
+    # (sigma_2, sigma_4, f) for general models: their grevlex bases have
+    # leading coefficients up to 8 * 10^7, far from units; the digest is that
+    # of reductions over Q, which the fraction-free ones must reproduce
+    sigmas = [elementary_symmetric(P4, 2), elementary_symmetric(P4, 4)]
+    h = hashlib.sha256()
+    for seed, n in ((1, 1), (2, 2), (3, 2)):
+        basis = Ideal(P4, [*sigmas, _general_form(random.Random(seed), n)]).groebner()
+        assert max(_leading(g, GREVLEX)[1] for g in basis) > 1000
+        h.update(("\n".join(map(str, basis)) + "\n\n").encode())
+    assert h.hexdigest()[:16] == "75eb68badecec792"
+
+
+def _old_block_key(block):
+    """The sort key block orders had before keys were built from blocks."""
+    def key(expo):
+        inside = tuple(expo[i] for i in block)
+        rest = tuple(e for i, e in enumerate(expo) if i not in block)
+        return (grevlex_key(inside), grevlex_key(rest))
+    return key
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+@given(st.sampled_from([P2, P4]), st.data())
+def test_order_keys_compare_as_before(ring, data):
+    expos = st.tuples(*([st.integers(0, 3)] * ring.nvars))
+    a, b = data.draw(expos), data.draw(expos)
+    order = block_order(ring, data.draw(st.sets(st.sampled_from(ring.names))))
+    old = _old_block_key(order.block)
+    assert _sign(LEX.key(a), LEX.key(b)) == _sign(a, b)
+    assert _sign(order.key(a), order.key(b)) == _sign(old(a), old(b))
+    assert _sign(GREVLEX.key(a), GREVLEX.key(b)) == _sign(grevlex_key(a), grevlex_key(b))
 
 
 # -- Hilbert data ------------------------------------------------------------

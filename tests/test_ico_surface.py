@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from icotk.errors import BasePointError, NotOnSurfaceError
 from icotk.ico_surface import (
     FixedGeometry,
     ProjPoint,
+    _sampled_c,
     fixed_geometry,
     rho_point,
     tau_point,
@@ -190,6 +192,21 @@ def test_identities_symbolic():
 def test_identities_sampled():
     rep = verify_identities(mode="sampled", samples=25, seed=7)
     assert rep.passed, rep.checks
+
+
+def test_sampled_identity_c_fails_with_one_tau_perturbed(geo):
+    # rho(q) is divided by the gcd of its coordinates before tau is applied;
+    # that must not hide a tau for which identity (c) fails
+    pts = [(-7, 5, 11), (4, -9, 2)]
+    assert all(geo.lam_at(p) for p in pts)
+    assert _sampled_c(geo, pts)[1] is True
+    x = Poly.variable(P2, "x")
+    # rho(q) stays a multiple of p when q_4 moves, so a perturbed tau_4
+    # still satisfies (c) at every sample; tau_0..tau_3 do not
+    for i in range(4):
+        tau = list(geo.tau)
+        tau[i] = tau[i] + x**12
+        assert _sampled_c(SimpleNamespace(tau=tau, rho=geo.rho), pts)[1] is False, i
 
 
 @given(st.tuples(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60)))
