@@ -695,6 +695,104 @@ def _kronecker(ring: Ring, D: int, bound: int, forms, combine):
 # ---------------------------------------------------------------------------
 
 
+def field_bound(blocks, deg: int, top: int) -> int:
+    """The least M (``divide``) for a degree-deg p and divisors of degree <= top."""
+    bound = moves = 0
+    for block in blocks:
+        d = deg + top * moves
+        bound += d
+        moves += (moves + 1) * (comb(d + len(block), len(block)) - 1)
+    return max(bound, top)
+
+
+class Layout:
+    """Packed monomials under the order of blocks (``divide``), M >= bound."""
+
+    def __init__(self, nvars: int, blocks, bound: int):
+        bits = bound.bit_length()
+        self.M = M = (1 << bits) - 1
+        width = bits + 1
+        self.places, self.shifts = [0] * nvars, [0] * nvars
+        self.zero = self.bias = self.guards = at = 0  # zero = K(0)
+        for block in reversed(blocks):  # from the bottom field up
+            for i in block:
+                self.places[i], self.shifts[i] = -(1 << at), at
+                self.zero += M << at
+                self.guards += 1 << (at + bits)
+                at += width
+            for i in block:
+                self.places[i] += 1 << at
+            self.bias += M << at
+            at += width
+
+    def pack(self, e) -> int:
+        return self.zero + sum(map(int.__mul__, e, self.places))
+
+    def pack_terms(self, terms: dict) -> dict:
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def unpack(self, terms: dict) -> dict:
+        # field by field over all keys: a third of the time of key by key
+        M = self.M
+        fields = [[M - (k >> s & M) for k in terms] for s in self.shifts]
+        exponents = zip(*fields) if fields else [()] * len(terms)
+        return dict(zip(exponents, terms.values()))
+
+    def head(self, d: Poly) -> tuple:
+        """d packed: (K(lead) + bias, K(lead), lc, [(K(e) - K(lead), c)...])."""
+        packed = self.pack_terms(d.terms)
+        lead = max(packed)
+        lc = packed.pop(lead)
+        return lead + self.bias, lead, lc, [(k - lead, c) for k, c in packed.items()]
+
+    def reduce(self, rem: dict, heads, spend=None, full=True, scale=False, quots=None):
+        """The loop of ``divide`` on packed rem, consumed, by heads (i, *head(d_i))."""
+        guards, zero = self.guards, self.zero
+        heap = [-k for k in rem]
+        heapify(heap)
+        done: dict = {}
+        while heap:
+            e = -heappop(heap)
+            c = rem.get(e)
+            if c is None:  # cancelled after it was pushed
+                continue
+            for i, test, lead, lc, tail in heads:
+                if not (test - e) & guards:
+                    break
+            else:
+                if not full:
+                    break
+                done[e] = rem.pop(e)
+                continue
+            if spend is not None:
+                spend()
+            del rem[e]
+            if scale and type(c) is int and type(lc) is int and c % lc:
+                mult = abs(lc) // gcd(c, lc)
+                rem = {k: v * mult for k, v in rem.items()}
+                done = {k: v * mult for k, v in done.items()}
+                c *= mult
+            if type(c) is int and type(lc) is int and c % lc == 0:
+                factor = c // lc
+            else:
+                factor = _norm_coeff(Fraction(c) / lc)
+            if quots is not None:
+                quots[i][e - lead + zero] = factor
+            for step, tc in tail:
+                k = e + step
+                old = rem.get(k)
+                if old is None:
+                    rem[k] = _norm_coeff(-factor * tc)
+                    heappush(heap, -k)
+                else:
+                    s = old - factor * tc
+                    if s:
+                        rem[k] = _norm_coeff(s)
+                    else:
+                        del rem[k]
+        return done if full else rem
+
+
 def divide(p: Poly, divisors, blocks, spend=None, full=True, quotients=False, scale=False):
     """Sparse division of p by a list of nonzero polynomials under the
     monomial order given by blocks: tuples of variable indices, every
@@ -729,7 +827,7 @@ def divide(p: Poly, divisors, blocks, spend=None, full=True, quotients=False, sc
     Field bound.  Let D be the largest divisor degree and moves_0 = 0; for
     the blocks B_1, B_2, ... in turn, d_j = deg p + D * moves_(j-1) and
     moves_j = moves_(j-1) + (moves_(j-1) + 1) * (C(d_j + |B_j|, |B_j|) - 1).
-    Then M >= d_1 + d_2 + ... .  Proof: every term of the division comes
+    Then M >= max(D, d_1 + d_2 + ...).  Proof: every term of the division comes
     from a term of p by a chain of reductions, each replacing t by
     t - lead + s for a tail term s < lead of a divisor.  Let the step be
     decided in block j, the first block where s and lead differ.  It
@@ -741,101 +839,26 @@ def divide(p: Poly, divisors, blocks, spend=None, full=True, quotients=False, sc
     C(d_j + |B_j|, |B_j|) values, so between two steps decided in earlier
     blocks at most that many less one steps are decided in block j, and
     moves_j bounds the steps decided in blocks 1..j.  Each term thus has
-    block degrees at most d_j and total degree at most M.  A divisor of
-    degree above M can reduce nothing (its tail would give a term of
-    degree above M) and is skipped; its quotient stays zero.  With one
-    block the bound is deg p.
+    block degrees at most d_j and total degree at most d_1 + d_2 + ... .
+    A divisor of higher degree packs (M >= D) but reduces nothing, as its
+    tail would give a term of higher degree.  With one block M >= deg p.
+
+    One ``Layout`` may serve many divisions (a whole Buchberger run) if its
+    M is at least the field bound of each; widening it repacks every
+    divisor.  A larger M changes no result: while no block degree exceeds
+    M no field reaches its guard bit, so order and divisibility are exact.
 
     The terms are packed on entry and unpacked on exit in the same order,
     so the result's dicts are ordered as on exponent tuples."""
     if not p.terms:
         return ([Poly.zero(p.ring) for _ in divisors], p) if quotients else p
-    n, deg = p.ring.nvars, p.degree()
-    degrees = [d.degree() for d in divisors]
-    top = max(degrees, default=0)
-    bound = moves = 0
-    for block in blocks:
-        d = deg + top * moves
-        bound += d
-        moves += (moves + 1) * (comb(d + len(block), len(block)) - 1)
-    bits = bound.bit_length()
-    M, width = (1 << bits) - 1, bits + 1
-    places, shifts = [0] * n, [0] * n
-    zero = bias = guards = at = 0  # zero = K(0)
-    for block in reversed(blocks):  # from the bottom field up
-        for i in block:
-            places[i], shifts[i] = -(1 << at), at
-            zero += M << at
-            guards += 1 << (at + bits)
-            at += width
-        for i in block:
-            places[i] += 1 << at
-        bias += M << at
-        at += width
-
-    def pack(e):
-        return zero + sum(map(int.__mul__, e, places))
-
-    def unpack(terms):
-        # field by field over all keys: a third of the time of key by key
-        fields = [[M - (k >> s & M) for k in terms] for s in shifts]
-        exponents = zip(*fields) if n else [()] * len(terms)
-        return dict(zip(exponents, terms.values()))
-
-    heads = []
-    for i, d in enumerate(divisors):
-        if degrees[i] > M:
-            continue
-        packed = {pack(e): c for e, c in d.terms.items()}
-        lead = max(packed)
-        lc = packed.pop(lead)
-        heads.append((i, lead + bias, lead, lc, [(k - lead, c) for k, c in packed.items()]))
-    rem = {pack(e): c for e, c in p.terms.items()}
-    heap = [-k for k in rem]
-    heapify(heap)
+    top = max((d.degree() for d in divisors), default=0)
+    layout = Layout(p.ring.nvars, blocks, field_bound(blocks, p.degree(), top))
+    heads = [(i, *layout.head(d)) for i, d in enumerate(divisors)]
     quots = [{} for _ in divisors] if quotients else None
-    done: dict = {}
-    while heap:
-        e = -heappop(heap)
-        c = rem.get(e)
-        if c is None:  # cancelled after it was pushed
-            continue
-        for i, test, lead, lc, tail in heads:
-            if not (test - e) & guards:
-                break
-        else:
-            if not full:
-                break
-            done[e] = rem.pop(e)
-            continue
-        if spend is not None:
-            spend()
-        del rem[e]
-        if scale and type(c) is int and type(lc) is int and c % lc:
-            mult = abs(lc) // gcd(c, lc)
-            rem = {k: v * mult for k, v in rem.items()}
-            done = {k: v * mult for k, v in done.items()}
-            c *= mult
-        if type(c) is int and type(lc) is int and c % lc == 0:
-            factor = c // lc
-        else:
-            factor = _norm_coeff(Fraction(c) / lc)
-        if quots is not None:
-            quots[i][e - lead + zero] = factor
-        for step, tc in tail:
-            k = e + step
-            old = rem.get(k)
-            if old is None:
-                rem[k] = _norm_coeff(-factor * tc)
-                heappush(heap, -k)
-            else:
-                s = old - factor * tc
-                if s:
-                    rem[k] = _norm_coeff(s)
-                else:
-                    del rem[k]
-    r = Poly(p.ring, unpack(done if full else rem))
-    return ([Poly(p.ring, unpack(q)) for q in quots], r) if quotients else r
+    rem = layout.reduce(layout.pack_terms(p.terms), heads, spend, full, scale, quots)
+    r = Poly(p.ring, layout.unpack(rem))
+    return ([Poly(p.ring, layout.unpack(q)) for q in quots], r) if quotients else r
 
 
 class Echelon:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, factorial
 
-from .algebra import Poly, Ring, divide, grevlex_key
+from .algebra import Layout, Poly, Ring, divide, field_bound, grevlex_key
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
 from .errors import BudgetExceededError
 
@@ -118,17 +118,9 @@ def _strip(p: Poly) -> Poly:
     return p.primitive_part() if p.terms else p
 
 
-def _spoly(f: Poly, fe, g: Poly, ge) -> Poly:
-    """The S-polynomial of f and g, whose leading monomials are fe and ge."""
-    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
-    mf = Poly.monomial(f.ring, tuple(map(int.__sub__, lcm, fe)), g.terms[ge])
-    mg = Poly.monomial(g.ring, tuple(map(int.__sub__, lcm, ge)), f.terms[fe])
-    return mf * f - mg * g
-
-
 def _sorted_by_leading(pairs, order) -> list:
-    """(leading monomial, polynomial) pairs by the monomial, then the printout."""
-    if len({e for e, _ in pairs}) < len(pairs):  # print only to break a tie
+    """(leading monomial, polynomial, ...) by the monomial, then the printout."""
+    if len({t[0] for t in pairs}) < len(pairs):  # print only to break a tie
         pairs = sorted(pairs, key=lambda t: str(t[1]))
     return sorted(pairs, key=lambda t: order.key(t[0]))
 
@@ -139,14 +131,30 @@ def _sorted_by_leading(pairs, order) -> list:
 
 
 def _buchberger(gens, order, budget) -> list:
+    """The reduced basis, each element's head packed once, in basis order,
+    on one ``Layout`` whose M is at least the field bound of every division
+    of the run (an S-polynomial's degree is at most its pair's sugar, max
+    over i of deg lcm - |lt_i| + deg f_i: a tail term can outweigh the
+    leading one).  Where M falls short, a wider layout repacks every head;
+    a larger M changes no result (``divide``)."""
     tracker = _Budget(budget.max_reductions)
     basis = [_strip(g) for g in gens if not g.is_zero()]
     if not basis:
         return []
-    blocks = order.blocks(basis[0].ring.nvars)
+    ring = basis[0].ring
+    blocks = order.blocks(ring.nvars)
     pairs = _sorted_by_leading([(_leading(g, order)[0], g) for g in basis], order)
     lts, basis = [e for e, _ in pairs], [g for _, g in pairs]
-    sugar = [g.degree() for g in basis]
+    sugar = [g.degree() for g in basis]  # an element's sugar is its degree
+    layout = heads = None
+
+    def fit(deg):
+        nonlocal layout, heads
+        bound = field_bound(blocks, deg, max(sugar))
+        if layout is None or bound > layout.M:
+            layout = Layout(ring.nvars, blocks, bound)
+            heads = [(k, *layout.head(g)) for k, g in enumerate(basis)]
+        return layout, heads
 
     def keyed(i, j):
         # (sugar, order key of the lcm, (i, j)) selects the pair; then the lcm
@@ -173,45 +181,50 @@ def _buchberger(gens, order, budget) -> list:
         return False
 
     while heap:
-        _, _, (i, j), m = heappop(heap)
+        s, _, (i, j), m = heappop(heap)
         pending.discard((i, j))
         if skippable(i, j, m):
             continue
-        s = _spoly(basis[i], lts[i], basis[j], lts[j])
+        fit(s)
+        # lc_j x^(m - lt_i) f_i - lc_i x^(m - lt_j) f_j: both tails shifted to m
+        (*_, ci, tail_i), (*_, cj, tail_j), at = heads[i], heads[j], layout.pack(m)
+        spoly = {at + step: cj * c for step, c in tail_i}
+        for step, c in tail_j:
+            c = spoly.pop(at + step, 0) - ci * c
+            if c:
+                spoly[at + step] = c
         # top-reduction suffices inside the loop; tails are cleaned up at the end
-        rem = divide(s, basis, blocks, tracker.spend, full=False, scale=True)
-        if rem.terms:
-            rem = _strip(rem)
+        rem = layout.reduce(spoly, heads, tracker.spend, full=False, scale=True)
+        if rem:
+            rem = _strip(Poly(ring, layout.unpack(rem)))
             basis.append(rem)
             sugar.append(rem.degree())
             lts.append(_leading(rem, order)[0])
             n = len(basis) - 1
+            heads.append((n, *layout.head(rem)))
             for k in range(n):
                 heappush(heap, keyed(k, n))
                 pending.add((k, n))
-    return _interreduce(list(zip(lts, basis)), order, blocks, tracker)
+    return _interreduce(lts, basis, order, fit, tracker)
 
 
-def _interreduce(pairs, order, blocks, tracker) -> list:
+def _interreduce(lts, basis, order, fit, tracker) -> list:
     # minimalize: drop elements whose LT is divisible by another's LT
-    pairs = _sorted_by_leading(pairs, order)
-    lts = [e for e, _ in pairs]
-    keep = []
-    for i, pair in enumerate(pairs):
-        dominated = any(
-            j != i and _divides(lts[j], lts[i]) and (lts[j] != lts[i] or j < i)
-            for j in range(len(pairs))
-        )
-        if not dominated:
-            keep.append(pair)
-    # tail-reduce each element against the others; no other leading
-    # monomial divides its own, which therefore stays
+    pairs = _sorted_by_leading(list(zip(lts, basis, range(len(basis)))), order)
+    keep = [
+        (e, k) for i, (e, _, k) in enumerate(pairs)
+        if not any(j != i and _divides(f, e) and (f != e or j < i)
+                   for j, (f, *_) in enumerate(pairs))
+    ]
+    # tail-reduce each element against the others on the run's layout; no
+    # other leading monomial divides its own, which therefore stays
     reduced = []
-    for i, (lt, g) in enumerate(keep):
-        others = [h for _, h in keep[:i] + keep[i + 1 :]]
-        done = divide(g, others, blocks, tracker.spend, scale=True)
-        if done.terms:
-            reduced.append((lt, _strip(done)))
+    for e, k in keep:
+        layout, heads = fit(basis[k].degree())
+        among = [heads[o] for _, o in keep if o != k]
+        rem = layout.reduce(layout.pack_terms(basis[k].terms), among, tracker.spend, scale=True)
+        if rem:
+            reduced.append((e, _strip(Poly(basis[k].ring, layout.unpack(rem)))))
     return [g for _, g in _sorted_by_leading(reduced, order)]
 
 
@@ -221,16 +234,16 @@ def _interreduce(pairs, order, blocks, tracker) -> list:
 
 
 class Ideal:
-    """Generator list plus a per-order cache of reduced Groebner bases.
-
-    Each basis is computed on the first request for its order; every later
-    caller gets that same list, which is never mutated.
+    """Generator list plus per-order reduced Groebner bases and the Hilbert
+    data of the grevlex one, each computed on the first request that
+    succeeds; every later caller gets that same object, never mutated.
     """
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
         self.gens = tuple(g for g in gens)
         self._bases: dict = {}
+        self._hilbert = None
 
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.gens)
@@ -420,6 +433,8 @@ def hilbert_data(
     I: Ideal,
     budget: GroebnerBudget = DEFAULT_GB_BUDGET,
 ) -> HilbertData:
+    if I._hilbert is not None:
+        return I._hilbert
     basis = I.groebner(GREVLEX, budget)
     for g in basis:
         if not g.is_homogeneous():
@@ -427,7 +442,8 @@ def hilbert_data(
     nvars = I.ring.nvars
     if any(g.is_constant() and not g.is_zero() for g in basis):
         # unit ideal: the quotient is zero
-        return HilbertData(nvars=nvars, numerator=(), reduced=(), krull_dim=0, degree=0)
+        I._hilbert = HilbertData(nvars, numerator=(), reduced=(), krull_dim=0, degree=0)
+        return I._hilbert
     lts = frozenset(max(g.terms, key=grevlex_key) for g in basis)
     num = _hilbert_numerator(lts, {}) if basis else {0: 1}
     # cancel (1-t) factors: numerator(1) == 0 means a pole drops
@@ -435,6 +451,7 @@ def hilbert_data(
     dim = nvars
     while reduced and sum(reduced.values()) == 0:
         top = max(reduced)
+        _Budget(budget.max_reductions).spend(top)  # a step per coefficient, checked first
         quot: dict = {}
         run = 0
         for k in range(top, 0, -1):
@@ -442,14 +459,14 @@ def hilbert_data(
             quot[k - 1] = -run
         reduced = {k: c for k, c in quot.items() if c}
         dim -= 1
-    degree = sum(reduced.values())
-    return HilbertData(
+    I._hilbert = HilbertData(
         nvars=nvars,
         numerator=tuple(sorted(num.items())),
         reduced=tuple(sorted(reduced.items())),
         krull_dim=dim,
-        degree=degree,
+        degree=sum(reduced.values()),
     )
+    return I._hilbert
 
 
 def hilbert_function(I: Ideal, d: int, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> int:

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -188,6 +192,17 @@ def test_budget_exit_three(capsys):
     )
     assert code == 3
     assert rep["provenance"] == ["budget-exceeded"]
+
+
+def test_a_huge_hilbert_numerator_is_refused_before_its_loop():
+    # 1 - t^99999999999 would cancel its pole at t = 1 in a loop of that
+    # length; the refusal comes first, in a cold process of a few seconds
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "icotk.cli", "groebner", "-i", "x0^99999999999"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["provenance"] == ["budget-exceeded"]
 
 
 def test_lex_basis_keeps_the_grevlex_leading_sign(capsys):

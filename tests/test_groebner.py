@@ -8,11 +8,14 @@ see scripts/freeze_oracles.py.
 import hashlib
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icotk import algebra, groebner
 from icotk.algebra import P2, P4, Poly, elementary_symmetric, grevlex_key, poly_parse
 from icotk.config import GroebnerBudget
 from icotk.errors import BudgetExceededError
@@ -20,7 +23,11 @@ from icotk.groebner import (
     GREVLEX,
     LEX,
     Ideal,
+    _Budget,
+    _divides,
     _leading,
+    _sorted_by_leading,
+    _strip,
     arithmetic_genus,
     block_order,
     dim_degree,
@@ -289,6 +296,135 @@ def test_bases_with_large_leading_coefficients_are_pinned():
     assert h.hexdigest()[:16] == "75eb68badecec792"
 
 
+# -- one packed layout per run against a division per reduction --------------
+
+
+def _oracle_spoly(f, fe, g, ge):
+    """The S-polynomial of f and g, whose leading monomials are fe and ge."""
+    lcm = tuple(map(max, fe, ge))
+    mf = Poly.monomial(f.ring, tuple(map(int.__sub__, lcm, fe)), g.terms[ge])
+    mg = Poly.monomial(g.ring, tuple(map(int.__sub__, lcm, ge)), f.terms[fe])
+    return mf * f - mg * g
+
+
+def _oracle_basis(gens, order, spend):
+    """Buchberger with Poly S-polynomials and one ``divide`` per reduction,
+    each packing its divisors afresh: the oracle for the run's one layout."""
+    basis = [_strip(g) for g in gens if not g.is_zero()]
+    if not basis:
+        return []
+    blocks = order.blocks(basis[0].ring.nvars)
+    pairs = _sorted_by_leading([(_leading(g, order)[0], g) for g in basis], order)
+    lts, basis = [e for e, _ in pairs], [g for _, g in pairs]
+    sugar = [g.degree() for g in basis]
+
+    def keyed(i, j):
+        m = tuple(map(max, lts[i], lts[j]))
+        s = max(sugar[i] + sum(m) - sum(lts[i]), sugar[j] + sum(m) - sum(lts[j]))
+        return s, order.key(m), (i, j), m
+
+    heap = [keyed(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapify(heap)
+    pending = {pair for _, _, pair, _ in heap}
+    while heap:
+        _, _, (i, j), m = heappop(heap)
+        pending.discard((i, j))
+        if all(a == 0 or b == 0 for a, b in zip(lts[i], lts[j])) or any(
+            k not in (i, j) and _divides(lts[k], m)
+            and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
+            for k in range(len(basis))
+        ):
+            continue
+        s = _oracle_spoly(basis[i], lts[i], basis[j], lts[j])
+        rem = algebra.divide(s, basis, blocks, spend, full=False, scale=True)
+        if rem.terms:
+            basis.append(_strip(rem))
+            sugar.append(basis[-1].degree())
+            lts.append(_leading(basis[-1], order)[0])
+            for k in range(len(basis) - 1):
+                heappush(heap, keyed(k, len(basis) - 1))
+                pending.add((k, len(basis) - 1))
+    pairs = _sorted_by_leading(list(zip(lts, basis)), order)
+    keep = [(e, g) for i, (e, g) in enumerate(pairs)
+            if not any(j != i and _divides(f, e) and (f != e or j < i)
+                       for j, (f, _) in enumerate(pairs))]
+    reduced = []
+    for i, (e, g) in enumerate(keep):
+        others = [h for _, h in keep[:i] + keep[i + 1:]]
+        done = algebra.divide(g, others, blocks, spend, scale=True)
+        if done.terms:
+            reduced.append((e, _strip(done)))
+    return [g for _, g in _sorted_by_leading(reduced, order)]
+
+
+def _oracle_run(gens, order, limit):
+    """(the oracle's basis, or None if it ran past limit steps; its steps)."""
+    tracker, calls = _Budget(limit), []
+
+    def spend():
+        calls.append(1)
+        tracker.spend()
+
+    try:
+        return _oracle_basis(gens, order, spend), len(calls)
+    except BudgetExceededError:
+        return None, len(calls)
+
+
+def _layout_run(ring, gens, order, limit):
+    """(Ideal.groebner's basis, or None if refused within limit; its steps)."""
+    calls, spend = [], _Budget.spend
+
+    def counted(self, n=1):
+        calls.append(n)
+        spend(self, n)
+
+    with mock.patch.object(_Budget, "spend", counted):
+        try:
+            return Ideal(ring, gens).groebner(order, GroebnerBudget(limit)), sum(calls)
+        except BudgetExceededError:
+            return None, sum(calls)
+
+
+@st.composite
+def _ring_polys(draw, ring):
+    exponents = st.tuples(*([st.integers(0, 2)] * ring.nvars))
+    terms = st.lists(st.tuples(exponents, st.integers(-9, 9)), min_size=2, max_size=4)
+    return Poly.from_terms(ring, draw(terms))
+
+
+@pytest.mark.parametrize("ring", [P2, P4], ids=["P2", "P4"])
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["grevlex", "lex", "block"])
+@given(data=st.data())
+@settings(max_examples=20)
+def test_one_layout_per_run_equals_a_division_per_reduction(ring, which, data):
+    order = [GREVLEX, LEX, block_order(ring, ring.names[1:3])][which]
+    gens = data.draw(st.lists(_ring_polys(ring), min_size=2, max_size=3))
+    # the same basis and the same steps, or the same refusal after them
+    assert _layout_run(ring, gens, order, 400) == _oracle_run(gens, order, 400)
+
+
+@pytest.mark.parametrize("ring, gens, order, widths", [
+    # S-polynomials of degree at most 7 first (M = 7), then y^8 - ...: a run
+    # that kept M = 7 would pack y^8 wrongly and take 8 steps, not 4
+    (P2, "y*z^3; x^3*y*z - y^3 + x*z", GREVLEX, [7, 15]),
+    (P4, "x0^2*x1 - x2^3; x1^2*x3 - x4^3; x0*x4 - x2*x3", LEX, None),
+], ids=["P2-grevlex", "P4-lex"])
+def test_the_run_widens_its_layout_and_repacks(ring, gens, order, widths, monkeypatch):
+    seen = []
+
+    class Spy(algebra.Layout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            seen.append(self.M)
+
+    monkeypatch.setattr(groebner, "Layout", Spy)
+    gens = [poly_parse(g, ring) for g in gens.split(";")]
+    assert _layout_run(ring, gens, order, 10**6) == _oracle_run(gens, order, 10**6)
+    assert len(seen) > 1 and seen == sorted(set(seen))
+    assert widths in (None, seen)
+
+
 def _old_block_key(block):
     """The sort key block orders had before keys were built from blocks."""
     def key(expo):
@@ -347,6 +483,31 @@ def test_plane_conic_genus():
     I = Ideal(P2, [_p2("x^2 + y^2 - z^2")])
     assert dim_degree(I) == (1, 2)
     assert arithmetic_genus(I) == 0
+
+
+def test_hilbert_data_is_computed_once_per_ideal(monkeypatch):
+    calls, numerator = [], groebner._hilbert_numerator
+
+    def counted(gens, memo):
+        calls.append(gens)
+        return numerator(gens, memo)
+
+    monkeypatch.setattr(groebner, "_hilbert_numerator", counted)
+    geo = fixed_geometry()
+    I = Ideal(P4, [geo.sigma2, geo.sigma4, _p4("x0 + 2*x1 + 3*x2 + 5*x3 + 7*x4")])
+    assert dim_degree(I) == (1, 8)
+    once = len(calls)
+    assert once and arithmetic_genus(I) == 9 and dim_degree(I) == (1, 8)
+    assert len(calls) == once
+
+
+def test_pole_cancellation_is_budgeted_and_a_refusal_caches_nothing():
+    # the numerator of x0^30 is 1 - t^30: its pole at t = 1 cancels in a
+    # loop over 30 coefficients, and the basis takes no reduction step
+    I = Ideal(P4, [_p4("x0^30")])
+    with pytest.raises(BudgetExceededError):
+        dim_degree(I, GroebnerBudget(max_reductions=29))
+    assert dim_degree(I, GroebnerBudget(max_reductions=30)) == (3, 30)
 
 
 def test_hilbert_function_of_unit_ideal():
