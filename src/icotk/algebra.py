@@ -782,12 +782,13 @@ class Layout:
                 k = e + step
                 old = rem.get(k)
                 if old is None:
-                    rem[k] = _norm_coeff(-factor * tc)
+                    s = -factor * tc
+                    rem[k] = s if type(s) is int else _norm_coeff(s)
                     heappush(heap, -k)
                 else:
                     s = old - factor * tc
                     if s:
-                        rem[k] = _norm_coeff(s)
+                        rem[k] = s if type(s) is int else _norm_coeff(s)
                     else:
                         del rem[k]
         return done if full else rem

@@ -87,18 +87,15 @@ def instance_model(inst: FermatInstance) -> IcoModel:
 
 
 def _sigma24(coords):
-    """(sigma_2, sigma_4) of five integers, via Newton's identities."""
-    p1 = p2 = p3 = p4 = 0
+    """(sigma_2, sigma_4) of integers: e_k of c_1..c_j is e_k of c_1..c_(j-1)
+    plus c_j times their e_(k-1), updated from the top so each reads the old
+    value."""
+    e1 = e2 = e3 = e4 = 0
     for c in coords:
-        c = int(c)
-        p1 += c
-        p2 += c * c
-        p3 += c * c * c
-        p4 += c * c * c * c
-    e1 = p1
-    e2 = (e1 * p1 - p2) // 2
-    e3 = (e2 * p1 - e1 * p2 + p3) // 3
-    e4 = (e3 * p1 - e2 * p2 + e1 * p3 - p4) // 4
+        e4 += e3 * c
+        e3 += e2 * c
+        e2 += e1 * c
+        e1 += c
     return e2, e4
 
 
@@ -150,10 +147,10 @@ def _complete_triple(B, v1, v2, v3):
 def _orbit(t5):
     """The canonical tuple of the S_5 x {+-1} orbit of a nonzero integer
     tuple: divided by its gcd, sorted, the lesser of that and its sorted
-    negation."""
+    negation (the negation reversed)."""
     g = math.gcd(*t5)
     up = tuple(sorted(c // g for c in t5))
-    return min(up, tuple(sorted(-c for c in up)))
+    return min(up, tuple(map(int.__neg__, reversed(up))))
 
 
 def _window(x: int, B: int) -> list:
@@ -172,10 +169,10 @@ def _scan_chunk(task):
         win = _window(a, B)
         for i, b in enumerate(win):
             for c in win[i:] if a else _window(b, B):
+                # (a, b, c, x3, x4) is never zero: D != 0 needs a nonzero
+                # triple, and the one completion of (0, 0, 0) is (1, 0)
                 for x3, x4 in _complete_triple(B, a, b, c):
-                    t5 = (a, b, c, x3, x4)
-                    if any(t5):
-                        found.add(_orbit(t5))
+                    found.add(_orbit((a, b, c, x3, x4)))
     return found
 
 
@@ -208,17 +205,17 @@ def scan_surface(B: int, threads: int | None = None) -> ScanReport:
     if B < 1:
         raise ValueError("B >= 1 required")
     t0 = time.perf_counter()
-    points = set()
+    points = {}  # by coordinates, which order and compare in C
     for orbit in _scan_chunk((B, list(range(-B, B + 1)))):
         for perm in set(itertools.permutations(orbit)):
             pt = ProjPoint(perm)
             if _sigma24(pt.coords) != (0, 0):
                 raise AssertionError(f"scan emitted an off-surface point {pt}")
-            points.add(pt)
+            points[pt.coords] = pt
     return ScanReport(
         B=B,
         strategy="three-two-split",
-        points=tuple(sorted(points, key=lambda p: p.coords)),
+        points=tuple(map(points.__getitem__, sorted(points))),
         millis=(time.perf_counter() - t0) * 1000.0,
     )
 

@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, prod
+from operator import neg
 
 from .algebra import P2, P4, Poly, elementary_symmetric, poly_parse
 from .binaryforms import Phi
@@ -38,21 +39,21 @@ class ProjPoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        ints = list(coords)
-        if not all(type(c) is int for c in ints):
+        t = tuple(coords)
+        if set(map(type, t)) != {int}:  # bools and other int subclasses convert
             denom = 1
-            for c in ints:
+            for c in t:
                 if isinstance(c, Fraction):
                     denom = denom * c.denominator // gcd(denom, c.denominator)
                 elif not isinstance(c, int):
                     raise TypeError(f"coordinate {c!r} is neither an int nor a Fraction")
-            ints = [int(c * denom) for c in ints]
-        if not any(ints):
+            t = tuple(int(c * denom) for c in t)
+        g = gcd(*t)
+        if g == 0:
             raise ValueError("projective point needs a nonzero coordinate")
-        g = gcd(*ints)
-        if next(c for c in ints if c) < 0:
+        if next(filter(None, t)) < 0:
             g = -g
-        self.coords = tuple(c // g for c in ints)
+        self.coords = t if g == 1 else tuple(map(neg, t)) if g == -1 else tuple(c // g for c in t)
 
     def __iter__(self):
         return iter(self.coords)

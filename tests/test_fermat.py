@@ -209,6 +209,23 @@ def test_scan_builds_at_most_two_points_per_reported_point(monkeypatch):
     assert len(made) <= 2 * len(rep.points)
 
 
+def test_scan_rechecks_every_point_on_the_surface(monkeypatch):
+    import icotk.fermat as fermat
+
+    bad = (1, 0, 0, -2, -2)  # a point of scan_surface(2), sigma_2 = sigma_4 = 0
+    sigma24 = fermat._sigma24
+    seen = []
+
+    def one_wrong(coords):
+        seen.append(coords)
+        return (1, 0) if coords == bad else sigma24(coords)
+
+    monkeypatch.setattr(fermat, "_sigma24", one_wrong)
+    with pytest.raises(AssertionError, match="off-surface"):
+        scan_surface(8, threads=1)
+    assert bad in seen
+
+
 def test_trivial_and_nontrivial_split_the_points_in_order():
     rep = scan_surface(8)
     trivial, nontrivial = set(rep.trivial), set(rep.nontrivial)

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -286,6 +287,55 @@ def test_proj_point_fractions_and_ints_agree():
     assert ProjPoint((Fraction(1, 2), 1, Fraction(-3, 4))).coords == (2, 4, -3)
     assert ProjPoint((Fraction(4), 2, 0)) == ProjPoint((2, 1, 0))
     assert ProjPoint((True, 0, 2)).coords == (1, 0, 2)  # an int subclass
+
+
+def _list_projpoint_coords(coords):
+    """The earlier list-based canonicalization of ProjPoint: the oracle."""
+    ints = list(coords)
+    if not all(type(c) is int for c in ints):
+        denom = 1
+        for c in ints:
+            if isinstance(c, Fraction):
+                denom = denom * c.denominator // gcd(denom, c.denominator)
+            elif not isinstance(c, int):
+                raise TypeError(f"coordinate {c!r} is neither an int nor a Fraction")
+        ints = [int(c * denom) for c in ints]
+    if not any(ints):
+        raise ValueError("projective point needs a nonzero coordinate")
+    g = gcd(*ints)
+    if next(c for c in ints if c) < 0:
+        g = -g
+    return tuple(c // g for c in ints)
+
+
+class _Int(int):
+    """An int subclass other than bool."""
+
+
+_COORD = st.one_of(
+    st.integers(),
+    st.integers(-3, 3),
+    st.sampled_from([0, False, Fraction(0)]),
+    st.fractions(max_denominator=12),
+    st.booleans(),
+    st.builds(_Int, st.integers(-9, 9)),
+    st.floats(),
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(_COORD, max_size=6), st.integers(-6, 6))
+def test_proj_point_matches_the_list_oracle(coords, k):
+    for t in (coords, [k * c for c in coords if not isinstance(c, float)]):
+        try:
+            want = _list_projpoint_coords(t)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                ProjPoint(t)
+        else:
+            got = ProjPoint(t).coords
+            assert got == want
+            assert set(map(type, got)) <= {int}  # no bool or other subclass kept
 
 
 @pytest.mark.parametrize("bad", [(0.5, 1, 0), (1, 2.0, 3), (1, "2", 3), (1, None, 0)])
