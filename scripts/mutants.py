@@ -1,0 +1,259 @@
+#!/usr/bin/env python3
+"""Mutation check of the test suite: each mutant is one small edit to the
+program that the tests it names must catch.
+
+    python3 scripts/mutants.py [--only NAME ...]
+
+For each mutant the script copies src/, tests/ and pyproject.toml to a
+temporary directory, replaces the mutant's old text, which must occur exactly
+once in its file, by the new text, and runs the named tests there with
+pytest, stopping at the first failure.  A mutant is killed when a test
+fails and survives when they all pass.  A mutant with a recorded reason to
+survive is a known survivor.  The exit status is 0 when every other mutant
+is killed.  Standard library only; the tests themselves need pytest and
+hypothesis.
+
+Mutation testing: DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978;
+Jia & Harman, IEEE TSE 37(5), 2011.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120  # seconds per mutant; every mutant's tests take far less
+
+Mutant = namedtuple("Mutant", "name path old new tests why survives", defaults=(None,))
+
+A, G, S, F = (f"src/icotk/{m}.py" for m in ("algebra", "groebner", "ico_surface", "fermat"))
+PC, BF, H, C = (f"src/icotk/{m}.py" for m in ("plane_curves", "binaryforms", "heights", "cli"))
+TA, TG, TS, TF = (f"tests/test_{m}.py" for m in ("algebra", "groebner", "ico_surface", "fermat"))
+TP, TB, TH, TC = (f"tests/test_{m}.py" for m in ("plane_curves", "binaryforms", "heights", "cli"))
+
+MUTANTS = [
+    # -- packed-integer (Kronecker) products and substitution
+    Mutant("kronecker-width-one-bit-short", A,
+           "width = (bound.bit_length() + 8) // 8",
+           "width = (bound.bit_length() + 7) // 8",
+           (f"{TA}::test_packed_kernel_edge_cases",
+            f"{TA}::test_packed_product_equals_the_generic_product"),
+           "a digit must hold the bound's bits and a sign bit"),
+    Mutant("unpack-without-half-digit-offset", A,
+           'offset = int.from_bytes((bytes(width - 1) + b"\\x80") * count, "little")',
+           "offset = 0",
+           (f"{TA}::test_packed_kernel_edge_cases",),
+           "negative digits borrow from the next one without the offset"),
+    # -- packed division
+    Mutant("field-bound-without-moves", A,
+           "d = deg + top * moves",
+           "d = deg",
+           (f"{TA}::test_lex_growth_chains", f"{TA}::test_rabinowitsch_shaped_division"),
+           "a lower block's degree grows by top for each move of the blocks above"),
+    Mutant("layout-without-bias", A,
+           "            self.bias += M << at\n",
+           "",
+           (f"{TA}::test_packed_division_at_the_width_edges",
+            f"{TA}::test_packed_division_equals_the_tuple_path"),
+           "without the bias a divisibility test borrows between blocks"),
+    Mutant("guard-mask-skips-the-lowest-field", A,
+           "self.guards += 1 << (at + bits)",
+           "self.guards += 1 << (at + bits) if at else 0",
+           (f"{TA}::test_packed_division_at_the_width_edges",),
+           "a negative difference in the lowest field must show in its guard bit"),
+    Mutant("scaled-division-leaves-done-unscaled", A,
+           "                done = {k: v * mult for k, v in done.items()}\n",
+           "",
+           (f"{TA}::test_scaled_division_scales_what_is_done_and_what_is_left",),
+           "a scaled division multiplies what is done as well as what is left"),
+    # -- Buchberger and Hilbert data
+    Mutant("never-widen", G,
+           "if layout is None or bound > layout.M:",
+           "if layout is None:",
+           (f"{TG}::test_the_run_widens_its_layout_and_repacks",),
+           "a run whose S-polynomials outgrow the layout must repack on a wider one"),
+    Mutant("expansion-without-sign", G,
+           "(-1) ** j * sum(c * comb(k, j) for k, c in num.items())",
+           "sum(c * comb(k, j) for k, c in num.items())",
+           (f"{TG}::test_the_expansion_at_one_equals_pole_cancellation",),
+           "N(t) = sum a_j (1-t)^j needs a_j = (-1)^j sum c_k C(k, j)"),
+    Mutant("first-nonzero-searched-from-one", G,
+           "enumerate(expansion) if a",
+           "enumerate(expansion[1:], 1) if a",
+           (f"{TG}::test_the_expansion_at_one_equals_pole_cancellation",),
+           "the zero ideal has a_0 = 1 and Krull dimension n"),
+    # -- points
+    Mutant("proj-point-keeps-a-negative-lead", S,
+           "            g = -g\n",
+           "            pass\n",
+           (f"{TS}::test_proj_point_normalization",
+            f"{TS}::test_proj_point_matches_the_list_oracle"),
+           "the first nonzero coordinate of a point is positive"),
+    Mutant("proj-point-truncates-floats", S,
+           "elif not isinstance(c, int):",
+           "elif not isinstance(c, (int, float)):",
+           (f"{TS}::test_proj_point_rejects_other_coordinate_types",),
+           "a float coordinate is refused, never truncated"),
+    Mutant("proj-point-keeps-int-subclasses", S,
+           "if set(map(type, t)) != {int}:",
+           "if not all(isinstance(c, int) for c in t):",
+           (f"{TS}::test_proj_point_matches_the_list_oracle",),
+           "bools and other int subclasses become ints"),
+    Mutant("no-first-bracket-check", S,
+           "if tau[1] + tau[3] != -(self.t_sum * t[0] * t[2] * (t[1] + t[3])):",
+           "if False:",
+           (f"{TS}::test_perturbed_cubic_fails_the_build",),
+           "the geometry checks the first bracket identity when it is built"),
+    Mutant("phi-equality-ignores-phi-part", BF,
+           "return self.a == other.a and self.b == other.b",
+           "return self.a == other.a",
+           (f"{TB}::test_phi_equality_compares_both_parts",),
+           "a + b*phi equals c + d*phi only when b = d"),
+    # -- the surface scan
+    Mutant("scan-rechecks-only-the-first-point", F,
+           "            if _sigma24(pt.coords) != (0, 0):\n"
+           "                raise AssertionError(f\"scan emitted",
+           "            if not points and _sigma24(pt.coords) != (0, 0):\n"
+           "                raise AssertionError(f\"scan emitted",
+           (f"{TF}::test_scan_rechecks_every_point_on_the_surface",),
+           "every reported point is checked on the surface"),
+    Mutant("orbit-without-negation", F,
+           "return min(up, tuple(map(int.__neg__, reversed(up))))",
+           "return up",
+           (f"{TF}::test_orbit_is_one_tuple_per_orbit",),
+           "t and -t are one orbit"),
+    Mutant("orbit-without-gcd", F,
+           "up = tuple(sorted(c // g for c in t5))",
+           "up = tuple(sorted(t5))",
+           (f"{TF}::test_orbit_is_one_tuple_per_orbit",),
+           "t and k*t are one orbit"),
+    Mutant("window-a-cubed", F,
+           "_signed_divisors(x, 4)",
+           "_signed_divisors(x, 3)",
+           (f"{TF}::test_scan_b30_is_pinned", f"{TF}::test_scan_b200_is_pinned",
+            f"{TF}::test_divisor_scan_finds_every_orbit_of_the_triple_loop"),
+           "the scan's windows are (a+b) | a^4",
+           "every hit with D != 0 up to B = 500 also meets (a+b) | a^3, so the "
+           "scanned points do not change; unproved, so the scan keeps a^4 (only "
+           "test_window_is_the_divisor_condition, which restates the condition, fails)"),
+    # -- criterion (tau)
+    Mutant("probe-too-strict", PC,
+           "if a.degree() > b.degree() or not ap or bp % ap:",
+           "if a.degree() > b.degree() or not ap or bp % (2 * ap):",
+           (f"{TP}::test_a_factor_times_any_form_passes_the_probe",),
+           "a | b gives a(p) | b(p) at the probe p, and no more"),
+    Mutant("only-the-first-transform", PC,
+           "if F.evaluate(kept[i].center) != 0:",
+           "if True:",
+           (f"{TP}::test_kept_transforms_equal_the_per_curve_search",),
+           "a transform whose center lies on the curve is passed over"),
+    Mutant("horner-without-the-power-of-z", PC,
+           "acc = acc * y + c * zi",
+           "acc = acc * y + c",
+           (f"{TP}::test_horner_on_x_coefficients_equals_evaluate",),
+           "sum c_i y^(n-i) z^i needs the power of z"),
+    Mutant("fiber-check-skips-the-quadratic-point", PC,
+           "fibers = [_fiber(fc, q) for q in move.moved[:-1]]",
+           "fibers = [_fiber(fc, q) for q in move.moved[:-2]]",
+           (f"{TP}::test_stage2_fails_on_the_fiber_of_the_conjugate_pair",),
+           "the fiber line of the conjugate pair is checked too"),
+    Mutant("stage2-keeps-the-pair-projection", PC,
+           "rem = strip_factor(rem, move.pair)",
+           "rem = rem",
+           (f"{TP}::test_stage2_verdicts_pinned",),
+           "the conjugate pair's projections are stripped before the verdict"),
+    # -- resultants and interpolation
+    Mutant("prs-without-the-odd-degree-sign", BF,
+           "    while len(b) > 1:\n        delta = len(a) - len(b)\n"
+           "        if len(a) % 2 == 0 and len(b) % 2 == 0:\n            sign = -sign\n",
+           "    while len(b) > 1:\n        delta = len(a) - len(b)\n",
+           (f"{TB}::test_subresultant_prs_equals_the_sylvester_determinant",),
+           "each step with both degrees odd flips the resultant's sign"),
+    Mutant("interpolate-without-remainder-check", BF,
+           "        if r:\n            return None\n        out.append(q)",
+           "        out.append(q)",
+           (f"{TB}::test_interpolation_fractional_result",),
+           "a coefficient outside Z is refused, never floored"),
+    # -- heights
+    Mutant("logarithms-unwidened", H,
+           "            ln10_lo, ln10_hi = down.next_minus(ln10), up.next_plus(ln10)\n"
+           "        for m, c in self.terms:\n"
+           "            ln_m = down.ln(m)\n"
+           "            l_lo = down.divide(down.next_minus(ln_m), ln10_hi)  # log10(m) > 0\n"
+           "            l_hi = up.divide(up.next_plus(ln_m), ln10_lo)\n",
+           "            ln10_lo, ln10_hi = ln10, ln10\n"
+           "        for m, c in self.terms:\n"
+           "            ln_m = down.ln(m)\n"
+           "            l_lo = down.divide(ln_m, ln10_hi)  # log10(m) > 0\n"
+           "            l_hi = up.divide(ln_m, ln10_lo)\n",
+           (f"{TH}::test_interval_encloses_the_value",
+            f"{TH}::test_interval_of_log10_3_encloses_it"),
+           "Decimal.ln rounds half-even, so each logarithm is widened by an ulp"),
+    Mutant("render-without-the-digit-limit", H,
+           "if limit and digits + 1 > limit:",
+           "if False:",
+           (f"{TH}::test_render_refuses_more_digits_than_an_int_prints",),
+           "--digits above the int string limit is refused before the work"),
+    # -- the command line
+    Mutant("internal-error-exits-one", C,
+           'provenance, code = ["internal-error"], 4',
+           'provenance, code = ["internal-error"], 1',
+           (f"{TC}::test_internal_error_gets_its_own_exit_code",),
+           "exit 1 is a negative verdict, never a crash"),
+]
+
+
+def _run(mutant, workdir: Path) -> str:
+    """'killed', 'survived' or 'error' (pytest could not run the tests, or
+    ran past TIMEOUT seconds)."""
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, workdir / part)
+    shutil.copy(ROOT / "pyproject.toml", workdir)
+    target = workdir / mutant.path
+    text = target.read_text()
+    if text.count(mutant.old) != 1:
+        return "error"
+    target.write_text(text.replace(mutant.old, mutant.new))
+    env = {**os.environ, "PYTHONPATH": str(workdir / "src")}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT,
+        )
+    except subprocess.TimeoutExpired:
+        return "error"
+    return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants only")
+    args = parser.parse_args(argv)
+    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
+    bad, t0 = 0, time.perf_counter()
+    for m in chosen:
+        t1 = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            outcome = _run(m, Path(tmp))
+        note = None if outcome == "killed" else m.why
+        if outcome == "survived" and m.survives:
+            outcome, note = "survived (known)", m.survives
+        else:
+            bad += outcome != "killed"
+        print(f"{outcome:17} {m.name:40} {time.perf_counter() - t1:6.1f} s", flush=True)
+        if note:
+            print(f"{'':17} {note}")
+    print(f"{len(chosen)} mutants, {bad} not killed, {time.perf_counter() - t0:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

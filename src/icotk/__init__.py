@@ -44,7 +44,6 @@ from .ico_surface import (
 from .ico_models import (
     IcoModel,
     basis_An,
-    diagonal,
     general_model,
     genus_general,
     is_curve,

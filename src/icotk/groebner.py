@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, factorial
+from math import comb
 
 from .algebra import Layout, Poly, Ring, divide, field_bound, grevlex_key
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
@@ -80,8 +80,8 @@ class _Budget:
     def __init__(self, limit: int):
         self.left = limit
 
-    def spend(self, n: int = 1):
-        self.left -= n
+    def spend(self):
+        self.left -= 1
         if self.left < 0:
             raise BudgetExceededError("reduction-step budget exceeded")
 
@@ -394,15 +394,19 @@ def _hilbert_numerator(gens: frozenset, memo: dict) -> dict:
 class HilbertData:
     """Hilbert-series data of a homogeneous quotient ring/I.
 
-    numerator: coefficients {deg: int} of the series numerator over (1-t)^n;
-    reduced: the numerator after cancelling all poles at t=1, over
-    (1-t)^(krull_dim); projective dimension is krull_dim - 1; degree is the
-    reduced numerator at t=1.
+    numerator: the (deg, coeff) terms c_k t^k of the series numerator N(t)
+    over (1-t)^n, n = nvars.  expansion: (a_0, ..., a_n), N's expansion at
+    t = 1, N(t) = sum_j a_j (1-t)^j with a_j = (-1)^j sum_k c_k C(k, j).  So
+    the series is sum_j a_j (1-t)^(j-n); the terms j >= n are polynomials in
+    t, and (1-t)^-(n-j) = sum_d C(d+n-j-1, n-j-1) t^d.  With a_j0 the first
+    nonzero a_j, krull_dim is n - j0, degree is a_j0, the projective
+    dimension is krull_dim - 1, and the Hilbert polynomial is
+    P(d) = sum over j0 <= j < n of a_j C(d+n-j-1, n-j-1).
     """
 
     nvars: int
     numerator: tuple
-    reduced: tuple
+    expansion: tuple
     krull_dim: int
     degree: int
 
@@ -417,15 +421,13 @@ class HilbertData:
     def hilbert_polynomial_at(self, d) -> Fraction:
         """The Hilbert polynomial (exact, as a Fraction) evaluated at d --
         valid as a polynomial identity, also below the regularity index."""
-        s = self.krull_dim
-        if s == 0:
-            return Fraction(0)
+        n = self.nvars
         total = Fraction(0)
-        for i, c in self.reduced:
-            prod = Fraction(1)
-            for j in range(s - 1):
-                prod *= Fraction(d - i + s - 1 - j)
-            total += c * prod / factorial(s - 1)
+        for j in range(n - self.krull_dim, n):
+            term = Fraction(self.expansion[j])
+            for i in range(1, n - j):  # C(d+m, m) as a polynomial in d, m = n-j-1
+                term *= Fraction(d + i) / i
+            total += term
         return total
 
 
@@ -433,6 +435,11 @@ def hilbert_data(
     I: Ideal,
     budget: GroebnerBudget = DEFAULT_GB_BUDGET,
 ) -> HilbertData:
+    """The Hilbert data of ring/I (see HilbertData): N(t) from the leading
+    monomials of the grevlex basis, then N(t) = sum_j a_j (1-t)^j with
+    a_j = (-1)^j sum_k c_k C(k, j) for j <= n, and P(d) = sum over
+    j0 <= j < n of a_j C(d+n-j-1, n-j-1).  O(terms of N * n) work,
+    whatever N's degree."""
     if I._hilbert is not None:
         return I._hilbert
     basis = I.groebner(GREVLEX, budget)
@@ -440,31 +447,21 @@ def hilbert_data(
         if not g.is_homogeneous():
             raise ValueError("hilbert data requires a homogeneous ideal")
     nvars = I.ring.nvars
-    if any(g.is_constant() and not g.is_zero() for g in basis):
-        # unit ideal: the quotient is zero
-        I._hilbert = HilbertData(nvars, numerator=(), reduced=(), krull_dim=0, degree=0)
-        return I._hilbert
     lts = frozenset(max(g.terms, key=grevlex_key) for g in basis)
-    num = _hilbert_numerator(lts, {}) if basis else {0: 1}
-    # cancel (1-t) factors: numerator(1) == 0 means a pole drops
-    reduced = dict(num)
-    dim = nvars
-    while reduced and sum(reduced.values()) == 0:
-        top = max(reduced)
-        _Budget(budget.max_reductions).spend(top)  # a step per coefficient, checked first
-        quot: dict = {}
-        run = 0
-        for k in range(top, 0, -1):
-            run += reduced.get(k, 0)
-            quot[k - 1] = -run
-        reduced = {k: c for k, c in quot.items() if c}
-        dim -= 1
+    # the unit ideal's quotient is zero: N = 0
+    num = {} if (0,) * nvars in lts else _hilbert_numerator(lts, {})
+    expansion = tuple(
+        (-1) ** j * sum(c * comb(k, j) for k, c in num.items()) for j in range(nvars + 1)
+    )
+    # j0 <= n for a proper ideal, else its series would be a polynomial with
+    # H(0) = 1, no negative coefficient and H(1) = 0; N = 0 gives j0 = n
+    j0 = next((j for j, a in enumerate(expansion) if a), nvars)
     I._hilbert = HilbertData(
         nvars=nvars,
         numerator=tuple(sorted(num.items())),
-        reduced=tuple(sorted(reduced.items())),
-        krull_dim=dim,
-        degree=sum(reduced.values()),
+        expansion=expansion,
+        krull_dim=nvars - j0,
+        degree=expansion[j0],
     )
     return I._hilbert
 

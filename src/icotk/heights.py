@@ -21,6 +21,7 @@ final mantissa is rounded up).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, localcontext
 from fractions import Fraction
@@ -173,6 +174,9 @@ class LogBound:
         guaranteed >= the exact value (50 guard digits, final ceiling)."""
         if digits < 0:
             raise ValueError(f"digits must be >= 0, got {digits}")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if limit and digits + 1 > limit:  # str() of the (digits + 1)-digit mantissa
+            raise ValueError(f"--digits must be <= {limit - 1} (int string limit), got {digits}")
         size_hint = len(str(abs(self.E.numerator))) + sum(
             len(str(m)) for m, _ in self.terms
         )

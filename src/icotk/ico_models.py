@@ -70,10 +70,6 @@ class IcoModel:
         return self._diagonal
 
 
-def diagonal(model: IcoModel) -> tuple:
-    return model.diagonal()
-
-
 def is_degenerate(model: IcoModel) -> bool:
     """True iff some diagonal row vanishes identically."""
     return any(all(a == 0 for a in row) for row in model.diagonal())

@@ -70,6 +70,11 @@ def test_ring_identities_with_mixed_operands(u, v, w):
     assert u * v == as_phi[0] * as_phi[1] and u - v == as_phi[0] - as_phi[1]
 
 
+def test_phi_equality_compares_both_parts():
+    assert Phi(1, 2) != Phi(1, 3) and Phi(1, 2) != 1 and Phi(1, 0) == 1
+    assert Phi(1, 2) == Phi(1, 2)
+
+
 def test_phi_satisfies_its_minimal_polynomial():
     # phi^2 = phi + 1
     assert PHI * PHI == PHI + 1

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -194,15 +195,25 @@ def test_budget_exit_three(capsys):
     assert rep["provenance"] == ["budget-exceeded"]
 
 
-def test_a_huge_hilbert_numerator_is_refused_before_its_loop():
-    # 1 - t^99999999999 would cancel its pole at t = 1 in a loop of that
-    # length; the refusal comes first, in a cold process of a few seconds
+def test_a_huge_hilbert_numerator_answers_at_once():
+    # 1 - t^99999999999 expands at t = 1 as 99999999999 (1 - t) + ...: the
+    # degree comes from the numerator's terms, not from a loop over its range
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-m", "icotk.cli", "groebner", "-i", "x0^99999999999"],
                           capture_output=True, text=True, env=env, timeout=10)
-    assert proc.returncode == 3
-    assert json.loads(proc.stdout)["provenance"] == ["budget-exceeded"]
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout)["result"]
+    assert (result["dim"], result["degree"]) == (3, 99999999999)
+
+
+def test_too_many_digits_are_refused_before_the_work(capsys):
+    # 6000 digits once computed for seconds, then failed in str()
+    t0 = time.perf_counter()
+    code, rep = _invoke(capsys, "bound", "thmE", "--nu", "7", "--digits", "6000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and rep["provenance"] == ["input-error"]
+    assert "--digits" in rep["result"]["error"]
 
 
 def test_lex_basis_keeps_the_grevlex_leading_sign(capsys):

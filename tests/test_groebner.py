@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
+from math import factorial
 from unittest import mock
 
 import pytest
@@ -375,15 +376,15 @@ def _layout_run(ring, gens, order, limit):
     """(Ideal.groebner's basis, or None if refused within limit; its steps)."""
     calls, spend = [], _Budget.spend
 
-    def counted(self, n=1):
-        calls.append(n)
-        spend(self, n)
+    def counted(self):
+        calls.append(1)
+        spend(self)
 
     with mock.patch.object(_Budget, "spend", counted):
         try:
-            return Ideal(ring, gens).groebner(order, GroebnerBudget(limit)), sum(calls)
+            return Ideal(ring, gens).groebner(order, GroebnerBudget(limit)), len(calls)
         except BudgetExceededError:
-            return None, sum(calls)
+            return None, len(calls)
 
 
 @st.composite
@@ -501,13 +502,61 @@ def test_hilbert_data_is_computed_once_per_ideal(monkeypatch):
     assert len(calls) == once
 
 
-def test_pole_cancellation_is_budgeted_and_a_refusal_caches_nothing():
-    # the numerator of x0^30 is 1 - t^30: its pole at t = 1 cancels in a
-    # loop over 30 coefficients, and the basis takes no reduction step
-    I = Ideal(P4, [_p4("x0^30")])
+def test_a_refused_basis_stores_no_hilbert_data_and_then_answers():
+    # the surface ideal's basis takes 23 reduction steps (PINNED_STEPS)
+    geo = fixed_geometry()
+    I = Ideal(P4, [geo.sigma2, geo.sigma4])
     with pytest.raises(BudgetExceededError):
-        dim_degree(I, GroebnerBudget(max_reductions=29))
-    assert dim_degree(I, GroebnerBudget(max_reductions=30)) == (3, 30)
+        dim_degree(I, GroebnerBudget(max_reductions=22))
+    assert I._hilbert is None and not I._bases
+    assert dim_degree(I, GroebnerBudget(max_reductions=23)) == (2, 8)
+
+
+def test_a_huge_numerator_degree_costs_nothing():
+    # N = 1 - t^d: a_0 = 0, a_1 = d, whatever d is
+    assert dim_degree(Ideal(P4, [_p4("x0^30")]), GroebnerBudget(max_reductions=0)) == (3, 30)
+    assert dim_degree(Ideal(P4, [Poly.from_terms(P4, [((10**6, 0, 0, 0, 0), 1)])])) == (3, 10**6)
+
+
+def _pole_cancellation(basis, nvars):
+    """(numerator, Krull dimension, degree, P) as hilbert_data computed them
+    by dividing the numerator by (1 - t) once per pole at t = 1."""
+    if any(g.is_constant() for g in basis):
+        return (), 0, 0, lambda d: Fraction(0)
+    lts = frozenset(max(g.terms, key=grevlex_key) for g in basis)
+    num = groebner._hilbert_numerator(lts, {}) if basis else {0: 1}
+    reduced, dim = dict(num), nvars
+    while reduced and sum(reduced.values()) == 0:
+        quot, run = {}, 0
+        for k in range(max(reduced), 0, -1):
+            run += reduced.get(k, 0)
+            quot[k - 1] = -run
+        reduced = {k: c for k, c in quot.items() if c}
+        dim -= 1
+
+    def at(d):
+        total = Fraction(0)
+        for i, c in reduced.items() if dim else ():
+            prod = Fraction(1)
+            for j in range(dim - 1):
+                prod *= Fraction(d - i + dim - 1 - j)
+            total += c * prod / factorial(dim - 1)
+        return total
+
+    return tuple(sorted(num.items())), dim, sum(reduced.values()), at
+
+
+@pytest.mark.parametrize("ring", [P2, P4], ids=["P2", "P4"])
+@given(data=st.data())
+@settings(max_examples=60)
+def test_the_expansion_at_one_equals_pole_cancellation(ring, data):
+    expos = st.tuples(*([st.integers(0, 5)] * ring.nvars))
+    monomials = data.draw(st.lists(expos, max_size=5))
+    I = Ideal(ring, [Poly.from_terms(ring, [(e, 1)]) for e in monomials])
+    got = groebner.hilbert_data(I)
+    num, dim, degree, at = _pole_cancellation(I.groebner(), ring.nvars)
+    assert (got.numerator, got.krull_dim, got.degree) == (num, dim, degree)
+    assert [got.hilbert_polynomial_at(d) for d in range(-3, 13)] == [at(d) for d in range(-3, 13)]
 
 
 def test_hilbert_function_of_unit_ideal():

@@ -1,6 +1,7 @@
 """Exact log-scale bounds: decomposition, ordering, rendering, certificates."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -97,6 +98,14 @@ def test_render_rejects_negative_digits():
     assert b.render(0) == "2.E+12"
     with pytest.raises(ValueError):
         b.render(-1)
+
+
+def test_render_refuses_more_digits_than_an_int_prints():
+    # the mantissa is an int of digits + 1 digits, which str() must print
+    limit = sys.get_int_max_str_digits()
+    assert LogBound.exact(12).render(limit - 2) == "1.2" + "0" * (limit - 3) + "E+1"
+    with pytest.raises(ValueError, match="--digits"):
+        LogBound.exact(12).render(limit)
 
 
 def test_render_pure_integer():

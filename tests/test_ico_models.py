@@ -9,7 +9,6 @@ from icotk.groebner import hilbert_function
 from icotk.ico_models import (
     IcoModel,
     basis_An,
-    diagonal,
     expected_rank,
     general_model,
     genus_general,
@@ -36,7 +35,7 @@ def meets_degeneracy_locus(model):
 def test_diagonal_example():
     # f_1 = 2 x0^3 + cross terms, f_2 = x1^2 - x0*x2
     model = IcoModel([_p4("2*x0^3 + x1*x2*x3"), _p4("x1^2 - x0*x2")])
-    assert diagonal(model) == (
+    assert model.diagonal() == (
         (2, 0),
         (0, 1),
         (0, 0),
@@ -179,10 +178,10 @@ def test_general_model_length_check():
 def test_general_model_diagonal_is_v_prefix():
     v = (3, -1, 4, 1, -5)
     model = general_model(1, v)
-    assert tuple(row[0] for row in diagonal(model)) == v
+    assert tuple(row[0] for row in model.diagonal()) == v
     v2 = tuple(range(1, 15))
     model2 = general_model(2, v2)
-    assert tuple(row[0] for row in diagonal(model2)) == v2[:5]
+    assert tuple(row[0] for row in model2.diagonal()) == v2[:5]
 
 
 # -- genus ---------------------------------------------------------------------
