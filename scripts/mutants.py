@@ -38,6 +38,7 @@ A, G, S, F = (f"src/icotk/{m}.py" for m in ("algebra", "groebner", "ico_surface"
 PC, BF, H, C = (f"src/icotk/{m}.py" for m in ("plane_curves", "binaryforms", "heights", "cli"))
 TA, TG, TS, TF = (f"tests/test_{m}.py" for m in ("algebra", "groebner", "ico_surface", "fermat"))
 TP, TB, TH, TC = (f"tests/test_{m}.py" for m in ("plane_curves", "binaryforms", "heights", "cli"))
+CF, TR = "src/icotk/config.py", "tests/test_records.py"
 
 MUTANTS = [
     # -- packed-integer (Kronecker) products and substitution
@@ -146,10 +147,16 @@ MUTANTS = [
            "test_window_is_the_divisor_condition, which restates the condition, fails)"),
     # -- criterion (tau)
     Mutant("probe-too-strict", PC,
-           "if a.degree() > b.degree() or not ap or bp % ap:",
-           "if a.degree() > b.degree() or not ap or bp % (2 * ap):",
+           "if ad > bd or not ap or bp % ap:",
+           "if ad > bd or not ap or bp % (2 * ap):",
            (f"{TP}::test_a_factor_times_any_form_passes_the_probe",),
            "a | b gives a(p) | b(p) at the probe p, and no more"),
+    Mutant("stage1-degrees-swapped", PC,
+           "_divides(g, gd, gp, F, d, Fp)",
+           "_divides(g, d, gp, F, gd, Fp)",
+           (f"{TP}::test_stage1_probe_keeps_the_witnesses_of_the_corpus",
+            f"{TP}::test_a_factor_times_any_form_passes_the_probe"),
+           "a factor of F has at most F's degree"),
     Mutant("only-the-first-transform", PC,
            "if F.evaluate(kept[i].center) != 0:",
            "if True:",
@@ -197,6 +204,30 @@ MUTANTS = [
            (f"{TH}::test_interval_encloses_the_value",
             f"{TH}::test_interval_of_log10_3_encloses_it"),
            "Decimal.ln rounds half-even, so each logarithm is widened by an ulp"),
+    Mutant("logarithm-of-ten-unwidened", H,
+           "ln10_lo, ln10_hi = down.next_minus(ln10), up.next_plus(ln10)",
+           "ln10_lo, ln10_hi = ln10, ln10",
+           (f"{TH}::test_interval_widens_the_logarithm_of_ten",),
+           "ln(10) rounds half-even too, so it is widened by an ulp on its own"),
+    Mutant("logarithm-of-m-unwidened", H,
+           "l_lo = down.divide(down.next_minus(ln_m), ln10_hi)  # log10(m) > 0\n"
+           "            l_hi = up.divide(up.next_plus(ln_m), ln10_lo)\n",
+           "l_lo = down.divide(ln_m, ln10_hi)  # log10(m) > 0\n"
+           "            l_hi = up.divide(ln_m, ln10_lo)\n",
+           (f"{TH}::test_interval_widens_the_logarithm_of_m",),
+           "ln(m) rounds half-even too, so it is widened by an ulp on its own"),
+    Mutant("certificate-without-tag-check", H,
+           "        if tag not in TAGS:\n"
+           "            raise ValueError(f\"unknown certificate tag {tag!r}\")\n",
+           "",
+           (f"{TR}::test_height_certificate_checks_its_tag",),
+           "a certificate carries one of the known tags"),
+    # -- value records
+    Mutant("record-without-slots", CF,
+           'never mis-answers."""\n\n    __slots__ = ()\n',
+           'never mis-answers."""\n',
+           (f"{TR}::test_records_are_immutable_values",),
+           "without __slots__ = () a record takes attributes beyond its fields"),
     Mutant("render-without-the-digit-limit", H,
            "if limit and digits + 1 > limit:",
            "if False:",
@@ -208,6 +239,11 @@ MUTANTS = [
            'provenance, code = ["internal-error"], 1',
            (f"{TC}::test_internal_error_gets_its_own_exit_code",),
            "exit 1 is a negative verdict, never a crash"),
+    Mutant("internal-error-without-traceback", C,
+           "        traceback.print_exc(file=sys.stderr)\n",
+           "",
+           (f"{TC}::test_internal_error_gets_its_own_exit_code",),
+           "a bug's report comes with its traceback on stderr"),
 ]
 
 

@@ -147,6 +147,27 @@ def _pollard_rho(n: int, budget: FactorBudget) -> int:
     raise FactorBudgetError(f"factoring budget exceeded on {n} (unfactored input)")
 
 
+def _trial_division(n: int, limit: int) -> tuple:
+    """Trial division of n >= 1 by 2, 3, 5 and then along the mod-30 wheel
+    while p <= limit and p*p <= what is left: ({p: e} found, cofactor)."""
+    out: dict = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    p = 7
+    wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # mod-30 wheel
+    i = 0
+    while p * p <= n and p <= limit:
+        if n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        else:
+            p += wheel[i]
+            i = (i + 1) % 8
+    return out, n
+
+
 def factorize(n: int, budget: FactorBudget = DEFAULT_FACTOR_BUDGET) -> dict:
     """Prime factorization {p: e} of |n|, n != 0, within the configured effort.
 
@@ -156,22 +177,7 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_FACTOR_BUDGET) -> dict:
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    n = abs(n)
-    out: dict = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    p = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # mod-30 wheel
-    i = 0
-    while p * p <= n and p <= budget.trial_limit:
-        if n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        else:
-            p += wheel[i]
-            i = (i + 1) % 8
+    out, n = _trial_division(abs(n), budget.trial_limit)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

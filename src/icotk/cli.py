@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-import traceback
 from fractions import Fraction
 
 from . import __version__
@@ -583,6 +582,8 @@ def run(argv) -> int:
     except (IcotkError, ValueError, ArithmeticError, OSError) as exc:
         result, provenance, code = {"error": str(exc)}, ["input-error"], 2
     except Exception as exc:  # a bug: reported, never mistaken for a verdict
+        import traceback  # only a bug pays for this import
+
         traceback.print_exc(file=sys.stderr)
         result = {"error": f"{type(exc).__name__}: {exc}"}
         provenance, code = ["internal-error"], 4

@@ -1,28 +1,27 @@
 """Work-budget and environment configuration.
 
-All tunables live in small frozen dataclasses so they can be passed around,
-echoed into CLI reports, and overridden per call without global state.
+All tunables live in small named tuples (immutable, compared by value) so
+they can be passed around, echoed into CLI reports, and overridden per call
+without global state.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class FactorBudget:
+class FactorBudget(namedtuple("FactorBudget", "trial_limit rho_iterations",
+                              defaults=(10**6, 2 * 10**6))):
     """Effort cap for integer factorization (trial division + Pollard rho)."""
 
-    trial_limit: int = 10**6
-    rho_iterations: int = 2 * 10**6
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GroebnerBudget:
+class GroebnerBudget(namedtuple("GroebnerBudget", "max_reductions", defaults=(10**7,))):
     """Cap on Buchberger reduction steps; exceeding raises, never mis-answers."""
 
-    max_reductions: int = 10**7
+    __slots__ = ()
 
 
 DEFAULT_FACTOR_BUDGET = FactorBudget()
@@ -36,4 +35,3 @@ def cache_dir() -> str | None:
     The benchmark's tracer still imports it to watch that directory.
     """
     return os.environ.get("ICOTK_CACHE_DIR") or None
-

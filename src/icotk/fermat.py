@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import P4, Poly, _ints, factorize
@@ -47,24 +47,24 @@ from .ico_models import IcoModel
 from .ico_surface import ProjPoint
 
 
-@dataclass(frozen=True)
-class FermatInstance:
+class FermatInstance(namedtuple("FermatInstance", "a n")):
     """The equation a_0 x_0^n + ... + a_4 x_4^n = 0."""
 
-    a: tuple
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _ints(self.a, "coefficient"))
-        if not isinstance(self.n, int):
-            raise TypeError(f"exponent {self.n!r} is not an int")
-        if len(self.a) != 5 or any(v == 0 for v in self.a):
+    def __new__(cls, a, n):
+        a = _ints(a, "coefficient")
+        if not isinstance(n, int):
+            raise TypeError(f"exponent {n!r} is not an int")
+        if len(a) != 5 or any(v == 0 for v in a):
             raise ValueError("need five nonzero coefficients")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("exponent n >= 1 required")
+        return super().__new__(cls, a, n)
 
     def lhs(self, coords) -> int:
-        return sum(ai * c**self.n for ai, c in zip(self.a, _ints(coords, "coordinate")))
+        n = self.n
+        return sum(ai * c**n for ai, c in zip(self.a, _ints(coords, "coordinate")))
 
 
 def instance_model(inst: FermatInstance) -> IcoModel:
@@ -176,12 +176,10 @@ def _scan_chunk(task):
     return found
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    B: int
-    strategy: str
-    points: tuple  # sorted ProjPoints
-    millis: float
+class ScanReport(namedtuple("ScanReport", "B strategy points millis")):
+    """The points of a scan up to B, as sorted ProjPoints."""
+
+    __slots__ = ()
 
     @property
     def trivial(self) -> tuple:
@@ -232,15 +230,12 @@ def scan_instance(inst: FermatInstance, B: int, threads: int | None = None) -> S
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitEquation:
-    k: int
-    u: tuple  # k Fractions summing to 1
-    S: tuple  # sorted primes
-    degenerate: bool
-    vanishing: tuple  # index subsets of u with zero sum
-    off_surface: bool
-    support: tuple  # original coordinate indices that survived
+class UnitEquation(namedtuple("UnitEquation", "k u S degenerate vanishing off_surface support")):
+    """u: k Fractions summing to 1; S: sorted primes; vanishing: the index
+    subsets of u with zero sum; support: the original coordinate indices
+    that survived."""
+
+    __slots__ = ()
 
 
 def _is_s_unit(q: Fraction, S) -> bool:

@@ -12,7 +12,7 @@ exactly one canonical printout.  Each Ideal keeps its bases in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb
@@ -26,19 +26,18 @@ from .errors import BudgetExceededError
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(namedtuple("MonomialOrder", "kind block", defaults=("grevlex", ()))):
     """grevlex, lex, or a block-elimination order.
 
     A block order compares the exponents of the first block (a set of
     variable indices) by grevlex and breaks ties on the remaining variables,
     also by grevlex; monomials involving first-block variables therefore
     dominate all monomials that avoid them of any degree -- which is what
-    makes it an elimination order for that block.
+    makes it an elimination order for that block.  block: the sorted
+    variable indices of the first block; only for kind="block".
     """
 
-    kind: str = "grevlex"
-    block: tuple = ()  # sorted variable indices; only for kind="block"
+    __slots__ = ()
 
     def key(self, expo):
         """The sort key on exponent tuples: one grevlex key per block."""
@@ -390,8 +389,7 @@ def _hilbert_numerator(gens: frozenset, memo: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(namedtuple("HilbertData", "nvars numerator expansion krull_dim degree")):
     """Hilbert-series data of a homogeneous quotient ring/I.
 
     numerator: the (deg, coeff) terms c_k t^k of the series numerator N(t)
@@ -404,11 +402,7 @@ class HilbertData:
     P(d) = sum over j0 <= j < n of a_j C(d+n-j-1, n-j-1).
     """
 
-    nvars: int
-    numerator: tuple
-    expansion: tuple
-    krull_dim: int
-    degree: int
+    __slots__ = ()
 
     def hilbert_function(self, d: int) -> int:
         n = self.nvars

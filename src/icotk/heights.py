@@ -22,26 +22,20 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, localcontext
 from fractions import Fraction
 
-from .algebra import _ints, int_radical
+from .algebra import _ints, _trial_division, int_radical
 from .config import DEFAULT_FACTOR_BUDGET, FactorBudget
 
-_TRIAL_LIMIT = 10_000
+_TRIAL_LIMIT = 9_999  # the largest trial divisor
 
 
 def _split_small(m: int) -> dict:
-    """Factor out all primes < _TRIAL_LIMIT; any remaining cofactor stays
+    """Factor out all primes <= _TRIAL_LIMIT; any remaining cofactor stays
     as a single (possibly composite) atom."""
-    out: dict = {}
-    d = 2
-    while d < _TRIAL_LIMIT and d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
+    out, m = _trial_division(m, _TRIAL_LIMIT)
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
@@ -233,12 +227,11 @@ class LogBound:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointHeight:
+class PointHeight(namedtuple("PointHeight", "max_abs")):
     """Weil height of a normalized projective point: log of the largest
     absolute coordinate, kept as the integer itself."""
 
-    max_abs: int
+    __slots__ = ()
 
     @property
     def nat(self) -> float:
@@ -267,15 +260,16 @@ def point_height(point) -> PointHeight:
 TAGS = ("ThmC", "ThmE/CorXf", "CorD", "CorF", "CorPullback")
 
 
-@dataclass(frozen=True)
-class HeightCertificate:
-    tag: str
-    bound: LogBound
-    inputs: tuple  # ((name, value), ...)
+class HeightCertificate(namedtuple("HeightCertificate", "tag bound inputs")):
+    """A height bound with its tag (one of TAGS) and its inputs, as
+    ((name, value), ...)."""
 
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown certificate tag {self.tag!r}")
+    __slots__ = ()
+
+    def __new__(cls, tag, bound, inputs):
+        if tag not in TAGS:
+            raise ValueError(f"unknown certificate tag {tag!r}")
+        return super().__new__(cls, tag, bound, inputs)
 
     def input(self, name: str):
         for k, v in self.inputs:

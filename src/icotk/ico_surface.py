@@ -17,7 +17,7 @@ once and shared (it is immutable).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -74,13 +74,12 @@ class ProjPoint:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class QuadraticPoint:
+class QuadraticPoint(namedtuple("QuadraticPoint", "coords minpoly",
+                                defaults=((Phi(1), Phi(1), Phi(0, 1)), "t^2 - t - 1"))):
     """The non-rational T_tau representative (1, 1, t), t^2 = t + 1, with
     Phi coordinates (1, 1, phi)."""
 
-    coords: tuple = (Phi(1), Phi(1), Phi(0, 1))
-    minpoly: str = "t^2 - t - 1"
+    __slots__ = ()
 
     def conjugate(self) -> tuple:
         return tuple(c.conj() for c in self.coords)
@@ -256,12 +255,10 @@ def ttau_points() -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    mode: str
-    samples: int
-    seed: int | None
-    checks: tuple  # of (name, bool)
+class IdentityReport(namedtuple("IdentityReport", "mode samples seed checks")):
+    """What verify_identities checked: checks is a tuple of (name, bool)."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -50,7 +50,6 @@ import itertools
 import random
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import P2, P4, Echelon, Poly
@@ -91,13 +90,12 @@ class PlaneCurve:
         return f"PlaneCurve({self.F})"
 
 
-@dataclass(frozen=True)
-class TauReport:
-    verdict: str  # "satisfies" | "fails"
-    stage: str  # "none" | "curve-meets-Ctau-off-Ttau"
-    witness: str
-    image_pieces: tuple  # ((m, (Poly, ...)), ...) graded pieces actually computed
-    millis: float
+class TauReport(namedtuple("TauReport", "verdict stage witness image_pieces millis")):
+    """A criterion-(tau) verdict, "satisfies" or "fails"; the stage that
+    decided it, "none" or "curve-meets-Ctau-off-Ttau"; and the graded pieces
+    actually computed, as ((m, (Poly, ...)), ...)."""
+
+    __slots__ = ()
 
     @property
     def satisfies(self) -> bool:
@@ -173,11 +171,11 @@ _Move = namedtuple("_Move", "A center moved pair factors")
 @lru_cache(maxsize=1)
 def _cache(geo):
     """Built on the first criterion-(tau) call of a geometry: the C_tau
-    factors with their values at _PROBE, the admissible transforms found so
-    far, the trial generator that finds the next ones, and the powers
-    {(i, k): tau_i^k} formed so far by stage 3."""
-    probed = [(g, g.evaluate(_PROBE)) for g in geo.ctau_factors()]
-    if any(not gp or abs(g.content_primitive()[0]) != 1 for g, gp in probed):
+    factors with their degrees and their values at _PROBE, the admissible
+    transforms found so far, the trial generator that finds the next ones,
+    and the powers {(i, k): tau_i^k} formed so far by stage 3."""
+    probed = [(g, g.degree(), g.evaluate(_PROBE)) for g in geo.ctau_factors()]
+    if any(not gp or abs(g.content_primitive()[0]) != 1 for g, _, gp in probed):
         raise AssertionError("the probe needs primitive C_tau factors off _PROBE")
     return probed, [], _admissible(geo), {}
 
@@ -213,9 +211,10 @@ def _admissible(geo):
     raise IcotkError("no suitable unimodular transform found")  # pragma: no cover
 
 
-def _divides(a: Poly, ap, b: Poly, bp) -> bool:
-    """a | b for primitive integer forms with values ap, bp at _PROBE."""
-    if a.degree() > b.degree() or not ap or bp % ap:
+def _divides(a: Poly, ad: int, ap, b: Poly, bd: int, bp) -> bool:
+    """a | b for primitive integer forms of degrees ad, bd with values ap, bp
+    at _PROBE."""
+    if ad > bd or not ap or bp % ap:
         return False
     try:
         b.exact_div(a)
@@ -225,11 +224,11 @@ def _divides(a: Poly, ap, b: Poly, bp) -> bool:
 
 
 def _stage1(curve: PlaneCurve):
-    F, Fp = curve.F, curve.F.evaluate(_PROBE)
-    for g, gp in _cache(fixed_geometry())[0]:
-        if _divides(g, gp, F, Fp):
+    F, d, Fp = curve.F, curve.degree, curve.F.evaluate(_PROBE)
+    for g, gd, gp in _cache(fixed_geometry())[0]:
+        if _divides(g, gd, gp, F, d, Fp):
             return f"C_tau factor ({g}) divides F"
-        if _divides(F, Fp, g, gp):
+        if _divides(F, d, Fp, g, gd, gp):
             return f"F divides the C_tau factor ({g})"
     return None
 
@@ -486,16 +485,16 @@ def image_ideal(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContainingModelReport:
-    model: IcoModel
-    r: int
-    degree: int  # = 2r
-    degree_bound: int  # 128 * deg F
-    within_degree_bound: bool
-    log10_abs: LogBound  # log10 |f~|
-    coeff_certificate: object  # HeightCertificate, tag CorPullback
-    within_coeff_bound: bool
+class ContainingModelReport(namedtuple(
+    "ContainingModelReport",
+    "model r degree degree_bound within_degree_bound log10_abs coeff_certificate"
+    " within_coeff_bound",
+)):
+    """The model f~ with degree = 2r, degree_bound = 128 deg F, log10_abs =
+    log10 |f~| as a LogBound, and coeff_certificate, the HeightCertificate
+    tagged CorPullback."""
+
+    __slots__ = ()
 
 
 def containing_model(

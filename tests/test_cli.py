@@ -299,10 +299,14 @@ def test_internal_error_gets_its_own_exit_code(capsys, monkeypatch):
         raise AssertionError("invariant broken")
 
     monkeypatch.setattr(cli, "genus_general", broken)
-    code, rep = _invoke(capsys, "genus", "-n", "2")
+    code = run(["genus", "-n", "2"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
     assert code == 4
     assert rep["provenance"] == ["internal-error"]
     assert rep["result"]["error"] == "AssertionError: invariant broken"
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("AssertionError: invariant broken\n")
 
 
 # light commands only: none builds the fixed geometry or runs long.  INT

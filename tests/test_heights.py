@@ -1,6 +1,7 @@
 """Exact log-scale bounds: decomposition, ordering, rendering, certificates."""
 
 import math
+import random
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -16,11 +17,35 @@ from icotk.heights import (
     bound_pullback,
     bound_thmC,
     bound_thmE,
+    _split_small,
     point_height,
 )
 
 
 # -- LogBound arithmetic -------------------------------------------------------
+
+
+def _split_small_by_every_odd_number(m):
+    """Oracle: trial division by 2 and every odd d < 10 000."""
+    out = {}
+    d = 2
+    while d < 10_000 and d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def test_split_small_equals_trial_division_by_every_odd_number():
+    rng = random.Random(11)
+    near = (9931, 9941, 9949, 9967, 9973, 10007, 10009, 10037)  # primes about the limit
+    ms = list(range(1, 20_000)) + [rng.randrange(1, 10**30) for _ in range(300)]
+    ms += [p * q for p in near for q in near] + [2**5 * 3 * p**3 for p in near]
+    for m in ms:
+        assert _split_small(m) == _split_small_by_every_odd_number(m), m
 
 
 def test_canonical_decomposition_equality():
@@ -173,6 +198,24 @@ def test_interval_of_log10_3_encloses_it():
     # ln(10) rounded "down" gave an upper end below log10(3)
     lo, hi = LogBound(0, [(3, 1)])._interval(30)
     assert lo <= _value_300(LogBound(0, [(3, 1)])) <= hi
+
+
+def _log10_at_80_digits(m):
+    with localcontext() as ctx:
+        ctx.prec = 80
+        return Decimal(m).ln() / Decimal(10).ln()
+
+
+def test_interval_widens_the_logarithm_of_ten():
+    # at 3 digits ln(10) rounded to nearest alone gives lo = 2.40
+    lo, hi = LogBound(0, [(251, 1)])._interval(3)
+    assert lo <= _log10_at_80_digits(251) <= hi
+
+
+def test_interval_widens_the_logarithm_of_m():
+    # at 14 digits ln(22031) rounded to nearest alone gives lo = 4.3430342104792
+    lo, hi = LogBound(0, [(22031, 1)])._interval(14)
+    assert lo <= _log10_at_80_digits(22031) <= hi
 
 
 def test_compare_sees_a_tiny_positive_difference():

@@ -1,11 +1,15 @@
 """Lint: every name a module imports is read somewhere in that module,
 every top-level function or class is used outside its own definition (a
-private one by the program itself), and every name the benchmark's tracer
-looks up in icotk exists."""
+private one by the program itself), every name the benchmark's tracer
+looks up in icotk exists, and a cold import of the command line stays
+light."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -188,3 +192,22 @@ def test_the_check_sees_a_missing_tracer_name():
         "icotk.algebra.no_such_attr",
         "icotk.binaryforms.no_such_name",
     ]
+
+
+# -- what a cold command pays to import --------------------------------------------
+# Each command is one cold process; these modules (dataclasses pulls in
+# inspect, which pulls in dis, tokenize and linecache) cost it milliseconds.
+
+HEAVY = ("dataclasses", "inspect", "traceback", "textwrap", "tokenize", "linecache")
+
+
+def test_a_cold_import_of_the_cli_loads_no_heavy_module():
+    code = ("import sys; before = set(sys.modules); import icotk.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    added = set(proc.stdout.split())
+    assert "icotk.cli" in added
+    assert sorted(added.intersection(HEAVY)) == []

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -484,6 +485,24 @@ def test_stage1_probe_keeps_the_witnesses_of_the_corpus():
     assert sum(w is not None for w in witnesses) >= 10
 
 
+def test_stage1_asks_no_form_for_its_degree(monkeypatch):
+    """Stage 1 reads the degrees kept with the curve and the C_tau factors;
+    only the exact divisions it runs compute degrees."""
+    curves = _stage2_corpus()
+    _stage1(curves[0])  # builds the per-geometry data
+    callers = []
+    degree = Poly.degree
+
+    def counted(f):
+        callers.append(sys._getframe(1).f_code.co_filename)
+        return degree(f)
+
+    monkeypatch.setattr(Poly, "degree", counted)
+    for curve in curves:
+        _stage1(curve)
+    assert callers and plane_curves.__file__ not in callers
+
+
 _FORM_TERMS = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-9, 9)), max_size=6
 )
@@ -507,7 +526,7 @@ def test_a_factor_times_any_form_passes_the_probe(k, d, terms, vanish):
     curve = PlaneCurve(g * h)
     gp, Fp = g.evaluate(_PROBE), curve.F.evaluate(_PROBE)
     assert gp != 0 and Fp % gp == 0
-    assert _divides(g, gp, curve.F, Fp)
+    assert _divides(g, g.degree(), gp, curve.F, curve.degree, Fp)
     witness = _stage1(curve)
     assert witness is not None and witness == _stage1_without_probe(curve)
 
