@@ -26,11 +26,8 @@ from .groebner import (
     Ideal,
     arithmetic_genus,
     dim_degree,
-    eliminate,
     hilbert_function,
     normal_form,
-    radical_member,
-    saturate,
 )
 from .ico_surface import (
     ProjPoint,
@@ -58,7 +55,6 @@ from .plane_curves import (
     containing_model,
     family_curve,
     image_ideal,
-    pullback_rho,
     pullback_tau,
     tau_witness,
 )
@@ -77,7 +73,6 @@ from .fermat import (
     FermatInstance,
     ScanReport,
     UnitEquation,
-    instance_model,
     scan_instance,
     scan_surface,
     sunit_bounded,

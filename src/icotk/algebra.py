@@ -236,10 +236,6 @@ class Ring:
     def __repr__(self):
         return f"Ring({','.join(self.names)})"
 
-    def extend(self, *extra: str) -> "Ring":
-        """New ring with extra variables appended (used by Rabinowitsch tricks)."""
-        return Ring(self.names + tuple(extra))
-
 
 P2 = Ring(("x", "y", "z"))
 P4 = Ring(("x0", "x1", "x2", "x3", "x4"))

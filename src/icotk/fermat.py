@@ -40,10 +40,9 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import P4, Poly, _ints, factorize
+from .algebra import _ints, factorize
 from .config import DEFAULT_FACTOR_BUDGET, FactorBudget
 from .errors import BudgetExceededError
-from .ico_models import IcoModel
 from .ico_surface import ProjPoint
 
 
@@ -65,20 +64,6 @@ class FermatInstance(namedtuple("FermatInstance", "a n")):
     def lhs(self, coords) -> int:
         n = self.n
         return sum(ai * c**n for ai, c in zip(self.a, _ints(coords, "coordinate")))
-
-
-def instance_model(inst: FermatInstance) -> IcoModel:
-    """The one-polynomial ico model of the instance; its diagonal column
-    is exactly the coefficient vector."""
-    f = Poly.zero(P4)
-    for i, ai in enumerate(inst.a):
-        expo = tuple(inst.n if k == i else 0 for k in range(5))
-        f = f + Poly.monomial(P4, expo, ai)
-    model = IcoModel([f])
-    col = tuple(row[0] for row in model.diagonal())
-    if col != inst.a:
-        raise AssertionError("instance diagonal mismatch")
-    return model
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Reduced Groebner bases, elimination, saturation, and Hilbert data.
+"""Reduced Groebner bases and Hilbert data.
 
 Classic Buchberger with the sugar selection strategy and the two standard
 pair-skipping criteria (coprime leading terms; chain criterion).  Work is
@@ -26,22 +26,17 @@ from .errors import BudgetExceededError
 # ---------------------------------------------------------------------------
 
 
-class MonomialOrder(namedtuple("MonomialOrder", "kind block", defaults=("grevlex", ()))):
-    """grevlex, lex, or a block-elimination order.
-
-    A block order compares the exponents of the first block (a set of
-    variable indices) by grevlex and breaks ties on the remaining variables,
-    also by grevlex; monomials involving first-block variables therefore
-    dominate all monomials that avoid them of any degree -- which is what
-    makes it an elimination order for that block.  block: the sorted
-    variable indices of the first block; only for kind="block".
-    """
+class MonomialOrder(namedtuple("MonomialOrder", "kind", defaults=("grevlex",))):
+    """grevlex or lex.  ``divide`` takes an order as its blocks of variable
+    indices, compared in turn by grevlex."""
 
     __slots__ = ()
 
     def key(self, expo):
-        """The sort key on exponent tuples: one grevlex key per block."""
-        return tuple([grevlex_key([expo[i] for i in b]) for b in self.blocks(len(expo))])
+        """The sort key on exponent tuples."""
+        if self.kind == "lex":
+            return expo
+        return grevlex_key(expo)
 
     def blocks(self, n: int) -> tuple:
         """The blocks of variable indices the order compares in turn by grevlex."""
@@ -49,23 +44,14 @@ class MonomialOrder(namedtuple("MonomialOrder", "kind block", defaults=("grevlex
             return (tuple(range(n)),)
         if self.kind == "lex":
             return tuple((i,) for i in range(n))
-        if self.kind == "block":
-            return (self.block, tuple(i for i in range(n) if i not in self.block))
         raise ValueError(f"unknown order kind {self.kind!r}")
 
     def tag(self) -> str:
-        if self.kind == "block":
-            return "block(" + ",".join(map(str, self.block)) + ")"
         return self.kind
 
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
-
-
-def block_order(ring: Ring, first_block) -> MonomialOrder:
-    idx = tuple(sorted(ring.index[v] for v in first_block))
-    return MonomialOrder("block", idx)
 
 
 # ---------------------------------------------------------------------------
@@ -257,74 +243,6 @@ class Ideal:
         if tag not in self._bases:
             self._bases[tag] = _buchberger(list(self.gens), order, budget)
         return self._bases[tag]
-
-
-def eliminate(
-    I: Ideal,
-    first_block,
-    budget: GroebnerBudget = DEFAULT_GB_BUDGET,
-) -> Ideal:
-    """I cap k[remaining variables], via a block-elimination basis.
-
-    first_block is a collection of variable names; the result's generators
-    involve none of them (they stay variables of the ring).
-    """
-    block = set(first_block)
-    if not block:
-        return I
-    order = block_order(I.ring, block)
-    idx = [I.ring.index[v] for v in block]
-    basis = I.groebner(order, budget)
-    kept = [g for g in basis if all(all(e[i] == 0 for i in idx) for e in g.terms)]
-    return Ideal(I.ring, kept)
-
-
-def _drop_variable(p: Poly, ring_small: Ring, pos: int) -> Poly:
-    return Poly(
-        ring_small,
-        {tuple(e[:pos] + e[pos + 1 :]): c for e, c in p.terms.items()},
-    )
-
-
-def _rabinowitsch(I: Ideal, g: Poly) -> Ideal:
-    """(I, 1 - w*g) in the ring extended by a fresh last variable w."""
-    wname = "w"
-    while wname in I.ring.index:
-        wname += "_"
-    big = I.ring.extend(wname)
-
-    def up(p: Poly) -> Poly:
-        return Poly(big, {e + (0,): c for e, c in p.terms.items()})
-
-    w = Poly.variable(big, wname)
-    return Ideal(big, [up(p) for p in I.gens] + [Poly.constant(big, 1) - w * up(g)])
-
-
-def saturate(
-    I: Ideal,
-    g: Poly,
-    budget: GroebnerBudget = DEFAULT_GB_BUDGET,
-) -> Ideal:
-    """I : g^infinity by the Rabinowitsch trick (adjoin 1 - w*g, eliminate w)."""
-    if g.is_zero():
-        raise ValueError("cannot saturate by zero")
-    if g.is_constant():
-        return I
-    J = _rabinowitsch(I, g)
-    elim = eliminate(J, {J.ring.names[-1]}, budget)
-    return Ideal(I.ring, [_drop_variable(p, I.ring, I.ring.nvars) for p in elim.gens])
-
-
-def radical_member(
-    p: Poly,
-    I: Ideal,
-    budget: GroebnerBudget = DEFAULT_GB_BUDGET,
-) -> bool:
-    """True iff p vanishes on V(I), i.e. 1 in (I, 1 - w*p)."""
-    if p.is_zero():
-        return True
-    basis = _rabinowitsch(I, p).groebner(GREVLEX, budget)
-    return len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero()
 
 
 # ---------------------------------------------------------------------------

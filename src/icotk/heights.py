@@ -78,10 +78,6 @@ class LogBound:
         terms = list(self.terms) + list(other.terms)
         return LogBound(self.E + other.E, terms)
 
-    def scale(self, c) -> "LogBound":
-        c = Fraction(c)
-        return LogBound(self.E * c, [(m, k * c) for m, k in self.terms])
-
     def __eq__(self, other):
         if not isinstance(other, LogBound):
             return NotImplemented
@@ -200,10 +196,6 @@ class LogBound:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def exact(cls, E) -> "LogBound":
-        return cls(E, ())
-
-    @classmethod
     def of_log10(cls, value) -> "LogBound":
         """log10 of a positive integer or Fraction, exactly."""
         value = Fraction(value)
@@ -236,10 +228,6 @@ class PointHeight(namedtuple("PointHeight", "max_abs")):
     @property
     def nat(self) -> float:
         return math.log(self.max_abs)
-
-    @property
-    def log10(self) -> float:
-        return math.log10(self.max_abs)
 
     @property
     def is_trivial(self) -> bool:

@@ -125,16 +125,6 @@ def pullback_tau(f: Poly) -> Poly:
     return comp.primitive_part()
 
 
-def pullback_rho(F: Poly) -> Poly:
-    """Primitive part of F(rho_0, rho_1, rho_2); degree 8*deg F."""
-    if F.ring != P2:
-        raise ValueError("pullback_rho expects a polynomial in x,y,z")
-    comp = F.substitute(list(fixed_geometry().rho))
-    if comp.is_zero():
-        raise ValueError("pullback along rho vanishes identically")
-    return comp.primitive_part()
-
-
 def family_curve(n: int, v) -> PlaneCurve:
     """The plane curve tau^*(sum v_i s_i) over the degree-n monomial basis;
     degree 12n, and in the good family when all of v_1..v_5 are nonzero."""

@@ -2,6 +2,8 @@ import os
 
 from hypothesis import HealthCheck, settings
 
+from icotk.algebra import grevlex_key
+
 # one line per acceptance criterion, echoed after the test summary so the
 # pass/fail record is visible without -s
 ACCEPTANCE_LINES = []
@@ -16,6 +18,35 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def block_key(block):
+    """The sort key of a two-block order: the exponents of the variables in
+    ``block`` (indices) by grevlex, ties broken by grevlex on the rest."""
+    def key(expo):
+        inside = tuple(expo[i] for i in block)
+        rest = tuple(e for i, e in enumerate(expo) if i not in block)
+        return (grevlex_key(inside), grevlex_key(rest))
+    return key
+
+
+class BlockOrder:
+    """A two-block elimination order, shaped like groebner.MonomialOrder
+    (``blocks``, ``key``, ``tag``): monomials in the variables of
+    ``first_block`` dominate every monomial that avoids them.  The program
+    only orders by grevlex and lex, but ``divide`` and Buchberger take any
+    blocks, and two blocks of several variables each are their hardest case."""
+
+    def __init__(self, ring, first_block):
+        self.block = tuple(sorted(ring.index[v] for v in first_block))
+        self.key = block_key(self.block)
+
+    def blocks(self, n: int) -> tuple:
+        return (self.block, tuple(i for i in range(n) if i not in self.block))
+
+    def tag(self) -> str:
+        return "block(" + ",".join(map(str, self.block)) + ")"
+
 
 # Exact rational arithmetic makes single examples slow but never flaky;
 # wall-clock deadlines only add noise here.

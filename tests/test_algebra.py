@@ -6,6 +6,7 @@ from heapq import heapify, heappop, heappush
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import BlockOrder, block_key
 from icotk import algebra
 from icotk.algebra import (
     P2,
@@ -20,7 +21,7 @@ from icotk.algebra import (
 )
 from icotk.config import FactorBudget
 from icotk.errors import FactorBudgetError, NotDivisibleError, ParseError
-from icotk.groebner import GREVLEX, LEX, block_order
+from icotk.groebner import GREVLEX, LEX
 
 
 def _poly_strategy(ring, max_exp=4, max_terms=6, coeff_bound=9, rational=False):
@@ -429,7 +430,7 @@ _small_coeffs = st.one_of(
 def _orders(ring):
     """GREVLEX, LEX and three block orders: the first variable, the second
     and third, and every variable (an empty second block) before the rest."""
-    return [GREVLEX, LEX] + [block_order(ring, names)
+    return [GREVLEX, LEX] + [BlockOrder(ring, names)
                              for names in (ring.names[:1], ring.names[1:3], ring.names)]
 
 
@@ -507,19 +508,20 @@ def _of_degree(draw, ring, degree, max_terms, coeffs=_small_coeffs):
     return Poly.from_terms(ring, [(e, c) for e, c in rest if e != top] + [(top, lead)])
 
 
-def _divide_both_ways(p, divisors, order, full):
-    """(quotients, remainder, spend() calls) of the packed loop and of the
-    tuple loop, the terms as lists so that their order counts."""
+def _divide_both_ways(p, divisors, blocks, key, full):
+    """(quotients, remainder, spend() calls) of the packed loop on blocks and
+    of the tuple loop on key, the terms as lists so that their order counts."""
     spent = [], []
-    runs = (algebra.divide(p, divisors, order.blocks(p.ring.nvars),
-                           lambda: spent[0].append(1), full, quotients=True),
-            _tuple_divide(p, divisors, order.key, lambda: spent[1].append(1), full))
+    runs = (algebra.divide(p, divisors, blocks, lambda: spent[0].append(1), full,
+                           quotients=True),
+            _tuple_divide(p, divisors, key, lambda: spent[1].append(1), full))
     return [([list(q.terms.items()) for q in quots], list(rem.terms.items()), len(n))
             for (quots, rem), n in zip(runs, spent)]
 
 
 def _assert_same_division(p, divisors, order, full):
-    packed, tuples = _divide_both_ways(p, divisors, order, full)
+    packed, tuples = _divide_both_ways(p, divisors, order.blocks(p.ring.nvars), order.key,
+                                       full)
     assert packed == tuples
     return packed
 
@@ -559,7 +561,7 @@ def _scaled_and_exact(p, divisors, order, full):
 @given(st.sampled_from([P2, P4]), st.integers(0, 2), st.integers(0, 6), st.booleans(),
        st.data())
 def test_scaled_division_is_the_exact_one_times_an_int(ring, which, degree, full, data):
-    order = [GREVLEX, LEX, block_order(ring, ring.names[1:3])][which]
+    order = [GREVLEX, LEX, BlockOrder(ring, ring.names[1:3])][which]
     ints = st.integers(-30, 30)
     p = data.draw(_of_degree(ring, degree, 8, ints))
     divisors = data.draw(st.lists(
@@ -645,15 +647,16 @@ def test_lex_growth_chains(ring, a, b, k):
 @pytest.mark.parametrize("ring", [P2, P4], ids=["P2", "P4"])
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_rabinowitsch_shaped_division(ring, k):
-    # (w*g)^k h by 1 - w*g under the elimination order of w, beside
-    # w*x - y^9, by which each reduction of w raises the degree in the
-    # rest by 8: w^(k+1) x^(k+1) becomes y^(9k+9), far above deg p
-    big = ring.extend("w")
+    # (w*g)^k h by 1 - w*g with w in a block of its own before the rest,
+    # beside w*x - y^9, by which each reduction of w raises the degree in
+    # the rest by 8: w^(k+1) x^(k+1) becomes y^(9k+9), far above deg p
+    big = Ring(ring.names + ("w",))
     v = [Poly.variable(big, n) for n in big.names]
     w, g = v[-1], v[0] * v[1] - v[2] ** 2 + 3 * v[1]
-    order = block_order(big, {"w"})
+    blocks = ((ring.nvars,), tuple(range(ring.nvars)))
     p = (w * g) ** k * (v[0] + v[2]) + (w * v[0]) ** (k + 1)
     for divisors in ([1 - w * g], [1 - w * g, v[0] * v[1] - 1],
                      [w * v[0] - v[1] ** 9, v[2] ** 3 - v[0], 1 - w * g]):
         for full in (True, False):
-            _assert_same_division(p, divisors, order, full)
+            packed, tuples = _divide_both_ways(p, divisors, blocks, block_key(blocks[0]), full)
+            assert packed == tuples

@@ -20,7 +20,6 @@ from icotk.fermat import (
     _sigma24,
     _signed_divisors,
     _window,
-    instance_model,
     scan_instance,
     scan_surface,
     sunit_bounded,
@@ -28,7 +27,6 @@ from icotk.fermat import (
     z_member,
     z_triviality_scan,
 )
-from icotk.ico_models import is_degenerate
 from icotk.ico_surface import ProjPoint, fixed_geometry
 
 
@@ -244,13 +242,6 @@ def test_scan_rejects_bad_bound():
 
 
 # -- instances -------------------------------------------------------------------
-
-
-def test_instance_model_diagonal():
-    inst = FermatInstance((1, 2, 3, 4, 5), 3)
-    model = instance_model(inst)
-    assert not is_degenerate(model)
-    assert tuple(row[0] for row in model.diagonal()) == inst.a
 
 
 def test_instance_validation():

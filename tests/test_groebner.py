@@ -1,4 +1,4 @@
-"""Groebner engine: basis properties, elimination, saturation, Hilbert data.
+"""Groebner engine: basis properties, division, Buchberger, Hilbert data.
 
 The frozen numeric oracles (Hilbert values 5/14/30/54/86, dim/degree (2, 8),
 genus 9) were computed independently with sympy before this engine existed;
@@ -16,6 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import BlockOrder
 from icotk import algebra, groebner
 from icotk.algebra import P2, P4, Poly, elementary_symmetric, grevlex_key, poly_parse
 from icotk.config import GroebnerBudget
@@ -30,13 +31,9 @@ from icotk.groebner import (
     _sorted_by_leading,
     _strip,
     arithmetic_genus,
-    block_order,
     dim_degree,
-    eliminate,
     hilbert_function,
     normal_form,
-    radical_member,
-    saturate,
 )
 from icotk.ico_surface import fixed_geometry
 
@@ -107,32 +104,6 @@ def test_normal_form_is_additive_on_remainders(p, q):
     assert r == normal_form(normal_form(p, basis) + normal_form(q, basis), basis)
 
 
-def test_lex_elimination():
-    # projecting the twisted-cubic-style ideal onto (y, z)
-    I = Ideal(P2, [_p2("x^2 - y"), _p2("x^3 - z")])
-    J = eliminate(I, {"x"})
-    assert J.gens, "elimination lost the relation"
-    target = _p2("y^3 - z^2")
-    basis = Ideal(P2, list(J.gens)).groebner(LEX)
-    assert normal_form(target, basis).is_zero()
-
-
-def test_saturation_strips_a_component():
-    I = Ideal(P2, [_p2("x*y"), _p2("x*z")])
-    J = saturate(I, _p2("x"))
-    basis = J.groebner()
-    assert normal_form(_p2("y"), basis).is_zero()
-    assert normal_form(_p2("z"), basis).is_zero()
-
-
-def test_radical_membership():
-    I = Ideal(P2, [_p2("x^2")])
-    assert radical_member(_p2("x"), I)
-    assert radical_member(_p2("x*y"), I)
-    assert not radical_member(_p2("y"), I)
-    assert radical_member(Poly.zero(P2), I)
-
-
 # -- the division kernel against a plain leading-term loop --------------------
 
 
@@ -183,7 +154,7 @@ mid_polys = st.lists(
 ).map(lambda items: Poly.from_terms(P2, items))
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(P2, {"x"})], ids=lambda o: o.tag())
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder(P2, {"x"})], ids=lambda o: o.tag())
 @given(p=mid_polys, divisors=st.lists(small_polys, min_size=1, max_size=3))
 @settings(max_examples=40)
 def test_normal_form_matches_the_term_loop(order, p, divisors):
@@ -399,7 +370,7 @@ def _ring_polys(draw, ring):
 @given(data=st.data())
 @settings(max_examples=20)
 def test_one_layout_per_run_equals_a_division_per_reduction(ring, which, data):
-    order = [GREVLEX, LEX, block_order(ring, ring.names[1:3])][which]
+    order = [GREVLEX, LEX, BlockOrder(ring, ring.names[1:3])][which]
     gens = data.draw(st.lists(_ring_polys(ring), min_size=2, max_size=3))
     # the same basis and the same steps, or the same refusal after them
     assert _layout_run(ring, gens, order, 400) == _oracle_run(gens, order, 400)
@@ -426,15 +397,6 @@ def test_the_run_widens_its_layout_and_repacks(ring, gens, order, widths, monkey
     assert widths in (None, seen)
 
 
-def _old_block_key(block):
-    """The sort key block orders had before keys were built from blocks."""
-    def key(expo):
-        inside = tuple(expo[i] for i in block)
-        rest = tuple(e for i, e in enumerate(expo) if i not in block)
-        return (grevlex_key(inside), grevlex_key(rest))
-    return key
-
-
 def _sign(a, b):
     return (a > b) - (a < b)
 
@@ -443,11 +405,14 @@ def _sign(a, b):
 def test_order_keys_compare_as_before(ring, data):
     expos = st.tuples(*([st.integers(0, 3)] * ring.nvars))
     a, b = data.draw(expos), data.draw(expos)
-    order = block_order(ring, data.draw(st.sets(st.sampled_from(ring.names))))
-    old = _old_block_key(order.block)
     assert _sign(LEX.key(a), LEX.key(b)) == _sign(a, b)
-    assert _sign(order.key(a), order.key(b)) == _sign(old(a), old(b))
     assert _sign(GREVLEX.key(a), GREVLEX.key(b)) == _sign(grevlex_key(a), grevlex_key(b))
+    # every key sorts as the blocks that divide packs by: grevlex on each in turn
+    block = BlockOrder(ring, data.draw(st.sets(st.sampled_from(ring.names))))
+    for order in (GREVLEX, LEX, block):
+        a_key, b_key = ([grevlex_key([e[i] for i in vs]) for vs in order.blocks(ring.nvars)]
+                        for e in (a, b))
+        assert _sign(order.key(a), order.key(b)) == _sign(a_key, b_key)
 
 
 # -- Hilbert data ------------------------------------------------------------

@@ -96,11 +96,6 @@ def test_sum_is_monotone(m1, m2):
     assert s >= a
 
 
-def test_scale():
-    a = LogBound(1, [(7, 2)])
-    assert a.scale(3) == LogBound(3, [(7, 6)])
-
-
 def test_fractional_coefficients():
     half = LogBound(0, [(2, Fraction(1, 2))])
     assert half + half == LogBound(0, [(2, 1)])
@@ -128,9 +123,9 @@ def test_render_rejects_negative_digits():
 def test_render_refuses_more_digits_than_an_int_prints():
     # the mantissa is an int of digits + 1 digits, which str() must print
     limit = sys.get_int_max_str_digits()
-    assert LogBound.exact(12).render(limit - 2) == "1.2" + "0" * (limit - 3) + "E+1"
+    assert LogBound(12).render(limit - 2) == "1.2" + "0" * (limit - 3) + "E+1"
     with pytest.raises(ValueError, match="--digits"):
-        LogBound.exact(12).render(limit)
+        LogBound(12).render(limit)
 
 
 def test_render_pure_integer():
@@ -224,8 +219,8 @@ def test_compare_sees_a_tiny_positive_difference():
         ctx.prec = 300
         d = Decimal(3).ln() / Decimal(10).ln() - Decimal(5).ln() / Decimal(10).ln()
     E = -Fraction(d) + Fraction(1, 10**70)
-    assert LogBound(E, [(3, 1), (5, -1)]).compare(LogBound.exact(0)) == 1
-    assert LogBound(-E, [(3, -1), (5, 1)]).compare(LogBound.exact(0)) == -1
+    assert LogBound(E, [(3, 1), (5, -1)]).compare(LogBound(0)) == 1
+    assert LogBound(-E, [(3, -1), (5, 1)]).compare(LogBound(0)) == -1
 
 
 # -- point heights ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Lint: every name a module imports is read somewhere in that module,
 every top-level function or class is used outside its own definition (a
-private one by the program itself), every name the benchmark's tracer
+private one by the program itself), every name the package exports is used
+by the program or the acceptance gate, every name the benchmark's tracer
 looks up in icotk exists, and a cold import of the command line stays
 light."""
 
@@ -116,6 +117,62 @@ def test_the_check_sees_a_private_def_only_tests_use(tmp_path):
                     "assert public() + _tested() + unused_public()\n")
     assert _unused_defs([lib], [lib, test]) == []
     assert _private(_unused_defs([lib], [lib])) == ["lib._tested"]
+
+
+def _defines(node):
+    """The names a top-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Store)}
+
+
+def _unused_exports(init, modules, users):
+    """'module.name' for each name the package's __init__ re-exports that no
+    user file reads and no module uses, bar the statement defining it and
+    the definitions of other such names."""
+    statements = [(path.stem, _defines(top), _names_used(ast.walk(top)))
+                  for path in modules for top in ast.parse(path.read_text()).body]
+    read = set().union(*(_names_used(ast.walk(ast.parse(p.read_text()))) for p in users))
+    exports = {(node.module, alias.name) for node in ast.parse(init.read_text()).body
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names}
+    unused, grew = set(), True
+    while grew:
+        grew = False
+        for module, name in sorted(exports - unused):
+            gone = unused | {(module, name)}
+            if name not in read and not any(
+                    name in names for stem, defined, names in statements
+                    if not any(stem == m and n in defined for m, n in gone)):
+                unused.add((module, name))
+                grew = True
+    return sorted(f"{m}.{n}" for m, n in unused)
+
+
+def test_every_export_is_used_by_the_program_or_the_acceptance_gate():
+    # an export that only tests call is code no command reaches
+    users = [ROOT / "tests" / "test_acceptance.py"]
+    assert _unused_exports(SRC / "__init__.py", MODULES, users) == []
+
+
+def test_the_check_sees_an_export_only_tests_use(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text(
+        "from .lib import LIMIT, accepted, called, chained, only_tested\n")
+    (pkg / "lib.py").write_text(
+        "LIMIT = 3\n\n"
+        "def called():\n    return LIMIT\n\n"
+        "def accepted():\n    return accepted\n\n"
+        "def chained():\n    return called()\n\n"
+        "def only_tested():\n    return chained()\n")
+    (pkg / "cli.py").write_text("from .lib import called\n\ndef main():\n    called()\n")
+    acceptance = tmp_path / "test_acceptance.py"
+    acceptance.write_text("from pkg import accepted\naccepted()\n")
+    modules = [pkg / "lib.py", pkg / "cli.py"]
+    assert _unused_exports(pkg / "__init__.py", modules, [acceptance]) == [
+        "lib.chained", "lib.only_tested"]
 
 
 # -- the tracer contract ---------------------------------------------------------

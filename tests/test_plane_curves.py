@@ -36,7 +36,6 @@ from icotk.plane_curves import (
     containing_model,
     family_curve,
     image_ideal,
-    pullback_rho,
     pullback_tau,
     tau_witness,
 )
@@ -57,11 +56,6 @@ def test_pullback_tau_degree():
     geo = fixed_geometry()
     with pytest.raises(ValueError):
         pullback_tau(geo.sigma2)
-
-
-def test_pullback_rho_degree():
-    g = poly_parse("x + y + z", P2)
-    assert pullback_rho(g).degree() == 8
 
 
 @pytest.mark.parametrize("n,scale", [(1, 1), (1, 3), (2, 1)])

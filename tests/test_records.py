@@ -20,7 +20,7 @@ _CERT = HeightCertificate("CorD", LogBound(0, [(2, 1)]), (("d", 1), ("absF", 1))
 RECORDS = [
     (FactorBudget, (5, 7)),
     (GroebnerBudget, (5,)),
-    (MonomialOrder, ("block", (0, 2))),
+    (MonomialOrder, ("lex",)),
     (HilbertData, (3, ((0, 1), (2, -1)), (0, 2, -1, 0), 1, 2)),
     (PointHeight, (7,)),
     (HeightCertificate, _CERT),
@@ -56,7 +56,7 @@ def test_record_defaults_and_repr():
     assert GroebnerBudget() == GroebnerBudget(10**7)
     assert FactorBudget() == FactorBudget(10**6, 2 * 10**6)
     assert FactorBudget(rho_iterations=3).trial_limit == 10**6
-    assert MonomialOrder() == MonomialOrder("grevlex", ())
+    assert MonomialOrder() == MonomialOrder("grevlex")
     assert QuadraticPoint().minpoly == "t^2 - t - 1"
     assert GroebnerBudget(5) != GroebnerBudget(6)
 
