@@ -173,9 +173,10 @@ MUTANTS = [
            (f"{TP}::test_stage2_fails_on_the_fiber_of_the_conjugate_pair",),
            "the fiber line of the conjugate pair is checked too"),
     Mutant("stage2-keeps-the-pair-projection", PC,
-           "rem = strip_factor(rem, move.pair)",
-           "rem = rem",
-           (f"{TP}::test_stage2_verdicts_pinned",),
+           "(*lines, _pair_quadratic(moved[-2]))",
+           "tuple(lines)",
+           (f"{TP}::test_stage2_verdicts_pinned",
+            f"{TP}::test_the_conjugate_fiber_check_agrees"),
            "the conjugate pair's projections are stripped before the verdict"),
     # -- resultants and interpolation
     Mutant("prs-without-the-odd-degree-sign", BF,
@@ -189,6 +190,24 @@ MUTANTS = [
            "        out.append(q)",
            (f"{TB}::test_interpolation_fractional_result",),
            "a coefficient outside Z is refused, never floored"),
+    # -- root stripping
+    Mutant("strip-ignores-the-remainder-form", BF,
+           "        if any(r[n:]):\n            return cur\n",
+           "",
+           (f"{TB}::test_strip_root_stops_at_a_remainder",
+            f"{TB}::test_strip_root_leaves_the_oracles_degree_and_divides_exactly"),
+           "exact quotient coefficients alone do not make g divide f"),
+    Mutant("strip-without-the-swap", BF,
+           "return strip_root(f[::-1], g[::-1])[::-1]",
+           "return list(f)",
+           (f"{TB}::test_strip_root_multiplicity",
+            f"{TB}::test_strip_root_leaves_the_oracles_degree_and_divides_exactly"),
+           "a form with g[0] = 0 is stripped from the other end, not skipped"),
+    Mutant("strip-treats-every-lead-as-monic", BF,
+           "if g[0] != 1:  # a monic g needs no division",
+           "if False:",
+           (f"{TB}::test_strip_root_leaves_the_oracles_degree_and_divides_exactly",),
+           "only a leading coefficient 1 lets the quotient skip the division"),
     # -- heights
     Mutant("logarithms-unwidened", H,
            "            ln10_lo, ln10_hi = down.next_minus(ln10), up.next_plus(ln10)\n"

@@ -911,10 +911,13 @@ def _sub_scaled(acc: dict, factor, vec: dict) -> None:
 
 
 class _Parser:
+    MAX_DEPTH = 100  # nested parentheses; each level is four Python frames
+
     def __init__(self, text: str, ring: Ring):
         self.text = text
         self.ring = ring
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg):
         raise ParseError(msg, self.pos)
@@ -975,9 +978,13 @@ class _Parser:
     def base(self) -> Poly:
         c = self.peek()
         if c == "(":
+            if self.depth == self.MAX_DEPTH:
+                self.error(f"parentheses nested deeper than {self.MAX_DEPTH}")
             self.pos += 1
+            self.depth += 1
             p = self.expr()
             self.expect(")")
+            self.depth -= 1
             return p
         if c.isdigit():
             n = self.integer()

@@ -2,11 +2,10 @@
 
 Internal engine for the criterion-(tau) resultant pipeline, all on
 coefficient lists: resultants by the subresultant polynomial remainder
-sequence (no Sylvester matrix is built), root stripping of binary forms by
-fraction-free synthetic division by a linear form (exact in the ring, the
-quotient scaled by a power of the form's s-coefficient) or by exact division
-in Z by a primitive integer form, and integer interpolation at the nodes
-0..n for resultants computed by specialization.
+sequence (no Sylvester matrix is built), stripping a known factor from a
+binary form by exact long division (one routine for a primitive integer
+form and for a monic form over Z[phi]), and integer interpolation at the
+nodes 0..n for resultants computed by specialization.
 
 Z[phi] is the ring of integers of Q(sqrt 5).  Its elements are Phi numbers
 a + b*phi with phi^2 = phi + 1; they mix with int on either side of the
@@ -202,73 +201,32 @@ def sylvester_resultant(f, g, dom=None):
 # ---------------------------------------------------------------------------
 
 
-def divide_linear(f, a, b):
-    """Divide the binary form f of degree d by (b*s - a*t), the linear form
-    vanishing at (s:t) = (a:b).  Returns b^d times the quotient, or None
-    when the division has a remainder.
-
-    Fraction-free synthetic division: p_0 = f_0 and p_i = b^i f_i + a p_(i-1)
-    give b^d q_i = b^(d-1-i) p_i, and the remainder is zero iff p_d is.  The
-    scalar b^d is irrelevant to root bookkeeping, the only thing callers do
-    with this.  For b = 0 the linear form is a multiple of t and the quotient
-    is returned unscaled.
-    """
-    if not any(f):
-        return None
-    d = len(f) - 1
-    if d < 1:
-        return None
-    if not b:
-        # linear form is a multiple of t; divisible iff no s^d term
-        if f[0]:
-            return None
-        return list(f[1:])
-    p = [f[0]]
-    bpow = [1]
-    for i in range(1, d + 1):
-        bpow.append(bpow[-1] * b)
-        p.append(bpow[i] * f[i] + a * p[-1])
-    if p[d]:
-        return None
-    return [bpow[d - 1 - i] * p[i] for i in range(d)]
-
-
-def strip_root(f, a, b):
-    """Remove the root (a:b) from the binary form f as often as it divides.
-    Returns (reduced form, multiplicity)."""
-    mult = 0
-    cur = f
-    while len(cur) > 1:
-        nxt = divide_linear(cur, a, b)
-        if nxt is None:
-            break
-        cur = nxt
-        mult += 1
-    return cur, mult
-
-
-def strip_factor(f, g):
-    """Remove the primitive integer form g of degree >= 1, with g[0] != 0,
-    from the integer form f as often as it divides; returns the reduced
-    form.
-
-    By Gauss's lemma a quotient of f by the primitive g over Q is integral.
-    So long division from the top stays in Z: each quotient coefficient is
-    an exact divmod by g[0], and the first one that leaves a remainder, or
-    a nonzero remainder form, shows that g does not divide."""
-    m, cur = len(g) - 1, list(f)
+def strip_root(f, g):
+    """Remove the form g from the nonzero form f as often as g divides f.
+    g has degree >= 1, g[0] or g[-1] is nonzero (else ValueError), and g is
+    a primitive integer form or a monic form over Z[phi]: by Gauss's lemma
+    every quotient is then integral, so long division from the top stays in
+    the ring, each coefficient an exact divmod by g[0] (none if g[0] = 1).
+    The first divmod that leaves a remainder, or a nonzero remainder form,
+    shows that g does not divide.  When g[0] = 0 the division runs from the
+    other end, with s and t swapped."""
+    if not (g[0] or g[-1]):
+        raise ValueError("strip_root needs g[0] or g[-1] nonzero")
+    if not g[0]:
+        return strip_root(f[::-1], g[::-1])[::-1]
+    m, tail, cur = len(g) - 1, g[1:], list(f)
     while len(cur) > m:
-        r, quot = list(cur), []
-        for j in range(len(cur) - m):
-            q, left = divmod(r[j], g[0])
-            if left:
-                return cur
-            quot.append(q)
-            for k in range(1, m + 1):
-                r[j + k] -= q * g[k]
-        if any(r[-m:]):
+        r, n = list(cur), len(cur) - m
+        for j in range(n):
+            if g[0] != 1:  # a monic g needs no division
+                r[j], left = divmod(r[j], g[0])
+                if left:
+                    return cur
+            for k, c in enumerate(tail, j + 1):
+                r[k] -= r[j] * c
+        if any(r[n:]):
             return cur
-        cur = quot
+        cur = r[:n]
     return cur
 
 
@@ -286,8 +244,7 @@ def form_content_free(f):
 def interpolate(values):
     """Coefficients (descending) of the unique p of degree <= n with
     p(i) = values[i] for i = 0..n, leading zeros dropped (the zero
-    polynomial is [0]); None when p has a coefficient outside Z, as
-    divide_linear returns None for a remainder.
+    polynomial is [0]); None when p has a coefficient outside Z.
 
     With the forward differences d_k = (Delta^k p)(0),
     n! p(x) = sum_k d_k (n!/k!) x(x-1)...(x-k+1): Horner's rule in that

@@ -42,6 +42,7 @@ from .heights import (
     bound_corF,
     bound_thmC,
     bound_thmE,
+    check_digits,
 )
 from .ico_models import (
     IcoModel,
@@ -565,6 +566,7 @@ def run(argv) -> int:
         envelope["command"]["verb"] = args.verb
         if min(args.gb_steps, args.factor_budget) < 0:
             raise ValueError("--gb-steps and --factor-budget must be >= 0")
+        check_digits(args.digits)
         envelope["flags"] = {
             "gb_steps": args.gb_steps,
             "factor_budget": args.factor_budget,

@@ -264,12 +264,14 @@ def _hilbert_numerator(gens: frozenset, memo: dict) -> dict:
     gens = _minimalize(gens)
     if gens in memo:
         return memo[gens]
-    if not gens:
-        memo[gens] = {0: 1}
-        return memo[gens]
-    supports = [tuple(i for i, e in enumerate(g) if e) for g in gens]
-    if all(len(s) == 1 for s in supports) and len({s[0] for s in supports}) == len(supports):
-        # monomial complete intersection: product of (1 - t^deg)
+    counts: dict = {}  # x_i -> generators in two or more variables holding it
+    for g in gens:
+        support = [i for i, e in enumerate(g) if e]
+        if len(support) > 1:
+            for i in support:
+                counts[i] = counts.get(i, 0) + 1
+    if not counts:
+        # pure powers of distinct variables: product of (1 - t^deg)
         out = {0: 1}
         for g in gens:
             d = sum(g)
@@ -279,29 +281,21 @@ def _hilbert_numerator(gens: frozenset, memo: dict) -> dict:
             out = {k: c for k, c in nxt.items() if c}
         memo[gens] = out
         return out
-    # pivot on the most frequently occurring variable
-    counts: dict = {}
-    for s in supports:
-        if len(s) > 1:
-            for i in s:
-                counts[i] = counts.get(i, 0) + 1
-    pivot_var = max(counts, key=lambda i: (counts[i], -i))
+    # pivot on x_v^p, x_v the most frequent variable and p its least positive
+    # exponent: N(R/I) = N(R/(I + x_v^p)) + t^p N(R/(I : x_v^p))
+    v = max(counts, key=lambda i: (counts[i], -i))
+    p = min(g[v] for g in gens if g[v])
     nvars = len(next(iter(gens)))
-    pivot = tuple(1 if i == pivot_var else 0 for i in range(nvars))
-    # I + (x_v)
-    plus = frozenset(
-        [pivot] + [g for g in gens if g[pivot_var] == 0]
-    )
-    # I : x_v
+    pivot = tuple(p if i == v else 0 for i in range(nvars))
+    plus = frozenset([pivot] + [g for g in gens if g[v] == 0])
     colon = frozenset(
-        tuple(e - 1 if i == pivot_var and e else e for i, e in enumerate(g))
-        for g in gens
+        tuple(e - p if i == v and e else e for i, e in enumerate(g)) for g in gens
     )
     a = _hilbert_numerator(plus, memo)
     b = _hilbert_numerator(colon, memo)
     out = dict(a)
     for k, c in b.items():
-        out[k + 1] = out.get(k + 1, 0) + c
+        out[k + p] = out.get(k + p, 0) + c
     out = {k: c for k, c in out.items() if c}
     memo[gens] = out
     return out

@@ -41,6 +41,16 @@ def _split_small(m: int) -> dict:
     return out
 
 
+def check_digits(digits: int) -> None:
+    """ValueError unless LogBound.render can print `digits` digits: str()
+    prints its (digits + 1)-digit mantissa under the int string limit."""
+    if digits < 0:
+        raise ValueError(f"--digits must be >= 0, got {digits}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and digits + 1 > limit:
+        raise ValueError(f"--digits must be <= {limit - 1} (int string limit), got {digits}")
+
+
 class LogBound:
     """log10 of a positive bound, as E + sum c_k*log10(m_k), kept exact."""
 
@@ -162,11 +172,7 @@ class LogBound:
     def render(self, digits: int = 30) -> str:
         """Scientific-notation decimal with `digits` fractional digits,
         guaranteed >= the exact value (50 guard digits, final ceiling)."""
-        if digits < 0:
-            raise ValueError(f"digits must be >= 0, got {digits}")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        if limit and digits + 1 > limit:  # str() of the (digits + 1)-digit mantissa
-            raise ValueError(f"--digits must be <= {limit - 1} (int string limit), got {digits}")
+        check_digits(digits)
         size_hint = len(str(abs(self.E.numerator))) + sum(
             len(str(m)) for m, _ in self.terms
         )

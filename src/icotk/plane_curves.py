@@ -56,7 +56,6 @@ from .algebra import P2, P4, Echelon, Poly
 from .binaryforms import (
     form_content_free,
     interpolate,
-    strip_factor,
     strip_root,
     sylvester_resultant,
 )
@@ -151,11 +150,11 @@ def tau_witness(model: IcoModel) -> bool:
 
 _PROBE = (1009, -733, 2039)  # no C_tau factor vanishes here
 # An admissible transform v = A*w: its center A*(1, 0, 0), the moved T_tau
-# points (conjugate pair last), the integer quadratic of the pair's
-# projections (_pair_quadratic), and per C_tau factor (g, x-coefficients of
-# g~, their values at the nodes (m, 1) so far, g~ on the fiber lines of
-# moved[:7]).
-_Move = namedtuple("_Move", "A center moved pair factors")
+# points (conjugate pair last), the eight base-point projections as
+# primitive integer forms in (y, z) (the six lines, then _pair_quadratic),
+# and per C_tau factor (g, x-coefficients of g~, their values at the nodes
+# (m, 1) so far, g~ on the fiber lines of moved[:7]).
+_Move = namedtuple("_Move", "A center moved projections factors")
 
 
 @lru_cache(maxsize=1)
@@ -197,7 +196,8 @@ def _admissible(geo):
             for g in geo.ctau_factors():
                 gc = _x_coefficients(_transformed(g, A), g.degree())
                 factors.append((g, gc, [], [_fiber(gc, q) for q in moved[:-1]]))
-            yield _Move(A, center, moved, _pair_quadratic(moved[-2]), factors)
+            lines = [form_content_free([q[2], -q[1]]) for q in moved[:-2]]
+            yield _Move(A, center, moved, (*lines, _pair_quadratic(moved[-2])), factors)
     raise IcotkError("no suitable unimodular transform found")  # pragma: no cover
 
 
@@ -279,7 +279,7 @@ def _at(coeffs, y, z=1):
 def _fiber(xc, q):
     """The form on the fiber line of the projection of q, in x, with the
     root q itself stripped."""
-    return strip_root([_at(c, q[1], q[2]) for c in xc], q[0], 1)[0]
+    return strip_root([_at(c, q[1], q[2]) for c in xc], [1, -q[0]])
 
 
 def _pair_quadratic(q):
@@ -288,15 +288,15 @@ def _pair_quadratic(q):
     pair and ' the Galois conjugate phi -> 1 - phi: the coefficients are
     N(q2), -Tr(q2*q1') and N(q1).
 
-    Stripping it from an integer form (strip_factor) leaves the degree that
-    stripping the roots (q1:q2) and (q1':q2') one after the other in Z[phi]
-    leaves, and stage 2 reads only the degree.  If (q2*y - q1*z)^k exactly
-    divides the integer form, conjugation shows that (q2'*y - q1'*z)^k
-    exactly divides it too: both roots have multiplicity k.  The two linear
-    forms are coprime (the projections are distinct), so their product to
-    the k-th power divides the form and the (k+1)-th does not; that product
-    is a rational form, so this holds over Q as well.  Both routes lower the
-    degree by 2k."""
+    Stripping it from an integer form (strip_root, as for the six rational
+    lines) leaves the degree that stripping the roots (q1:q2) and (q1':q2')
+    one after the other in Z[phi] leaves, and stage 2 reads only the degree.
+    If (q2*y - q1*z)^k exactly divides the integer form, conjugation shows
+    that (q2'*y - q1'*z)^k exactly divides it too: both roots have
+    multiplicity k.  The two linear forms are coprime (the projections are
+    distinct), so their product to the k-th power divides the form and the
+    (k+1)-th does not; that product is a rational form, so this holds over
+    Q as well.  Both routes lower the degree by 2k."""
     u = q[2] * q[1].conj()
     return form_content_free([q[2].norm(), -(2 * u.a + u.b), q[1].norm()])
 
@@ -331,9 +331,8 @@ def _stage2(curve: PlaneCurve):
             return f"V(F) and V({g}) share a component"
         # the six rational projections, then the conjugate pair at once
         rem = form_content_free(R)
-        for q in move.moved[:-2]:
-            rem, _ = strip_root(rem, q[1], q[2])
-        rem = strip_factor(rem, move.pair)
+        for p in move.projections:
+            rem = strip_root(rem, p)
         if len(rem) > 1:
             return (
                 f"V(F) meets V({g}) at a point off T_tau "

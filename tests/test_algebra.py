@@ -86,6 +86,18 @@ def test_grammar_rejects(bad):
         poly_parse(bad, P2)
 
 
+def test_parentheses_nest_to_a_fixed_depth():
+    assert poly_parse("(" * 100 + "x + y" + ")" * 100, P2) == poly_parse("x + y", P2)
+    assert poly_parse("(x)^2 * " * 150 + "(y)", P2) == poly_parse("x^300*y", P2)  # wide, not deep
+    for depth in (101, 10_000):
+        with pytest.raises(ParseError) as err:
+            poly_parse("(" * depth + "x" + ")" * depth, P2)
+        assert err.value.offset == 100  # the 101st "("
+    with pytest.raises(ParseError) as err:
+        poly_parse("x + " + "(" * 101 + "y" + ")" * 101, P2)
+    assert err.value.offset == 104
+
+
 @given(polys2, polys2)
 def test_exact_division_round_trip(p, q):
     if q.is_zero():

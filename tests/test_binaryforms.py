@@ -1,5 +1,6 @@
 """Z[phi] arithmetic, subresultant resultants against a Bareiss-of-Sylvester
-oracle, binary-form root stripping."""
+oracle, binary-form root stripping against the fraction-free division it
+replaced."""
 
 import random
 from fractions import Fraction
@@ -11,10 +12,9 @@ from hypothesis import given, settings, strategies as st
 from icotk.algebra import P2, poly_parse
 from icotk.binaryforms import (
     Phi,
-    divide_linear,
+    form_content_free,
     interpolate,
     pseudo_remainder,
-    strip_factor,
     strip_root,
     sylvester_resultant,
 )
@@ -350,17 +350,62 @@ def test_resultant_refuses_a_fraction_input():
         sylvester_resultant([1, 0, Fraction(1, 3)], [1, 1])
 
 
+def divide_linear(f, a, b):
+    """The fraction-free division strip_root replaced, kept as the oracle:
+    divide the binary form f of degree d by (b*s - a*t), the linear form
+    vanishing at (s:t) = (a:b).  Returns b^d times the quotient, or None
+    when the division has a remainder.
+
+    Fraction-free synthetic division: p_0 = f_0 and p_i = b^i f_i + a p_(i-1)
+    give b^d q_i = b^(d-1-i) p_i, and the remainder is zero iff p_d is.  For
+    b = 0 the linear form is a multiple of t and the quotient is returned
+    unscaled."""
+    if not any(f):
+        return None
+    d = len(f) - 1
+    if d < 1:
+        return None
+    if not b:
+        # linear form is a multiple of t; divisible iff no s^d term
+        if f[0]:
+            return None
+        return list(f[1:])
+    p = [f[0]]
+    bpow = [1]
+    for i in range(1, d + 1):
+        bpow.append(bpow[-1] * b)
+        p.append(bpow[i] * f[i] + a * p[-1])
+    if p[d]:
+        return None
+    return [bpow[d - 1 - i] * p[i] for i in range(d)]
+
+
+def strip_root_oracle(f, a, b):
+    """Oracle: the binary form f with the root (a:b) removed as often as it
+    divides, by divide_linear; a power of b scales the result."""
+    cur = f
+    while len(cur) > 1:
+        nxt = divide_linear(cur, a, b)
+        if nxt is None:
+            break
+        cur = nxt
+    return cur
+
+
 def test_strip_root_multiplicity():
     # f = (s - t)^3 * (s + t), roots at (1:1) three times
     f = form_mul(form_mul([1, -1], [1, -1]), form_mul([1, -1], [1, 1]))
-    reduced, mult = strip_root(f, 1, 1)
-    assert mult == 3
-    assert reduced == [1, 1] or reduced == [-1, -1]
-    # t^2 vanishes at (s:t) = (1:0), the point at infinity
+    assert strip_root(f, [1, -1]) == [1, 1]
+    assert strip_root(f, [-1, 1]) == [-1, -1]
+    # t^2 vanishes at (s:t) = (1:0), the point at infinity: g[0] = 0
     g = [0, 0, 1, 2]  # t^2*(s + 2t)
-    reduced2, mult2 = strip_root(g, 1, 0)
-    assert mult2 == 2
-    assert reduced2 == [1, 2]
+    assert strip_root(g, [0, 1]) == [1, 2]
+    assert strip_root(g, [0, -1]) == [1, 2]
+    assert strip_root([3, 1, 0, 0], [1, 0]) == [3, 1]  # s^2 (3s + t): g[-1] = 0
+    # (4s - 2t)^2 (s + t): the projection (2:4) strips as the line 2s - t
+    h = form_mul(form_mul([4, -2], [4, -2]), [1, 1])
+    assert strip_root(h, form_content_free([4, -2])) == [4, 4]
+    assert len(strip_root_oracle(h, 2, 4)) == 2
 
 
 @given(zphi_elems, zphi_elems, st.integers(0, 3),
@@ -385,20 +430,23 @@ def test_the_pair_quadratic_strips_what_two_root_strippings_strip(q1, q2, k, h, 
     f = data.draw(st.sampled_from([f, f + [0], [3 * c for c in f]]))
     pair = _pair_quadratic((1, q1, q2))
     assert gcd(*pair) == 1 and pair[0] != 0
-    by_roots, _ = strip_root(f, q1, q2)
-    by_roots, _ = strip_root(by_roots, *conj)
-    by_pair = strip_factor(f, pair)
+    by_roots = strip_root_oracle(strip_root_oracle(f, q1, q2), *conj)
+    by_pair = strip_root(f, pair)
     assert len(by_pair) == len(by_roots)
     assert len(by_pair) <= len(f) - 2 * k
     assert all(isinstance(c, int) for c in by_pair)
 
 
-def test_strip_factor_stops_at_a_remainder():
+def test_strip_root_stops_at_a_remainder():
     q = [1, 0, -2]  # s^2 - 2 t^2, irreducible over Q
-    assert strip_factor(form_mul(form_mul(q, q), [1, 3]), q) == [1, 3]
-    assert strip_factor([1, 0, -2, 1], q) == [1, 0, -2, 1]  # inexact remainder form
-    assert strip_factor([3, 0, -5], [2, 0, -3]) == [3, 0, -5]  # inexact divmod by g[0]
-    assert strip_factor([5, 1], q) == [5, 1]  # degree below g
+    assert strip_root(form_mul(form_mul(q, q), [1, 3]), q) == [1, 3]
+    assert strip_root([1, 0, -2, 1], q) == [1, 0, -2, 1]  # inexact remainder form
+    assert strip_root([3, 0, -5], [2, 0, -3]) == [3, 0, -5]  # inexact divmod by g[0]
+    assert strip_root([5, 1], q) == [5, 1]  # degree below g
+    assert strip_root([1, 2, 1], [1, -PHI]) == [1, 2, 1]  # monic: only the remainder form
+    for g in ([0, 0], [0, 5, 0]):  # g[0] = g[-1] = 0
+        with pytest.raises(ValueError):
+            strip_root([1, 2, 1], g)
 
 
 def test_divide_linear_rejects_non_roots():
@@ -411,12 +459,45 @@ def test_divide_linear_rejects_non_roots():
 def test_strip_root_removes_exactly_the_root(coeffs, a, b):
     if (a, b) == (0, 0) or all(c == 0 for c in coeffs):
         return
-    g = gcd(a, b)
-    a, b = a // g, b // g
     f = form_mul(coeffs, [b, -a])  # multiply in one (a:b) root
-    reduced, mult = strip_root(f, a, b)
-    assert mult >= 1
+    reduced = strip_root(f, form_content_free([b, -a]))
+    assert len(reduced) < len(f)
     assert form_eval(reduced, a, b) != 0 or len(reduced) == 1
+
+
+@st.composite
+def _stripping_cases(draw):
+    """(f, g, a, b): f = h * g^k for a random nonzero form h, with g the
+    linear form b*s - a*t of (a:b) -- over Z made primitive, (a, b) not
+    necessarily coprime and either of them possibly 0; over Z[phi] monic,
+    b = 1."""
+    k = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        h = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any))
+        a, b = draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(any))
+        g = form_content_free([b, -a])
+    else:
+        small = st.builds(Phi, st.integers(-5, 5), st.integers(-5, 5))
+        h = draw(st.lists(small, min_size=1, max_size=4).filter(any))
+        a, b = draw(small), 1
+        g = [1, -a]
+    f = h
+    for _ in range(k):
+        f = form_mul(f, g)
+    return f, g, a, b
+
+
+@given(_stripping_cases())
+@settings(max_examples=300)
+def test_strip_root_leaves_the_oracles_degree_and_divides_exactly(case):
+    f, g, a, b = case
+    reduced = strip_root(f, g)
+    assert len(reduced) == len(strip_root_oracle(f, a, b))
+    assert form_eval(reduced, a, b) != 0 or len(reduced) == 1
+    back = reduced
+    for _ in range(len(f) - len(reduced)):
+        back = form_mul(back, g)
+    assert back == f  # reduced is f / g^k exactly, k = deg f - deg reduced
 
 
 @st.composite

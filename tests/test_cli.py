@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from icotk import __version__
+from icotk import __version__, cli
 from icotk.cli import run
 from icotk.ico_surface import fixed_geometry
 from icotk.plane_curves import family_curve
@@ -214,6 +214,41 @@ def test_too_many_digits_are_refused_before_the_work(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and rep["provenance"] == ["input-error"]
     assert "--digits" in rep["result"]["error"]
+
+
+def test_a_deep_hilbert_recursion_answers(capsys):
+    # one degree of x0 per pivot would recurse 3000 deep; the least power of
+    # x0 per pivot takes two steps
+    code, rep = _invoke(capsys, "groebner", "-i", "x0^3000*x1 ; x0*x1^3000")
+    assert code == 0 and rep["provenance"] == ["groebner-basis"]
+    assert (rep["result"]["dim"], rep["result"]["degree"]) == (3, 2)
+
+
+@pytest.mark.parametrize("depth, code", [(100, 1), (101, 2), (260, 2), (10_000, 2)])
+def test_deep_parentheses_are_parsed_or_refused_as_input(capsys, depth, code):
+    # each level costs the parser four stack frames, so 260 unchecked levels
+    # overflow Python's stack (exit 4, internal-error)
+    got, rep = _invoke(capsys, "tau", "check", "-F", "(" * depth + "x" + ")" * depth)
+    assert got == code
+    if code == 2:
+        assert rep["provenance"] == ["input-error"]
+        assert rep["result"]["error"] == "parentheses nested deeper than 100 (offset 100)"
+    else:
+        assert rep["result"]["verdict"] == "fails"
+
+
+def test_digits_are_checked_before_the_handler(capsys, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_containing_model", lambda *a: calls.append(a))
+    curve = tmp_path / "curve.txt"
+    curve.write_text(str(family_curve(1, (1, 2, 3, 4, 5)).F))
+    limit = sys.get_int_max_str_digits()
+    for digits in ("-1", str(limit)):
+        code, rep = _invoke(capsys, "containing-model", "-F", f"@{curve}", "--digits", digits)
+        assert code == 2 and rep["provenance"] == ["input-error"]
+        assert rep["result"]["error"].startswith("--digits must be")
+        assert rep["flags"] is None  # refused with --gb-steps, before the flags echo
+    assert calls == []
 
 
 def test_lex_basis_keeps_the_grevlex_leading_sign(capsys):

@@ -9,8 +9,8 @@ import hashlib
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
-from math import factorial
+from itertools import combinations_with_replacement, product
+from math import comb, factorial
 from unittest import mock
 
 import pytest
@@ -481,6 +481,32 @@ def test_a_huge_numerator_degree_costs_nothing():
     # N = 1 - t^d: a_0 = 0, a_1 = d, whatever d is
     assert dim_degree(Ideal(P4, [_p4("x0^30")]), GroebnerBudget(max_reductions=0)) == (3, 30)
     assert dim_degree(Ideal(P4, [Poly.from_terms(P4, [((10**6, 0, 0, 0, 0), 1)])])) == (3, 10**6)
+
+
+def test_a_deep_hilbert_recursion_answers():
+    # x0^3000*x1, x0*x1^3000 = x0*x1*(x0^2999, x1^2999): the hypersurfaces
+    # x0 = 0 and x1 = 0; one degree per pivot would recurse 3000 deep
+    I = Ideal(P4, [_p4("x0^3000*x1"), _p4("x0*x1^3000")])
+    assert dim_degree(I) == (3, 2)
+    assert hilbert_function(I, 3002) == comb(3006, 4) - 2 * comb(5, 4)
+
+
+@pytest.mark.parametrize("ring, top", [(P2, 4), (P4, 2)], ids=["P2", "P4"])
+@given(data=st.data())
+@settings(max_examples=60)
+def test_the_numerator_counts_the_standard_monomials(ring, top, data):
+    """The Hilbert function from the numerator equals the number of degree-d
+    monomials that no generator divides, for every d up to the degree of the
+    generators' lcm, which bounds the numerator's degree."""
+    expos = st.tuples(*([st.integers(0, top)] * ring.nvars))
+    gens = data.draw(st.lists(expos, min_size=1, max_size=4))
+    hd = groebner.hilbert_data(Ideal(ring, [Poly.from_terms(ring, [(e, 1)]) for e in gens]))
+    for d in range(ring.nvars * top + 1):
+        standard = 0
+        for picks in combinations_with_replacement(range(ring.nvars), d):
+            m = [picks.count(i) for i in range(ring.nvars)]
+            standard += not any(all(a >= b for a, b in zip(m, g)) for g in gens)
+        assert hd.hilbert_function(d) == standard, d
 
 
 def _pole_cancellation(basis, nvars):

@@ -18,6 +18,7 @@ from icotk.groebner import normal_form
 from icotk.ico_models import general_model, is_degenerate
 from icotk import plane_curves
 from icotk.ico_surface import fixed_geometry, tau_point
+from test_binaryforms import strip_root_oracle
 from icotk.plane_curves import (
     _PROBE,
     PlaneCurve,
@@ -540,9 +541,12 @@ def test_the_conjugate_fiber_check_agrees():
             R = _resultant_in_x(fc, [], gc, [], de)
             if R is None:
                 continue
-            rem = form_content_free(R)
+            rem = by_list = form_content_free(R)
             for q in move.moved:
-                rem, _ = strip_root(rem, q[1], q[2])
+                rem = strip_root_oracle(rem, q[1], q[2])
+            for p in move.projections:
+                by_list = strip_root(by_list, p)
+            assert len(by_list) == len(rem)
             if len(rem) > 1:
                 continue
             reached += 1
