@@ -39,6 +39,7 @@ PC, BF, H, C = (f"src/icotk/{m}.py" for m in ("plane_curves", "binaryforms", "he
 TA, TG, TS, TF = (f"tests/test_{m}.py" for m in ("algebra", "groebner", "ico_surface", "fermat"))
 TP, TB, TH, TC = (f"tests/test_{m}.py" for m in ("plane_curves", "binaryforms", "heights", "cli"))
 CF, TR = "src/icotk/config.py", "tests/test_records.py"
+M, TM = "src/icotk/ico_models.py", "tests/test_ico_models.py"
 
 MUTANTS = [
     # -- packed-integer (Kronecker) products and substitution
@@ -91,6 +92,18 @@ MUTANTS = [
            "enumerate(expansion[1:], 1) if a",
            (f"{TG}::test_the_expansion_at_one_equals_pole_cancellation",),
            "the zero ideal has a_0 = 1 and Krull dimension n"),
+    Mutant("hilbert-pivot-on-the-least-exponent", G,
+           "p = exps[(len(exps) - 1) // 2]",
+           "p = exps[0]",
+           (f"{TG}::test_the_median_pivot_keeps_the_hilbert_recursion_shallow",),
+           "the least exponent peels one power per level and recurses N deep on (x0, x1)^N"),
+    # -- the A_n bases
+    Mutant("dependent-pure-power-accepted", M,
+           "        elif expo in pure:\n"
+           "            raise IcotkError(f\"pure powers are dependent in A_{n}\")\n",
+           "",
+           (f"{TM}::test_basis_pure_power_relation_is_detected",),
+           "a pure power of the basis is checked, not assumed, to be independent"),
     # -- points
     Mutant("proj-point-keeps-a-negative-lead", S,
            "            g = -g\n",
@@ -235,6 +248,11 @@ MUTANTS = [
            "            l_hi = up.divide(ln_m, ln10_lo)\n",
            (f"{TH}::test_interval_widens_the_logarithm_of_m",),
            "ln(m) rounds half-even too, so it is widened by an ulp on its own"),
+    Mutant("zero-height-read-as-positive", H,
+           "    if mant == 0:\n        return None\n",
+           "",
+           (f"{TH}::test_thmC_zero_height_in_every_spelling_is_exact",),
+           "h(X) = 0 in any spelling, 0e5 too, keeps the bound exact"),
     Mutant("certificate-without-tag-check", H,
            "        if tag not in TAGS:\n"
            "            raise ValueError(f\"unknown certificate tag {tag!r}\")\n",

@@ -309,9 +309,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -546,6 +543,20 @@ class Poly:
         return " ".join(chunks)
 
     __repr__ = __str__
+
+
+def primitive_form(f, ring: Ring, what: str, where: str) -> Poly:
+    """The primitive part of f, which must be a nonzero form of degree >= 1
+    in ring (named `where` in the message); ValueError otherwise."""
+    if not isinstance(f, Poly) or f.ring != ring:
+        raise ValueError(f"{what} live in the {where} ring")
+    if f.is_zero():
+        raise ValueError(f"{what} must be nonzero")
+    if not f.is_homogeneous():
+        raise ValueError(f"{what} must be homogeneous")
+    if f.degree() < 1:
+        raise ValueError(f"{what} must have degree >= 1")
+    return f.primitive_part()
 
 
 # ---------------------------------------------------------------------------

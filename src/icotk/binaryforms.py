@@ -34,6 +34,9 @@ class Phi:
     def __setattr__(self, name, value):
         raise AttributeError("Phi is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return Phi, (self.a, self.b)
+
     def __add__(self, other):
         if isinstance(other, Phi):
             return Phi(self.a + other.a, self.b + other.b)

@@ -46,6 +46,7 @@ from .heights import (
 )
 from .ico_models import (
     IcoModel,
+    expected_rank,
     general_model,
     genus_general,
     is_curve,
@@ -66,8 +67,6 @@ from .plane_curves import (
 )
 
 SCHEMA = "icotk-report/1"
-
-SUITES = ("identities", "dimensions", "genus", "ttau", "fermat-smoke")
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +207,8 @@ def _cmd_ico_info(args, gb, fb):
 
 def _cmd_family_curve(args, gb, fb):
     v = _csv_fractions(args.v)
-    model = general_model(args.n, v)
-    curve = family_curve(args.n, v)
+    model = general_model(args.n, v, gb)
+    curve = family_curve(args.n, v, gb)
     result = {
         "n": args.n,
         "v": [str(c) for c in v],
@@ -309,8 +308,7 @@ def _suite_dimensions(args, gb, fb):
     for n, want in expected.items():
         got = hilbert_function(surface, n, gb)
         checks.append((f"hilbert_function(surface, {n}) == {want}", got == want))
-        formula = 5 if n == 1 else 4 * n * n - 4 * n + 6
-        checks.append((f"matches 4n^2-4n+6 at n={n}", got == formula))
+        checks.append((f"matches 4n^2-4n+6 at n={n}", got == expected_rank(n)))
     return checks
 
 
@@ -537,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_genus)
 
     p = sub.add_parser("suite", parents=[common], help="named verification bundle")
-    p.add_argument("name", choices=SUITES)
+    p.add_argument("name", choices=_SUITE_RUNNERS)
     p.set_defaults(handler=_cmd_suite)
 
     return top

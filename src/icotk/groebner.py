@@ -281,16 +281,19 @@ def _hilbert_numerator(gens: frozenset, memo: dict) -> dict:
             out = {k: c for k, c in nxt.items() if c}
         memo[gens] = out
         return out
-    # pivot on x_v^p, x_v the most frequent variable and p its least positive
-    # exponent: N(R/I) = N(R/(I + x_v^p)) + t^p N(R/(I : x_v^p))
+    # pivot on x_v^p, x_v the most frequent variable and p the lower median
+    # of its exponents in the mixed generators: N(R/I) = N(R/(I + x_v^p)) +
+    # t^p N(R/(I : x_v^p)).  Both halves are smaller: the first loses the
+    # mixed generators x_v^p divides, the second has a smaller degree sum.
+    # The median keeps the recursion shallow; on (x0, x1)^N the least
+    # exponent would recurse N deep
     v = max(counts, key=lambda i: (counts[i], -i))
-    p = min(g[v] for g in gens if g[v])
+    exps = sorted(g[v] for g in gens if 0 < g[v] < sum(g))
+    p = exps[(len(exps) - 1) // 2]
     nvars = len(next(iter(gens)))
     pivot = tuple(p if i == v else 0 for i in range(nvars))
-    plus = frozenset([pivot] + [g for g in gens if g[v] == 0])
-    colon = frozenset(
-        tuple(e - p if i == v and e else e for i, e in enumerate(g)) for g in gens
-    )
+    plus = frozenset([pivot] + [g for g in gens if g[v] < p])
+    colon = frozenset(g[:v] + (max(g[v] - p, 0),) + g[v + 1:] for g in gens)
     a = _hilbert_numerator(plus, memo)
     b = _hilbert_numerator(colon, memo)
     out = dict(a)

@@ -52,16 +52,18 @@ def check_digits(digits: int) -> None:
 
 
 class LogBound:
-    """log10 of a positive bound, as E + sum c_k*log10(m_k), kept exact."""
+    """log10 of a positive bound, as E + sum c_k*log10(m_k), kept exact.
+    Each atom m_k is an int >= 1: anything else raises TypeError rather
+    than being truncated."""
 
     __slots__ = ("E", "terms")
 
     def __init__(self, E=0, terms=()):
         self.E = Fraction(E)
         merged: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
+        items = tuple(terms.items() if isinstance(terms, dict) else terms)
+        _ints((m for m, _ in items), "log argument")
         for m, c in items:
-            m = int(m)
             c = Fraction(c)
             if m < 1:
                 raise ValueError("log arguments must be positive integers")
@@ -309,21 +311,21 @@ def bound_corF(a, budget: FactorBudget = DEFAULT_FACTOR_BUDGET) -> HeightCertifi
     return HeightCertificate("CorF", bound, (("a", coeffs), ("nu", nu)))
 
 
-def _parse_positive(hX) -> LogBound:
-    """log10 of a positive rational given as int/Fraction or scientific
-    string like '3.5e100'; the value itself is never materialized."""
-    if isinstance(hX, str):
-        s = hX.strip().lower()
-        if "e" in s:
-            mant_s, exp_s = s.split("e", 1)
-            exp = int(exp_s)
-        else:
-            mant_s, exp = s, 0
-        mant = Fraction(mant_s)
-        if mant <= 0:
-            raise ValueError("bound inputs must be positive")
-        return LogBound(exp) + LogBound.of_log10(mant)
-    return LogBound.of_log10(Fraction(hX))
+def _parse_positive(hX):
+    """log10 of h(X) as a LogBound, or None when h(X) is zero.  h(X) is an
+    int, a Fraction or a scientific string like '3.5e100', whose value is
+    never materialized; the exponent after 'e' must be an int."""
+    if not isinstance(hX, str):
+        value = Fraction(hX)
+        return LogBound.of_log10(value) if value else None
+    mant_s, e, exp_s = hX.strip().lower().partition("e")
+    mant = Fraction(mant_s)
+    if mant == 0:
+        return None
+    exp = int(exp_s) if e else 0
+    if mant < 0:
+        raise ValueError("bound inputs must be positive")
+    return LogBound(exp) + LogBound.of_log10(mant)
 
 
 def bound_thmC(d_X: int, nu: int, h_X=0) -> HeightCertificate:
@@ -332,20 +334,13 @@ def bound_thmC(d_X: int, nu: int, h_X=0) -> HeightCertificate:
     d_X, nu = _ints((d_X, nu), "bound input")
     if d_X < 1 or nu < 1:
         raise ValueError("d_X >= 1 and nu >= 1 required")
-    term = LogBound(10**12, [(d_X, 1), (nu, 24)])
-    if hX_is_zero(h_X):
-        bound = term
-    else:
-        bound = LogBound.sum_upper(term, _parse_positive(h_X))
+    bound = LogBound(10**12, [(d_X, 1), (nu, 24)])
+    log_hX = _parse_positive(h_X)
+    if log_hX is not None:
+        bound = LogBound.sum_upper(bound, log_hX)
     return HeightCertificate(
         "ThmC", bound, (("d_X", d_X), ("nu", nu), ("h_X", h_X))
     )
-
-
-def hX_is_zero(h_X) -> bool:
-    if isinstance(h_X, str):
-        return Fraction(h_X.strip().lower().split("e")[0]) == 0
-    return Fraction(h_X) == 0
 
 
 def bound_pullback(d: int, absF: int) -> HeightCertificate:

@@ -11,8 +11,9 @@ five coordinate points.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from .algebra import P4, Echelon, Poly, grevlex_key, int_radical
+from .algebra import P4, Echelon, Poly, grevlex_key, int_radical, primitive_form
 from .config import DEFAULT_FACTOR_BUDGET, DEFAULT_GB_BUDGET, FactorBudget, GroebnerBudget
 from .errors import IcotkError
 from .groebner import GREVLEX, Ideal, dim_degree, normal_form
@@ -27,21 +28,10 @@ class IcoModel:
     """
 
     def __init__(self, polys):
-        polys = list(polys)
-        if not polys:
+        what = "ico model polynomials"
+        self.polys = tuple(primitive_form(f, P4, what, "x0..x4") for f in polys)
+        if not self.polys:
             raise ValueError("ico model needs at least one polynomial")
-        norm = []
-        for f in polys:
-            if not isinstance(f, Poly) or f.ring != P4:
-                raise ValueError("ico model polynomials live in the x0..x4 ring")
-            if f.is_zero():
-                raise ValueError("ico model polynomials must be nonzero")
-            if not f.is_homogeneous():
-                raise ValueError("ico model polynomials must be homogeneous")
-            if f.degree() < 1:
-                raise ValueError("ico model polynomials must have degree >= 1")
-            norm.append(f.primitive_part())
-        self.polys = tuple(norm)
         self.degrees = tuple(f.degree() for f in self.polys)
         self._diagonal = None
 
@@ -109,49 +99,35 @@ def expected_rank(n: int) -> int:
 
 
 def _degree_monomials(n: int):
-    """Exponent tuples of degree n in five variables, grevlex-descending."""
-    out = []
-
-    def rec(prefix, left, slots):
-        if slots == 1:
-            out.append(tuple(prefix) + (left,))
-            return
-        for e in range(left, -1, -1):
-            rec(prefix + [e], left - e, slots - 1)
-
-    rec([], n, 5)
-    out.sort(key=grevlex_key, reverse=True)
-    return out
+    """Exponent tuples of degree n in five variables, grevlex-descending:
+    stars and bars, the four bars at positions chosen from n + 4."""
+    cuts = ((-1, *bars, n + 4) for bars in combinations(range(n + 4), 4))
+    expos = [tuple(b - a - 1 for a, b in zip(c, c[1:])) for c in cuts]
+    return sorted(expos, key=grevlex_key, reverse=True)
 
 
 def basis_An(n: int, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> tuple:
     """Degree-n monomials forming a basis of A_n, pure powers first.
 
-    Starts from x0^n..x4^n and completes greedily over the remaining
-    monomials in grevlex order, certifying independence by exact row
-    reduction of normal forms modulo (sigma2, sigma4).  Raises if the pure
-    powers are dependent (not expected for any n, but verified, not assumed).
+    One greedy pass over x0^n..x4^n and then the other degree-n monomials
+    in grevlex order keeps each monomial whose normal form modulo
+    (sigma2, sigma4) is independent of those kept, by exact row reduction.
+    Raises if a pure power is dependent (not expected for any n, but
+    verified, not assumed).
     """
     r = expected_rank(n)
-    surface = fixed_geometry().surface_ideal()
-    basis_polys = surface.groebner(GREVLEX, budget)
-
+    basis_polys = fixed_geometry().surface_ideal().groebner(GREVLEX, budget)
+    pure = [tuple(n if k == i else 0 for k in range(5)) for i in range(5)]
     echelon = Echelon()
     chosen = []
-    for i in range(5):
-        expo = tuple(n if k == i else 0 for k in range(5))
-        nf = normal_form(Poly.monomial(P4, expo), basis_polys, GREVLEX, budget)
-        if echelon.add(nf.terms) is not None:
-            raise IcotkError(f"pure powers are dependent in A_{n}")
-        chosen.append(expo)
-    for expo in _degree_monomials(n):
+    for expo in pure + [e for e in _degree_monomials(n) if e not in pure]:
         if len(chosen) == r:
             break
-        if expo in chosen:
-            continue
         nf = normal_form(Poly.monomial(P4, expo), basis_polys, GREVLEX, budget)
         if echelon.add(nf.terms) is None:
             chosen.append(expo)
+        elif expo in pure:
+            raise IcotkError(f"pure powers are dependent in A_{n}")
     if len(chosen) != r:
         raise IcotkError(
             f"A_{n} basis completion found rank {len(chosen)}, expected {r}"
@@ -159,11 +135,11 @@ def basis_An(n: int, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> tuple:
     return tuple(Poly.monomial(P4, e) for e in chosen)
 
 
-def general_model(n: int, v) -> IcoModel:
+def general_model(n: int, v, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> IcoModel:
     """The one-polynomial model sum(v_i * s_i) over the A_n monomial basis;
     non-degenerate exactly when v_1..v_5 are all nonzero."""
     v = list(v)
-    basis = basis_An(n)
+    basis = basis_An(n, budget)
     if len(v) != len(basis):
         raise ValueError(f"coefficient vector must have length {len(basis)}")
     f = Poly.zero(P4)

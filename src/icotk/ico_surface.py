@@ -2,16 +2,18 @@
 degree-12 map tau: P^2 --> Mbar and the degree-8 map rho: Mbar --> P^2, the
 curve C_tau = V(lambda), and the base locus T_tau.
 
-Everything is *constructed* from the defining data (t_j and r_i) at first
-use rather than transcribed as expanded constants, so a typo in the inputs
-breaks loudly in the degree and identity checks.  Before tau is built, the
-four cubics must satisfy (sum t) e_2(t) = e_3(t), which is what makes
-sigma_2(tau) = sigma_4(tau) = 0; after it, tau must satisfy two bracket
-identities.  The build itself stays below degree 25: C_tau's factors come
-from the four cubics through those bracket identities, and lambda =
-rho_0(tau)/x (degree 95, 2228 terms) is expanded only when something reads
-it -- the symbolic identity suite and the tests.  The geometry is built
-once and shared (it is immutable).
+Everything is *constructed* from the defining data at first use rather
+than transcribed as expanded constants: t0, t2 and t3 from the factors
+y - z, x, z and the conics q0, q2, q3, which C_tau's factor list reuses,
+and rho from the monomials r_i.  So a typo in the inputs breaks loudly in
+the degree and identity checks.  Before tau is built, the four cubics must
+satisfy (sum t) e_2(t) = e_3(t), which is what makes sigma_2(tau) =
+sigma_4(tau) = 0; after it, tau must satisfy two bracket identities.  The
+build itself stays below degree 25: C_tau's factors come from the four
+cubics through those bracket identities, and lambda = rho_0(tau)/x (degree
+95, 2228 terms) is expanded only when something reads it -- the symbolic
+identity suite and the tests.  The geometry is built once and shared (it
+is immutable).
 """
 
 from __future__ import annotations
@@ -89,13 +91,11 @@ class FixedGeometry:
     """All the fixed polynomials and points, built from first principles."""
 
     def __init__(self):
-        self.t = (
-            poly_parse("(y - z)*(x*y + x*z - z^2)", P2),
-            poly_parse("x*z^2 + y*z^2 - x^2*y - z^3", P2),
-            poly_parse("x*(z^2 - y^2 - x*z)", P2),
-            poly_parse("z*(y*z - x*z + x^2 - y^2)", P2),
-        )
-        self.t_sum = self.t[0] + self.t[1] + self.t[2] + self.t[3]
+        x, z = Poly.variable(P2, "x"), Poly.variable(P2, "z")
+        lin0, q0, q2, q3 = (poly_parse(f, P2) for f in (
+            "y - z", "x*y + x*z - z^2", "z^2 - y^2 - x*z", "y*z - x*z + x^2 - y^2"))
+        self.t = (lin0 * q0, poly_parse("x*z^2 + y*z^2 - x^2*y - z^3", P2), x * q2, z * q3)
+        self.t_sum = sum(self.t)
         # For tau_i = -(sum t) P / t_i (i < 4) and tau_4 = P, P = t0 t1 t2 t3,
         # sigma_4(tau) = 0 and sigma_2(tau) = P (sum t) ((sum t) e_2(t) - e_3(t))
         # for any four forms, so this degree-9 check of the cubics gives
@@ -104,16 +104,9 @@ class FixedGeometry:
         e3 = sum(a * b * c for a, b, c in combinations(self.t, 3))
         if self.t_sum * e2 != e3:
             raise AssertionError("cubic identity sum(t)*e2(t) == e3(t) broken")
-        prod_all = self.t[0] * self.t[1] * self.t[2] * self.t[3]
-        taus = []
-        for i in range(4):
-            partial = Poly.constant(P2, 1)
-            for j in range(4):
-                if j != i:
-                    partial = partial * self.t[j]
-            taus.append(-(partial * self.t_sum))
-        taus.append(prod_all)
-        self.tau = tuple(taus)
+        prod_all = prod(self.t)
+        self.tau = tuple(-(prod(self.t[:i] + self.t[i + 1:]) * self.t_sum)
+                         for i in range(4)) + (prod_all,)
 
         def r(i):
             e = [1] * 5
@@ -140,6 +133,10 @@ class FixedGeometry:
         if (tau[1] * tau[2] + tau[0] * tau[2] + tau[0] * tau[1]
                 != self.t_sum**2 * prod_all * t[3] * (t[0] + t[1] + t[2])):
             raise AssertionError("bracket identity tau1 tau2 + tau0 tau2 + tau0 tau1 broken")
+        v = (-(t[1] + t[3]) * (t[0] + t[1] + t[2])).exact_div(x)
+        if v.degree() != 5:
+            raise AssertionError("lambda cofactor is not a quintic")
+        self._ctau_factors = (x, z, lin0, q0, q2, q3, t[1], self.t_sum, v)
 
         self.e_points = tuple(
             ProjPoint([1 if j == i else 0 for j in range(5)]) for i in range(5)
@@ -153,7 +150,6 @@ class FixedGeometry:
             ProjPoint([1, 1, 1]),
         )
         self.ttau_quadratic = QuadraticPoint()
-        self._ctau_factors = None
         self._surface_ideal = None
 
     # -- derived data -------------------------------------------------------
@@ -188,26 +184,12 @@ class FixedGeometry:
 
         lambda = (t0 t1 t2 t3 (sum t))^6 * v with the quintic
         v = -(t1 + t3)(t0 + t1 + t2)/x (the bracket identities of the build;
-        the expanded product is checked by symbolic verify_identities);
-        three of the t_j split off visible linear factors.
+        the expanded product is checked by symbolic verify_identities).
+        t0, t2 and t3 appear through the factors the build multiplies them
+        from: t0 = (y - z) q0, t2 = x q2 and t3 = z q3.
         The list need not consist of irreducibles -- the per-factor geometry
         in plane_curves is sound for any decomposition covering V(lambda).
         """
-        if self._ctau_factors is None:
-            t = self.t
-            x = Poly.variable(P2, "x")
-            z = Poly.variable(P2, "z")
-            lin0 = poly_parse("y - z", P2)
-            q0 = poly_parse("x*y + x*z - z^2", P2)
-            q2 = poly_parse("z^2 - y^2 - x*z", P2)
-            q3 = poly_parse("y*z - x*z + x^2 - y^2", P2)
-            v = (-(t[1] + t[3]) * (t[0] + t[1] + t[2])).exact_div(x)
-            if v.degree() != 5:
-                raise AssertionError("lambda cofactor is not a quintic")
-            # consistency: the visible splittings really multiply back
-            if t[0] != lin0 * q0 or t[2] != x * q2 or t[3] != z * q3:
-                raise AssertionError("t_j factor bookkeeping broken")
-            self._ctau_factors = (x, z, lin0, q0, q2, q3, t[1], self.t_sum, v)
         return self._ctau_factors
 
 

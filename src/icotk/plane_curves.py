@@ -52,7 +52,7 @@ import time
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import P2, P4, Echelon, Poly
+from .algebra import P2, P4, Echelon, Poly, primitive_form
 from .binaryforms import (
     form_content_free,
     interpolate,
@@ -71,15 +71,7 @@ class PlaneCurve:
     """Primitive integer homogeneous F of degree >= 1 in the x,y,z ring."""
 
     def __init__(self, F: Poly):
-        if not isinstance(F, Poly) or F.ring != P2:
-            raise ValueError("plane curves live in the x,y,z ring")
-        if F.is_zero():
-            raise ValueError("zero polynomial is not a curve")
-        if not F.is_homogeneous():
-            raise ValueError("plane curves must be homogeneous")
-        if F.degree() < 1:
-            raise ValueError("constant polynomials are not curves")
-        self.F = F.primitive_part()
+        self.F = primitive_form(F, P2, "plane curves", "x,y,z")
         self.degree = self.F.degree()
         self.abs_F = self.F.max_abs_coeff()
         self._report = None
@@ -124,10 +116,10 @@ def pullback_tau(f: Poly) -> Poly:
     return comp.primitive_part()
 
 
-def family_curve(n: int, v) -> PlaneCurve:
+def family_curve(n: int, v, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> PlaneCurve:
     """The plane curve tau^*(sum v_i s_i) over the degree-n monomial basis;
     degree 12n, and in the good family when all of v_1..v_5 are nonzero."""
-    model = general_model(n, v)
+    model = general_model(n, v, budget)
     curve = PlaneCurve(pullback_tau(model.polys[0]))
     if curve.degree != 12 * n:
         raise AssertionError("family pullback degree mismatch")

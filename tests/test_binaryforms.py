@@ -2,6 +2,8 @@
 oracle, binary-form root stripping against the fraction-free division it
 replaced."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -73,6 +75,14 @@ def test_ring_identities_with_mixed_operands(u, v, w):
 def test_phi_equality_compares_both_parts():
     assert Phi(1, 2) != Phi(1, 3) and Phi(1, 2) != 1 and Phi(1, 0) == 1
     assert Phi(1, 2) == Phi(1, 2)
+
+
+def test_phi_pickles_and_copies_and_stays_immutable():
+    u = Phi(3, -7)
+    for twin in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)):
+        assert type(twin) is Phi and (twin.a, twin.b) == (3, -7) and twin == u
+        with pytest.raises(AttributeError, match="immutable"):
+            twin.a = 3
 
 
 def test_phi_satisfies_its_minimal_polynomial():

@@ -1,6 +1,7 @@
 """CLI contract: report schema, exit codes, determinism, payload round trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -117,6 +118,41 @@ def test_usage_errors_exit_two(capsys):
     assert "error" in rep["result"]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["tau", "check", "-F", "0"], "plane curves must be nonzero"),
+    (["tau", "check", "-F", "x + 1"], "plane curves must be homogeneous"),
+    (["tau", "check", "-F", "3"], "plane curves must have degree >= 1"),
+    (["ico", "info", "-f", "0"], "ico model polynomials must be nonzero"),
+    (["ico", "info", "-f", "x0 + 1"], "ico model polynomials must be homogeneous"),
+    (["ico", "info", "-f", "3"], "ico model polynomials must have degree >= 1"),
+])
+def test_curves_and_models_refuse_what_is_not_a_form(capsys, argv, error):
+    code, rep = _invoke(capsys, *argv)
+    assert code == 2 and rep["provenance"] == ["input-error"]
+    assert rep["result"]["error"] == error
+
+
+def test_suite_names_come_from_the_suites(capsys):
+    code, rep = _invoke(capsys, "suite", "nosuch")
+    assert code == 2 and rep["flags"] is None
+    assert "'identities', 'dimensions', 'genus', 'ttau', 'fermat-smoke'" in rep["result"]["error"]
+
+
+# sha256 of the sorted-key JSON result of "family curve -n 3 -v 1,...,1",
+# first 16 hex digits, from before the command passed --gb-steps on
+FAMILY_N3_DIGEST = "e1664ddea02dabbb"
+
+
+def test_family_curve_spends_the_groebner_budget(capsys):
+    argv = ["family", "curve", "-n", "3", "-v", ",".join(["1"] * 30)]
+    code, rep = _invoke(capsys, *argv)
+    assert code == 0 and rep["flags"]["gb_steps"] == 10**7
+    text = json.dumps(rep["result"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == FAMILY_N3_DIGEST
+    code, rep = _invoke(capsys, *argv, "--gb-steps", "1")
+    assert code == 3 and rep["provenance"] == ["budget-exceeded"]
+
+
 def test_containing_model_has_one_parser_entry(capsys):
     # "tau containing-model" was a second spelling of "containing-model"
     argv = ["tau", "containing-model", "-F", "x"]
@@ -217,8 +253,8 @@ def test_too_many_digits_are_refused_before_the_work(capsys):
 
 
 def test_a_deep_hilbert_recursion_answers(capsys):
-    # one degree of x0 per pivot would recurse 3000 deep; the least power of
-    # x0 per pivot takes two steps
+    # one degree of x0 per pivot would recurse 3000 deep; a pivot on the
+    # median power of x0 takes a few steps
     code, rep = _invoke(capsys, "groebner", "-i", "x0^3000*x1 ; x0*x1^3000")
     assert code == 0 and rep["provenance"] == ["groebner-basis"]
     assert (rep["result"]["dim"], rep["result"]["degree"]) == (3, 2)

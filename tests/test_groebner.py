@@ -491,6 +491,24 @@ def test_a_deep_hilbert_recursion_answers():
     assert hilbert_function(I, 3002) == comb(3006, 4) - 2 * comb(5, 4)
 
 
+def test_the_median_pivot_keeps_the_hilbert_recursion_shallow(monkeypatch):
+    # (x0, x1)^N: pivoting on the least exponent recursed N deep; the
+    # median splits the exponents and stays logarithmic
+    N, depth, numerator = 400, [0], groebner._hilbert_numerator
+
+    def counted(gens, memo):
+        depth[0] += 1
+        assert depth[0] < 60, "the Hilbert recursion went 60 frames deep"
+        try:
+            return numerator(gens, memo)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(groebner, "_hilbert_numerator", counted)
+    gens = frozenset((i, N - i) for i in range(N + 1))
+    assert counted(gens, {}) == {0: 1, N: -(N + 1), N + 1: N}
+
+
 @pytest.mark.parametrize("ring, top", [(P2, 4), (P4, 2)], ids=["P2", "P4"])
 @given(data=st.data())
 @settings(max_examples=60)
@@ -512,7 +530,7 @@ def test_the_numerator_counts_the_standard_monomials(ring, top, data):
 def _pole_cancellation(basis, nvars):
     """(numerator, Krull dimension, degree, P) as hilbert_data computed them
     by dividing the numerator by (1 - t) once per pole at t = 1."""
-    if any(g.is_constant() for g in basis):
+    if any(g.degree() == 0 for g in basis):
         return (), 0, 0, lambda d: Fraction(0)
     lts = frozenset(max(g.terms, key=grevlex_key) for g in basis)
     num = groebner._hilbert_numerator(lts, {}) if basis else {0: 1}

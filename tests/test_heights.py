@@ -294,6 +294,36 @@ def test_thmC_with_zero_height():
     assert cert.bound == LogBound(10**12, [(8, 1), (2, 24)])
 
 
+@pytest.mark.parametrize("h_X", [0, Fraction(0), "0", "-0", "0e5", " 0E100 ", "0/7"])
+def test_thmC_zero_height_in_every_spelling_is_exact(h_X):
+    assert bound_thmC(8, 2, h_X).bound == LogBound(10**12, [(8, 1), (2, 24)])
+
+
+@pytest.mark.parametrize("h_X, match", [
+    ("3.5e", "invalid literal for int"),  # the exponent after e is an int
+    ("1e5e6", "invalid literal for int"),
+    ("e5", "Invalid literal for Fraction"),
+    ("abc", "Invalid literal for Fraction"),
+    ("-1", "bound inputs must be positive"),
+    (-1, "log10 argument must be positive"),
+])
+def test_thmC_refuses_malformed_or_negative_heights(h_X, match):
+    with pytest.raises(ValueError, match=match):
+        bound_thmC(1, 1, h_X)
+
+
+def test_thmC_scientific_height_equals_its_rational_value():
+    assert bound_thmC(1, 1, "3.5E100").bound == bound_thmC(1, 1, 35 * 10**99).bound
+    assert bound_thmC(1, 1, "7e-3").bound == bound_thmC(1, 1, Fraction(7, 1000)).bound
+
+
+@pytest.mark.parametrize("terms", [[(2.5, 1)], [("7", 1)], {2.5: 1}])
+def test_log_atoms_are_ints_never_truncated(terms):
+    # int() would read 2.5 as 2 and "7" as 7
+    with pytest.raises(TypeError, match="log argument"):
+        LogBound(0, terms)
+
+
 def test_thmC_with_positive_height():
     cert = bound_thmC(1, 1, "1e6")
     # max(base, hX/log10(2)) <= base + hX/log10(2), certified upward

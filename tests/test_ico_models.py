@@ -1,13 +1,17 @@
 """Ico models: diagonal coefficients, degeneracy, nu_f, graded bases, genus."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icotk.algebra import P4, Poly, poly_parse
+from icotk import ico_models
+from icotk.algebra import P4, Poly, grevlex_key, poly_parse
 from icotk.errors import IcotkError
 from icotk.groebner import hilbert_function
 from icotk.ico_models import (
     IcoModel,
+    _degree_monomials,
     basis_An,
     expected_rank,
     general_model,
@@ -138,10 +142,24 @@ def test_basis_sizes(n):
         assert lead.coeff(tuple(n if j == i else 0 for j in range(5))) != 0
 
 
-def test_basis_pure_power_relation_is_detected():
-    # x0^n, ..., x4^n are independent mod the surface for n = 1, 2, 3
-    # (the guard raises only if that ever fails)
+def test_basis_pure_power_relation_is_detected(monkeypatch):
+    # x0^n, ..., x4^n are independent mod the surface for n = 1, 2, 3, so
+    # the guard is shown a relation: x4^2 gets the normal form of x0^2
     basis_An(2)
+    normal_form, x0, x4 = ico_models.normal_form, _p4("x0^2"), _p4("x4^2")
+
+    def related(p, *args):
+        return normal_form(x0 if p == x4 else p, *args)
+
+    monkeypatch.setattr(ico_models, "normal_form", related)
+    with pytest.raises(IcotkError, match="pure powers are dependent in A_2"):
+        basis_An(2)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_degree_monomials_are_every_exponent_of_degree_n_in_grevlex_order(n):
+    every = [e for e in product(range(n + 1), repeat=5) if sum(e) == n]
+    assert _degree_monomials(n) == sorted(every, key=grevlex_key, reverse=True)
 
 
 # basis_An(n) as exponent tuples, each written as its five digits.  Which
