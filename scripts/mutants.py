@@ -198,6 +198,19 @@ MUTANTS = [
            "    while len(b) > 1:\n        delta = len(a) - len(b)\n",
            (f"{TB}::test_subresultant_prs_equals_the_sylvester_determinant",),
            "each step with both degrees odd flips the resultant's sign"),
+    Mutant("prem-entering-coefficient-unscaled", BF,
+           "zip(r[1:] + [x * scale], tail)",
+           "zip(r[1:] + [x], tail)",
+           (f"{TB}::test_windowed_pseudo_remainder_equals_the_rescaling_loop",
+            f"{TB}::test_pseudo_remainder_scales_the_remainder"),
+           "a coefficient entering the window at step i carries lc^i"),
+    Mutant("remainder-resultant-lc-power-off-by-one", BF,
+           "e = d - (len(prem) - 1) - s * k",
+           "e = d - len(prem) - s * k",
+           (f"{TB}::test_remainder_resultant_equals_the_prs",
+            f"{TB}::test_remainder_resultant_on_the_corner_cases",
+            f"{TP}::test_resultants_from_the_remainder_rows_equal_the_prs"),
+           "Res(g, f) = lc^(deg f - deg R) Res(g, R), with R's degree"),
     Mutant("interpolate-without-remainder-check", BF,
            "        if r:\n            return None\n        out.append(q)",
            "        out.append(q)",
@@ -216,6 +229,11 @@ MUTANTS = [
            (f"{TB}::test_strip_root_multiplicity",
             f"{TB}::test_strip_root_leaves_the_oracles_degree_and_divides_exactly"),
            "a form with g[0] = 0 is stripped from the other end, not skipped"),
+    Mutant("strip-by-t-without-the-sign", BF,
+           "return [-c for c in f[z:]] if g[1] == -1 and z % 2 else list(f[z:])",
+           "return list(f[z:])",
+           (f"{TB}::test_strip_root_by_t_slices_as_the_long_division_divides",),
+           "dividing by (-t)^z flips the sign when z is odd"),
     Mutant("strip-treats-every-lead-as-monic", BF,
            "if g[0] != 1:  # a monic g needs no division",
            "if False:",
@@ -253,6 +271,13 @@ MUTANTS = [
            "",
            (f"{TH}::test_thmC_zero_height_in_every_spelling_is_exact",),
            "h(X) = 0 in any spelling, 0e5 too, keeps the bound exact"),
+    Mutant("zero-height-skips-the-exponent", H,
+           "    exp = int(exp_s) if e else 0  # read first: \"0eabc\" is no zero\n"
+           "    if mant == 0:\n        return None\n",
+           "    if mant == 0:\n        return None\n"
+           "    exp = int(exp_s) if e else 0\n",
+           (f"{TC}::test_thmC_reads_the_exponent_of_a_zero_height",),
+           "junk after e is an input error also when the mantissa is zero"),
     Mutant("certificate-without-tag-check", H,
            "        if tag not in TAGS:\n"
            "            raise ValueError(f\"unknown certificate tag {tag!r}\")\n",

@@ -2,10 +2,12 @@
 
 Internal engine for the criterion-(tau) resultant pipeline, all on
 coefficient lists: resultants by the subresultant polynomial remainder
-sequence (no Sylvester matrix is built), stripping a known factor from a
-binary form by exact long division (one routine for a primitive integer
-form and for a monic form over Z[phi]), and integer interpolation at the
-nodes 0..n for resultants computed by specialization.
+sequence (no Sylvester matrix is built), whose first pseudo-remainder by a
+g that many polynomials meet can come from remainder rows kept with g
+(remainder_resultant), stripping a known factor from a binary form by
+exact long division (one routine for a primitive integer form and for a
+monic form over Z[phi]), and integer interpolation at the nodes 0..n for
+resultants computed by specialization.
 
 Z[phi] is the ring of integers of Q(sqrt 5).  Its elements are Phi numbers
 a + b*phi with phi^2 = phi + 1; they mix with int on either side of the
@@ -17,7 +19,9 @@ ring -- divisions are exactness-checked through divmod, never floating.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd
+from operator import mul
 
 ZZ = int  # read only by perfbench/tracing.py, which counts resultants by ring
 
@@ -142,14 +146,20 @@ def _exact(a, d):
 
 
 def pseudo_remainder(a, b):
-    """prem(a, b) of coefficient lists (descending, b[0] != 0): the R with
-    deg R < deg b and b[0]^(deg a - deg b + 1) * a = Q*b + R, leading zeros
-    dropped (the zero polynomial is []).  When deg a < deg b it is a."""
-    lead, tail, m = b[0], b[1:], len(b)
-    r = list(a)
-    for _ in range(len(a) - m + 1):
+    """prem(a, b) of coefficient lists (descending, deg b >= 1, b[0] != 0):
+    the R with deg R < deg b and b[0]^(deg a - deg b + 1) * a = Q*b + R,
+    leading zeros dropped (the zero polynomial is []).  When deg a < deg b
+    it is a.
+
+    Each step reduces only the window of deg b coefficients under b's tail;
+    a later coefficient a_j is multiplied by b[0]^i once, when it enters the
+    window at step i, instead of the whole tail being rescaled every step."""
+    lead, tail, k = b[0], b[1:], len(b) - 1
+    r, scale = list(a[:k]), 1
+    for x in a[k:]:
         c = r[0]
-        r = [lead * x - c * y for x, y in zip(r[1:], tail)] + [lead * x for x in r[m:]]
+        r = [lead * u - c * v for u, v in zip(r[1:] + [x * scale], tail)]
+        scale *= lead
     while r and not r[0]:
         r = r[1:]
     return r
@@ -199,6 +209,56 @@ def sylvester_resultant(f, g, dom=None):
     return sign * _exact(b[0] ** deg_a, h ** (deg_a - 1))
 
 
+def remainder_resultant(f, g, cols):
+    """Res(f, g), the value sylvester_resultant(f, g) returns, with the first
+    pseudo-remainder prem(f, g) assembled from rows kept for a g that many
+    f meet.  The remainder rows of g are X_j = lc^e_j * (x^j mod g), j >= 0,
+    with lc = g[0], k = deg g and e_j = max(0, j - k + 1), each as k
+    coefficients (descending).  cols holds them by column, cols[t][j] being
+    coefficient t of X_j; it is empty for a new g and is extended here up to
+    j = deg f by X_(j+1) = lc*x*X_j - top(X_j)*g.
+
+    With d = deg f and s = d - k + 1, prem(f, g) = lc^s (f mod g)
+    = sum_i f[i] * lc^(s - e_(d-i)) * X_(d-i): k dot products.  For
+    R = f mod g, Res(g, f) = lc^(d - deg R) Res(g, R) (Collins 1967; Cohen,
+    GTM 138, Sec. 3.3) and Res(g, prem) = lc^(s*k) Res(g, R), so
+    Res(f, g) = (-1)^(d*k) lc^(d - deg prem - s*k) Res(g, prem); a negative
+    power is an exact division.  Res(g, prem) is 0 for prem = 0, c^k for a
+    constant c, and otherwise the subresultant PRS of (g, prem).  When
+    d < k there is no remainder to take, and the PRS runs on (f, g)."""
+    d, k, lc = len(f) - 1, len(g) - 1, g[0]
+    if d < k or k < 1 or not f[0] or not lc:
+        return sylvester_resultant(f, g)
+    if not cols:  # X_0 .. X_(k-1) are the powers of x themselves
+        cols.extend([0] * (k - 1 - t) + [1] + [0] * t for t in range(k))
+    if len(cols[0]) <= d:
+        top, new, tail, last = [col[-1] for col in cols], [], g[1:], -g[-1]
+        for _ in range(len(cols[0]), d + 1):
+            c = top[0]
+            top = [lc * u - c * v for u, v in zip(top[1:], tail)]
+            top.append(c * last)
+            new.append(top)
+        for col, vals in zip(cols, zip(*new)):
+            col.extend(vals)
+    # f[i] meets X_(d-i) with the power lc^(s - e_(d-i)): lc^i for i < s,
+    # and lc^s for i >= s, where X_(d-i) is the unit vector of x^(d-i)
+    s, scale, weights = d - k + 1, 1, []
+    for c in f[:s]:
+        weights.append(c * scale)
+        scale *= lc
+    weights.reverse()  # those of X_k .. X_d
+    prem = [sum(map(mul, weights, islice(col, k, None)), c * scale)
+            for col, c in zip(cols, f[s:])]
+    while prem and not prem[0]:
+        prem = prem[1:]
+    if not prem:
+        return 0
+    res = prem[0] ** k if len(prem) == 1 else sylvester_resultant(g, prem)
+    e = d - (len(prem) - 1) - s * k
+    res = res * lc**e if e >= 0 else _exact(res, lc**-e)
+    return -res if d * k % 2 else res
+
+
 # ---------------------------------------------------------------------------
 # binary forms: coefficient lists [c_0 .. c_d] for sum c_i s^(d-i) t^i
 # ---------------------------------------------------------------------------
@@ -212,10 +272,14 @@ def strip_root(f, g):
     the ring, each coefficient an exact divmod by g[0] (none if g[0] = 1).
     The first divmod that leaves a remainder, or a nonzero remainder form,
     shows that g does not divide.  When g[0] = 0 the division runs from the
-    other end, with s and t swapped."""
+    other end, with s and t swapped; for g = +-t, whose powers divide f as
+    far as f's leading coefficients vanish, a slice and a sign do it."""
     if not (g[0] or g[-1]):
         raise ValueError("strip_root needs g[0] or g[-1] nonzero")
     if not g[0]:
+        if len(g) == 2 and g[1] in (1, -1):
+            z = next((i for i, c in enumerate(f) if c), len(f) - 1)
+            return [-c for c in f[z:]] if g[1] == -1 and z % 2 else list(f[z:])
         return strip_root(f[::-1], g[::-1])[::-1]
     m, tail, cur = len(g) - 1, g[1:], list(f)
     while len(cur) > m:

@@ -62,7 +62,7 @@ from .plane_curves import (
     PlaneCurve,
     check_tau,
     containing_model,
-    family_curve,
+    model_curve,
     tau_witness,
 )
 
@@ -208,7 +208,7 @@ def _cmd_ico_info(args, gb, fb):
 def _cmd_family_curve(args, gb, fb):
     v = _csv_fractions(args.v)
     model = general_model(args.n, v, gb)
-    curve = family_curve(args.n, v, gb)
+    curve = model_curve(model)
     result = {
         "n": args.n,
         "v": [str(c) for c in v],

@@ -320,9 +320,9 @@ def _parse_positive(hX):
         return LogBound.of_log10(value) if value else None
     mant_s, e, exp_s = hX.strip().lower().partition("e")
     mant = Fraction(mant_s)
+    exp = int(exp_s) if e else 0  # read first: "0eabc" is no zero
     if mant == 0:
         return None
-    exp = int(exp_s) if e else 0
     if mant < 0:
         raise ValueError("bound inputs must be positive")
     return LogBound(exp) + LogBound.of_log10(mant)

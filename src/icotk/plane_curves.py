@@ -56,6 +56,7 @@ from .algebra import P2, P4, Echelon, Poly, primitive_form
 from .binaryforms import (
     form_content_free,
     interpolate,
+    remainder_resultant,
     strip_root,
     sylvester_resultant,
 )
@@ -119,9 +120,14 @@ def pullback_tau(f: Poly) -> Poly:
 def family_curve(n: int, v, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> PlaneCurve:
     """The plane curve tau^*(sum v_i s_i) over the degree-n monomial basis;
     degree 12n, and in the good family when all of v_1..v_5 are nonzero."""
-    model = general_model(n, v, budget)
-    curve = PlaneCurve(pullback_tau(model.polys[0]))
-    if curve.degree != 12 * n:
+    return model_curve(general_model(n, v, budget))
+
+
+def model_curve(model: IcoModel) -> PlaneCurve:
+    """The plane curve tau^*(f) of a one-polynomial model f; degree 12 deg f."""
+    f = model.polys[0]
+    curve = PlaneCurve(pullback_tau(f))
+    if curve.degree != 12 * f.degree():
         raise AssertionError("family pullback degree mismatch")
     return curve
 
@@ -145,7 +151,8 @@ _PROBE = (1009, -733, 2039)  # no C_tau factor vanishes here
 # points (conjugate pair last), the eight base-point projections as
 # primitive integer forms in (y, z) (the six lines, then _pair_quadratic),
 # and per C_tau factor (g, x-coefficients of g~, their values at the nodes
-# (m, 1) so far, g~ on the fiber lines of moved[:7]).
+# (m, 1) so far, the remainder rows of g~ at those nodes, g~ on the fiber
+# lines of moved[:7]).
 _Move = namedtuple("_Move", "A center moved projections factors")
 
 
@@ -187,7 +194,7 @@ def _admissible(geo):
             factors = []
             for g in geo.ctau_factors():
                 gc = _x_coefficients(_transformed(g, A), g.degree())
-                factors.append((g, gc, [], [_fiber(gc, q) for q in moved[:-1]]))
+                factors.append((g, gc, [], [], [_fiber(gc, q) for q in moved[:-1]]))
             lines = [form_content_free([q[2], -q[1]]) for q in moved[:-2]]
             yield _Move(A, center, moved, (*lines, _pair_quadratic(moved[-2])), factors)
     raise IcotkError("no suitable unimodular transform found")  # pragma: no cover
@@ -293,15 +300,26 @@ def _pair_quadratic(q):
     return form_content_free([q[2].norm(), -(2 * u.a + u.b), q[1].norm()])
 
 
-def _resultant_in_x(fc, fvals, gc, gvals, de):
+def _resultant_in_x(fc, fvals, gc, gvals, grows, de):
     """Res_x(F~, g~) as an integer binary form in (y, z) of degree de, from
     the x-coefficients fc, gc at the nodes (m, 1), m = 0..de; fvals, gvals
-    hold their values at the nodes so far and are extended here.  The
-    leading ones are the nonzero constants F(center), g(center), so
-    specialization commutes with the resultant and interpolation is exact."""
+    hold their values at the nodes so far and are extended here.  grows[m]
+    holds the remainder rows of g~ at node m (remainder_resultant), kept
+    with gvals per geometry and extended to the degree of F.  Building the
+    rows costs about one resultant, so a node gets them only when a second
+    curve meets it; at a node first met now, the PRS runs on (F_m, g_m).
+    The leading coefficients are the nonzero constants F(center),
+    g(center), so specialization commutes with the resultant, the rows
+    share one lc, and interpolation is exact."""
+    met = len(gvals)  # the nodes an earlier curve met
     for xc, vals in ((fc, fvals), (gc, gvals)):
         vals.extend([_at(c, m) for c in xc] for m in range(len(vals), de + 1))
-    uni = interpolate([sylvester_resultant(fvals[m], gvals[m]) for m in range(de + 1)])
+    grows.extend([] for _ in range(len(grows), met))
+    uni = interpolate([
+        remainder_resultant(fvals[m], gvals[m], grows[m]) if m < met
+        else sylvester_resultant(fvals[m], gvals[m])
+        for m in range(de + 1)
+    ])
     if uni is None:
         raise AssertionError("resultant interpolation is not integral")
     if not any(uni):
@@ -316,9 +334,9 @@ def _stage2(curve: PlaneCurve):
     move = _transform(curve.F)
     fc = _x_coefficients(_transformed(curve.F, move.A), d)
     fvals, fibers = [], None
-    for g, gc, gvals, gfibers in move.factors:
+    for g, gc, gvals, grows, gfibers in move.factors:
         de = d * (len(gc) - 1)
-        R = _resultant_in_x(fc, fvals, gc, gvals, de)
+        R = _resultant_in_x(fc, fvals, gc, gvals, grows, de)
         if R is None:
             return f"V(F) and V({g}) share a component"
         # the six rational projections, then the conjugate pair at once

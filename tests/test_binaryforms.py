@@ -17,6 +17,7 @@ from icotk.binaryforms import (
     form_content_free,
     interpolate,
     pseudo_remainder,
+    remainder_resultant,
     strip_root,
     sylvester_resultant,
 )
@@ -341,6 +342,86 @@ def test_pseudo_remainder_of_a_lower_degree_is_itself():
     assert pseudo_remainder([], [1, 1]) == []
 
 
+def pseudo_remainder_rescaling(a, b):
+    """The pseudo-remainder loop before it kept to its window, as the
+    oracle: every step rescales the whole tail by b[0]."""
+    lead, tail, m = b[0], b[1:], len(b)
+    r = list(a)
+    for _ in range(len(a) - m + 1):
+        c = r[0]
+        r = [lead * x - c * y for x, y in zip(r[1:], tail)] + [lead * x for x in r[m:]]
+    while r and not r[0]:
+        r = r[1:]
+    return r
+
+
+@given(st.lists(mixed_elems, max_size=14),
+       st.lists(mixed_elems, min_size=2, max_size=6).filter(lambda b: b[0]))
+@settings(max_examples=300)
+def test_windowed_pseudo_remainder_equals_the_rescaling_loop(a, b):
+    assert pseudo_remainder(a, b) == pseudo_remainder_rescaling(a, b)
+
+
+@st.composite
+def _remainder_cases(draw):
+    """(g, fs): an integer g of degree 1..5 with a lead of either sign, 1
+    and -1 among them, and a few f sharing g's remainder rows; each f has
+    degree below g's, is a multiple of g, leaves a constant remainder, or
+    is random."""
+    k = draw(st.integers(1, 5))
+    lead = draw(st.sampled_from([1, -1, 2, -2, 3, -5, 7]))
+    g = [lead] + draw(st.lists(small_ints, min_size=k, max_size=k))
+
+    def poly(deg):
+        tail = draw(st.lists(small_ints, min_size=deg, max_size=deg))
+        return [draw(small_ints.filter(bool))] + tail
+
+    fs = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["any", "deg f < deg g", "g | f", "constant remainder"]))
+        if shape == "deg f < deg g" and k > 1:
+            fs.append(poly(draw(st.integers(1, k - 1))))
+            continue
+        if shape in ("any", "deg f < deg g"):
+            fs.append(poly(draw(st.integers(1, 13))))
+            continue
+        f = form_mul(poly(draw(st.integers(0, 13 - k))), g)
+        if shape == "constant remainder":
+            f[-1] += draw(small_ints.filter(bool))
+        fs.append(f)
+    return g, fs
+
+
+@given(_remainder_cases())
+@settings(max_examples=300, deadline=None)
+def test_remainder_resultant_equals_the_prs(case):
+    g, fs = case
+    cols = []
+    for f in fs:
+        assert remainder_resultant(f, g, cols) == sylvester_resultant(f, g)
+        if len(f) >= len(g):  # k columns of the rows X_0 .. X_(deg f) are kept
+            assert len(cols) == len(g) - 1 and len(cols[0]) >= len(f)
+
+
+def test_remainder_resultant_on_the_corner_cases():
+    g = [-2, 3, 1]  # -2x^2 + 3x + 1, negative lead
+    for f in ([5, 1], [1, 0, 0, 0], form_mul([1, 4, -1], g), form_mul([3, 1], g)):
+        assert remainder_resultant(f, g, []) == sylvester_resultant(f, g)
+    assert remainder_resultant(form_mul([1, 4, -1], g), g, []) == 0  # g | f
+    f = form_mul([1, 1], g)
+    f[-1] += 3  # remainder 3: Res(f, g) = (-1)^(3*2) * (-2)^3 * 3^2
+    assert remainder_resultant(f, g, []) == (-2) ** 3 * 3**2 == sylvester_resultant(f, g)
+    cols = []
+    for d in (12, 3, 7, 13):  # rows kept from a higher degree serve a lower one
+        f = [1] + [(-1) ** i * i for i in range(1, d + 1)]
+        assert remainder_resultant(f, g, cols) == sylvester_resultant(f, g)
+    assert [len(col) for col in cols] == [14, 14]
+    # X_0 = 1, X_1 = x, X_2 = lc*x^2 mod g = -3x - 1, X_3 = lc^2*x^3 mod g = 11x + 3
+    assert [[col[j] for col in cols] for j in range(4)] == [[0, 1], [1, 0], [-3, -1], [11, 3]]
+    with pytest.raises(ValueError):
+        remainder_resultant([0, 1, 2], g, [])
+
+
 def test_resultant_refuses_a_zero_leading_coefficient():
     with pytest.raises(ValueError):
         sylvester_resultant([0, 1, 2], [1, 3])
@@ -411,6 +492,8 @@ def test_strip_root_multiplicity():
     g = [0, 0, 1, 2]  # t^2*(s + 2t)
     assert strip_root(g, [0, 1]) == [1, 2]
     assert strip_root(g, [0, -1]) == [1, 2]
+    # t(s + 3t) has g[0] = 0 and is no line: the division runs from the other end
+    assert strip_root(form_mul(form_mul([0, 1, 3], [0, 1, 3]), [1, 2]), [0, 1, 3]) == [1, 2]
     assert strip_root([3, 1, 0, 0], [1, 0]) == [3, 1]  # s^2 (3s + t): g[-1] = 0
     # (4s - 2t)^2 (s + t): the projection (2:4) strips as the line 2s - t
     h = form_mul(form_mul([4, -2], [4, -2]), [1, 1])
@@ -495,6 +578,27 @@ def _stripping_cases(draw):
     for _ in range(k):
         f = form_mul(f, g)
     return f, g, a, b
+
+
+def long_division_by_t(f, g):
+    """Oracle: strip_root's long division from the other end, the route
+    g = +-t took before the slice: s and t swapped, g = +-s."""
+    return strip_root(f[::-1], g[::-1])[::-1]
+
+
+@given(st.integers(0, 4), st.lists(mixed_elems, min_size=1, max_size=6).filter(any),
+       st.sampled_from([[0, 1], [0, -1], [0, Phi(1)], [0, Phi(-1)]]))
+@settings(max_examples=200)
+def test_strip_root_by_t_slices_as_the_long_division_divides(zeros, h, g):
+    f = [0] * zeros + h  # t^zeros * h(s, t)
+    reduced = strip_root(f, g)
+    assert reduced == long_division_by_t(f, g)
+    assert reduced[0] and len(reduced) <= len(h)
+    back = reduced
+    for _ in range(len(f) - len(reduced)):
+        back = form_mul(back, g)
+    assert back == f
+    assert strip_root([0, 0, 0], g) == long_division_by_t([0, 0, 0], g) == [0]
 
 
 @given(_stripping_cases())

@@ -153,6 +153,39 @@ def test_family_curve_spends_the_groebner_budget(capsys):
     assert code == 3 and rep["provenance"] == ["budget-exceeded"]
 
 
+def test_family_curve_builds_the_basis_once(capsys, monkeypatch):
+    from icotk import ico_models
+
+    calls = []
+    basis_An = ico_models.basis_An
+
+    def counted(*args):
+        calls.append(args)
+        return basis_An(*args)
+
+    monkeypatch.setattr(ico_models, "basis_An", counted)
+    code, rep = _invoke(capsys, "family", "curve", "-n", "3", "-v", ",".join(["1"] * 30))
+    assert code == 0 and len(calls) == 1
+    text = json.dumps(rep["result"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == FAMILY_N3_DIGEST
+
+
+@pytest.mark.parametrize("hX, code", [
+    ("0eabc", 2), ("1eabc", 2), ("0e", 2), ("0", 0), ("0e5", 0), ("-0", 0),
+])
+def test_thmC_reads_the_exponent_of_a_zero_height(capsys, hX, code):
+    argv = ["bound", "thmC", "--dx", "1", "--nu", "1", "--hX", hX]
+    got, rep = _invoke(capsys, *argv)
+    assert got == code
+    if code:
+        assert rep["provenance"] == ["input-error"]
+        assert "invalid literal for int" in rep["result"]["error"]
+    else:  # h(X) = 0 keeps the bound exact, as with no h(X) at all
+        _, plain = _invoke(capsys, "bound", "thmC", "--dx", "1", "--nu", "1")
+        assert rep["result"]["log10_bound_decomposition"] == \
+            plain["result"]["log10_bound_decomposition"]
+
+
 def test_containing_model_has_one_parser_entry(capsys):
     # "tau containing-model" was a second spelling of "containing-model"
     argv = ["tau", "containing-model", "-F", "x"]

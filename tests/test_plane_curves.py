@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icotk.algebra import P2, P4, Poly, poly_parse
-from icotk.binaryforms import Phi, form_content_free, strip_root, sylvester_resultant
+from icotk.binaryforms import (
+    Phi,
+    form_content_free,
+    interpolate,
+    strip_root,
+    sylvester_resultant,
+)
 from icotk.errors import BudgetExceededError, NotDivisibleError
 from icotk.groebner import normal_form
 from icotk.ico_models import general_model, is_degenerate
@@ -526,6 +532,43 @@ def test_a_factor_times_any_form_passes_the_probe(k, d, terms, vanish):
     assert witness is not None and witness == _stage1_without_probe(curve)
 
 
+def _resultant_in_x_by_prs(fc, gc, de):
+    """Oracle: Res_x(F~, g~) as stage 2 took it before the remainder rows,
+    the subresultant PRS of (F_m, g_m) at each node m, interpolated."""
+    uni = interpolate([sylvester_resultant([_at(c, m) for c in fc], [_at(c, m) for c in gc])
+                       for m in range(de + 1)])
+    if not any(uni):
+        return None
+    return [0] * (de + 1 - len(uni)) + uni
+
+
+def test_resultants_from_the_remainder_rows_equal_the_prs():
+    """Res_x from the per-geometry rows, as stage 2 extends and reuses them
+    from curve to curve, against the PRS on each node's fresh values."""
+    curves = _stage2_corpus() + [family_curve(1, (3, 1, -2, 5, 1)),
+                                 family_curve(1, (1, -1, 1, -1, 2))]
+    assert [c.degree for c in curves[-4:]] == [12] * 4
+    leads, zero, by_rows = set(), 0, 0
+    for curve in curves:
+        d = curve.degree
+        move = _transform(curve.F)
+        fc = _x_coefficients(_transformed(curve.F, move.A), d)
+        fvals = []
+        for g, gc, gvals, grows, _ in move.factors:
+            de, met = d * g.degree(), len(gvals)
+            R = _resultant_in_x(fc, fvals, gc, gvals, grows, de)
+            assert R == _resultant_in_x_by_prs(fc, gc, de)
+            # rows at the nodes an earlier curve met, at least up to deg F
+            assert len(grows) == met and len(gvals) >= de + 1
+            if d >= g.degree():
+                assert all(len(grows[m][0]) >= d + 1 for m in range(min(met, de + 1)))
+                by_rows += min(met, de + 1)
+            leads.add(gc[0][0])
+            zero += R is None
+    assert zero and {1, -1} & leads and any(abs(lc) > 1 for lc in leads)
+    assert by_rows > 1000
+
+
 def _conj(v):
     return v.conj() if isinstance(v, Phi) else v
 
@@ -536,9 +579,9 @@ def test_the_conjugate_fiber_check_agrees():
         d = curve.degree
         move = _transform(curve.F)
         fc = _x_coefficients(_transformed(curve.F, move.A), d)
-        for g, gc, _, _ in move.factors:
+        for g, gc, _, _, _ in move.factors:
             de = d * g.degree()
-            R = _resultant_in_x(fc, [], gc, [], de)
+            R = _resultant_in_x(fc, [], gc, [], [], de)
             if R is None:
                 continue
             rem = by_list = form_content_free(R)
