@@ -39,6 +39,7 @@ PC, BF, H, C = (f"src/icotk/{m}.py" for m in ("plane_curves", "binaryforms", "he
 TA, TG, TS, TF = (f"tests/test_{m}.py" for m in ("algebra", "groebner", "ico_surface", "fermat"))
 TP, TB, TH, TC = (f"tests/test_{m}.py" for m in ("plane_curves", "binaryforms", "heights", "cli"))
 CF, TR = "src/icotk/config.py", "tests/test_records.py"
+TY = "tests/test_hygiene.py"
 M, TM = "src/icotk/ico_models.py", "tests/test_ico_models.py"
 
 MUTANTS = [
@@ -191,6 +192,16 @@ MUTANTS = [
            (f"{TP}::test_stage2_verdicts_pinned",
             f"{TP}::test_the_conjugate_fiber_check_agrees"),
            "the conjugate pair's projections are stripped before the verdict"),
+    Mutant("stage3-never-refuses-early", PC,
+           "hopeless = -(-curve.degree // 12) > max_image_degree",
+           "hopeless = False",
+           (f"{TP}::test_stage3_refuses_before_any_piece_when_no_witness_can_exist",),
+           "no J_m below ceil(deg F / 12) holds a witness, so none is built"),
+    Mutant("stage3-refuses-at-the-first-possible-degree", PC,
+           "hopeless = -(-curve.degree // 12) > max_image_degree",
+           "hopeless = -(-curve.degree // 12) >= max_image_degree",
+           (f"{TP}::test_a_degree_12_curve_finds_its_witnesses_in_degree_1",),
+           "a witness can lie in J_m once 12m >= deg F"),
     # -- resultants and interpolation
     Mutant("prs-without-the-odd-degree-sign", BF,
            "    while len(b) > 1:\n        delta = len(a) - len(b)\n"
@@ -306,6 +317,11 @@ MUTANTS = [
            "",
            (f"{TC}::test_internal_error_gets_its_own_exit_code",),
            "a bug's report comes with its traceback on stderr"),
+    Mutant("cli-binds-a-name-at-import", C,
+           'SCHEMA = "icotk-report/1"\n',
+           'SCHEMA = "icotk-report/1"\ncheck_tau = plane_curves.check_tau\n',
+           (f"{TY}::test_a_cold_light_command_runs_only_the_modules_it_reaches",),
+           "a name bound at import runs its module in every command"),
 ]
 
 

@@ -5,78 +5,120 @@ birational maps between the plane and the surface {sigma_2 = sigma_4 = 0},
 ico models of plane curves with their degeneracy invariants, the
 criterion-(tau) decision procedure, exact log-scale height certificates, and
 the generalized-Fermat scanning pipeline.
+
+Importing the package runs none of them.  Each library submodule is
+registered in ``sys.modules`` behind ``importlib.util.LazyLoader``, so its
+code is compiled and run on the first attribute access, and a command pays
+only for the modules it reaches.  The names in ``_EXPORTS`` resolve on
+first use through the module ``__getattr__`` (PEP 562), so
+``from icotk import check_tau`` loads ``plane_curves`` and what it imports.
+``icotk.cli`` is not registered: ``python -m icotk.cli`` runs it as
+``__main__``, and runpy warns about a module already in ``sys.modules``.
 """
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
-from .algebra import P2, P4, Poly, Ring, factorize, int_radical, poly_parse
-from .errors import (
-    BasePointError,
-    BudgetExceededError,
-    FactorBudgetError,
-    IcotkError,
-    NotDivisibleError,
-    NotOnSurfaceError,
-    ParseError,
-)
-from .config import DEFAULT_FACTOR_BUDGET, DEFAULT_GB_BUDGET, FactorBudget, GroebnerBudget
-from .groebner import (
-    GREVLEX,
-    LEX,
-    Ideal,
-    arithmetic_genus,
-    dim_degree,
-    hilbert_function,
-    normal_form,
-)
-from .ico_surface import (
-    ProjPoint,
-    QuadraticPoint,
-    fixed_geometry,
-    rho_point,
-    tau_point,
-    ttau_points,
-    verify_identities,
-)
-from .ico_models import (
-    IcoModel,
-    basis_An,
-    general_model,
-    genus_general,
-    is_curve,
-    is_degenerate,
-    model_ideal,
-    nu_f,
-)
-from .plane_curves import (
-    PlaneCurve,
-    TauReport,
-    check_tau,
-    containing_model,
-    family_curve,
-    image_ideal,
-    pullback_tau,
-    tau_witness,
-)
-from .heights import (
-    HeightCertificate,
-    LogBound,
-    PointHeight,
-    bound_corD,
-    bound_corF,
-    bound_pullback,
-    bound_thmC,
-    bound_thmE,
-    point_height,
-)
-from .fermat import (
-    FermatInstance,
-    ScanReport,
-    UnitEquation,
-    scan_instance,
-    scan_surface,
-    sunit_bounded,
-    unit_reduce,
-    z_member,
-    z_triviality_scan,
-)
+# module -> the names the package exports from it
+_EXPORTS = {
+    "algebra": ("P2", "P4", "Poly", "Ring", "poly_parse"),
+    "integers": ("factorize", "int_radical"),
+    "errors": (
+        "BasePointError",
+        "BudgetExceededError",
+        "FactorBudgetError",
+        "IcotkError",
+        "NotDivisibleError",
+        "NotOnSurfaceError",
+        "ParseError",
+    ),
+    "config": ("DEFAULT_FACTOR_BUDGET", "DEFAULT_GB_BUDGET", "FactorBudget", "GroebnerBudget"),
+    "groebner": (
+        "GREVLEX",
+        "LEX",
+        "Ideal",
+        "arithmetic_genus",
+        "dim_degree",
+        "hilbert_function",
+        "normal_form",
+    ),
+    "ico_surface": (
+        "ProjPoint",
+        "QuadraticPoint",
+        "fixed_geometry",
+        "rho_point",
+        "tau_point",
+        "ttau_points",
+        "verify_identities",
+    ),
+    "ico_models": (
+        "IcoModel",
+        "basis_An",
+        "general_model",
+        "genus_general",
+        "is_curve",
+        "is_degenerate",
+        "model_ideal",
+        "nu_f",
+    ),
+    "plane_curves": (
+        "PlaneCurve",
+        "TauReport",
+        "check_tau",
+        "containing_model",
+        "family_curve",
+        "image_ideal",
+        "pullback_tau",
+        "tau_witness",
+    ),
+    "heights": (
+        "HeightCertificate",
+        "LogBound",
+        "PointHeight",
+        "bound_corD",
+        "bound_corF",
+        "bound_pullback",
+        "bound_thmC",
+        "bound_thmE",
+        "point_height",
+    ),
+    "fermat": (
+        "FermatInstance",
+        "ScanReport",
+        "UnitEquation",
+        "scan_instance",
+        "scan_surface",
+        "sunit_bounded",
+        "unit_reduce",
+        "z_member",
+        "z_triviality_scan",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_OWNER)
+
+
+def _register(name: str):
+    """icotk.<name>, put in sys.modules but not yet executed."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in (*_EXPORTS, "binaryforms"):  # binaryforms exports nothing
+    globals()[_name] = _register(_name)
+del _name
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(globals()[module], name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -8,6 +8,10 @@ has null "flags"), 3 when a work budget is exceeded, and 4 on an internal
 error (a bug, reported with provenance "internal-error").  Only --help and
 --version print argparse's text instead.  Budget flags are echoed into the
 report so runs are reproducible from the payload alone.
+
+The handlers reach the library through its modules (``plane_curves.check_tau``),
+never through names bound at import: the package loads each module on first
+use, so a command compiles only the modules it reaches.
 """
 
 from __future__ import annotations
@@ -18,8 +22,16 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__
-from .algebra import P2, P4, poly_parse
+from . import (
+    __version__,
+    algebra,
+    fermat,
+    groebner,
+    heights,
+    ico_models,
+    ico_surface,
+    plane_curves,
+)
 from .config import (
     DEFAULT_FACTOR_BUDGET,
     DEFAULT_GB_BUDGET,
@@ -27,44 +39,6 @@ from .config import (
     GroebnerBudget,
 )
 from .errors import BudgetExceededError, IcotkError
-from .fermat import (
-    FermatInstance,
-    scan_instance,
-    scan_surface,
-    sunit_bounded,
-    unit_reduce,
-    z_member,
-    z_triviality_scan,
-)
-from .groebner import GREVLEX, LEX, Ideal, dim_degree, hilbert_function
-from .heights import (
-    bound_corD,
-    bound_corF,
-    bound_thmC,
-    bound_thmE,
-    check_digits,
-)
-from .ico_models import (
-    IcoModel,
-    expected_rank,
-    general_model,
-    genus_general,
-    is_curve,
-    is_degenerate,
-    nu_f,
-)
-from .ico_surface import (
-    fixed_geometry,
-    ttau_points,
-    verify_identities,
-)
-from .plane_curves import (
-    PlaneCurve,
-    check_tau,
-    containing_model,
-    model_curve,
-    tau_witness,
-)
 
 SCHEMA = "icotk-report/1"
 
@@ -90,8 +64,8 @@ def _csv_fractions(text: str):
     return tuple(Fraction(part) for part in text.split(","))
 
 
-def _parse_curve(payload: str) -> PlaneCurve:
-    return PlaneCurve(poly_parse(_read_payload(payload), P2))
+def _parse_curve(payload: str) -> plane_curves.PlaneCurve:
+    return plane_curves.PlaneCurve(algebra.poly_parse(_read_payload(payload), algebra.P2))
 
 
 def _decomposition(bound) -> dict:
@@ -128,7 +102,7 @@ def _scan_result(rep) -> dict:
 
 
 def _cmd_verify(args, gb, fb):
-    rep = verify_identities(
+    rep = ico_surface.verify_identities(
         mode=args.mode,
         samples=args.samples,
         seed=args.seed,
@@ -146,7 +120,7 @@ def _cmd_verify(args, gb, fb):
 
 def _cmd_tau_check(args, gb, fb):
     curve = _parse_curve(args.F)
-    rep = check_tau(curve, budget=gb, max_image_degree=args.max_image_degree)
+    rep = plane_curves.check_tau(curve, budget=gb, max_image_degree=args.max_image_degree)
     result = {
         "verdict": rep.verdict,
         "stage": rep.stage,
@@ -163,7 +137,7 @@ def _cmd_tau_check(args, gb, fb):
 
 def _cmd_containing_model(args, gb, fb):
     curve = _parse_curve(args.F)
-    tau_rep = check_tau(curve, budget=gb)
+    tau_rep = plane_curves.check_tau(curve, budget=gb)
     if not tau_rep.satisfies:
         result = {
             "verdict": tau_rep.verdict,
@@ -171,14 +145,14 @@ def _cmd_containing_model(args, gb, fb):
             "witness": tau_rep.witness,
         }
         return result, ["criterion-tau"], 1
-    rep = containing_model(curve, budget=gb)
+    rep = plane_curves.containing_model(curve, budget=gb)
     ftilde = rep.model.polys[0]
     result = {
         "f_tilde": str(ftilde),
         "degree": rep.degree,
         "degree_bound": rep.degree_bound,
         "within_degree_bound": rep.within_degree_bound,
-        "nu": nu_f(rep.model, fb),
+        "nu": ico_models.nu_f(rep.model, fb),
         "log10_abs": rep.log10_abs.render(args.digits),
         "log10_coeff_bound": rep.coeff_certificate.bound.render(args.digits),
         "within_coeff_bound": rep.within_coeff_bound,
@@ -187,11 +161,11 @@ def _cmd_containing_model(args, gb, fb):
 
 
 def _cmd_ico_info(args, gb, fb):
-    polys = [poly_parse(part, P4) for part in _read_payload(args.f).split(",")]
-    model = IcoModel(polys)
-    degenerate = is_degenerate(model)
-    nu = nu_f(model, fb)
-    curve = is_curve(model, gb)
+    polys = [algebra.poly_parse(part, algebra.P4) for part in _read_payload(args.f).split(",")]
+    model = ico_models.IcoModel(polys)
+    degenerate = ico_models.is_degenerate(model)
+    nu = ico_models.nu_f(model, fb)
+    curve = ico_models.is_curve(model, gb)
     result = {
         "degrees": list(model.degrees),
         "degenerate": degenerate,
@@ -200,15 +174,15 @@ def _cmd_ico_info(args, gb, fb):
         "is_curve": curve,
         "bound": None
         if degenerate
-        else _certificate_result(bound_thmE(nu), args.digits),
+        else _certificate_result(heights.bound_thmE(nu), args.digits),
     }
     return result, ["ico-model-invariants"], 1 if degenerate else 0
 
 
 def _cmd_family_curve(args, gb, fb):
     v = _csv_fractions(args.v)
-    model = general_model(args.n, v, gb)
-    curve = model_curve(model)
+    model = ico_models.general_model(args.n, v, gb)
+    curve = plane_curves.model_curve(model)
     result = {
         "n": args.n,
         "v": [str(c) for c in v],
@@ -216,7 +190,7 @@ def _cmd_family_curve(args, gb, fb):
         "F": str(curve.F),
         "degree": curve.degree,
         "terms": len(curve.F.terms),
-        "tau_witness": tau_witness(model),
+        "tau_witness": plane_curves.tau_witness(model),
     }
     return result, ["plane-family-pullback"], 0
 
@@ -224,19 +198,19 @@ def _cmd_family_curve(args, gb, fb):
 def _cmd_bound(args, gb, fb):
     kind = args.bound_kind
     if kind == "thmE":
-        cert = bound_thmE(args.nu)
+        cert = heights.bound_thmE(args.nu)
     elif kind == "corD":
-        cert = bound_corD(args.d, args.absF)
+        cert = heights.bound_corD(args.d, args.absF)
     elif kind == "corF":
-        cert = bound_corF(_csv_ints(args.a), fb)
+        cert = heights.bound_corF(_csv_ints(args.a), fb)
     else:  # thmC
-        cert = bound_thmC(args.dx, args.nu, args.hX)
+        cert = heights.bound_thmC(args.dx, args.nu, args.hX)
     return _certificate_result(cert, args.digits), [f"height:{cert.tag}"], 0
 
 
 def _cmd_fermat_scan(args, gb, fb):
-    inst = FermatInstance(_csv_ints(args.a), args.n)
-    rep = scan_instance(inst, args.B, threads=args.threads)
+    inst = fermat.FermatInstance(_csv_ints(args.a), args.n)
+    rep = fermat.scan_instance(inst, args.B, threads=args.threads)
     result = _scan_result(rep)
     result["a"] = list(inst.a)
     result["n"] = inst.n
@@ -244,8 +218,8 @@ def _cmd_fermat_scan(args, gb, fb):
 
 
 def _cmd_fermat_unit_reduce(args, gb, fb):
-    inst = FermatInstance(_csv_ints(args.a), args.n)
-    ue = unit_reduce(inst, _csv_ints(args.x), fb)
+    inst = fermat.FermatInstance(_csv_ints(args.a), args.n)
+    ue = fermat.unit_reduce(inst, _csv_ints(args.x), fb)
     result = {
         "k": ue.k,
         "u": [str(q) for q in ue.u],
@@ -259,16 +233,16 @@ def _cmd_fermat_unit_reduce(args, gb, fb):
 
 
 def _cmd_fermat_z_scan(args, gb, fb):
-    rep = z_triviality_scan(args.B, threads=args.threads)
+    rep = fermat.z_triviality_scan(args.B, threads=args.threads)
     return _scan_result(rep), ["fermat:z-locus"], 0 if rep.is_trivial else 1
 
 
 def _cmd_groebner(args, gb, fb):
     parts = [s for s in _read_payload(args.i).split(";") if s.strip()]
-    ring = P4 if args.ring == "x0..x4" else P2
-    gens = [poly_parse(part, ring) for part in parts]
-    order = GREVLEX if args.order == "grevlex" else LEX
-    ideal = Ideal(ring, gens)
+    ring = algebra.P4 if args.ring == "x0..x4" else algebra.P2
+    gens = [algebra.poly_parse(part, ring) for part in parts]
+    order = groebner.GREVLEX if args.order == "grevlex" else groebner.LEX
+    ideal = groebner.Ideal(ring, gens)
     basis = ideal.groebner(order, gb)
     result = {
         "ring": list(ring.names),
@@ -276,14 +250,14 @@ def _cmd_groebner(args, gb, fb):
         "basis": [str(g) for g in basis],
     }
     if args.order == "grevlex" and all(g.is_homogeneous() for g in gens):
-        dim, deg = dim_degree(ideal, gb)
+        dim, deg = groebner.dim_degree(ideal, gb)
         result["dim"] = dim
         result["degree"] = deg
     return result, ["groebner-basis"], 0
 
 
 def _cmd_genus(args, gb, fb):
-    g = genus_general(args.n)
+    g = ico_models.genus_general(args.n)
     return {"n": args.n, "genus": g}, ["genus:(2n+1)^2"], 0
 
 
@@ -294,21 +268,21 @@ def _cmd_genus(args, gb, fb):
 
 def _suite_identities(args, gb, fb):
     checks = []
-    rep = verify_identities(mode="symbolic", samples=args.samples, seed=args.seed)
+    rep = ico_surface.verify_identities(mode="symbolic", samples=args.samples, seed=args.seed)
     checks.extend(rep.checks)
-    rep = verify_identities(mode="sampled", samples=args.samples, seed=args.seed)
+    rep = ico_surface.verify_identities(mode="sampled", samples=args.samples, seed=args.seed)
     checks.extend(rep.checks)
     return checks
 
 
 def _suite_dimensions(args, gb, fb):
-    surface = fixed_geometry().surface_ideal()
+    surface = ico_surface.fixed_geometry().surface_ideal()
     expected = {1: 5, 2: 14, 3: 30, 4: 54, 5: 86}
     checks = []
     for n, want in expected.items():
-        got = hilbert_function(surface, n, gb)
+        got = groebner.hilbert_function(surface, n, gb)
         checks.append((f"hilbert_function(surface, {n}) == {want}", got == want))
-        checks.append((f"matches 4n^2-4n+6 at n={n}", got == expected_rank(n)))
+        checks.append((f"matches 4n^2-4n+6 at n={n}", got == ico_models.expected_rank(n)))
     return checks
 
 
@@ -317,30 +291,27 @@ def _suite_genus(args, gb, fb):
     for n in (1, 2, 3):
         checks.append(
             (f"genus_general({n}) == {(2 * n + 1) ** 2}",
-             genus_general(n) == (2 * n + 1) ** 2)
+             ico_models.genus_general(n) == (2 * n + 1) ** 2)
         )
     import random
 
     rng = random.Random(args.seed)
-    from .groebner import arithmetic_genus
-    from .ico_models import basis_An, model_ideal
-
-    basis = basis_An(1, gb)
+    basis = ico_models.basis_An(1, gb)
     while True:
         v = tuple(rng.randint(-4, 4) for _ in basis)
-        model = general_model(1, v)
-        if not is_degenerate(model):
+        model = ico_models.general_model(1, v)
+        if not ico_models.is_degenerate(model):
             break
     checks.append(
         ("arithmetic_genus(random degree-1 model) == 9",
-         arithmetic_genus(model_ideal(model), gb) == 9)
+         groebner.arithmetic_genus(ico_models.model_ideal(model), gb) == 9)
     )
     return checks
 
 
 def _suite_ttau(args, gb, fb):
-    geo = fixed_geometry()
-    rational, quadratic = ttau_points()
+    geo = ico_surface.fixed_geometry()
+    rational, quadratic = ico_surface.ttau_points()
     checks = [("six rational T_tau points", len(rational) == 6)]
     ok = all(
         all(t.evaluate(p.coords) == 0 for t in geo.tau) for p in rational
@@ -359,13 +330,13 @@ def _suite_ttau(args, gb, fb):
 
 def _suite_fermat_smoke(args, gb, fb):
     checks = []
-    rep = scan_surface(1, threads=1)
+    rep = fermat.scan_surface(1, threads=1)
     coordinate = all(sorted(p.coords) == [0, 0, 0, 0, 1] for p in rep.points)
     checks.append(("scan_surface(1) is the five coordinate points",
                    len(rep.points) == 5 and coordinate))
     checks.append(("B=1 scan is trivial", rep.is_trivial))
-    inst = FermatInstance((1, 1, -2, 1, 1), 1)
-    ue = unit_reduce(inst, (1, 1, 1, 0, 0), fb)
+    inst = fermat.FermatInstance((1, 1, -2, 1, 1), 1)
+    ue = fermat.unit_reduce(inst, (1, 1, 1, 0, 0), fb)
     checks.append(
         ("unit_reduce example: k=2, u=(1/2,1/2), S=(2)",
          ue.k == 2
@@ -373,9 +344,9 @@ def _suite_fermat_smoke(args, gb, fb):
          and ue.S == (2,)
          and ue.off_surface)
     )
-    checks.append(("z_member((2,2,1,1,0))", z_member((2, 2, 1, 1, 0))))
-    checks.append(("not z_member(e_1)", not z_member((1, 0, 0, 0, 0))))
-    sols = sunit_bounded({2}, 2, 2)
+    checks.append(("z_member((2,2,1,1,0))", fermat.z_member((2, 2, 1, 1, 0))))
+    checks.append(("not z_member(e_1)", not fermat.z_member((1, 0, 0, 0, 0))))
+    sols = fermat.sunit_bounded({2}, 2, 2)
     want = {
         (Fraction(-1), Fraction(2)),
         (Fraction(1, 2), Fraction(1, 2)),
@@ -383,7 +354,7 @@ def _suite_fermat_smoke(args, gb, fb):
     }
     checks.append(("sunit_bounded({2},2,2) has the three solutions",
                    set(sols) == want))
-    checks.append(("sunit_bounded({},2,E) is empty", sunit_bounded((), 2, 3) == []))
+    checks.append(("sunit_bounded({},2,E) is empty", fermat.sunit_bounded((), 2, 3) == []))
     return checks
 
 
@@ -564,7 +535,7 @@ def run(argv) -> int:
         envelope["command"]["verb"] = args.verb
         if min(args.gb_steps, args.factor_budget) < 0:
             raise ValueError("--gb-steps and --factor-budget must be >= 0")
-        check_digits(args.digits)
+        heights.check_digits(args.digits)
         envelope["flags"] = {
             "gb_steps": args.gb_steps,
             "factor_budget": args.factor_budget,

@@ -40,9 +40,9 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import _ints, factorize
 from .config import DEFAULT_FACTOR_BUDGET, FactorBudget
 from .errors import BudgetExceededError
+from .integers import _ints, factorize
 from .ico_surface import ProjPoint
 
 

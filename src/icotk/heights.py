@@ -26,8 +26,8 @@ from collections import namedtuple
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, localcontext
 from fractions import Fraction
 
-from .algebra import _ints, _trial_division, int_radical
 from .config import DEFAULT_FACTOR_BUDGET, FactorBudget
+from .integers import _ints, _trial_division, int_radical
 
 _TRIAL_LIMIT = 9_999  # the largest trial divisor
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import P4, Echelon, Poly, grevlex_key, int_radical, primitive_form
+from .algebra import P4, Echelon, Poly, grevlex_key, primitive_form
 from .config import DEFAULT_FACTOR_BUDGET, DEFAULT_GB_BUDGET, FactorBudget, GroebnerBudget
 from .errors import IcotkError
 from .groebner import GREVLEX, Ideal, dim_degree, normal_form
 from .ico_surface import fixed_geometry
+from .integers import int_radical
 
 
 class IcoModel:

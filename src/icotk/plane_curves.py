@@ -400,10 +400,18 @@ def _tau_power(pows, i, k):
 def _stage3(curve: PlaneCurve, budget: GroebnerBudget, max_image_degree: int):
     """The pieces ((m, J_m), ...) up to the first m at which every e_i has a
     witness G with G(e_i) != 0; BudgetExceededError if none is found by
-    max_image_degree."""
+    max_image_degree.
+
+    No witness lies below m0 = ceil(deg F / 12), so when m0 exceeds
+    max_image_degree the refusal comes before any J_m is built.  Take a
+    witness G in J_m.  If G(tau) = 0, G vanishes on tau(P^2), which is
+    dense in the surface; every e_i lies on the surface (sigma_2(e_i) =
+    sigma_4(e_i) = 0), so G(e_i) = 0, a contradiction.  Hence G(tau) != 0,
+    and F | G(tau), of degree 12m, forces 12m >= deg F."""
     e_points = fixed_geometry().e_points
     pieces, missing = [], set(range(5))
-    for m in range(1, max_image_degree + 1):
+    hopeless = -(-curve.degree // 12) > max_image_degree  # m0 > max_image_degree
+    for m in () if hopeless else range(1, max_image_degree + 1):
         piece = _graded_piece(curve, m, budget)
         pieces.append((m, piece))
         missing = {i for i in missing

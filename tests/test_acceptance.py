@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import record_acceptance
-from icotk.algebra import P2, P4, factorize, poly_parse
+from icotk.algebra import P2, P4, poly_parse
 from icotk.groebner import arithmetic_genus, dim_degree, hilbert_function, normal_form
 from icotk.heights import LogBound, bound_corD, bound_corF, bound_thmE, point_height
 from icotk.ico_models import (
@@ -38,6 +38,7 @@ from icotk.fermat import (
     z_member,
     z_triviality_scan,
 )
+from icotk.integers import factorize
 from icotk.plane_curves import (
     PlaneCurve,
     check_tau,

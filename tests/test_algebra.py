@@ -8,20 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import BlockOrder, block_key
 from icotk import algebra
-from icotk.algebra import (
-    P2,
-    P4,
-    Poly,
-    Ring,
-    _is_prime,
-    elementary_symmetric,
-    factorize,
-    int_radical,
-    poly_parse,
-)
+from icotk.algebra import P2, P4, Poly, Ring, elementary_symmetric, poly_parse
 from icotk.config import FactorBudget
 from icotk.errors import FactorBudgetError, NotDivisibleError, ParseError
 from icotk.groebner import GREVLEX, LEX
+from icotk.integers import _is_prime, factorize, int_radical
 
 
 def _poly_strategy(ring, max_exp=4, max_terms=6, coeff_bound=9, rational=False):

@@ -402,7 +402,7 @@ def test_internal_error_gets_its_own_exit_code(capsys, monkeypatch):
     def broken(n):
         raise AssertionError("invariant broken")
 
-    monkeypatch.setattr(cli, "genus_general", broken)
+    monkeypatch.setattr(cli.ico_models, "genus_general", broken)
     code = run(["genus", "-n", "2"])
     out, err = capsys.readouterr()
     rep = json.loads(out)

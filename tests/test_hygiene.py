@@ -1,13 +1,16 @@
 """Lint: every name a module imports is read somewhere in that module,
 every top-level function or class is used outside its own definition (a
 private one by the program itself), every name the package exports is used
-by the program or the acceptance gate, every name the benchmark's tracer
-looks up in icotk exists, and a cold import of the command line stays
-light."""
+by the program or the acceptance gate and resolves in the module the
+package's table names, every name the benchmark's tracer looks up in icotk
+exists and it installs after a cold import of the command line, and a cold
+command stays light: no heavy standard module, and no icotk module it does
+not reach."""
 
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -127,16 +130,24 @@ def _defines(node):
             and isinstance(n.ctx, ast.Store)}
 
 
+def _export_table(init):
+    """The {module: names} literal assigned to _EXPORTS in a package's __init__."""
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no _EXPORTS table in {init}")
+
+
 def _unused_exports(init, modules, users):
-    """'module.name' for each name the package's __init__ re-exports that no
+    """'module.name' for each name the package's __init__ exports that no
     user file reads and no module uses, bar the statement defining it and
     the definitions of other such names."""
     statements = [(path.stem, _defines(top), _names_used(ast.walk(top)))
                   for path in modules for top in ast.parse(path.read_text()).body]
     read = set().union(*(_names_used(ast.walk(ast.parse(p.read_text()))) for p in users))
-    exports = {(node.module, alias.name) for node in ast.parse(init.read_text()).body
-               if isinstance(node, ast.ImportFrom) and node.level == 1
-               for alias in node.names}
+    exports = {(module, name) for module, names in _export_table(init).items()
+               for name in names}
     unused, grew = set(), True
     while grew:
         grew = False
@@ -160,7 +171,7 @@ def test_the_check_sees_an_export_only_tests_use(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text(
-        "from .lib import LIMIT, accepted, called, chained, only_tested\n")
+        '_EXPORTS = {"lib": ("LIMIT", "accepted", "called", "chained", "only_tested")}\n')
     (pkg / "lib.py").write_text(
         "LIMIT = 3\n\n"
         "def called():\n    return LIMIT\n\n"
@@ -173,6 +184,22 @@ def test_the_check_sees_an_export_only_tests_use(tmp_path):
     modules = [pkg / "lib.py", pkg / "cli.py"]
     assert _unused_exports(pkg / "__init__.py", modules, [acceptance]) == [
         "lib.chained", "lib.only_tested"]
+
+
+def test_every_export_resolves_in_the_module_its_table_names():
+    import icotk
+
+    table = _export_table(SRC / "__init__.py")
+    assert sorted(icotk.__all__) == sorted(n for names in table.values() for n in names)
+    for module, names in table.items():
+        owner = importlib.import_module(f"icotk.{module}")
+        for name in names:
+            value = getattr(icotk, name)
+            assert vars(owner)[name] is value, f"icotk.{name} is not {module}.{name}"
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == owner.__name__, f"{module}.{name} is defined elsewhere"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        icotk.no_such_name
 
 
 # -- the tracer contract ---------------------------------------------------------
@@ -258,13 +285,75 @@ def test_the_check_sees_a_missing_tracer_name():
 HEAVY = ("dataclasses", "inspect", "traceback", "textwrap", "tokenize", "linecache")
 
 
+def _fresh_python(*args):
+    """A fresh interpreter run on args, this checkout's src first on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+
+
 def test_a_cold_import_of_the_cli_loads_no_heavy_module():
     code = ("import sys; before = set(sys.modules); import icotk.cli; "
             "print(*sorted(set(sys.modules) - before))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    added = set(proc.stdout.split())
+    added = set(_fresh_python("-c", code).stdout.split())
     assert "icotk.cli" in added
     assert sorted(added.intersection(HEAVY)) == []
+
+
+# The package registers every module unexecuted; a module has run once its
+# type is plain ModuleType.  No light command may run these.
+UNREACHED = ("algebra", "groebner", "ico_surface", "ico_models", "plane_curves", "fermat")
+
+# What ``python -m icotk.cli ARG...`` does, in a script that then reports
+# which icotk modules ran: runpy finds icotk.cli, warns (under -W error,
+# fails) if it is already in sys.modules, and runs it as __main__.
+RUN_AS_MAIN = """\
+import json, runpy, sys, types
+sys.argv = ["icotk", *sys.argv[1:]]
+try:
+    runpy.run_module("icotk.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+ran = sorted(name.split(".")[1] for name, module in sys.modules.items()
+             if name.startswith("icotk.") and type(module) is types.ModuleType)
+print(json.dumps({"code": code, "ran": ran}), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["bound", "thmE", "--nu", "1"], ["config", "errors", "heights", "integers"]),
+    (["--version"], ["config", "errors"]),
+], ids=["bound-thmE", "version"])
+def test_a_cold_light_command_runs_only_the_modules_it_reaches(argv, ran):
+    proc = _fresh_python("-W", "error", "-c", RUN_AS_MAIN, *argv)
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report["code"] == 0
+    assert sorted(set(report["ran"]).intersection(UNREACHED)) == []
+    assert report["ran"] == ran
+
+
+def test_the_tracer_installs_after_a_cold_import_of_the_cli():
+    # Tracer.install imports icotk.cli, then reads sys.modules for every
+    # SPANNED module; its lookups run the lazily registered modules
+    code = f"""\
+import sys
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import icotk.cli
+from tracing import SPANNED, Tracer
+
+def resolve(module, path):
+    obj = sys.modules[module]
+    for part in path.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+missing = sorted({{module for module, _, _ in SPANNED}} - set(sys.modules))
+assert not missing, missing
+before = [resolve(module, path) for module, path, _ in SPANNED]
+tracer = Tracer().install()
+assert [resolve(module, path) for module, path, _ in SPANNED] != before
+tracer.uninstall()
+assert [resolve(module, path) for module, path, _ in SPANNED] == before
+"""
+    _fresh_python("-W", "error", "-c", code)

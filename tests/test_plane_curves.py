@@ -172,6 +172,20 @@ def test_a_line_forced_into_stage_3_is_refused(monkeypatch):
     assert curve._report is None
 
 
+def test_stage3_refuses_before_any_piece_when_no_witness_can_exist(monkeypatch):
+    # a witness G in J_m has F | G(tau) != 0, so 12m >= deg F: a degree-13
+    # curve has none in J_1, and the refusal reduces nothing
+    monkeypatch.setattr(plane_curves, "_stage1", lambda curve: None)
+    monkeypatch.setattr(plane_curves, "_stage2", lambda curve: None)
+    calls = []
+    monkeypatch.setattr(plane_curves, "normal_form", lambda *args: calls.append(args))
+    curve = _curve("x^13 + x*y^12 + 3*z^13")
+    message = "^no image-ideal witness separates e0, e1, e2, e3, e4 within degree 1$"
+    with pytest.raises(BudgetExceededError, match=message):
+        check_tau(curve, max_image_degree=1)
+    assert calls == [] and curve._pieces == {}
+
+
 def test_max_image_degree_is_checked_before_the_cached_report():
     curve = _curve("x")
     assert check_tau(curve).verdict == "fails"
@@ -198,6 +212,12 @@ def test_family_pullbacks_satisfy(v):
     assert rep.verdict == "satisfies", rep.witness
     assert rep.stage == "none"
     assert tau_witness(model) == rep.satisfies
+
+
+def test_a_degree_12_curve_finds_its_witnesses_in_degree_1():
+    # 12m >= deg F holds at m = 1, so stage 3 still looks there
+    rep = check_tau(family_curve(1, SEED_VECTORS[1]), max_image_degree=1)
+    assert rep.satisfies and [m for m, _ in rep.image_pieces] == [1]
 
 
 def test_degree_two_family_pullback_satisfies():
