@@ -322,6 +322,12 @@ MUTANTS = [
            'SCHEMA = "icotk-report/1"\ncheck_tau = plane_curves.check_tau\n',
            (f"{TY}::test_a_cold_light_command_runs_only_the_modules_it_reaches",),
            "a name bound at import runs its module in every command"),
+    Mutant("cli-export-not-kept", C,
+           "value = globals()[name] = getattr(package, name)",
+           "value = getattr(package, name)",
+           (f"{TY}::test_the_cli_reads_the_package_exports_on_first_access",
+            f"{TY}::test_the_tracer_installs_after_a_cold_import_of_the_cli"),
+           "the tracer patches and restores icotk.cli.check_tau as a module attribute"),
 ]
 
 

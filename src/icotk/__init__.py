@@ -14,6 +14,12 @@ first use through the module ``__getattr__`` (PEP 562), so
 ``from icotk import check_tau`` loads ``plane_curves`` and what it imports.
 ``icotk.cli`` is not registered: ``python -m icotk.cli`` runs it as
 ``__main__``, and runpy warns about a module already in ``sys.modules``.
+
+Before Python 3.12, ``LazyLoader`` is not thread-safe: a thread that
+touches a module while another thread's first access is still running it
+can find the module half-run and get an AttributeError.  A threaded
+program reads one attribute of each module it uses (``icotk.groebner.LEX``)
+before it starts its threads.
 """
 
 import sys
@@ -116,9 +122,15 @@ del _name
 
 
 def __getattr__(name: str):
+    """The export ``name`` from the module ``_EXPORTS`` names.
+
+    The first lookup is kept in the package namespace: later lookups find
+    it there, and a patch of ``icotk.<name>`` (the benchmark's tracer makes
+    one) can be made and undone.  So a patch of the defining module that is
+    in force at the first lookup is kept in ``icotk`` and outlives its undo;
+    the program itself reads the defining module (``plane_curves.check_tau``)."""
     module = _OWNER.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(globals()[module], name)
-    globals()[name] = value  # later lookups skip this hook
+    value = globals()[name] = getattr(globals()[module], name)
     return value

@@ -11,7 +11,9 @@ report so runs are reproducible from the payload alone.
 
 The handlers reach the library through its modules (``plane_curves.check_tau``),
 never through names bound at import: the package loads each module on first
-use, so a command compiles only the modules it reaches.
+use, so a command compiles only the modules it reaches.  The package's
+exports still read as attributes of this module (``icotk.cli.check_tau``),
+resolved on first access.
 """
 
 from __future__ import annotations
@@ -41,6 +43,19 @@ from .config import (
 from .errors import BudgetExceededError, IcotkError
 
 SCHEMA = "icotk-report/1"
+
+
+def __getattr__(name: str):
+    """A package export, such as ``check_tau``, on first access (PEP 562).
+
+    The value is then kept as an attribute of this module, so a patch of it
+    can be made and undone like one of a name bound at import; a later patch
+    of the module that defines it does not reach it."""
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
 
 
 # ---------------------------------------------------------------------------

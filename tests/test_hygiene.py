@@ -65,9 +65,13 @@ def _names_used(nodes):
     return used
 
 
+# Module attribute hooks (PEP 562): the interpreter calls them, no file names them.
+MODULE_HOOKS = ("__getattr__", "__dir__")
+
+
 def _unused_defs(modules, users):
-    """'module.name' for each top-level def or class of the given modules
-    that no user file refers to outside that definition."""
+    """'module.name' for each top-level def or class of the given modules,
+    bar the MODULE_HOOKS, that no user file refers to outside that definition."""
     trees = {path: ast.parse(path.read_text()) for path in set(modules) | set(users)}
     elsewhere = {path: _names_used(ast.walk(trees[path])) for path in users}
     unused = []
@@ -75,6 +79,8 @@ def _unused_defs(modules, users):
         tree = trees[path]
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in MODULE_HOOKS:
                 continue
             others = [n for top in tree.body if top is not node for n in ast.walk(top)]
             if node.name in _names_used(others):
@@ -94,10 +100,12 @@ def test_the_check_sees_an_unused_def(tmp_path):
                    "def helper():\n    return 1\n\n"
                    "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
                    "class Named:\n    pass\n\n"
-                   "def dead():\n    return used()\n")
+                   "def dead():\n    return used()\n\n"
+                   "def __getattr__(name):\n    return used()\n\n"
+                   "def __getitem__(key):\n    return used()\n")
     user = tmp_path / "user.py"
     user.write_text("from lib import used\nused()\nSPANS = ('lib.Named',)\n")
-    assert _unused_defs([lib], [lib, user]) == ["lib.dead", "lib.recursive"]
+    assert _unused_defs([lib], [lib, user]) == ["lib.__getitem__", "lib.dead", "lib.recursive"]
 
 
 def _private(names):
@@ -333,6 +341,26 @@ def test_a_cold_light_command_runs_only_the_modules_it_reaches(argv, ran):
     assert report["ran"] == ran
 
 
+def test_the_cli_reads_the_package_exports_on_first_access():
+    # the cli binds no library name at import, yet icotk.cli.check_tau
+    # resolves, once, to the package's export
+    code = """\
+import sys, types
+import icotk.cli
+from icotk import plane_curves
+assert type(plane_curves) is not types.ModuleType
+assert icotk.cli.check_tau is plane_curves.check_tau
+assert vars(icotk.cli)["check_tau"] is plane_curves.check_tau
+try:
+    icotk.cli.expected_rank  # an ico_models name the package does not export
+except AttributeError as exc:
+    assert "icotk.cli" in str(exc), exc
+else:
+    raise AssertionError("icotk.cli.expected_rank resolved")
+"""
+    _fresh_python("-W", "error", "-c", code)
+
+
 def test_the_tracer_installs_after_a_cold_import_of_the_cli():
     # Tracer.install imports icotk.cli, then reads sys.modules for every
     # SPANNED module; its lookups run the lazily registered modules
@@ -351,9 +379,12 @@ def resolve(module, path):
 missing = sorted({{module for module, _, _ in SPANNED}} - set(sys.modules))
 assert not missing, missing
 before = [resolve(module, path) for module, path, _ in SPANNED]
+cli_check = icotk.cli.check_tau
 tracer = Tracer().install()
 assert [resolve(module, path) for module, path, _ in SPANNED] != before
+assert icotk.cli.check_tau is resolve("icotk.plane_curves", "check_tau") is not cli_check
 tracer.uninstall()
 assert [resolve(module, path) for module, path, _ in SPANNED] == before
+assert icotk.cli.check_tau is cli_check
 """
     _fresh_python("-W", "error", "-c", code)
