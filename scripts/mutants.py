@@ -41,6 +41,7 @@ TP, TB, TH, TC = (f"tests/test_{m}.py" for m in ("plane_curves", "binaryforms", 
 CF, TR = "src/icotk/config.py", "tests/test_records.py"
 TY = "tests/test_hygiene.py"
 M, TM = "src/icotk/ico_models.py", "tests/test_ico_models.py"
+INT = "src/icotk/integers.py"
 
 MUTANTS = [
     # -- packed-integer (Kronecker) products and substitution
@@ -106,18 +107,18 @@ MUTANTS = [
            (f"{TM}::test_basis_pure_power_relation_is_detected",),
            "a pure power of the basis is checked, not assumed, to be independent"),
     # -- points
-    Mutant("proj-point-keeps-a-negative-lead", S,
+    Mutant("proj-point-keeps-a-negative-lead", INT,
            "            g = -g\n",
            "            pass\n",
            (f"{TS}::test_proj_point_normalization",
             f"{TS}::test_proj_point_matches_the_list_oracle"),
            "the first nonzero coordinate of a point is positive"),
-    Mutant("proj-point-truncates-floats", S,
+    Mutant("proj-point-truncates-floats", INT,
            "elif not isinstance(c, int):",
            "elif not isinstance(c, (int, float)):",
            (f"{TS}::test_proj_point_rejects_other_coordinate_types",),
            "a float coordinate is refused, never truncated"),
-    Mutant("proj-point-keeps-int-subclasses", S,
+    Mutant("proj-point-keeps-int-subclasses", INT,
            "if set(map(type, t)) != {int}:",
            "if not all(isinstance(c, int) for c in t):",
            (f"{TS}::test_proj_point_matches_the_list_oracle",),
@@ -204,24 +205,36 @@ MUTANTS = [
            "a witness can lie in J_m once 12m >= deg F"),
     # -- resultants and interpolation
     Mutant("prs-without-the-odd-degree-sign", BF,
-           "    while len(b) > 1:\n        delta = len(a) - len(b)\n"
+           "    while True:\n"
            "        if len(a) % 2 == 0 and len(b) % 2 == 0:\n            sign = -sign\n",
-           "    while len(b) > 1:\n        delta = len(a) - len(b)\n",
+           "    while True:\n",
            (f"{TB}::test_subresultant_prs_equals_the_sylvester_determinant",),
            "each step with both degrees odd flips the resultant's sign"),
+    Mutant("prs-skips-the-first-sign-flip", BF,
+           "    h = 1\n    while True:\n",
+           "    h = 1\n    if len(a) % 2 == 0 and len(b) % 2 == 0:\n"
+           "        sign = -sign  # undoes the loop's first flip\n    while True:\n",
+           (f"{TB}::test_subresultant_prs_equals_the_sylvester_determinant",
+            f"{TB}::test_remainder_resultant_equals_the_prs"),
+           "the step from the given first remainder flips the sign like every other"),
+    Mutant("prs-scale-without-the-lead", BF,
+           "scale = lc * h ** (len(a) - len(b))",
+           "scale = h ** (len(a) - len(b))",
+           (f"{TB}::test_subresultant_prs_equals_the_sylvester_determinant",),
+           "each later remainder is divided by g*h^delta, g the new A's lead"),
     Mutant("prem-entering-coefficient-unscaled", BF,
            "zip(r[1:] + [x * scale], tail)",
            "zip(r[1:] + [x], tail)",
            (f"{TB}::test_windowed_pseudo_remainder_equals_the_rescaling_loop",
             f"{TB}::test_pseudo_remainder_scales_the_remainder"),
            "a coefficient entering the window at step i carries lc^i"),
-    Mutant("remainder-resultant-lc-power-off-by-one", BF,
-           "e = d - (len(prem) - 1) - s * k",
-           "e = d - len(prem) - s * k",
+    Mutant("remainder-rows-weights-one-power-high", BF,
+           "        weights.append(c * scale)\n        scale *= lc\n",
+           "        scale *= lc\n        weights.append(c * scale)\n",
            (f"{TB}::test_remainder_resultant_equals_the_prs",
             f"{TB}::test_remainder_resultant_on_the_corner_cases",
             f"{TP}::test_resultants_from_the_remainder_rows_equal_the_prs"),
-           "Res(g, f) = lc^(deg f - deg R) Res(g, R), with R's degree"),
+           "f[i] meets its row with lc^i for i < s, so prem(f, g) = lc^s (f mod g)"),
     Mutant("interpolate-without-remainder-check", BF,
            "        if r:\n            return None\n        out.append(q)",
            "        out.append(q)",
@@ -234,12 +247,11 @@ MUTANTS = [
            (f"{TB}::test_strip_root_stops_at_a_remainder",
             f"{TB}::test_strip_root_leaves_the_oracles_degree_and_divides_exactly"),
            "exact quotient coefficients alone do not make g divide f"),
-    Mutant("strip-without-the-swap", BF,
-           "return strip_root(f[::-1], g[::-1])[::-1]",
-           "return list(f)",
-           (f"{TB}::test_strip_root_multiplicity",
-            f"{TB}::test_strip_root_leaves_the_oracles_degree_and_divides_exactly"),
-           "a form with g[0] = 0 is stripped from the other end, not skipped"),
+    Mutant("strip-lets-a-zero-lead-through", BF,
+           '        raise ValueError("strip_root needs g[0] != 0 unless g is +-t")\n',
+           "",
+           (f"{TB}::test_strip_root_multiplicity", f"{TB}::test_strip_root_stops_at_a_remainder"),
+           "a g with g[0] = 0 other than +-t is refused, never divided by zero"),
     Mutant("strip-by-t-without-the-sign", BF,
            "return [-c for c in f[z:]] if g[1] == -1 and z % 2 else list(f[z:])",
            "return list(f[z:])",
@@ -301,7 +313,7 @@ MUTANTS = [
            'never mis-answers."""\n',
            (f"{TR}::test_records_are_immutable_values",),
            "without __slots__ = () a record takes attributes beyond its fields"),
-    Mutant("render-without-the-digit-limit", H,
+    Mutant("render-without-the-digit-limit", CF,
            "if limit and digits + 1 > limit:",
            "if False:",
            (f"{TH}::test_render_refuses_more_digits_than_an_int_prints",),

@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 # module -> the names the package exports from it
 _EXPORTS = {
     "algebra": ("P2", "P4", "Poly", "Ring", "poly_parse"),
-    "integers": ("factorize", "int_radical"),
+    "integers": ("ProjPoint", "factorize", "int_radical"),
     "errors": (
         "BasePointError",
         "BudgetExceededError",
@@ -51,7 +51,6 @@ _EXPORTS = {
         "normal_form",
     ),
     "ico_surface": (
-        "ProjPoint",
         "QuadraticPoint",
         "fixed_geometry",
         "rho_point",

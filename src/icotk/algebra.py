@@ -888,17 +888,9 @@ def poly_parse(text: str, ring: Ring) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def elementary_symmetric(ring: Ring, k: int, m: int | None = None) -> Poly:
-    """sigma_k in the first m ring variables (C(m,k) terms, coefficients 1)."""
-    m = ring.nvars if m is None else m
-    if not 1 <= k <= m or m > ring.nvars:
-        raise ValueError(f"need 1 <= k <= m <= {ring.nvars}")
-    from itertools import combinations
-
-    terms = {}
-    for combo in combinations(range(m), k):
-        e = [0] * ring.nvars
-        for i in combo:
-            e[i] = 1
-        terms[tuple(e)] = 1
-    return Poly(ring, terms)
+def elementary_symmetric(ring: Ring, k: int) -> Poly:
+    """sigma_k in the ring variables (C(n,k) terms, coefficients 1)."""
+    if not 1 <= k <= ring.nvars:
+        raise ValueError(f"need 1 <= k <= {ring.nvars}")
+    # the 0/1 exponent vectors of degree k, in descending order
+    return Poly(ring, {e: 1 for e in product((1, 0), repeat=ring.nvars) if sum(e) == k})

@@ -1,13 +1,14 @@
 """Exact polynomial and binary-form arithmetic over Z and Z[phi].
 
 Internal engine for the criterion-(tau) resultant pipeline, all on
-coefficient lists: resultants by the subresultant polynomial remainder
-sequence (no Sylvester matrix is built), whose first pseudo-remainder by a
-g that many polynomials meet can come from remainder rows kept with g
-(remainder_resultant), stripping a known factor from a binary form by
+coefficient lists: resultants by one subresultant polynomial remainder
+sequence (_prs; no Sylvester matrix is built), which goes on from a given
+first pseudo-remainder -- prem(f, g) itself, or, for a g that many
+polynomials meet, the same prem assembled from remainder rows kept with g
+(remainder_resultant) -- stripping a known factor from a binary form by
 exact long division (one routine for a primitive integer form and for a
-monic form over Z[phi]), and integer interpolation at the nodes 0..n for
-resultants computed by specialization.
+monic form over Z[phi]; +-t by a slice), and integer interpolation at the
+nodes 0..n for resultants computed by specialization.
 
 Z[phi] is the ring of integers of Q(sqrt 5).  Its elements are Phi numbers
 a + b*phi with phi^2 = phi + 1; they mix with int on either side of the
@@ -165,21 +166,45 @@ def pseudo_remainder(a, b):
     return r
 
 
+def _prs(a, b, sign, r):
+    """sign * Res(a, b) for deg a >= deg b >= 1, given the first
+    pseudo-remainder r = prem(a, b): the subresultant PRS from its first
+    step on (Collins 1967; Brown-Traub 1971; Cohen, GTM 138, Alg. 3.3.7
+    without its content step).
+
+    With delta = deg A - deg B, each step sets A, B = B, prem(A, B)/(g*h^delta),
+    g = lc(A), h = g^delta/h^(delta-1), and flips the sign when both degrees
+    are odd; at the first step g = h = 1, so r is taken as it is.  The
+    result is sign * lc(B)^deg A / h^(deg A - 1) once B is constant, 0 if a
+    remainder vanishes: O(deg a * deg b) ring operations on
+    subresultant-sized numbers.  Every division is exact in an integral
+    domain (ints, Phis or both); divmod checks it, and a remainder raises
+    ArithmeticError, never a floored value."""
+    h = 1
+    while True:
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            sign = -sign
+        if not r:
+            return 0
+        delta = len(a) - len(b)
+        a, b = b, r
+        lc = a[0]
+        if delta:
+            h = _exact(lc**delta, h ** (delta - 1))
+        if len(b) == 1:
+            deg_a = len(a) - 1
+            return sign * _exact(b[0] ** deg_a, h ** (deg_a - 1))
+        scale = lc * h ** (len(a) - len(b))
+        r = [_exact(c, scale) for c in pseudo_remainder(a, b)]
+
+
 def sylvester_resultant(f, g, dom=None):
     """Res(f, g) of two univariate polynomials given as coefficient lists
     (descending powers): the determinant of their Sylvester matrix, which is
     never built.  Needs deg f, deg g >= 1 and nonzero leading coefficients,
-    else ValueError.
-
-    Subresultant PRS (Collins 1967; Brown-Traub 1971; Cohen, GTM 138,
-    Alg. 3.3.7 without its content step).  With deg A >= deg B and
-    delta = deg A - deg B, each step sets A, B = B, prem(A, B)/(g*h^delta),
-    g = lc(A), h = g^delta/h^(delta-1), and flips the sign when both degrees
-    are odd (also when f and g are swapped at the start).  The result is
-    sign * lc(B)^deg A / h^(deg A - 1) once B is constant, 0 if B vanishes:
-    O(deg f * deg g) ring operations on subresultant-sized numbers.  Every
-    division is exact in an integral domain (ints, Phis or both); divmod
-    checks it, and a remainder raises ArithmeticError, never a floored value.
+    else ValueError.  The subresultant PRS (_prs) runs on the pair with the
+    larger degree first; swapping f and g flips the sign when both degrees
+    are odd.
 
     ``dom`` is accepted and ignored: the ring follows from the coefficients."""
     a, b = list(f), list(g)
@@ -192,21 +217,7 @@ def sylvester_resultant(f, g, dom=None):
         a, b = b, a
         if len(a) % 2 == 0 and len(b) % 2 == 0:
             sign = -sign
-    lc, h = 1, 1
-    while len(b) > 1:
-        delta = len(a) - len(b)
-        if len(a) % 2 == 0 and len(b) % 2 == 0:
-            sign = -sign
-        r = pseudo_remainder(a, b)
-        if not r:
-            return 0
-        scale = lc * h**delta
-        a, b = b, [_exact(c, scale) for c in r]
-        lc = a[0]
-        if delta:
-            h = _exact(lc**delta, h ** (delta - 1))
-    deg_a = len(a) - 1
-    return sign * _exact(b[0] ** deg_a, h ** (deg_a - 1))
+    return _prs(a, b, sign, pseudo_remainder(a, b))
 
 
 def remainder_resultant(f, g, cols):
@@ -219,13 +230,9 @@ def remainder_resultant(f, g, cols):
     j = deg f by X_(j+1) = lc*x*X_j - top(X_j)*g.
 
     With d = deg f and s = d - k + 1, prem(f, g) = lc^s (f mod g)
-    = sum_i f[i] * lc^(s - e_(d-i)) * X_(d-i): k dot products.  For
-    R = f mod g, Res(g, f) = lc^(d - deg R) Res(g, R) (Collins 1967; Cohen,
-    GTM 138, Sec. 3.3) and Res(g, prem) = lc^(s*k) Res(g, R), so
-    Res(f, g) = (-1)^(d*k) lc^(d - deg prem - s*k) Res(g, prem); a negative
-    power is an exact division.  Res(g, prem) is 0 for prem = 0, c^k for a
-    constant c, and otherwise the subresultant PRS of (g, prem).  When
-    d < k there is no remainder to take, and the PRS runs on (f, g)."""
+    = sum_i f[i] * lc^(s - e_(d-i)) * X_(d-i): k dot products, after which
+    the subresultant PRS of (f, g) goes on from its first step (_prs).
+    When d < k there is no remainder to take, and the PRS runs on (f, g)."""
     d, k, lc = len(f) - 1, len(g) - 1, g[0]
     if d < k or k < 1 or not f[0] or not lc:
         return sylvester_resultant(f, g)
@@ -251,12 +258,7 @@ def remainder_resultant(f, g, cols):
             for col, c in zip(cols, f[s:])]
     while prem and not prem[0]:
         prem = prem[1:]
-    if not prem:
-        return 0
-    res = prem[0] ** k if len(prem) == 1 else sylvester_resultant(g, prem)
-    e = d - (len(prem) - 1) - s * k
-    res = res * lc**e if e >= 0 else _exact(res, lc**-e)
-    return -res if d * k % 2 else res
+    return _prs(f, g, 1, prem)
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +268,21 @@ def remainder_resultant(f, g, cols):
 
 def strip_root(f, g):
     """Remove the form g from the nonzero form f as often as g divides f.
-    g has degree >= 1, g[0] or g[-1] is nonzero (else ValueError), and g is
-    a primitive integer form or a monic form over Z[phi]: by Gauss's lemma
-    every quotient is then integral, so long division from the top stays in
-    the ring, each coefficient an exact divmod by g[0] (none if g[0] = 1).
-    The first divmod that leaves a remainder, or a nonzero remainder form,
-    shows that g does not divide.  When g[0] = 0 the division runs from the
-    other end, with s and t swapped; for g = +-t, whose powers divide f as
-    far as f's leading coefficients vanish, a slice and a sign do it."""
-    if not (g[0] or g[-1]):
-        raise ValueError("strip_root needs g[0] or g[-1] nonzero")
+    g has degree >= 1 and is a primitive integer form or a monic form over
+    Z[phi]: by Gauss's lemma every quotient is then integral, so long
+    division from the top stays in the ring, each coefficient an exact
+    divmod by g[0] (none if g[0] = 1).  The first divmod that leaves a
+    remainder, or a nonzero remainder form, shows that g does not divide.
+    The one g with g[0] = 0 is +-t, whose powers divide f as far as f's
+    leading coefficients vanish: a slice and a sign do it.  Any other g
+    with g[0] = 0 raises ValueError.  Stage 2 passes none: a primitive line
+    with g[0] = 0 is +-t, the pair quadratic has g[0] = N(q2) != 0 (the
+    projections are distinct), and fiber lines are monic."""
     if not g[0]:
         if len(g) == 2 and g[1] in (1, -1):
             z = next((i for i, c in enumerate(f) if c), len(f) - 1)
             return [-c for c in f[z:]] if g[1] == -1 and z % 2 else list(f[z:])
-        return strip_root(f[::-1], g[::-1])[::-1]
+        raise ValueError("strip_root needs g[0] != 0 unless g is +-t")
     m, tail, cur = len(g) - 1, g[1:], list(f)
     while len(cur) > m:
         r, n = list(cur), len(cur) - m

@@ -39,6 +39,7 @@ from .config import (
     DEFAULT_GB_BUDGET,
     FactorBudget,
     GroebnerBudget,
+    check_digits,
 )
 from .errors import BudgetExceededError, IcotkError
 
@@ -550,7 +551,7 @@ def run(argv) -> int:
         envelope["command"]["verb"] = args.verb
         if min(args.gb_steps, args.factor_budget) < 0:
             raise ValueError("--gb-steps and --factor-budget must be >= 0")
-        heights.check_digits(args.digits)
+        check_digits(args.digits)
         envelope["flags"] = {
             "gb_steps": args.gb_steps,
             "factor_budget": args.factor_budget,

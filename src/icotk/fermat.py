@@ -42,8 +42,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_FACTOR_BUDGET, FactorBudget
 from .errors import BudgetExceededError
-from .integers import _ints, factorize
-from .ico_surface import ProjPoint
+from .integers import ProjPoint, _ints, factorize
 
 
 class FermatInstance(namedtuple("FermatInstance", "a n")):

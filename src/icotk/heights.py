@@ -21,12 +21,11 @@ final mantissa is rounded up).
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, localcontext
 from fractions import Fraction
 
-from .config import DEFAULT_FACTOR_BUDGET, FactorBudget
+from .config import DEFAULT_FACTOR_BUDGET, FactorBudget, check_digits
 from .integers import _ints, _trial_division, int_radical
 
 _TRIAL_LIMIT = 9_999  # the largest trial divisor
@@ -39,16 +38,6 @@ def _split_small(m: int) -> dict:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
-
-
-def check_digits(digits: int) -> None:
-    """ValueError unless LogBound.render can print `digits` digits: str()
-    prints its (digits + 1)-digit mantissa under the int string limit."""
-    if digits < 0:
-        raise ValueError(f"--digits must be >= 0, got {digits}")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and digits + 1 > limit:
-        raise ValueError(f"--digits must be <= {limit - 1} (int string limit), got {digits}")
 
 
 class LogBound:

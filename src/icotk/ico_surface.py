@@ -20,60 +20,16 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, prod
-from operator import neg
 
 from .algebra import P2, P4, Poly, elementary_symmetric, poly_parse
 from .binaryforms import Phi
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
 from .errors import BasePointError, NotOnSurfaceError
 from .groebner import Ideal, normal_form
-
-
-class ProjPoint:
-    """A projective point with canonical primitive integer coordinates:
-    gcd 1, first nonzero coordinate positive.  Coordinates are ints or
-    Fractions; anything else raises TypeError rather than being truncated."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        t = tuple(coords)
-        if set(map(type, t)) != {int}:  # bools and other int subclasses convert
-            denom = 1
-            for c in t:
-                if isinstance(c, Fraction):
-                    denom = denom * c.denominator // gcd(denom, c.denominator)
-                elif not isinstance(c, int):
-                    raise TypeError(f"coordinate {c!r} is neither an int nor a Fraction")
-            t = tuple(int(c * denom) for c in t)
-        g = gcd(*t)
-        if g == 0:
-            raise ValueError("projective point needs a nonzero coordinate")
-        if next(filter(None, t)) < 0:
-            g = -g
-        self.coords = t if g == 1 else tuple(map(neg, t)) if g == -1 else tuple(c // g for c in t)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return "(" + ":".join(str(c) for c in self.coords) + ")"
+from .integers import ProjPoint
 
 
 class QuadraticPoint(namedtuple("QuadraticPoint", "coords minpoly",

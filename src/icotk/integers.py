@@ -1,13 +1,17 @@
-"""Exact integer arithmetic: checked int tuples, primality that never lies,
-and factorization and radicals within a factoring budget.
+"""Exact integer arithmetic: checked int tuples, projective points with
+primitive integer coordinates, primality that never lies, and
+factorization and radicals within a factoring budget.
 
 Kept apart from the polynomial code in ``algebra`` so that the height
-bounds, which need only these, load no polynomial module.
+bounds and the Fermat commands, which need only these, load no polynomial
+module.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
+from operator import neg
 
 from .config import DEFAULT_FACTOR_BUDGET, FactorBudget
 from .errors import FactorBudgetError
@@ -21,6 +25,49 @@ def _ints(values, what: str) -> tuple:
         if not isinstance(c, int):
             raise TypeError(f"{what} {c!r} is not an int")
     return out
+
+
+class ProjPoint:
+    """A projective point with canonical primitive integer coordinates:
+    gcd 1, first nonzero coordinate positive.  Coordinates are ints or
+    Fractions; anything else raises TypeError rather than being truncated."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords):
+        t = tuple(coords)
+        if set(map(type, t)) != {int}:  # bools and other int subclasses convert
+            denom = 1
+            for c in t:
+                if isinstance(c, Fraction):
+                    denom = denom * c.denominator // gcd(denom, c.denominator)
+                elif not isinstance(c, int):
+                    raise TypeError(f"coordinate {c!r} is neither an int nor a Fraction")
+            t = tuple(int(c * denom) for c in t)
+        g = gcd(*t)
+        if g == 0:
+            raise ValueError("projective point needs a nonzero coordinate")
+        if next(filter(None, t)) < 0:
+            g = -g
+        self.coords = t if g == 1 else tuple(map(neg, t)) if g == -1 else tuple(c // g for c in t)
+
+    def __iter__(self):
+        return iter(self.coords)
+
+    def __getitem__(self, i):
+        return self.coords[i]
+
+    def __len__(self):
+        return len(self.coords)
+
+    def __eq__(self, other):
+        return isinstance(other, ProjPoint) and self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __repr__(self):
+        return "(" + ":".join(str(c) for c in self.coords) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -492,8 +492,9 @@ def test_strip_root_multiplicity():
     g = [0, 0, 1, 2]  # t^2*(s + 2t)
     assert strip_root(g, [0, 1]) == [1, 2]
     assert strip_root(g, [0, -1]) == [1, 2]
-    # t(s + 3t) has g[0] = 0 and is no line: the division runs from the other end
-    assert strip_root(form_mul(form_mul([0, 1, 3], [0, 1, 3]), [1, 2]), [0, 1, 3]) == [1, 2]
+    # t(s + 3t) has g[0] = 0 and is not +-t: refused
+    with pytest.raises(ValueError):
+        strip_root(form_mul(form_mul([0, 1, 3], [0, 1, 3]), [1, 2]), [0, 1, 3])
     assert strip_root([3, 1, 0, 0], [1, 0]) == [3, 1]  # s^2 (3s + t): g[-1] = 0
     # (4s - 2t)^2 (s + t): the projection (2:4) strips as the line 2s - t
     h = form_mul(form_mul([4, -2], [4, -2]), [1, 1])
