@@ -128,7 +128,7 @@ MUTANTS = [
            "if False:",
            (f"{TS}::test_perturbed_cubic_fails_the_build",),
            "the geometry checks the first bracket identity when it is built"),
-    Mutant("phi-equality-ignores-phi-part", BF,
+    Mutant("phi-equality-ignores-phi-part", A,
            "return self.a == other.a and self.b == other.b",
            "return self.a == other.a",
            (f"{TB}::test_phi_equality_compares_both_parts",),
@@ -187,6 +187,11 @@ MUTANTS = [
            "fibers = [_fiber(fc, q) for q in move.moved[:-2]]",
            (f"{TP}::test_stage2_fails_on_the_fiber_of_the_conjugate_pair",),
            "the fiber line of the conjugate pair is checked too"),
+    Mutant("transform-images-from-the-rows-of-U", PC,
+           "images = tuple(x * a + y * b + z * c for a, b, c in A)",
+           "images = tuple(x * a + y * b + z * c for a, b, c in U)",
+           (f"{TP}::test_kept_transforms_equal_the_per_curve_search",),
+           "a form moves by v = A*w: its images are the rows of A, not of U = A^-1"),
     Mutant("stage2-keeps-the-pair-projection", PC,
            "(*lines, _pair_quadratic(moved[-2]))",
            "tuple(lines)",
@@ -217,6 +222,17 @@ MUTANTS = [
            (f"{TB}::test_subresultant_prs_equals_the_sylvester_determinant",
             f"{TB}::test_remainder_resultant_equals_the_prs"),
            "the step from the given first remainder flips the sign like every other"),
+    Mutant("prs-linear-exit-without-the-sign", BF,
+           "return sign * _exact(b[0], 1)",
+           "return _exact(b[0], 1)",
+           (f"{TB}::test_subresultant_prs_equals_the_sylvester_determinant",
+            f"{TB}::test_remainder_resultant_equals_the_prs"),
+           "the exit at deg A = 1 keeps the signs of the steps before it"),
+    Mutant("prs-linear-exit-without-the-exact-check", BF,
+           "return sign * _exact(b[0], 1)",
+           "return sign * b[0]",
+           (f"{TB}::test_resultant_refuses_a_fraction_input",),
+           "a Fraction input is refused at the last step too, never returned"),
     Mutant("prs-scale-without-the-lead", BF,
            "scale = lc * h ** (len(a) - len(b))",
            "scale = h ** (len(a) - len(b))",

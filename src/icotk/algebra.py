@@ -11,6 +11,12 @@ tagged with their ring.  Everything here is immutable-by-convention and pure:
 no operation mutates its arguments.  Integer factorization and radicals
 live in ``integers``.
 
+Z[phi] is the ring of integers of Q(sqrt 5).  Its elements are Phi numbers
+a + b*phi with phi^2 = phi + 1; they mix with int on either side of the
+operators, and Phi(a, 0) == a.  So ``Poly.evaluate`` and every routine of
+``binaryforms`` take ints, Phis or both through Python's operators: there
+are no domain tables, and a computation stays in int until a Phi enters it.
+
 Forms with int coefficients can also travel as packed integers (Kronecker
 substitution; Fateman 2010, Harvey 2009): the last variable is set to 1, the
 exponents of the others are the base-(D+1) digits of a position, and each
@@ -43,7 +49,6 @@ from itertools import product
 from math import comb, gcd
 
 from . import integers
-from .binaryforms import Phi
 from .errors import NotDivisibleError, ParseError
 
 # read only by perfbench/tracing.py, which patches factorize by this name;
@@ -51,8 +56,114 @@ from .errors import NotDivisibleError, ParseError
 factorize = integers.factorize
 
 # ---------------------------------------------------------------------------
-# rings and polynomials
+# Z[phi], rings and polynomials
 # ---------------------------------------------------------------------------
+
+
+class Phi:
+    """a + b*phi in Z[phi], phi^2 = phi + 1.  Immutable; mixes with int."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int = 0, b: int = 0):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Phi is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return Phi, (self.a, self.b)
+
+    def __add__(self, other):
+        if isinstance(other, Phi):
+            return Phi(self.a + other.a, self.b + other.b)
+        if isinstance(other, int):
+            return Phi(self.a + other, self.b)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Phi):
+            return Phi(self.a - other.a, self.b - other.b)
+        if isinstance(other, int):
+            return Phi(self.a - other, self.b)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, int):
+            return Phi(other - self.a, -self.b)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, Phi):
+            a, b, c, d = self.a, self.b, other.a, other.b
+            bd = b * d
+            return Phi(a * c + bd, a * d + b * c + bd)
+        if isinstance(other, int):
+            return Phi(self.a * other, self.b * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            return NotImplemented
+        out, base = Phi(1), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __neg__(self):
+        return Phi(-self.a, -self.b)
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def conj(self) -> "Phi":
+        """Galois conjugate: phi -> 1 - phi."""
+        return Phi(self.a + self.b, -self.b)
+
+    def norm(self) -> int:
+        """u * conj(u), an int; zero only for u = 0."""
+        a, b = self.a, self.b
+        return a * a + a * b - b * b
+
+    def __divmod__(self, other):
+        """(q, r) with self = q*other + r: q is u*conj(v)/norm(v) floored
+        coordinatewise, so r == 0 exactly when other divides self."""
+        if isinstance(other, int):
+            other = Phi(other)
+        elif not isinstance(other, Phi):
+            return NotImplemented
+        n = other.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Z[phi]")
+        w = self * other.conj()
+        q = Phi(w.a // n, w.b // n)
+        return q, self - q * other
+
+    def __rdivmod__(self, other):
+        if isinstance(other, int):
+            return divmod(Phi(other), self)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, Phi):
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, int):
+            return self.b == 0 and self.a == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+
+    def __repr__(self):
+        return f"Phi({self.a}, {self.b})"
 
 
 class Ring:

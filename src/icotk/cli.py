@@ -226,7 +226,7 @@ def _cmd_bound(args, gb, fb):
 
 def _cmd_fermat_scan(args, gb, fb):
     inst = fermat.FermatInstance(_csv_ints(args.a), args.n)
-    rep = fermat.scan_instance(inst, args.B, threads=args.threads)
+    rep = fermat.scan_instance(inst, args.B)
     result = _scan_result(rep)
     result["a"] = list(inst.a)
     result["n"] = inst.n
@@ -249,7 +249,7 @@ def _cmd_fermat_unit_reduce(args, gb, fb):
 
 
 def _cmd_fermat_z_scan(args, gb, fb):
-    rep = fermat.z_triviality_scan(args.B, threads=args.threads)
+    rep = fermat.z_triviality_scan(args.B)
     return _scan_result(rep), ["fermat:z-locus"], 0 if rep.is_trivial else 1
 
 
@@ -346,7 +346,7 @@ def _suite_ttau(args, gb, fb):
 
 def _suite_fermat_smoke(args, gb, fb):
     checks = []
-    rep = fermat.scan_surface(1, threads=1)
+    rep = fermat.scan_surface(1)
     coordinate = all(sorted(p.coords) == [0, 0, 0, 0, 1] for p in rep.points)
     checks.append(("scan_surface(1) is the five coordinate points",
                    len(rep.points) == 5 and coordinate))
@@ -496,7 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("-a", required=True)
     q.add_argument("-n", type=int, required=True)
     q.add_argument("-B", type=int, required=True)
-    q.add_argument("--threads", type=int, default=None, help="ignored; scans run in one process")
     q.set_defaults(handler=_cmd_fermat_scan)
     q = fer_sub.add_parser("bound", parents=[common])
     q.add_argument("-a", required=True)
@@ -508,7 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_fermat_unit_reduce)
     q = fer_sub.add_parser("z-scan", parents=[common])
     q.add_argument("-B", type=int, required=True)
-    q.add_argument("--threads", type=int, default=None, help="ignored; scans run in one process")
     q.set_defaults(handler=_cmd_fermat_z_scan)
 
     p = sub.add_parser("groebner", parents=[common], help="reduced Groebner basis")

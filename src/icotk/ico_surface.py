@@ -24,8 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, prod
 
-from .algebra import P2, P4, Poly, elementary_symmetric, poly_parse
-from .binaryforms import Phi
+from .algebra import P2, P4, Phi, Poly, elementary_symmetric, poly_parse
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
 from .errors import BasePointError, NotOnSurfaceError
 from .groebner import Ideal, normal_form

@@ -147,13 +147,13 @@ def tau_witness(model: IcoModel) -> bool:
 # ---------------------------------------------------------------------------
 
 _PROBE = (1009, -733, 2039)  # no C_tau factor vanishes here
-# An admissible transform v = A*w: its center A*(1, 0, 0), the moved T_tau
-# points (conjugate pair last), the eight base-point projections as
-# primitive integer forms in (y, z) (the six lines, then _pair_quadratic),
-# and per C_tau factor (g, x-coefficients of g~, their values at the nodes
-# (m, 1) so far, the remainder rows of g~ at those nodes, g~ on the fiber
-# lines of moved[:7]).
-_Move = namedtuple("_Move", "A center moved projections factors")
+# An admissible transform v = A*w: the images A*(x, y, z) that a form takes
+# (F~ = F(A*w)), its center A*(1, 0, 0), the moved T_tau points (conjugate
+# pair last), the eight base-point projections as primitive integer forms
+# in (y, z) (the six lines, then _pair_quadratic), and per C_tau factor (g,
+# x-coefficients of g~, their values at the nodes (m, 1) so far, the
+# remainder rows of g~ at those nodes, g~ on the fiber lines of moved[:7]).
+_Move = namedtuple("_Move", "images center moved projections factors")
 
 
 @lru_cache(maxsize=1)
@@ -175,6 +175,7 @@ def _admissible(geo):
     fail only on proper closed loci, so a small deterministic search lands."""
     quad = geo.ttau_quadratic
     pts = [p.coords for p in geo.ttau_rational] + [quad.coords, quad.conjugate()]
+    x, y, z = (Poly.variable(P2, n) for n in P2.names)
     for trial in range(500):
         rng = random.Random(1_000_003 * trial + 7)
         lo = [[1, 0, 0], [rng.randint(-3, 3), 1, 0], [rng.randint(-3, 3), rng.randint(-3, 3), 1]]
@@ -191,12 +192,13 @@ def _admissible(geo):
         if any(not q[1] and not q[2] for q in moved):
             continue  # a point hit the projection center
         if all(qa[1] * qb[2] != qa[2] * qb[1] for qa, qb in itertools.combinations(moved, 2)):
+            images = tuple(x * a + y * b + z * c for a, b, c in A)
             factors = []
             for g in geo.ctau_factors():
-                gc = _x_coefficients(_transformed(g, A), g.degree())
+                gc = _x_coefficients(g.substitute(images), g.degree())
                 factors.append((g, gc, [], [], [_fiber(gc, q) for q in moved[:-1]]))
             lines = [form_content_free([q[2], -q[1]]) for q in moved[:-2]]
-            yield _Move(A, center, moved, (*lines, _pair_quadratic(moved[-2])), factors)
+            yield _Move(images, center, moved, (*lines, _pair_quadratic(moved[-2])), factors)
     raise IcotkError("no suitable unimodular transform found")  # pragma: no cover
 
 
@@ -249,11 +251,6 @@ def _transform(F: Poly) -> _Move:
             kept.append(next(pending))
         if F.evaluate(kept[i].center) != 0:
             return kept[i]
-
-
-def _transformed(poly: Poly, A) -> Poly:
-    x, y, z = (Poly.variable(P2, n) for n in P2.names)
-    return poly.substitute([x * a + y * b + z * c for a, b, c in A])
 
 
 def _x_coefficients(poly: Poly, d: int):
@@ -332,7 +329,7 @@ def _stage2(curve: PlaneCurve):
     closure); else a failure description."""
     d = curve.degree
     move = _transform(curve.F)
-    fc = _x_coefficients(_transformed(curve.F, move.A), d)
+    fc = _x_coefficients(curve.F.substitute(move.images), d)
     fvals, fibers = [], None
     for g, gc, gvals, grows, gfibers in move.factors:
         de = d * (len(gc) - 1)

@@ -11,9 +11,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icotk.algebra import P2, poly_parse
+from icotk.algebra import P2, Phi, poly_parse
 from icotk.binaryforms import (
-    Phi,
     form_content_free,
     interpolate,
     pseudo_remainder,

@@ -46,16 +46,15 @@ def test_determinism_modulo_timing(capsys):
 
 
 @pytest.mark.parametrize("a, B, code, count", [("1,1,1,1,1", "30", 0, 0), ("4,1,1,1,1", "8", 1, 6)])
-def test_scan_threads_flag_is_ignored(capsys, a, B, code, count):
+def test_scan_threads_flag_is_rejected(capsys, a, B, code, count):
+    # scans run in one process; neither scan verb takes --threads
     argv = ["fermat", "scan", "-a", a, "-n", "1", "-B", B]
     code1, rep1 = _invoke(capsys, *argv)
-    code2, rep2 = _invoke(capsys, *argv, "--threads", "4")
-    assert code1 == code2 == code
+    assert code1 == code
     assert rep1["result"]["count"] == count
-    for rep in (rep1, rep2):
-        rep.pop("millis"), rep["result"].pop("millis", None)
-    assert rep2["command"].pop("argv") == rep1["command"].pop("argv") + ["--threads", "4"]
-    assert rep1 == rep2
+    for bad in (argv, ["fermat", "z-scan", "-B", B]):
+        code2, rep2 = _invoke(capsys, *bad, "--threads", "4")
+        assert code2 == 2 and rep2["provenance"] == ["input-error"]
 
 
 def test_tau_check_negative_verdict_exit_code(capsys):

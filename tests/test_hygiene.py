@@ -310,8 +310,8 @@ def test_a_cold_import_of_the_cli_loads_no_heavy_module():
 
 
 # The package registers every module unexecuted; a module has run once its
-# type is plain ModuleType.  A light command runs none of these unless it
-# is named after one (`fermat`, `groebner`); then its exact list is the check.
+# type is plain ModuleType.  A light command runs none of these; a row whose
+# command runs one says so (light is False), and its exact list is the check.
 UNREACHED = ("algebra", "groebner", "ico_surface", "ico_models", "plane_curves", "fermat")
 
 # What ``python -m icotk.cli ARG...`` does, in a script that then reports
@@ -330,19 +330,23 @@ print(json.dumps({"code": code, "ran": ran}), file=sys.stderr)
 """
 
 
-@pytest.mark.parametrize("argv, ran", [
-    (["bound", "thmE", "--nu", "1"], ["config", "errors", "heights", "integers"]),
-    (["--version"], ["config", "errors"]),
+@pytest.mark.parametrize("argv, ran, light", [
+    (["bound", "thmE", "--nu", "1"], ["config", "errors", "heights", "integers"], True),
+    (["--version"], ["config", "errors"], True),
     (["fermat", "unit-reduce", "-a", "1,-1,2,1,-3", "-n", "1", "-x", "1,1,1,1,1"],
-     ["config", "errors", "fermat", "integers"]),
-    (["groebner", "-i", "x0"],
-     ["algebra", "binaryforms", "config", "errors", "groebner", "integers"]),
-], ids=["bound-thmE", "version", "fermat-unit-reduce", "groebner"])
-def test_a_cold_light_command_runs_only_the_modules_it_reaches(argv, ran):
+     ["config", "errors", "fermat", "integers"], False),
+    (["groebner", "-i", "x0"], ["algebra", "config", "errors", "groebner", "integers"], False),
+    (["genus", "-n", "2"],
+     ["algebra", "config", "errors", "groebner", "ico_models", "ico_surface", "integers"],
+     False),
+    (["suite", "ttau"],
+     ["algebra", "config", "errors", "groebner", "ico_surface", "integers"], False),
+], ids=["bound-thmE", "version", "fermat-unit-reduce", "groebner", "genus", "suite-ttau"])
+def test_a_cold_light_command_runs_only_the_modules_it_reaches(argv, ran, light):
     proc = _fresh_python("-W", "error", "-c", RUN_AS_MAIN, *argv)
     report = json.loads(proc.stderr.splitlines()[-1])
     assert report["code"] == 0
-    if argv[0] not in UNREACHED:
+    if light:
         assert sorted(set(report["ran"]).intersection(UNREACHED)) == []
     assert report["ran"] == ran
 

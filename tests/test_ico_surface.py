@@ -9,8 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icotk.algebra import P2, Poly, poly_parse
-from icotk.binaryforms import Phi
+from icotk.algebra import P2, Phi, Poly, poly_parse
 from icotk.errors import BasePointError, NotOnSurfaceError
 from icotk.ico_surface import (
     FixedGeometry,
