@@ -128,6 +128,16 @@ MUTANTS = [
            "if False:",
            (f"{TS}::test_perturbed_cubic_fails_the_build",),
            "the geometry checks the first bracket identity when it is built"),
+    Mutant("no-quintic-identity-check", S,
+           "if Poly.variable(P2, \"y\") * self.v != t[0] * self.t_sum:",
+           "if False:",
+           (f"{TS}::test_perturbed_quintic_fails_the_quintic_identity",),
+           "the geometry checks y*v == t0*sum(t), which lets C_tau leave v out"),
+    Mutant("ctau-factors-without-the-cubic-sum", S,
+           "self._ctau_factors = (x, z, lin0, q0, q2, q3, t[1], self.t_sum)",
+           "self._ctau_factors = (x, z, lin0, q0, q2, q3, t[1])",
+           (f"{TP}::test_stage2_verdicts_pinned",),
+           "V(sum t) is part of C_tau: the line y of the corpus fails by dividing it"),
     Mutant("phi-equality-ignores-phi-part", A,
            "return self.a == other.a and self.b == other.b",
            "return self.a == other.a",
@@ -335,6 +345,11 @@ MUTANTS = [
            (f"{TH}::test_render_refuses_more_digits_than_an_int_prints",),
            "--digits above the int string limit is refused before the work"),
     # -- the command line
+    Mutant("emit-leaves-the-flush-to-exit", C,
+           "        sys.stdout.flush()\n",
+           "",
+           (f"{TC}::test_a_closed_stdout_keeps_the_exit_code",),
+           "a broken pipe met by the flush at exit prints a warning and exits 120"),
     Mutant("internal-error-exits-one", C,
            'provenance, code = ["internal-error"], 4',
            'provenance, code = ["internal-error"], 1',

@@ -48,12 +48,21 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from math import comb, gcd
 
-from . import integers
 from .errors import NotDivisibleError, ParseError
 
-# read only by perfbench/tracing.py, which patches factorize by this name;
-# it goes with the tracer's other names, binaryforms.ZZ and config.cache_dir
-factorize = integers.factorize
+
+def __getattr__(name: str):
+    """``factorize``, read only by perfbench/tracing.py, which patches it by
+    this name (it goes with the tracer's other names, binaryforms.ZZ and
+    config.cache_dir).  It is bound on first access (PEP 562) and kept, so
+    the patch can be made and undone like one of a name bound at import,
+    and a command that never traces does not run ``integers``."""
+    if name != "factorize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .integers import factorize
+
+    globals()[name] = factorize
+    return factorize
 
 # ---------------------------------------------------------------------------
 # Z[phi], rings and polynomials

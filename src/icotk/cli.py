@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -532,8 +533,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Print the report.  A reader that closed stdout early (``| head``)
+    gets what it read: the rest goes to os.devnull, so neither this write
+    nor the flush at exit raises, and the exit code stays run's."""
+    try:
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def run(argv) -> int:

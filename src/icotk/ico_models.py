@@ -13,12 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import P4, Echelon, Poly, grevlex_key, primitive_form
+# modules, not names: each runs on first use, and the genus formulas use none
+from . import algebra, groebner, ico_surface, integers
 from .config import DEFAULT_FACTOR_BUDGET, DEFAULT_GB_BUDGET, FactorBudget, GroebnerBudget
 from .errors import IcotkError
-from .groebner import GREVLEX, Ideal, dim_degree, normal_form
-from .ico_surface import fixed_geometry
-from .integers import int_radical
 
 
 class IcoModel:
@@ -30,7 +28,7 @@ class IcoModel:
 
     def __init__(self, polys):
         what = "ico model polynomials"
-        self.polys = tuple(primitive_form(f, P4, what, "x0..x4") for f in polys)
+        self.polys = tuple(algebra.primitive_form(f, algebra.P4, what, "x0..x4") for f in polys)
         if not self.polys:
             raise ValueError("ico model needs at least one polynomial")
         self.degrees = tuple(f.degree() for f in self.polys)
@@ -74,17 +72,17 @@ def nu_f(model: IcoModel, budget: FactorBudget = DEFAULT_FACTOR_BUDGET) -> int:
         for a in row:
             if a:
                 prod *= a
-    return int_radical(prod, budget) if prod != 1 else 1
+    return integers.int_radical(prod, budget) if prod != 1 else 1
 
 
-def model_ideal(model: IcoModel) -> Ideal:
-    geo = fixed_geometry()
-    return Ideal(P4, [geo.sigma2, geo.sigma4, *model.polys])
+def model_ideal(model: IcoModel) -> groebner.Ideal:
+    geo = ico_surface.fixed_geometry()
+    return groebner.Ideal(algebra.P4, [geo.sigma2, geo.sigma4, *model.polys])
 
 
 def is_curve(model: IcoModel, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> bool:
     """True iff the cut-out scheme has projective dimension 1."""
-    return dim_degree(model_ideal(model), budget)[0] == 1
+    return groebner.dim_degree(model_ideal(model), budget)[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +102,7 @@ def _degree_monomials(n: int):
     stars and bars, the four bars at positions chosen from n + 4."""
     cuts = ((-1, *bars, n + 4) for bars in combinations(range(n + 4), 4))
     expos = [tuple(b - a - 1 for a, b in zip(c, c[1:])) for c in cuts]
-    return sorted(expos, key=grevlex_key, reverse=True)
+    return sorted(expos, key=algebra.grevlex_key, reverse=True)
 
 
 def basis_An(n: int, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> tuple:
@@ -117,14 +115,16 @@ def basis_An(n: int, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> tuple:
     verified, not assumed).
     """
     r = expected_rank(n)
-    basis_polys = fixed_geometry().surface_ideal().groebner(GREVLEX, budget)
+    surface = ico_surface.fixed_geometry().surface_ideal()
+    basis_polys = surface.groebner(groebner.GREVLEX, budget)
     pure = [tuple(n if k == i else 0 for k in range(5)) for i in range(5)]
-    echelon = Echelon()
+    echelon = algebra.Echelon()
     chosen = []
     for expo in pure + [e for e in _degree_monomials(n) if e not in pure]:
         if len(chosen) == r:
             break
-        nf = normal_form(Poly.monomial(P4, expo), basis_polys, GREVLEX, budget)
+        mono = algebra.Poly.monomial(algebra.P4, expo)
+        nf = groebner.normal_form(mono, basis_polys, groebner.GREVLEX, budget)
         if echelon.add(nf.terms) is None:
             chosen.append(expo)
         elif expo in pure:
@@ -133,7 +133,7 @@ def basis_An(n: int, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> tuple:
         raise IcotkError(
             f"A_{n} basis completion found rank {len(chosen)}, expected {r}"
         )
-    return tuple(Poly.monomial(P4, e) for e in chosen)
+    return tuple(algebra.Poly.monomial(algebra.P4, e) for e in chosen)
 
 
 def general_model(n: int, v, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> IcoModel:
@@ -143,7 +143,7 @@ def general_model(n: int, v, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> IcoM
     basis = basis_An(n, budget)
     if len(v) != len(basis):
         raise ValueError(f"coefficient vector must have length {len(basis)}")
-    f = Poly.zero(P4)
+    f = algebra.Poly.zero(algebra.P4)
     for c, s in zip(v, basis):
         f = f + s * c
     if f.is_zero():

@@ -8,10 +8,11 @@ y - z, x, z and the conics q0, q2, q3, which C_tau's factor list reuses,
 and rho from the monomials r_i.  So a typo in the inputs breaks loudly in
 the degree and identity checks.  Before tau is built, the four cubics must
 satisfy (sum t) e_2(t) = e_3(t), which is what makes sigma_2(tau) =
-sigma_4(tau) = 0; after it, tau must satisfy two bracket identities.  The
-build itself stays below degree 25: C_tau's factors come from the four
-cubics through those bracket identities, and lambda = rho_0(tau)/x (degree
-95, 2228 terms) is expanded only when something reads it -- the symbolic
+sigma_4(tau) = 0; after it, tau must satisfy two bracket identities, and
+the quintic cofactor v of lambda must satisfy y v = t0 (sum t).  The build
+itself stays below degree 25: C_tau = V(t0 t1 t2 t3 (sum t)) comes from the
+four cubics through those identities, and lambda = rho_0(tau)/x (degree 95,
+2228 terms) is expanded only when something reads it -- the symbolic
 identity suite and the tests.  The geometry is built once and shared (it
 is immutable).
 """
@@ -46,6 +47,10 @@ class FixedGeometry:
     """All the fixed polynomials and points, built from first principles."""
 
     def __init__(self):
+        """Build the geometry and check it: the cubic identity before tau,
+        the two bracket identities after it, and y v = t0 (sum t) for the
+        quintic v of lambda = (t0 t1 t2 t3 (sum t))^6 v.  Each broken
+        identity raises AssertionError with its own message."""
         x, z = Poly.variable(P2, "x"), Poly.variable(P2, "z")
         lin0, q0, q2, q3 = (poly_parse(f, P2) for f in (
             "y - z", "x*y + x*z - z^2", "z^2 - y^2 - x*z", "y*z - x*z + x^2 - y^2"))
@@ -81,17 +86,19 @@ class FixedGeometry:
         # (tau1 + tau3) and (r0 + r1 + r2)(tau) = tau3 tau4 (tau1 tau2 + tau0
         # tau2 + tau0 tau1).  The two brackets below, checked against the
         # cubics, make lambda = rho_0(tau)/x = (t0 t1 t2 t3 (sum t))^6 * v with
-        # v = -(t1 + t3)(t0 + t1 + t2)/x, so ctau_factors needs no lambda
+        # v = -(t1 + t3)(t0 + t1 + t2)/x, so C_tau needs no lambda
         t, tau = self.t, self.tau
         if tau[1] + tau[3] != -(self.t_sum * t[0] * t[2] * (t[1] + t[3])):
             raise AssertionError("bracket identity tau1 + tau3 broken")
         if (tau[1] * tau[2] + tau[0] * tau[2] + tau[0] * tau[1]
                 != self.t_sum**2 * prod_all * t[3] * (t[0] + t[1] + t[2])):
             raise AssertionError("bracket identity tau1 tau2 + tau0 tau2 + tau0 tau1 broken")
-        v = (-(t[1] + t[3]) * (t[0] + t[1] + t[2])).exact_div(x)
-        if v.degree() != 5:
-            raise AssertionError("lambda cofactor is not a quintic")
-        self._ctau_factors = (x, z, lin0, q0, q2, q3, t[1], self.t_sum, v)
+        self.v = (-(t[1] + t[3]) * (t[0] + t[1] + t[2])).exact_div(x)
+        # y v = t0 (sum t) puts V(v) inside V(t0) u V(sum t), so C_tau =
+        # V(t0 t1 t2 t3 (sum t)) and ctau_factors leaves v out
+        if Poly.variable(P2, "y") * self.v != t[0] * self.t_sum:
+            raise AssertionError("quintic identity y*v == t0*sum(t) broken")
+        self._ctau_factors = (x, z, lin0, q0, q2, q3, t[1], self.t_sum)
 
         self.e_points = tuple(
             ProjPoint([1 if j == i else 0 for j in range(5)]) for i in range(5)
@@ -113,9 +120,11 @@ class FixedGeometry:
     def lam(self) -> Poly:
         """lambda = rho_0(tau)/x, degree 95 and 2228 terms, built on first
         use from rho_0's factored form, r_i(tau) being the product of the
-        tau_j with j != i.  Nothing on the criterion (tau) path reads it:
-        C_tau comes from the cubics (ctau_factors) and lambda(p) from
-        lam_at; verify_identities checks the expanded substitution."""
+        tau_j with j != i.  It equals (t0 t1 t2 t3 (sum t))^6 v, and since
+        y v = t0 (sum t) its zero set is C_tau = V(t0 t1 t2 t3 (sum t)).
+        Nothing on the criterion (tau) path reads lambda or v: C_tau comes
+        from the cubics (ctau_factors) and lambda(p) from lam_at;
+        verify_identities checks the expanded substitution."""
         rt = [prod(t for j, t in enumerate(self.tau) if j != i) for i in range(4)]
         x = Poly.variable(P2, "x")
         lam = (-(rt[1] + rt[3]) * (rt[0] + rt[1] + rt[2])).exact_div(x)
@@ -127,7 +136,7 @@ class FixedGeometry:
         """lambda(p) = (t0 t1 t2 t3 (sum t))(p)^6 * v(p), without lambda."""
         vals = [t.evaluate(p) for t in self.t]
         core = vals[0] * vals[1] * vals[2] * vals[3] * sum(vals)
-        return core**6 * self.ctau_factors()[-1].evaluate(p)
+        return core**6 * self.v.evaluate(p)
 
     def surface_ideal(self) -> Ideal:
         if self._surface_ideal is None:
@@ -135,13 +144,17 @@ class FixedGeometry:
         return self._surface_ideal
 
     def ctau_factors(self) -> tuple:
-        """A factor list of lambda whose zero sets union to C_tau.
+        """Eight factors of lambda whose zero sets union to C_tau:
+        x, z, y - z, q0, q2, q3, t1 and sum t.
 
         lambda = (t0 t1 t2 t3 (sum t))^6 * v with the quintic
         v = -(t1 + t3)(t0 + t1 + t2)/x (the bracket identities of the build;
         the expanded product is checked by symbolic verify_identities).
-        t0, t2 and t3 appear through the factors the build multiplies them
-        from: t0 = (y - z) q0, t2 = x q2 and t3 = z q3.
+        The build checks y v = t0 (sum t), so V(v) lies in V(t0) u V(sum t)
+        and C_tau = V(t0 t1 t2 t3 (sum t)): v, kept as the attribute v, adds
+        no point and is left out.  t0, t2 and t3 appear through the factors
+        the build multiplies them from: t0 = (y - z) q0, t2 = x q2 and
+        t3 = z q3.
         The list need not consist of irreducibles -- the per-factor geometry
         in plane_curves is sound for any decomposition covering V(lambda).
         """
@@ -221,7 +234,8 @@ def verify_identities(
     (a) sigma_2(tau) = sigma_4(tau) = 0;
     (b) rho_0(tau) = lambda*x, rho_1(tau) = lambda*y, rho_2(tau) = lambda*z;
         symbolically also lambda = (t0 t1 t2 t3 (sum t))^6 * v, the factored
-        form that ctau_factors and lam_at use without expanding lambda;
+        form that lam_at uses without expanding lambda (ctau_factors covers
+        its zero set, v adding no point as y v = t0 (sum t));
     (c) tau_i(rho)*x_j - tau_j(rho)*x_i in (sigma_2, sigma_4) for all i < j.
 
     mode="symbolic" expands (a) and (b) as polynomials; identity (c) is
@@ -255,7 +269,7 @@ def verify_identities(
             )
         core = geo.t[0] * geo.t[1] * geo.t[2] * geo.t[3] * geo.t_sum
         checks.append(("lambda == (t0*t1*t2*t3*sum(t))^6 * v",
-                       lam == core**6 * geo.ctau_factors()[-1]))
+                       lam == core**6 * geo.v))
         if symbolic_c:
             surface = geo.surface_ideal()
             taurho = [t.substitute(geo.rho) for t in geo.tau]

@@ -275,6 +275,31 @@ def test_a_huge_hilbert_numerator_answers_at_once():
     assert (result["dim"], result["degree"]) == (3, 99999999999)
 
 
+@pytest.mark.parametrize("argv, code, unbuffered", [
+    (["fermat", "z-scan", "-B", "30"], 0, False),
+    (["fermat", "z-scan", "-B", "30"], 0, True),
+    (["tau", "check", "-F", "x"], 1, False),
+    (["genus", "-n", "0"], 2, False),
+])
+def test_a_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
+    # `icotk ... | head -c 10`: the reader has gone before the report is
+    # written; the process still exits with its own code and no traceback,
+    # whether the write itself or the flush meets the broken pipe
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "icotk.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 def test_too_many_digits_are_refused_before_the_work(capsys):
     # 6000 digits once computed for seconds, then failed in str()
     t0 = time.perf_counter()

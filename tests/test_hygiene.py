@@ -335,10 +335,8 @@ print(json.dumps({"code": code, "ran": ran}), file=sys.stderr)
     (["--version"], ["config", "errors"], True),
     (["fermat", "unit-reduce", "-a", "1,-1,2,1,-3", "-n", "1", "-x", "1,1,1,1,1"],
      ["config", "errors", "fermat", "integers"], False),
-    (["groebner", "-i", "x0"], ["algebra", "config", "errors", "groebner", "integers"], False),
-    (["genus", "-n", "2"],
-     ["algebra", "config", "errors", "groebner", "ico_models", "ico_surface", "integers"],
-     False),
+    (["groebner", "-i", "x0"], ["algebra", "config", "errors", "groebner"], False),
+    (["genus", "-n", "2"], ["config", "errors", "ico_models"], False),
     (["suite", "ttau"],
      ["algebra", "config", "errors", "groebner", "ico_surface", "integers"], False),
 ], ids=["bound-thmE", "version", "fermat-unit-reduce", "groebner", "genus", "suite-ttau"])

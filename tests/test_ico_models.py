@@ -146,12 +146,12 @@ def test_basis_pure_power_relation_is_detected(monkeypatch):
     # x0^n, ..., x4^n are independent mod the surface for n = 1, 2, 3, so
     # the guard is shown a relation: x4^2 gets the normal form of x0^2
     basis_An(2)
-    normal_form, x0, x4 = ico_models.normal_form, _p4("x0^2"), _p4("x4^2")
+    normal_form, x0, x4 = ico_models.groebner.normal_form, _p4("x0^2"), _p4("x4^2")
 
     def related(p, *args):
         return normal_form(x0 if p == x4 else p, *args)
 
-    monkeypatch.setattr(ico_models, "normal_form", related)
+    monkeypatch.setattr(ico_models.groebner, "normal_form", related)
     with pytest.raises(IcotkError, match="pure powers are dependent in A_2"):
         basis_An(2)
 

@@ -40,19 +40,23 @@ def test_degrees(geo):
 
 
 def test_lambda_factorization(geo):
-    # lambda = (t0 t1 t2 t3 (t0+t1+t2+t3))^6 * v with v of degree 5
-    v = geo.ctau_factors()[-1]
+    # lambda = (t0 t1 t2 t3 (t0+t1+t2+t3))^6 * v with v of degree 5, and
+    # y v = t0 (sum t), so v adds no point to C_tau
+    v = geo.v
     assert v.degree() == 5
     core = geo.t[0] * geo.t[1] * geo.t[2] * geo.t[3] * geo.t_sum
     assert geo.lam == core**6 * v
+    assert poly_parse("y", P2) * v == geo.t[0] * geo.t_sum
 
 
 def test_ctau_factor_degrees(geo):
-    assert sorted(f.degree() for f in geo.ctau_factors()) == [1, 1, 1, 2, 2, 2, 3, 3, 5]
+    assert sorted(f.degree() for f in geo.ctau_factors()) == [1, 1, 1, 2, 2, 2, 3, 3]
+    assert geo.v.degree() == 5
 
 
-# sha256 of the printed lambda and ctau_factors() tuple, first 16 hex digits,
-# computed when the build still expanded lambda and ctau_factors divided it
+# sha256 of the printed lambda and (*ctau_factors(), v) tuple, first 16 hex
+# digits, computed when the build still expanded lambda and ctau_factors
+# divided it (and still listed v last)
 LAMBDA_DIGEST = "36cad524c907cedf"
 CTAU_FACTORS_DIGEST = "92c85ad82451fbc8"
 
@@ -62,7 +66,7 @@ def _digest(text):
 
 
 def test_lambda_and_ctau_factors_are_pinned(geo):
-    assert _digest(str(geo.ctau_factors())) == CTAU_FACTORS_DIGEST
+    assert _digest(str((*geo.ctau_factors(), geo.v))) == CTAU_FACTORS_DIGEST
     assert _digest(str(geo.lam)) == LAMBDA_DIGEST
 
 
@@ -72,12 +76,12 @@ def test_lambda_at_a_point_from_its_factored_form(geo, p):
     vals = [t.evaluate(p) for t in geo.t]
     core = vals[0] * vals[1] * vals[2] * vals[3] * sum(vals)
     want = geo.lam.evaluate(p)
-    assert core**6 * geo.ctau_factors()[-1].evaluate(p) == want
+    assert core**6 * geo.v.evaluate(p) == want
     assert geo.lam_at(p) == want
 
 
 def _perturbed_geometry(perturb, after="tau"):
-    """A FixedGeometry whose t/tau are changed by perturb(geo) right after
+    """A FixedGeometry whose t/tau/v are changed by perturb(geo) right after
     the attribute `after` is assigned: by default right after tau is built,
     i.e. before the bracket identities read them."""
 
@@ -122,6 +126,16 @@ def test_perturbed_tau_fails_the_second_bracket_identity(i):
     # tau0 and tau2 enter only the second identity
     with pytest.raises(AssertionError, match="bracket identity tau1 tau2"):
         _perturbed_geometry(lambda g: object.__setattr__(g, "tau", _bump(g.tau, i)))
+
+
+@pytest.mark.parametrize("term", ["y^5", "x*z^4", "-z^5"])
+def test_perturbed_quintic_fails_the_quintic_identity(term):
+    # the bracket identities hold; only v, read by lam_at and verify, is off
+    def bump(g):
+        object.__setattr__(g, "v", g.v + poly_parse(term, P2))
+
+    with pytest.raises(AssertionError, match="quintic identity y\\*v == t0\\*sum\\(t\\)"):
+        _perturbed_geometry(bump, after="v")
 
 
 # -- frozen point oracles ------------------------------------------------------

@@ -533,9 +533,12 @@ _FORM_TERMS = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 8), st.integers(0, 3), _FORM_TERMS, st.booleans())
 def test_a_factor_times_any_form_passes_the_probe(k, d, terms, vanish):
-    """g*h passes the probe and stage 1 finds a factor for every C_tau
-    factor g and integer form h, also when h vanishes at the probe point."""
-    g = fixed_geometry().ctau_factors()[k]
+    """g*h passes the probe and stage 1 finds a factor for every integer
+    form h and every g among the C_tau factors and the quintic v of lambda
+    (a product of C_tau components), also when h vanishes at the probe
+    point."""
+    geo = fixed_geometry()
+    g = (*geo.ctau_factors(), geo.v)[k]
     h = Poly(P2, {})
     for ex, ey, c in terms:
         if ex + ey <= d and c:
