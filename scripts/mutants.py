@@ -170,6 +170,20 @@ MUTANTS = [
            "every hit with D != 0 up to B = 500 also meets (a+b) | a^3, so the "
            "scanned points do not change; unproved, so the scan keeps a^4 (only "
            "test_window_is_the_divisor_condition, which restates the condition, fails)"),
+    Mutant("scan-mirror-cut-on-a-plus-b", F,
+           "        for i, b in enumerate(win):\n"
+           "            for c in win[max(i, cut):] if a else _window(b, B):",
+           "        for i, b in enumerate(win[cut:], cut):\n"
+           "            for c in win[i:] if a else _window(b, B):",
+           (f"{TF}::test_divisor_scan_finds_every_orbit_of_the_triple_loop",),
+           "the mirror cut skips a + c < 0; skipping a + b < 0 instead keeps the "
+           "union up to B = 200, but not each a's orbits"),
+    Mutant("scan-drops-triples-with-a-common-factor", F,
+           "if math.gcd(a, b, c, x3, x4) == 1:",
+           "if math.gcd(a, b, c) == 1:",
+           (f"{TF}::test_scan_b200_is_pinned",
+            f"{TF}::test_a_triple_with_a_common_factor_can_complete_to_a_primitive_point"),
+           "a triple with gcd > 1 can complete to a primitive point"),
     # -- criterion (tau)
     Mutant("probe-too-strict", PC,
            "if ad > bd or not ap or bp % ap:",

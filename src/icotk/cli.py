@@ -408,6 +408,10 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise IcotkError(f"{self.prog}: error: {message}")
 
+    def exit(self, status=0, message=None):
+        _write_stdout("")  # what --help or --version printed
+        super().exit(status, message)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -532,16 +536,20 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _emit(report: dict) -> None:
-    """Print the report.  A reader that closed stdout early (``| head``)
-    gets what it read: the rest goes to os.devnull, so neither this write
-    nor the flush at exit raises, and the exit code stays run's."""
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it.  A reader that closed stdout early
+    (``| head``) gets what it read: the rest goes to os.devnull, so neither
+    this write nor the flush at exit raises, and the exit code stays the
+    caller's."""
     try:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _emit(report: dict) -> None:
+    _write_stdout(json.dumps(report, indent=2) + "\n")
 
 
 def run(argv) -> int:

@@ -30,10 +30,39 @@ on a whole orbit of S_5 x {+-1} (permuting and negating coordinates), and
 the scan's point set is a union of such orbits.  So nothing is lost when
 the enumeration returns one canonical tuple per orbit and only the report
 expands each orbit into its points.
+
+The same evenness pairs the sorted triple t = (a, b, c) with its mirror
+t' = (-c, -b, -a), and the scan completes only the one with a + c >= 0.
+Nothing is lost when it skips t with a + c < 0:
+
+* t' is enumerated.  It lies in the box, as -B <= a <= b <= c <= B.  If
+  D != 0, e2 is -c^2 modulo b + c and modulo a + c, and -b^2 modulo a + b,
+  so D | e2^2 gives the window conditions of t': (b + c) | c^4 and
+  (a + c) | c^4 when its smallest entry -c is nonzero, (a + b) | b^4 when
+  c = 0.  If D = 0, t completes only as {a, 0, 0} with a < 0, and
+  t' = (0, 0, -a) is in the window of 0.
+* t' completes to the negated points.  If D != 0, t' has s' = -s,
+  e2' = e2, e3' = -e3 and D' = -D, so P' = -P and Q' = Q, and its
+  completion is (-x4, -x3).  If D = 0, the divisor sweep of {a, 0, 0}
+  maps to that of {-a, 0, 0} under d -> -d, which sends (x3, x4) to
+  (-x3, -x4); the cap |x3 + x4| <= 2B^2 is symmetric too.
+* Ties lose nothing.  a + c = 0 with a != 0 gives D = 0 and e2 = -a^2 != 0,
+  so such a triple never completes; (0, 0, 0) is its own mirror and kept.
+
+A completion (a, b, c, x3, x4) with gcd g > 1 adds no orbit either, and the
+scan drops it before canonicalizing.  Its primitive part u is a surface
+point whose triple t/g is sorted, in the box and has (a + c)/g >= 0.  If
+D(t/g) != 0, u's pair is the only solution of the linear system, so t/g
+meets the window conditions and completes to it.  If D = 0, the cut leaves
+only t = (0, 0, c) to complete, and (x3 + c)(x4 + c) = c^2 divided by g^2
+is a term of the sweep of (0, 0, c/g), inside the cap.  A triple with gcd > 1 can still
+complete to a primitive point, e.g. (-126, 140, 180) to (-315, -630), so no
+triple is skipped for its gcd.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import time
@@ -145,18 +174,23 @@ def _window(x: int, B: int) -> list:
 
 
 def _scan_chunk(task):
-    """The orbits of the completions of the sorted triples (a, b, c), a in
-    v1_list, that meet the divisibility condition of the module docstring."""
+    """The orbits of the primitive completions of the sorted triples
+    (a, b, c), a in v1_list, that meet the divisibility condition and have
+    a + c >= 0.  Over all a this is every orbit: the mirror (-c, -b, -a) of
+    a triple with a + c < 0 finds the same orbits, and t/g those of the
+    completions of t with gcd g > 1 (module docstring)."""
     B, v1_list = task
     found = set()
     for a in v1_list:
         win = _window(a, B)
+        cut = bisect.bisect_left(win, -a)  # the first c with a + c >= 0
         for i, b in enumerate(win):
-            for c in win[i:] if a else _window(b, B):
+            for c in win[max(i, cut):] if a else _window(b, B):
                 # (a, b, c, x3, x4) is never zero: D != 0 needs a nonzero
                 # triple, and the one completion of (0, 0, 0) is (1, 0)
                 for x3, x4 in _complete_triple(B, a, b, c):
-                    found.add(_orbit((a, b, c, x3, x4)))
+                    if math.gcd(a, b, c, x3, x4) == 1:
+                        found.add(_orbit((a, b, c, x3, x4)))
     return found
 
 

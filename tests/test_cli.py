@@ -280,6 +280,9 @@ def test_a_huge_hilbert_numerator_answers_at_once():
     (["fermat", "z-scan", "-B", "30"], 0, True),
     (["tau", "check", "-F", "x"], 1, False),
     (["genus", "-n", "0"], 2, False),
+    *[(argv, 0, unbuffered)
+      for argv in (["--help"], ["--version"], ["tau", "check", "--help"])
+      for unbuffered in (False, True)],
 ])
 def test_a_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
     # `icotk ... | head -c 10`: the reader has gone before the report is

@@ -135,13 +135,65 @@ def _every_triple_hits(B):
 @pytest.mark.parametrize("B", [1, 2, 8, 30, 70])
 def test_divisor_scan_finds_every_orbit_of_the_triple_loop(B):
     # the orbits agree for each smallest coordinate a on its own, not only
-    # in the union, where the negated triple can stand in for a lost one
+    # in the union, where another triple can stand in for a lost one: the
+    # scan keeps the primitive hits with a + c >= 0, and the union holds
+    # the orbits of every hit
     want = {a: set() for a in range(-B, B + 1)}
+    every = set()
     for t5 in _every_triple_hits(B):
-        want[t5[0]].add(_orbit(t5))
+        a, _, c, _, _ = t5
+        every.add(_orbit(t5))
+        if a + c >= 0 and math.gcd(*t5) == 1:
+            want[a].add(_orbit(t5))
     for a, orbits in want.items():
         assert _scan_chunk((B, [a])) == orbits, a
-    assert _scan_chunk((B, list(range(-B, B + 1)))) == set().union(*want.values())
+    assert _scan_chunk((B, list(range(-B, B + 1)))) == every
+
+
+def _enumerated(B, a, b, c):
+    """Whether the scan's windows hold the sorted triple (a, b, c)."""
+    win = _window(a, B)
+    return -B <= a <= b <= c <= B and b in win and c in (win if a else _window(b, B))
+
+
+@pytest.mark.parametrize("B", [1, 2, 8, 30, 70])
+def test_a_skipped_triple_has_its_mirror_in_the_windows(B):
+    # the lemma of the fermat docstring: a hit (a, b, c) with a + c < 0 has
+    # its mirror (-c, -b, -a) in the windows, and the mirror completes to
+    # the negated point
+    mirrored = 0
+    for a, b, c, x3, x4 in _every_triple_hits(B):
+        if a + c < 0:
+            assert _enumerated(B, -c, -b, -a), (a, b, c)
+            assert (-x4, -x3) in list(_complete_triple(B, -c, -b, -a)), (a, b, c, x3, x4)
+            mirrored += 1
+    assert mirrored >= B
+
+
+@pytest.mark.parametrize("B", [2, 8, 30, 70])
+def test_a_dropped_multiple_has_its_primitive_part_in_the_windows(B):
+    # the lemma of the fermat docstring: a hit (a, b, c) with a + c >= 0
+    # whose completion has gcd g > 1 has (a, b, c)/g in the windows, and it
+    # completes to the completion divided by g
+    dropped = 0
+    for t5 in _every_triple_hits(B):
+        g = math.gcd(*t5)
+        if t5[0] + t5[2] >= 0 and g > 1:
+            a, b, c, x3, x4 = (v // g for v in t5)
+            assert _enumerated(B, a, b, c), t5
+            pairs = [sorted(pair) for pair in _complete_triple(B, a, b, c)]
+            assert sorted((x3, x4)) in pairs, t5
+            dropped += 1
+    assert dropped >= B
+
+
+def test_a_triple_with_a_common_factor_can_complete_to_a_primitive_point():
+    # why the scan drops multiples among the completions, not the triples
+    # with gcd > 1: at B = 200 this orbit comes only from such triples
+    t5 = (-126, 140, 180, -315, -630)
+    assert math.gcd(*t5[:3]) == 2 and math.gcd(*t5) == 1
+    assert (-315, -630) in _complete_triple(200, *t5[:3])
+    assert _orbit(t5) in _scan_chunk((200, [t5[0]]))
 
 
 def test_every_completed_triple_meets_the_divisor_condition():
