@@ -78,6 +78,25 @@ MUTANTS = [
            "",
            (f"{TA}::test_scaled_division_scales_what_is_done_and_what_is_left",),
            "a scaled division multiplies what is done as well as what is left"),
+    Mutant("reduce-leaves-quotients-unscaled", A,
+           "quots[:] = [{k: v * mult for k, v in q.items()} for q in quots]",
+           "pass",
+           (f"{TA}::test_packed_division_equals_the_tuple_path",
+            f"{TA}::test_division_reduces_over_the_integers_only"),
+           "a scaling step multiplies the quotients kept so far as well"),
+    Mutant("reduce-forgets-the-scale", A,
+           "                s *= mult\n",
+           "",
+           (f"{TA}::test_scaled_division_scales_what_is_done_and_what_is_left",
+            f"{TA}::test_exact_division_across_contents"),
+           "divide divides the result by the product of every scaling step"),
+    Mutant("divide-skips-the-rescale", A,
+           "* Fraction(1, s * dp)\n"
+           "    return ([Poly(p.ring, layout.unpack(q)) * Fraction(dd, s * dp)",
+           "\n    return ([Poly(p.ring, layout.unpack(q)) * dd",
+           (f"{TA}::test_scaled_division_scales_what_is_done_and_what_is_left",
+            f"{TA}::test_exact_division_across_contents"),
+           "divide's result over Q is the loop's over Z divided by s and the denominators"),
     # -- Buchberger and Hilbert data
     Mutant("never-widen", G,
            "if layout is None or bound > layout.M:",

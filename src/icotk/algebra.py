@@ -46,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import NotDivisibleError, ParseError
 
@@ -353,6 +353,8 @@ class Poly:
             other = _norm_coeff(other)
             if other == 0:
                 return Poly.zero(self.ring)
+            if other == 1:
+                return self
             return Poly(
                 self.ring,
                 {e: _norm_coeff(c * other) for e, c in self.terms.items()},
@@ -446,8 +448,6 @@ class Poly:
     def exact_div(self, q: "Poly") -> "Poly":
         """Return self / q if the division is exact, else NotDivisibleError."""
         q = self._coerce(q)
-        if q.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
         grevlex = (tuple(range(self.ring.nvars)),)  # one block of every variable
         (quot,), rem = divide(self, [q], grevlex, full=False, quotients=True)
         if rem.terms:
@@ -459,19 +459,12 @@ class Poly:
         gcd 1, positive grevlex-leading coefficient."""
         if self.is_zero():
             raise ValueError("zero polynomial has no primitive part")
-        denom = 1
-        for c in self.terms.values():
-            if type(c) is Fraction:
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-        numer = 0
-        scaled = {e: c * denom for e, c in self.terms.items()}
-        for c in scaled.values():
-            numer = gcd(numer, int(c))
-        lead = scaled[max(scaled, key=grevlex_key)]
-        sign = 1 if lead > 0 else -1
-        content = Fraction(sign * numer, denom)
-        prim = Poly(self.ring, {e: int(c) // (sign * numer) for e, c in scaled.items()})
-        return _norm_coeff(content), prim
+        scaled, denom = _cleared(self)
+        numer = gcd(*scaled.terms.values())
+        if scaled.terms[max(scaled.terms, key=grevlex_key)] < 0:
+            numer = -numer
+        prim = Poly(self.ring, {e: c // numer for e, c in scaled.terms.items()})
+        return _norm_coeff(Fraction(numer, denom)), prim
 
     def primitive_part(self) -> "Poly":
         return self.content_primitive()[1]
@@ -722,12 +715,14 @@ class Layout:
         lc = packed.pop(lead)
         return lead + self.bias, lead, lc, [(k - lead, c) for k, c in packed.items()]
 
-    def reduce(self, rem: dict, heads, spend=None, full=True, scale=False, quots=None):
-        """The loop of ``divide`` on packed rem, consumed, by heads (i, *head(d_i))."""
+    def reduce(self, rem: dict, heads, spend=None, full=True, quots=None):
+        """The loop of ``divide`` over Z on packed rem, consumed, by heads
+        (i, *head(d_i)): (r * s, s), s > 0 the product of the scalings."""
         guards, zero = self.guards, self.zero
         heap = [-k for k in rem]
         heapify(heap)
         done: dict = {}
+        s = 1
         while heap:
             e = -heappop(heap)
             c = rem.get(e)
@@ -744,34 +739,33 @@ class Layout:
             if spend is not None:
                 spend()
             del rem[e]
-            if scale and type(c) is int and type(lc) is int and c % lc:
+            if c % lc:
                 mult = abs(lc) // gcd(c, lc)
                 rem = {k: v * mult for k, v in rem.items()}
                 done = {k: v * mult for k, v in done.items()}
+                if quots is not None:
+                    quots[:] = [{k: v * mult for k, v in q.items()} for q in quots]
                 c *= mult
-            if type(c) is int and type(lc) is int and c % lc == 0:
-                factor = c // lc
-            else:
-                factor = _norm_coeff(Fraction(c) / lc)
+                s *= mult
+            factor = c // lc
             if quots is not None:
                 quots[i][e - lead + zero] = factor
             for step, tc in tail:
                 k = e + step
                 old = rem.get(k)
                 if old is None:
-                    s = -factor * tc
-                    rem[k] = s if type(s) is int else _norm_coeff(s)
+                    rem[k] = -factor * tc
                     heappush(heap, -k)
                 else:
-                    s = old - factor * tc
-                    if s:
-                        rem[k] = s if type(s) is int else _norm_coeff(s)
+                    old -= factor * tc
+                    if old:
+                        rem[k] = old
                     else:
                         del rem[k]
-        return done if full else rem
+        return (done if full else rem), s
 
 
-def divide(p: Poly, divisors, blocks, spend=None, full=True, quotients=False, scale=False):
+def divide(p: Poly, divisors, blocks, spend=None, full=True, quotients=False):
     """Sparse division of p by a list of nonzero polynomials under the
     monomial order given by blocks: tuples of variable indices, every
     variable in exactly one, compared in turn, by grevlex inside each.
@@ -785,11 +779,12 @@ def divide(p: Poly, divisors, blocks, spend=None, full=True, quotients=False, sc
     remainder) or moves to the remainder (``full=True``: a normal form).
 
     Returns the remainder r, or with ``quotients=True`` the pair
-    ``(quotients, r)`` with p = sum(q_i * d_i) + r.  ``scale=True`` (no
-    quotients) keeps int coefficients in Z: where lc does not divide c, all
-    terms left and done are first multiplied by |lc|/gcd(c, lc), so r comes
-    out times a positive int.  A nonzero scale keeps every support, so each
-    step reduces the same term by the same divisor, with one spend() each.
+    ``(quotients, r)`` with p = sum(q_i * d_i) + r; a zero divisor raises
+    ZeroDivisionError.  The loop (``Layout.reduce``) runs over Z on p and
+    the divisors times their denominators' lcm: where lc does not divide c
+    it first multiplies the terms left and done and the quotients by
+    |lc|/gcd(c, lc).  Supports, steps and spend() calls are those over Q;
+    on exit r and the quotients are divided by those factors and lcms.
 
     Monomials are packed (Monagan & Pearce, CASC 2007): the exponent vector
     e becomes the int K(e) whose fields are, from the top, for each block
@@ -828,15 +823,25 @@ def divide(p: Poly, divisors, blocks, spend=None, full=True, quotients=False, sc
 
     The terms are packed on entry and unpacked on exit in the same order,
     so the result's dicts are ordered as on exponent tuples."""
+    if not all(d.terms for d in divisors):
+        raise ZeroDivisionError("division by the zero polynomial")
     if not p.terms:
         return ([Poly.zero(p.ring) for _ in divisors], p) if quotients else p
     top = max((d.degree() for d in divisors), default=0)
     layout = Layout(p.ring.nvars, blocks, field_bound(blocks, p.degree(), top))
-    heads = [(i, *layout.head(d)) for i, d in enumerate(divisors)]
+    (p, dp), *cleared = map(_cleared, [p, *divisors])
+    heads = [(i, *layout.head(d)) for i, (d, _) in enumerate(cleared)]
     quots = [{} for _ in divisors] if quotients else None
-    rem = layout.reduce(layout.pack_terms(p.terms), heads, spend, full, scale, quots)
-    r = Poly(p.ring, layout.unpack(rem))
-    return ([Poly(p.ring, layout.unpack(q)) for q in quots], r) if quotients else r
+    rem, s = layout.reduce(layout.pack_terms(p.terms), heads, spend, full, quots)
+    r = Poly(p.ring, layout.unpack(rem)) * Fraction(1, s * dp)
+    return ([Poly(p.ring, layout.unpack(q)) * Fraction(dd, s * dp)
+             for q, (_, dd) in zip(quots, cleared)], r) if quotients else r
+
+
+def _cleared(p: Poly):
+    """(p times the lcm d of its coefficients' denominators, d)."""
+    d = lcm(*{c.denominator for c in p.terms.values()})
+    return p * d, d
 
 
 class Echelon:

@@ -98,11 +98,6 @@ def normal_form(
     return divide(p, basis, order.blocks(p.ring.nvars), _Budget(budget.max_reductions).spend)
 
 
-def _strip(p: Poly) -> Poly:
-    """Primitive integer form with positive grevlex-leading coefficient."""
-    return p.primitive_part() if p.terms else p
-
-
 def _sorted_by_leading(pairs, order) -> list:
     """(leading monomial, polynomial, ...) by the monomial, then the printout."""
     if len({t[0] for t in pairs}) < len(pairs):  # print only to break a tie
@@ -123,7 +118,7 @@ def _buchberger(gens, order, budget) -> list:
     leading one).  Where M falls short, a wider layout repacks every head;
     a larger M changes no result (``divide``)."""
     tracker = _Budget(budget.max_reductions)
-    basis = [_strip(g) for g in gens if not g.is_zero()]
+    basis = [g.primitive_part() for g in gens if not g.is_zero()]
     if not basis:
         return []
     ring = basis[0].ring
@@ -179,9 +174,9 @@ def _buchberger(gens, order, budget) -> list:
             if c:
                 spoly[at + step] = c
         # top-reduction suffices inside the loop; tails are cleaned up at the end
-        rem = layout.reduce(spoly, heads, tracker.spend, full=False, scale=True)
+        rem = layout.reduce(spoly, heads, tracker.spend, full=False)[0]
         if rem:
-            rem = _strip(Poly(ring, layout.unpack(rem)))
+            rem = Poly(ring, layout.unpack(rem)).primitive_part()
             basis.append(rem)
             sugar.append(rem.degree())
             lts.append(_leading(rem, order)[0])
@@ -207,9 +202,9 @@ def _interreduce(lts, basis, order, fit, tracker) -> list:
     for e, k in keep:
         layout, heads = fit(basis[k].degree())
         among = [heads[o] for _, o in keep if o != k]
-        rem = layout.reduce(layout.pack_terms(basis[k].terms), among, tracker.spend, scale=True)
+        rem = layout.reduce(layout.pack_terms(basis[k].terms), among, tracker.spend)[0]
         if rem:
-            reduced.append((e, _strip(Poly(basis[k].ring, layout.unpack(rem)))))
+            reduced.append((e, Poly(basis[k].ring, layout.unpack(rem)).primitive_part()))
     return [g for _, g in _sorted_by_leading(reduced, order)]
 
 

@@ -2,7 +2,7 @@ import os
 
 from hypothesis import HealthCheck, settings
 
-from icotk.algebra import grevlex_key
+from icotk.algebra import Layout, Poly, field_bound, grevlex_key
 
 # one line per acceptance criterion, echoed after the test summary so the
 # pass/fail record is visible without -s
@@ -28,6 +28,19 @@ def block_key(block):
         rest = tuple(e for i, e in enumerate(expo) if i not in block)
         return (grevlex_key(inside), grevlex_key(rest))
     return key
+
+
+def scaled_division(p, divisors, blocks, spend=None, full=True):
+    """(the division of p by divisors, all with int coefficients, times s;
+    s) from one ``Layout.reduce`` on a layout of its own: the loop of
+    ``algebra.divide`` before the division by s on its exit."""
+    if not p.terms:
+        return p, 1
+    top = max((d.degree() for d in divisors), default=0)
+    layout = Layout(p.ring.nvars, blocks, field_bound(blocks, p.degree(), top))
+    heads = [(i, *layout.head(d)) for i, d in enumerate(divisors)]
+    rem, s = layout.reduce(layout.pack_terms(p.terms), heads, spend, full)
+    return Poly(p.ring, layout.unpack(rem)), s
 
 
 class BlockOrder:

@@ -2,16 +2,17 @@
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import BlockOrder, block_key
+from conftest import BlockOrder, block_key, scaled_division
 from icotk import algebra
 from icotk.algebra import P2, P4, Poly, Ring, elementary_symmetric, poly_parse
 from icotk.config import FactorBudget
 from icotk.errors import FactorBudgetError, NotDivisibleError, ParseError
-from icotk.groebner import GREVLEX, LEX
+from icotk.groebner import GREVLEX, LEX, normal_form
 from icotk.integers import _is_prime, factorize, int_radical
 
 
@@ -115,6 +116,30 @@ def test_exact_division_failure():
     q = poly_parse("x + 1", P2)
     with pytest.raises(NotDivisibleError):
         p.exact_div(q)
+
+
+def test_exact_division_across_contents():
+    x, y = Poly.variable(P2, "x"), Poly.variable(P2, "y")
+    assert x.exact_div(2 * x) == Fraction(1, 2)
+    assert (Fraction(3, 2) * x * y).exact_div(3 * y) == Fraction(1, 2) * x
+    assert (x * y).exact_div(Fraction(2, 3) * y) == Fraction(3, 2) * x
+
+
+def test_a_scaled_division_that_leaves_a_remainder_is_not_exact():
+    # 2 does not divide 1 or 3: each division scales before it reduces
+    x, y = Poly.variable(P2, "x"), Poly.variable(P2, "y")
+    for p, q in ((x + 1, 2 * x), (3 * x**2 + y, 2 * x - y), (Fraction(1, 3) * x * y, 2 * y - 1)):
+        with pytest.raises(NotDivisibleError):
+            p.exact_div(q)
+
+
+def test_division_by_the_zero_polynomial_is_refused():
+    x, zero = Poly.variable(P2, "x"), Poly.zero(P2)
+    for run in (lambda: normal_form(x, [zero]), lambda: normal_form(x, [x, zero]),
+                lambda: x.exact_div(zero), lambda: zero.exact_div(zero),
+                lambda: algebra.divide(x, [zero], GREVLEX.blocks(3), quotients=True)):
+        with pytest.raises(ZeroDivisionError, match="division by the zero polynomial"):
+            run()
 
 
 @given(polys2)
@@ -551,14 +576,16 @@ def test_packed_division_equals_the_tuple_path(ring, which, degree, full, data):
 
 
 def _scaled_and_exact(p, divisors, order, full):
-    """((remainder, spend() calls) with scale=True, the same without)."""
-    runs = []
-    for scale in (True, False):
-        spent = []
-        rem = algebra.divide(p, divisors, order.blocks(p.ring.nvars),
-                             lambda: spent.append(1), full, scale=scale)
-        runs.append((rem, len(spent)))
-    return runs
+    """((Layout.reduce's result times s, s, spend() calls), (divide's result,
+    spend() calls)), the latter checked against the tuple loop over Q."""
+    blocks = order.blocks(p.ring.nvars)
+    spent = [], [], []
+    scaled, s = scaled_division(p, divisors, blocks, lambda: spent[0].append(1), full)
+    exact = algebra.divide(p, divisors, blocks, lambda: spent[1].append(1), full)
+    _, oracle = _tuple_divide(p, divisors, order.key, lambda: spent[2].append(1), full)
+    assert list(exact.terms.items()) == list(oracle.terms.items())
+    assert len(spent[1]) == len(spent[2])
+    return (scaled, s, len(spent[0])), (exact, len(spent[1]))
 
 
 @given(st.sampled_from([P2, P4]), st.integers(0, 2), st.integers(0, 6), st.booleans(),
@@ -570,33 +597,63 @@ def test_scaled_division_is_the_exact_one_times_an_int(ring, which, degree, full
     divisors = data.draw(st.lists(
         st.integers(0, 3).flatmap(lambda d: _of_degree(ring, d, 3, ints)),
         min_size=1, max_size=3))
-    (scaled, steps), (exact, want_steps) = _scaled_and_exact(p, divisors, order, full)
+    (scaled, s, steps), (exact, want_steps) = _scaled_and_exact(p, divisors, order, full)
     assert steps == want_steps
     assert all(type(c) is int for c in scaled.terms.values())
-    # the same support, in the same order, and one positive int factor
+    # the same support, in the same order, and one positive int factor: s
     assert list(scaled.terms) == list(exact.terms)
-    if exact.terms:
-        factor = Fraction(next(iter(scaled.terms.values()))) / next(iter(exact.terms.values()))
-        assert factor.denominator == 1 and factor > 0
-        assert scaled == exact * factor.numerator
+    assert type(s) is int and s > 0
+    assert scaled == exact * s
 
 
 def test_scaled_division_scales_what_is_done_and_what_is_left():
     # y^2 + 3xz by 2x - z: y^2 is done first, then 3xz scales it by 2
     x, y, z = (Poly.variable(P2, n) for n in "xyz")
-    (scaled, steps), (exact, _) = _scaled_and_exact(y**2 + 3 * x * z, [2 * x - z],
-                                                    GREVLEX, True)
-    assert (scaled, steps) == (2 * y**2 + 3 * z**2, 1)
+    (scaled, s, steps), (exact, _) = _scaled_and_exact(y**2 + 3 * x * z, [2 * x - z],
+                                                       GREVLEX, True)
+    assert (scaled, s, steps) == (2 * y**2 + 3 * z**2, 2, 1)
     assert exact == y**2 + Fraction(3, 2) * z**2
     # 3x^2 + y^2 by 2x - y: x^2 and then x*y each scale what is left by 2
-    (scaled, steps), (exact, _) = _scaled_and_exact(3 * x**2 + y**2, [2 * x - y],
-                                                    GREVLEX, True)
-    assert (scaled, steps) == (7 * y**2, 2)
+    (scaled, s, steps), (exact, _) = _scaled_and_exact(3 * x**2 + y**2, [2 * x - y],
+                                                       GREVLEX, True)
+    assert (scaled, s, steps) == (7 * y**2, 4, 2)
     assert exact == Fraction(7, 4) * y**2
-    # a Fraction coefficient keeps the exact division
-    (scaled, _), (exact, _) = _scaled_and_exact(Fraction(1, 3) * x**2 + y, [2 * x - y],
-                                                GREVLEX, True)
-    assert scaled == exact == Fraction(1, 12) * y**2 + y
+    # a Fraction coefficient keeps the exact division: divide clears the
+    # denominator 3 on entry and divides by it and by s = 4 on exit
+    p, blocks = Fraction(1, 3) * x**2 + y, GREVLEX.blocks(3)
+    assert scaled_division(3 * p, [2 * x - y], blocks) == (y**2 + 12 * y, 4)
+    assert algebra.divide(p, [2 * x - y], blocks) == Fraction(1, 12) * y**2 + y
+
+
+@given(st.sampled_from([P2, P4]), st.integers(0, 4), st.booleans(), st.data())
+@settings(max_examples=50)
+def test_division_reduces_over_the_integers_only(ring, which, full, data):
+    """Rational p and divisors reach Layout.reduce with int coefficients
+    only, through normal_form, exact_div and divide with quotients, and
+    their results are the tuple loop's over Q."""
+    order = _orders(ring)[which]
+    p = data.draw(_of_degree(ring, data.draw(st.integers(0, 5)), 6))
+    divisors = data.draw(st.lists(
+        st.integers(0, 2).flatmap(lambda d: _of_degree(ring, d, 2)), min_size=1, max_size=3))
+    calls, seen, reduce = [], [], algebra.Layout.reduce
+
+    def spy(self, rem, heads, *args):
+        calls.append(1)
+        seen.extend(rem.values())
+        for *_, lc, tail in heads:
+            seen.extend([lc, *(c for _, c in tail)])
+        return reduce(self, rem, heads, *args)
+
+    with mock.patch.object(algebra.Layout, "reduce", spy):
+        quots, rem = algebra.divide(p, divisors, order.blocks(ring.nvars), full=full,
+                                    quotients=True)
+        nf = normal_form(p, divisors, order)
+        assert (p * divisors[0]).exact_div(divisors[0]) == p
+    assert len(calls) == 3 and all(type(c) is int for c in seen)
+    want_quots, want_rem = _tuple_divide(p, divisors, order.key, None, full)
+    assert [list(q.terms.items()) for q in (*quots, rem)] == \
+        [list(q.terms.items()) for q in (*want_quots, want_rem)]
+    assert nf == _tuple_divide(p, divisors, order.key)[1]
 
 
 def test_packed_division_at_the_width_edges():

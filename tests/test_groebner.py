@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BlockOrder
+from conftest import BlockOrder, scaled_division
 from icotk import algebra, groebner
 from icotk.algebra import P2, P4, Poly, elementary_symmetric, grevlex_key, poly_parse
 from icotk.config import GroebnerBudget
@@ -29,7 +29,6 @@ from icotk.groebner import (
     _divides,
     _leading,
     _sorted_by_leading,
-    _strip,
     arithmetic_genus,
     dim_degree,
     hilbert_function,
@@ -280,9 +279,10 @@ def _oracle_spoly(f, fe, g, ge):
 
 
 def _oracle_basis(gens, order, spend):
-    """Buchberger with Poly S-polynomials and one ``divide`` per reduction,
-    each packing its divisors afresh: the oracle for the run's one layout."""
-    basis = [_strip(g) for g in gens if not g.is_zero()]
+    """Buchberger with Poly S-polynomials and one scaled division per
+    reduction, each packing its divisors afresh: the oracle for the run's
+    one layout."""
+    basis = [g.primitive_part() for g in gens if not g.is_zero()]
     if not basis:
         return []
     blocks = order.blocks(basis[0].ring.nvars)
@@ -308,9 +308,9 @@ def _oracle_basis(gens, order, spend):
         ):
             continue
         s = _oracle_spoly(basis[i], lts[i], basis[j], lts[j])
-        rem = algebra.divide(s, basis, blocks, spend, full=False, scale=True)
+        rem, _ = scaled_division(s, basis, blocks, spend, full=False)
         if rem.terms:
-            basis.append(_strip(rem))
+            basis.append(rem.primitive_part())
             sugar.append(basis[-1].degree())
             lts.append(_leading(basis[-1], order)[0])
             for k in range(len(basis) - 1):
@@ -323,9 +323,9 @@ def _oracle_basis(gens, order, spend):
     reduced = []
     for i, (e, g) in enumerate(keep):
         others = [h for _, h in keep[:i] + keep[i + 1:]]
-        done = algebra.divide(g, others, blocks, spend, scale=True)
+        done, _ = scaled_division(g, others, blocks, spend)
         if done.terms:
-            reduced.append((e, _strip(done)))
+            reduced.append((e, done.primitive_part()))
     return [g for _, g in _sorted_by_leading(reduced, order)]
 
 
