@@ -169,7 +169,18 @@ MUTANTS = [
            "            if not points and _sigma24(pt.coords) != (0, 0):\n"
            "                raise AssertionError(f\"scan emitted",
            (f"{TF}::test_scan_rechecks_every_point_on_the_surface",),
-           "every reported point is checked on the surface"),
+           "the expansion every scan shares checks each point it builds on the surface"),
+    Mutant("z-scan-orbit-filter-not-invariant", F,
+           "return any(abs(c) > 1 for c in orbit) and z_member(orbit)",
+           "return orbit[-1] > 1 and z_member(orbit)",
+           (f"{TF}::test_the_z_orbit_filter_is_the_point_filter",),
+           "an orbit filter must give one answer on every point of the orbit; "
+           "the canonical tuple's last entry can be 1 on a nontrivial orbit"),
+    Mutant("instance-filter-tests-only-the-orbit-tuple", F,
+           "points = _expand(_orbits(B), lambda t: inst.lhs(t) == 0)",
+           "points = _expand(o for o in _orbits(B) if inst.lhs(o) == 0)",
+           (f"{TF}::test_scan_instance_split",),
+           "the instance equation is not symmetric: each permutation is tested"),
     Mutant("orbit-without-negation", F,
            "return min(up, tuple(map(int.__neg__, reversed(up))))",
            "return up",

@@ -447,9 +447,11 @@ class Poly:
 
     def exact_div(self, q: "Poly") -> "Poly":
         """Return self / q if the division is exact, else NotDivisibleError."""
-        q = self._coerce(q)
+        divisor = self._coerce(q)
+        if divisor is NotImplemented:
+            raise TypeError(f"cannot divide a polynomial by {q!r}")
         grevlex = (tuple(range(self.ring.nvars)),)  # one block of every variable
-        (quot,), rem = divide(self, [q], grevlex, full=False, quotients=True)
+        (quot,), rem = divide(self, [divisor], grevlex, full=False, quotients=True)
         if rem.terms:
             raise NotDivisibleError("not divisible")
         return quot

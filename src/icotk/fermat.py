@@ -29,7 +29,19 @@ sigma_2 and sigma_4 are symmetric and of even degree: they take one value
 on a whole orbit of S_5 x {+-1} (permuting and negating coordinates), and
 the scan's point set is a union of such orbits.  So nothing is lost when
 the enumeration returns one canonical tuple per orbit and only the report
-expands each orbit into its points.
+expands each orbit into its points.  The filtered scans decide before they
+build a point, and each test is exact:
+
+* "some |c| > 1" reads only the multiset of the |c|, which permuting and
+  negating coordinates keep; so it holds on an orbit's canonical tuple iff
+  on each of its points.
+* ``z_member`` asks that each coordinate be 0 or equal up to sign to
+  another: permuting relabels the coordinates and negating changes no |c|,
+  so it too holds on the whole orbit or on none of it.
+* sum a_i x_i^n at -x is (-1)^n times its value at x, so its zero set is
+  closed under negation.  A permutation of a primitive tuple is primitive,
+  so ``ProjPoint`` at most negates it, and testing the raw permutation
+  decides the point.
 
 The same evenness pairs the sorted triple t = (a, b, c) with its mirror
 t' = (-c, -b, -a), and the scan completes only the one with a + c >= 0.
@@ -213,34 +225,43 @@ class ScanReport(namedtuple("ScanReport", "B strategy points millis")):
         return not self.nontrivial
 
 
+def _orbits(B: int) -> set:
+    """The canonical tuples of the orbits of the scan up to B."""
+    if B < 1:
+        raise ValueError("B >= 1 required")
+    return _scan_chunk((B, range(-B, B + 1)))
+
+
+def _expand(orbits, keep=None) -> tuple:
+    """The sorted ProjPoints of the orbits' distinct permutations that pass
+    keep (all of them when keep is None), each re-checked on the surface."""
+    points = {}  # by coordinates, which order and compare in C
+    for orbit in orbits:
+        for perm in filter(keep, set(itertools.permutations(orbit))):
+            pt = ProjPoint(perm)
+            if _sigma24(pt.coords) != (0, 0):
+                raise AssertionError(f"scan emitted an off-surface point {pt}")
+            points[pt.coords] = pt
+    return tuple(map(points.__getitem__, sorted(points)))
+
+
 def scan_surface(B: int, threads: int | None = None) -> ScanReport:
     """All primitive surface points (up to sign) whose three smallest
     absolute coordinates are <= B, enumerated by the 3+2 split.
 
     ``threads`` is accepted and ignored: the scan runs in one process."""
-    if B < 1:
-        raise ValueError("B >= 1 required")
     t0 = time.perf_counter()
-    points = {}  # by coordinates, which order and compare in C
-    for orbit in _scan_chunk((B, list(range(-B, B + 1)))):
-        for perm in set(itertools.permutations(orbit)):
-            pt = ProjPoint(perm)
-            if _sigma24(pt.coords) != (0, 0):
-                raise AssertionError(f"scan emitted an off-surface point {pt}")
-            points[pt.coords] = pt
-    return ScanReport(
-        B=B,
-        strategy="three-two-split",
-        points=tuple(map(points.__getitem__, sorted(points))),
-        millis=(time.perf_counter() - t0) * 1000.0,
-    )
+    points = _expand(_orbits(B))
+    return ScanReport(B, "three-two-split", points, (time.perf_counter() - t0) * 1000.0)
 
 
 def scan_instance(inst: FermatInstance, B: int, threads: int | None = None) -> ScanReport:
-    """Surface points additionally satisfying the instance equation."""
-    surf = scan_surface(B, threads)
-    kept = tuple(p for p in surf.points if inst.lhs(p.coords) == 0)
-    return ScanReport(B, "three-two-split+instance-filter", kept, surf.millis)
+    """Surface points additionally satisfying the instance equation, tested
+    on each distinct permutation before it becomes a point."""
+    t0 = time.perf_counter()
+    points = _expand(_orbits(B), lambda t: inst.lhs(t) == 0)
+    return ScanReport(B, "three-two-split+instance-filter", points,
+                      (time.perf_counter() - t0) * 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +369,19 @@ def z_member(x) -> bool:
     return ratio
 
 
+def _z_orbit(orbit) -> bool:
+    """Whether an orbit's points are nontrivial points of the Z locus: both
+    tests give one answer on the whole orbit (module docstring)."""
+    return any(abs(c) > 1 for c in orbit) and z_member(orbit)
+
+
 def z_triviality_scan(B: int, threads: int | None = None) -> ScanReport:
     """Non-trivial surface points in the Z locus with three smallest
     coordinates <= B; expected empty (any hit is a finding, not an error)."""
-    surf = scan_surface(B, threads)
-    kept = tuple(p for p in surf.nontrivial if z_member(p))
-    return ScanReport(B, "three-two-split+z-filter", kept, surf.millis)
+    t0 = time.perf_counter()
+    points = _expand(filter(_z_orbit, _orbits(B)))
+    return ScanReport(B, "three-two-split+z-filter", points,
+                      (time.perf_counter() - t0) * 1000.0)
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def normal_form(
     """
     if isinstance(basis, Ideal):
         basis = basis.groebner(order, budget)
-    if p.is_zero() or not basis:
+    if not basis:
         return p
     return divide(p, basis, order.blocks(p.ring.nvars), _Budget(budget.max_reductions).spend)
 

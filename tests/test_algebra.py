@@ -135,11 +135,22 @@ def test_a_scaled_division_that_leaves_a_remainder_is_not_exact():
 
 def test_division_by_the_zero_polynomial_is_refused():
     x, zero = Poly.variable(P2, "x"), Poly.zero(P2)
+    # a zero dividend too: normal_form used to return it before divide saw the basis
     for run in (lambda: normal_form(x, [zero]), lambda: normal_form(x, [x, zero]),
+                lambda: normal_form(zero, [zero]), lambda: normal_form(zero, [x, zero]),
                 lambda: x.exact_div(zero), lambda: zero.exact_div(zero),
                 lambda: algebra.divide(x, [zero], GREVLEX.blocks(3), quotients=True)):
         with pytest.raises(ZeroDivisionError, match="division by the zero polynomial"):
             run()
+
+
+def test_exact_division_by_a_non_polynomial_is_a_type_error():
+    # exact_div passed _coerce's NotImplemented on to divide: AttributeError
+    x = Poly.variable(P2, "x")
+    for other in ("a", 1.5, None):
+        with pytest.raises(TypeError, match="cannot divide a polynomial"):
+            x.exact_div(other)
+    assert (2 * x).exact_div(2) == x
 
 
 @given(polys2)

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from icotk.errors import BudgetExceededError
 from icotk.fermat import (
@@ -20,6 +20,7 @@ from icotk.fermat import (
     _sigma24,
     _signed_divisors,
     _window,
+    _z_orbit,
     scan_instance,
     scan_surface,
     sunit_bounded,
@@ -243,7 +244,9 @@ def test_orbit_is_one_tuple_per_orbit(t5, perm, k):
     assert sorted(rep) in (sorted(c // g for c in t5), sorted(-c // g for c in t5))
 
 
-def test_scan_builds_at_most_two_points_per_reported_point(monkeypatch):
+@pytest.fixture
+def made_points(monkeypatch):
+    """The coordinates of every ProjPoint the fermat module builds."""
     import icotk.fermat as fermat
 
     made = []
@@ -254,9 +257,13 @@ def test_scan_builds_at_most_two_points_per_reported_point(monkeypatch):
             super().__init__(coords)
 
     monkeypatch.setattr(fermat, "ProjPoint", CountingProjPoint)
+    return made
+
+
+def test_scan_builds_at_most_two_points_per_reported_point(made_points):
     rep = scan_surface(30, threads=1)
     assert len(rep.points) == SCAN30_POINTS
-    assert len(made) <= 2 * len(rep.points)
+    assert len(made_points) <= 2 * len(rep.points)
 
 
 def test_scan_rechecks_every_point_on_the_surface(monkeypatch):
@@ -349,6 +356,70 @@ def test_scan_instance_split():
     assert rep.trivial == ()
     assert rep.nontrivial == rep.points
     assert not rep.is_trivial
+
+
+# -- filtered scans against expanding first ----------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _surface_points(B):
+    return scan_surface(B).points
+
+
+def _expand_then_filter(B, keep):
+    """The filtered scans as they ran before they filtered orbits: every
+    point of the surface scan up to B, then the filter on each point."""
+    return tuple(p for p in _surface_points(B) if keep(p.coords))
+
+
+def _nontrivial_z(coords):
+    return any(abs(c) > 1 for c in coords) and z_member(coords)
+
+
+# symmetric and asymmetric coefficients for n = 1, 2, 3, with and without
+# points up to B = 70; (6, -8, -1, -2, 8), n = 1 is the seed-5 benchmark one
+FILTER_INSTANCES = [
+    ((1, 1, 1, 1, 1), 1), ((4, 1, 1, 1, 1), 1), ((6, -8, -1, -2, 8), 1),
+    ((-2, 4, 9, -7, 4), 1), ((1, 1, 1, 1, 1), 2), ((8, 1, 1, -1, -1), 2),
+    ((-5, 4, 4, -3, 2), 2), ((16, 1, 1, 1, 1), 3), ((-2, 8, 8, 3, -7), 3),
+]
+
+
+@pytest.mark.parametrize("B", [1, 2, 8, 30, 70])
+def test_the_z_scan_equals_expanding_first(B):
+    assert z_triviality_scan(B).points == _expand_then_filter(B, _nontrivial_z)
+
+
+@pytest.mark.parametrize("B", [1, 2, 8, 30, 70])
+def test_instance_scans_equal_expanding_first(B):
+    for a, n in FILTER_INSTANCES:
+        inst = FermatInstance(a, n)
+        expected = _expand_then_filter(B, lambda c: inst.lhs(c) == 0)
+        assert scan_instance(inst, B).points == expected, (a, n)
+
+
+@given(st.tuples(*[st.integers(-3, 3)] * 5).filter(lambda t: math.gcd(*t) == 1))
+@example((-2, -2, 0, 1, 1))  # its orbit's tuple ends in 1
+@settings(max_examples=300)
+def test_the_z_orbit_filter_is_the_point_filter(t):
+    # the z-scan is empty at every tested bound, so only this test sees the
+    # orbit filter give a different answer than the filter on the points
+    assert _z_orbit(_orbit(t)) == _nontrivial_z(t)
+
+
+def test_an_empty_z_scan_builds_no_point(made_points):
+    assert z_triviality_scan(30).points == ()
+    assert made_points == []
+
+
+@pytest.mark.parametrize("a, n, count", [
+    ((1, 1, 1, 1, 1), 1, 0), ((4, 1, 1, 1, 1), 1, 6), ((-2, 4, 9, -7, 4), 1, 10),
+])
+def test_an_instance_scan_builds_at_most_two_points_per_reported_point(
+        made_points, a, n, count):
+    rep = scan_instance(FermatInstance(a, n), 70)
+    assert len(rep.points) == count
+    assert len(made_points) <= 2 * count
 
 
 # -- unit reduction ----------------------------------------------------------------

@@ -335,11 +335,15 @@ print(json.dumps({"code": code, "ran": ran}), file=sys.stderr)
     (["--version"], ["config", "errors"], True),
     (["fermat", "unit-reduce", "-a", "1,-1,2,1,-3", "-n", "1", "-x", "1,1,1,1,1"],
      ["config", "errors", "fermat", "integers"], False),
+    (["fermat", "z-scan", "-B", "30"], ["config", "errors", "fermat", "integers"], False),
+    (["fermat", "scan", "-a", "1,1,1,1,1", "-n", "1", "-B", "30"],
+     ["config", "errors", "fermat", "integers"], False),
     (["groebner", "-i", "x0"], ["algebra", "config", "errors", "groebner"], False),
     (["genus", "-n", "2"], ["config", "errors", "ico_models"], False),
     (["suite", "ttau"],
      ["algebra", "config", "errors", "groebner", "ico_surface", "integers"], False),
-], ids=["bound-thmE", "version", "fermat-unit-reduce", "groebner", "genus", "suite-ttau"])
+], ids=["bound-thmE", "version", "fermat-unit-reduce", "fermat-z-scan", "fermat-scan",
+        "groebner", "genus", "suite-ttau"])
 def test_a_cold_light_command_runs_only_the_modules_it_reaches(argv, ran, light):
     proc = _fresh_python("-W", "error", "-c", RUN_AS_MAIN, *argv)
     report = json.loads(proc.stderr.splitlines()[-1])
