@@ -164,12 +164,23 @@ MUTANTS = [
            "a + b*phi equals c + d*phi only when b = d"),
     # -- the surface scan
     Mutant("scan-rechecks-only-the-first-point", F,
-           "            if _sigma24(pt.coords) != (0, 0):\n"
-           "                raise AssertionError(f\"scan emitted",
-           "            if not points and _sigma24(pt.coords) != (0, 0):\n"
-           "                raise AssertionError(f\"scan emitted",
+           "    for c in coords:\n        if _sigma24(c) != (0, 0):",
+           "    for c in coords[:1]:\n        if _sigma24(c) != (0, 0):",
            (f"{TF}::test_scan_rechecks_every_point_on_the_surface",),
            "the expansion every scan shares checks each point it builds on the surface"),
+    Mutant("expand-drops-the-negated-orbit", F,
+           "        signed = itertools.chain(itertools.permutations(u),\n"
+           "                                 itertools.permutations(tuple(map(int.__neg__, u))))\n",
+           "        signed = itertools.permutations(u)\n",
+           (f"{TF}::test_scan_b1_is_the_coordinate_points",),
+           "the points of an orbit are the permutations of u and of -u above 0^5; "
+           "u = (-1, 0, 0, 0, 0) has none of its points among its own permutations"),
+    Mutant("expand-keeps-both-signs", F,
+           "coords += set(filter((0, 0, 0, 0, 0).__lt__, signed))",
+           "coords += set(signed)",
+           (f"{TF}::test_scan_b1_is_the_coordinate_points",),
+           "a point is p or -p, whichever compares above 0^5; keeping both "
+           "reports each point twice"),
     Mutant("z-scan-orbit-filter-not-invariant", F,
            "return any(abs(c) > 1 for c in orbit) and z_member(orbit)",
            "return orbit[-1] > 1 and z_member(orbit)",

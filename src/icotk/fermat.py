@@ -39,9 +39,15 @@ build a point, and each test is exact:
   another: permuting relabels the coordinates and negating changes no |c|,
   so it too holds on the whole orbit or on none of it.
 * sum a_i x_i^n at -x is (-1)^n times its value at x, so its zero set is
-  closed under negation.  A permutation of a primitive tuple is primitive,
-  so ``ProjPoint`` at most negates it, and testing the raw permutation
+  closed under negation, and testing a point's canonical coordinates
   decides the point.
+
+Each point's canonical coordinates are built once.  Of a tuple p != 0 and
+-p exactly one compares above 0^5 as a tuple: the one whose first nonzero
+entry is positive, which is ``ProjPoint``'s sign rule.  ``_orbit`` divides
+by the gcd, and a permutation of a primitive tuple is primitive.  So the
+points of the orbit of u are the distinct permutations of u and -u above
+0^5, already canonical, and distinct orbits share no point.
 
 The same evenness pairs the sorted triple t = (a, b, c) with its mirror
 t' = (-c, -b, -a), and the scan completes only the one with a + c >= 0.
@@ -227,22 +233,30 @@ class ScanReport(namedtuple("ScanReport", "B strategy points millis")):
 
 def _orbits(B: int) -> set:
     """The canonical tuples of the orbits of the scan up to B."""
+    if not isinstance(B, int):
+        raise TypeError(f"B {B!r} is not an int")
     if B < 1:
         raise ValueError("B >= 1 required")
     return _scan_chunk((B, range(-B, B + 1)))
 
 
 def _expand(orbits, keep=None) -> tuple:
-    """The sorted ProjPoints of the orbits' distinct permutations that pass
-    keep (all of them when keep is None), each re-checked on the surface."""
-    points = {}  # by coordinates, which order and compare in C
-    for orbit in orbits:
-        for perm in filter(keep, set(itertools.permutations(orbit))):
-            pt = ProjPoint(perm)
-            if _sigma24(pt.coords) != (0, 0):
-                raise AssertionError(f"scan emitted an off-surface point {pt}")
-            points[pt.coords] = pt
-    return tuple(map(points.__getitem__, sorted(points)))
+    """The sorted ProjPoints of the orbits' points that pass keep (all of
+    them when keep is None), each re-checked on the surface.  An orbit's
+    points are the distinct permutations of u and -u above 0^5 (module
+    docstring), so each is canonical as built."""
+    coords = []
+    for u in orbits:
+        if math.gcd(*u) != 1:
+            raise AssertionError(f"scan emitted a non-primitive orbit {u}")
+        signed = itertools.chain(itertools.permutations(u),
+                                 itertools.permutations(tuple(map(int.__neg__, u))))
+        coords += set(filter((0, 0, 0, 0, 0).__lt__, signed))
+    coords = sorted(filter(keep, coords))
+    for c in coords:
+        if _sigma24(c) != (0, 0):
+            raise AssertionError(f"scan emitted an off-surface point {c}")
+    return tuple(map(ProjPoint._canonical, coords))
 
 
 def scan_surface(B: int, threads: int | None = None) -> ScanReport:
@@ -257,7 +271,7 @@ def scan_surface(B: int, threads: int | None = None) -> ScanReport:
 
 def scan_instance(inst: FermatInstance, B: int, threads: int | None = None) -> ScanReport:
     """Surface points additionally satisfying the instance equation, tested
-    on each distinct permutation before it becomes a point."""
+    on each point's coordinates before it becomes a ProjPoint."""
     t0 = time.perf_counter()
     points = _expand(_orbits(B), lambda t: inst.lhs(t) == 0)
     return ScanReport(B, "three-two-split+instance-filter", points,

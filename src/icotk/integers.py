@@ -51,6 +51,16 @@ class ProjPoint:
             g = -g
         self.coords = t if g == 1 else tuple(map(neg, t)) if g == -1 else tuple(c // g for c in t)
 
+    @classmethod
+    def _canonical(cls, coords):
+        """The point of coordinates that are already canonical, unchecked:
+        coords must be a tuple of ints with gcd 1 whose first nonzero entry
+        is positive.  Only the surface scan's expansion, which derives them
+        so, may call it."""
+        pt = object.__new__(cls)
+        pt.coords = coords
+        return pt
+
     def __iter__(self):
         return iter(self.coords)
 

@@ -15,7 +15,9 @@ from icotk.errors import BudgetExceededError
 from icotk.fermat import (
     FermatInstance,
     _complete_triple,
+    _expand,
     _orbit,
+    _orbits,
     _scan_chunk,
     _sigma24,
     _signed_divisors,
@@ -246,7 +248,8 @@ def test_orbit_is_one_tuple_per_orbit(t5, perm, k):
 
 @pytest.fixture
 def made_points(monkeypatch):
-    """The coordinates of every ProjPoint the fermat module builds."""
+    """The coordinates of every ProjPoint the fermat module builds, by the
+    checking constructor or the trusted one."""
     import icotk.fermat as fermat
 
     made = []
@@ -256,14 +259,19 @@ def made_points(monkeypatch):
             made.append(coords)
             super().__init__(coords)
 
+        @classmethod
+        def _canonical(cls, coords):
+            made.append(coords)
+            return super()._canonical(coords)
+
     monkeypatch.setattr(fermat, "ProjPoint", CountingProjPoint)
     return made
 
 
-def test_scan_builds_at_most_two_points_per_reported_point(made_points):
+def test_scan_builds_one_point_per_reported_point(made_points):
     rep = scan_surface(30, threads=1)
     assert len(rep.points) == SCAN30_POINTS
-    assert len(made_points) <= 2 * len(rep.points)
+    assert made_points == [p.coords for p in rep.points]
 
 
 def test_scan_rechecks_every_point_on_the_surface(monkeypatch):
@@ -298,6 +306,15 @@ def test_trivial_and_nontrivial_split_the_points_in_order():
 def test_scan_rejects_bad_bound():
     with pytest.raises(ValueError):
         scan_surface(0)
+
+
+@pytest.mark.parametrize("B", [2.5, 3.0, "3", None])
+def test_scans_refuse_a_bound_that_is_not_an_int(B):
+    # a float used to fail inside range(), a str at the comparison with 1
+    for scan in (scan_surface, z_triviality_scan,
+                 lambda B: scan_instance(FermatInstance((1, 1, 1, 1, 1), 1), B)):
+        with pytest.raises(TypeError, match=r"B .* is not an int"):
+            scan(B)
 
 
 # -- instances -------------------------------------------------------------------
@@ -396,6 +413,45 @@ def test_instance_scans_equal_expanding_first(B):
         inst = FermatInstance(a, n)
         expected = _expand_then_filter(B, lambda c: inst.lhs(c) == 0)
         assert scan_instance(inst, B).points == expected, (a, n)
+
+
+def _expand_by_projpoint(orbits, keep=None):
+    """The expansion as it ran before it built canonical coordinates itself:
+    each distinct permutation that passes keep through ProjPoint, duplicates
+    dropped by coordinates, then sorted."""
+    points = {}
+    for orbit in orbits:
+        for perm in filter(keep, set(itertools.permutations(orbit))):
+            pt = ProjPoint(perm)
+            points[pt.coords] = pt
+    return tuple(map(points.__getitem__, sorted(points)))
+
+
+@pytest.mark.parametrize("B", [1, 2, 8, 30, 70, 200])
+def test_the_expansion_equals_canonicalizing_each_permutation(B):
+    orbits = _orbits(B)
+    points = _expand(orbits)
+    assert points == _expand_by_projpoint(orbits)
+    for p in points:
+        q = ProjPoint(p.coords)
+        assert type(p) is ProjPoint
+        assert q == p and hash(q) == hash(p)
+
+
+def test_the_expansion_refuses_a_non_primitive_orbit():
+    with pytest.raises(AssertionError, match="non-primitive"):
+        _expand([(-2, 0, 0, 0, 0)])
+
+
+def test_filtered_expansions_equal_canonicalizing_each_permutation():
+    orbits = _orbits(70)
+    for a, n in FILTER_INSTANCES:
+        inst = FermatInstance(a, n)
+
+        def keep(c):
+            return inst.lhs(c) == 0
+
+        assert _expand(orbits, keep) == _expand_by_projpoint(orbits, keep), (a, n)
 
 
 @given(st.tuples(*[st.integers(-3, 3)] * 5).filter(lambda t: math.gcd(*t) == 1))

@@ -2,7 +2,8 @@
 every top-level function or class is used outside its own definition (a
 private one by the program itself), every name the package exports is used
 by the program or the acceptance gate and resolves in the module the
-package's table names, every name the benchmark's tracer looks up in icotk
+package's table names, a constructor that skips its checks has only its
+allowed callers, every name the benchmark's tracer looks up in icotk
 exists and it installs after a cold import of the command line, and a cold
 command stays light: no heavy standard module, and no icotk module it does
 not reach."""
@@ -208,6 +209,41 @@ def test_every_export_resolves_in_the_module_its_table_names():
                 assert value.__module__ == owner.__name__, f"{module}.{name} is defined elsewhere"
     with pytest.raises(AttributeError, match="no_such_name"):
         icotk.no_such_name
+
+
+# -- trusted constructors ----------------------------------------------------------
+# A constructor that skips its checks, and the only functions of the program
+# that may call it: each derives the checked property itself.
+TRUSTED = [("integers.ProjPoint._canonical", ["fermat._expand"])]
+
+
+def _callers(attr, modules):
+    """'module.function' (or 'module.Class.method') for each top-level
+    definition of the modules that reads the attribute attr."""
+    found = set()
+    for path in modules:
+        for top in ast.parse(path.read_text()).body:
+            defs = [top] if not isinstance(top, ast.ClassDef) else top.body
+            for node in defs:
+                if any(isinstance(n, ast.Attribute) and n.attr == attr for n in ast.walk(node)):
+                    name = getattr(node, "name", f"line {node.lineno}")
+                    inner = f"{top.name}.{name}" if node is not top else name
+                    found.add(f"{path.stem}.{inner}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("trusted, callers", TRUSTED, ids=[t for t, _ in TRUSTED])
+def test_a_trusted_constructor_has_only_its_allowed_callers(trusted, callers):
+    assert _callers(trusted.rsplit(".", 1)[1], MODULES) == callers
+
+
+def test_the_check_sees_every_caller_of_a_trusted_constructor(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("class P:\n    @classmethod\n    def _fast(cls, c):\n        return cls()\n\n"
+                   "    def copy(self):\n        return P._fast(1)\n\n"
+                   "def build():\n    return P._fast(2)\n\n"
+                   "FAST = P._fast\n")
+    assert _callers("_fast", [lib]) == ["lib.P.copy", "lib.build", "lib.line 12"]
 
 
 # -- the tracer contract ---------------------------------------------------------
