@@ -113,6 +113,11 @@ MUTANTS = [
            "enumerate(expansion[1:], 1) if a",
            (f"{TG}::test_the_expansion_at_one_equals_pole_cancellation",),
            "the zero ideal has a_0 = 1 and Krull dimension n"),
+    Mutant("genus-reads-one-term-too-many", G,
+           "data.expansion[data.nvars - data.krull_dim:data.nvars]",
+           "data.expansion[data.nvars - data.krull_dim - 1:data.nvars]",
+           (f"{TG}::test_curve_section_genus",),
+           "P(0) sums a_j over j0 <= j < n; on P1, j0 = 0 and the slice from -1 is empty"),
     Mutant("hilbert-pivot-on-the-least-exponent", G,
            "p = exps[(len(exps) - 1) // 2]",
            "p = exps[0]",
@@ -125,6 +130,11 @@ MUTANTS = [
            "",
            (f"{TM}::test_basis_pure_power_relation_is_detected",),
            "a pure power of the basis is checked, not assumed, to be independent"),
+    Mutant("phi-divides-by-twelve", M,
+           "(z + 4) // 24",
+           "(z + 4) // 12",
+           (f"{TM}::test_genus_phi_sum_closed_forms",),
+           "phi(z) = C(z + 4, 4), the product of four consecutive integers over 4!"),
     # -- points
     Mutant("proj-point-keeps-a-negative-lead", INT,
            "            g = -g\n",
@@ -257,6 +267,16 @@ MUTANTS = [
            "images = tuple(x * a + y * b + z * c for a, b, c in U)",
            (f"{TP}::test_kept_transforms_equal_the_per_curve_search",),
            "a form moves by v = A*w: its images are the rows of A, not of U = A^-1"),
+    Mutant("unitriangular-inverse-corner-sign", PC,
+           "l10 * l21 - l20",
+           "l20 - l10 * l21",
+           (f"{TP}::test_kept_transforms_equal_the_per_curve_search",),
+           "the corner of the inverse of [[1,0,0],[a,1,0],[b,c,1]] is ac - b"),
+    Mutant("stage2-misses-a-common-component", PC,
+           "if not any(uni):",
+           "if False:",
+           (f"{TP}::test_stage2_names_a_common_component",),
+           "an identically zero resultant means a common component, named as such"),
     Mutant("stage2-keeps-the-pair-projection", PC,
            "(*lines, _pair_quadratic(moved[-2]))",
            "tuple(lines)",

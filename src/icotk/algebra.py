@@ -782,11 +782,12 @@ def divide(p: Poly, divisors, blocks, spend=None, full=True, quotients=False):
 
     Returns the remainder r, or with ``quotients=True`` the pair
     ``(quotients, r)`` with p = sum(q_i * d_i) + r; a zero divisor raises
-    ZeroDivisionError.  The loop (``Layout.reduce``) runs over Z on p and
-    the divisors times their denominators' lcm: where lc does not divide c
-    it first multiplies the terms left and done and the quotients by
-    |lc|/gcd(c, lc).  Supports, steps and spend() calls are those over Q;
-    on exit r and the quotients are divided by those factors and lcms.
+    ZeroDivisionError, and a divisor of another ring ValueError.  The loop
+    (``Layout.reduce``) runs over Z on p and the divisors times their
+    denominators' lcm: where lc does not divide c it first multiplies the
+    terms left and done and the quotients by |lc|/gcd(c, lc).  Supports,
+    steps and spend() calls are those over Q; on exit r and the quotients
+    are divided by those factors and lcms.
 
     Monomials are packed (Monagan & Pearce, CASC 2007): the exponent vector
     e becomes the int K(e) whose fields are, from the top, for each block
@@ -825,6 +826,8 @@ def divide(p: Poly, divisors, blocks, spend=None, full=True, quotients=False):
 
     The terms are packed on entry and unpacked on exit in the same order,
     so the result's dicts are ordered as on exponent tuples."""
+    if any(d.ring != p.ring for d in divisors):
+        raise ValueError("mixed rings")
     if not all(d.terms for d in divisors):
         raise ZeroDivisionError("division by the zero polynomial")
     if not p.terms:

@@ -13,7 +13,6 @@ exactly one canonical printout.  Each Ideal keeps its bases in memory.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb
 
@@ -89,10 +88,8 @@ def normal_form(
     """Full remainder of p on division by a polynomial list.
 
     For a (reduced) Groebner basis this is the unique normal form: zero iff
-    p lies in the ideal.  Accepts Ideal too, computing its basis on demand.
+    p lies in the ideal.
     """
-    if isinstance(basis, Ideal):
-        basis = basis.groebner(order, budget)
     if not basis:
         return p
     return divide(p, basis, order.blocks(p.ring.nvars), _Budget(budget.max_reductions).spend)
@@ -217,11 +214,14 @@ class Ideal:
     """Generator list plus per-order reduced Groebner bases and the Hilbert
     data of the grevlex one, each computed on the first request that
     succeeds; every later caller gets that same object, never mutated.
+    A generator outside ``ring`` raises ValueError.
     """
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
         self.gens = tuple(g for g in gens)
+        if any(g.ring != ring for g in self.gens):
+            raise ValueError("mixed rings")
         self._bases: dict = {}
         self._hilbert = None
 
@@ -309,7 +309,8 @@ class HilbertData(namedtuple("HilbertData", "nvars numerator expansion krull_dim
     t, and (1-t)^-(n-j) = sum_d C(d+n-j-1, n-j-1) t^d.  With a_j0 the first
     nonzero a_j, krull_dim is n - j0, degree is a_j0, the projective
     dimension is krull_dim - 1, and the Hilbert polynomial is
-    P(d) = sum over j0 <= j < n of a_j C(d+n-j-1, n-j-1).
+    P(d) = sum over j0 <= j < n of a_j C(d+n-j-1, n-j-1).  At d = 0 each
+    C(n-j-1, n-j-1) is 1, so P(0) = sum over j0 <= j < n of a_j, an int.
     """
 
     __slots__ = ()
@@ -320,18 +321,6 @@ class HilbertData(namedtuple("HilbertData", "nvars numerator expansion krull_dim
         for i, c in self.numerator:
             if d - i >= 0:
                 total += c * comb(d - i + n - 1, n - 1)
-        return total
-
-    def hilbert_polynomial_at(self, d) -> Fraction:
-        """The Hilbert polynomial (exact, as a Fraction) evaluated at d --
-        valid as a polynomial identity, also below the regularity index."""
-        n = self.nvars
-        total = Fraction(0)
-        for j in range(n - self.krull_dim, n):
-            term = Fraction(self.expansion[j])
-            for i in range(1, n - j):  # C(d+m, m) as a polynomial in d, m = n-j-1
-                term *= Fraction(d + i) / i
-            total += term
         return total
 
 
@@ -387,7 +376,4 @@ def arithmetic_genus(I: Ideal, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> in
         raise ValueError(
             f"arithmetic genus needs projective dimension 1, got {data.krull_dim - 1}"
         )
-    p0 = data.hilbert_polynomial_at(0)
-    if p0.denominator != 1:
-        raise ArithmeticError("Hilbert polynomial not integral at 0")
-    return 1 - int(p0)
+    return 1 - sum(data.expansion[data.nvars - data.krull_dim:data.nvars])

@@ -10,7 +10,6 @@ five coordinate points.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 # modules, not names: each runs on first use, and the genus formulas use none
@@ -154,20 +153,18 @@ def general_model(n: int, v, budget: GroebnerBudget = DEFAULT_GB_BUDGET) -> IcoM
 def genus_phi_sum(degrees) -> int:
     """Arithmetic genus of a complete-intersection curve in P4 by the
     inclusion-exclusion sum over the three hypersurface degrees, using
-    phi(z) = (z+1)(z+2)(z+3)(z+4)/24."""
+    phi(z) = (z+1)(z+2)(z+3)(z+4)/24 = C(z+4, 4), exact in ints: 24 = 4!
+    divides any product of four consecutive integers."""
     d1, d2, d3 = degrees
 
-    def phi(z: int) -> Fraction:
-        return Fraction((z + 1) * (z + 2) * (z + 3) * (z + 4), 24)
+    def phi(z: int) -> int:
+        return (z + 1) * (z + 2) * (z + 3) * (z + 4) // 24
 
     singles = [d1, d2, d3]
     pairs = [d1 + d2, d1 + d3, d2 + d3]
-    total = sum(phi(-d) for d in singles) - sum(phi(-d) for d in pairs) + phi(
+    return sum(phi(-d) for d in singles) - sum(phi(-d) for d in pairs) + phi(
         -(d1 + d2 + d3)
     )
-    if total.denominator != 1:
-        raise ArithmeticError("phi-sum did not produce an integer")
-    return int(total)
 
 
 def genus_general(n: int) -> int:

@@ -28,7 +28,7 @@ from math import gcd, prod
 from .algebra import P2, P4, Phi, Poly, elementary_symmetric, poly_parse
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
 from .errors import BasePointError, NotOnSurfaceError
-from .groebner import Ideal, normal_form
+from .groebner import GREVLEX, Ideal, normal_form
 from .integers import ProjPoint
 
 
@@ -271,7 +271,7 @@ def verify_identities(
         checks.append(("lambda == (t0*t1*t2*t3*sum(t))^6 * v",
                        lam == core**6 * geo.v))
         if symbolic_c:
-            surface = geo.surface_ideal()
+            surface = geo.surface_ideal().groebner(GREVLEX, budget)
             taurho = [t.substitute(geo.rho) for t in geo.tau]
             ok = True
             for i in range(5):

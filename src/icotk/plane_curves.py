@@ -172,19 +172,19 @@ def _admissible(geo):
     """In a fixed trial order, each unimodular U (with inverse A) such that,
     in the new coordinates, the center (1:0:0) lies off C_tau and the eight
     T_tau points have pairwise distinct (y:z) projections.  Both conditions
-    fail only on proper closed loci, so a small deterministic search lands."""
+    fail only on proper closed loci, so a small deterministic search lands.
+    A trial draws the shear entries of unitriangular lo and up; U = up*lo and
+    A = lo^-1 * up^-1, by the closed-form unitriangular inverses."""
     quad = geo.ttau_quadratic
     pts = [p.coords for p in geo.ttau_rational] + [quad.coords, quad.conjugate()]
     x, y, z = (Poly.variable(P2, n) for n in P2.names)
     for trial in range(500):
         rng = random.Random(1_000_003 * trial + 7)
-        lo = [[1, 0, 0], [rng.randint(-3, 3), 1, 0], [rng.randint(-3, 3), rng.randint(-3, 3), 1]]
-        up = [[1, rng.randint(-3, 3), rng.randint(-3, 3)], [0, 1, rng.randint(-3, 3)], [0, 0, 1]]
-        U = tuple(
-            tuple(sum(up[i][k] * lo[k][j] for k in range(3)) for j in range(3))
-            for i in range(3)
-        )
-        A = _adjugate3(U)
+        l10, l20, l21, u01, u02, u12 = (rng.randint(-3, 3) for _ in range(6))
+        U = _product3(((1, u01, u02), (0, 1, u12), (0, 0, 1)),
+                      ((1, 0, 0), (l10, 1, 0), (l20, l21, 1)))
+        A = _product3(((1, 0, 0), (-l10, 1, 0), (l10 * l21 - l20, -l21, 1)),
+                      ((1, -u01, u01 * u12 - u02), (0, 1, -u12), (0, 0, 1)))
         center = tuple(A[i][0] for i in range(3))
         if any(g.evaluate(center) == 0 for g in geo.ctau_factors()):
             continue
@@ -229,17 +229,9 @@ def _stage1(curve: PlaneCurve):
 # ---------------------------------------------------------------------------
 
 
-def _adjugate3(m):
-    def cof(i, j):
-        r = [k for k in range(3) if k != i]
-        c = [k for k in range(3) if k != j]
-        det = (
-            m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-        )
-        return det if (i + j) % 2 == 0 else -det
-
-    # adjugate = transposed cofactor matrix
-    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
+def _product3(m, n):
+    """The 3x3 matrix product m*n."""
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*n)) for row in m)
 
 
 def _transform(F: Poly) -> _Move:

@@ -144,6 +144,17 @@ def test_division_by_the_zero_polynomial_is_refused():
             run()
 
 
+def test_division_by_a_polynomial_of_another_ring_is_refused():
+    # the packed exponents of a divisor were cut to the dividend's variables:
+    # normal_form(x*y + z^2, [x3]) returned 0
+    p, x3 = poly_parse("x*y + z^2", P2), Poly.variable(P4, "x3")
+    for run in (lambda: normal_form(p, [x3]), lambda: normal_form(p, [p, x3]),
+                lambda: algebra.divide(p, [x3], GREVLEX.blocks(3), quotients=True),
+                lambda: algebra.divide(x3, [p], GREVLEX.blocks(5))):
+        with pytest.raises(ValueError, match="mixed rings"):
+            run()
+
+
 def test_exact_division_by_a_non_polynomial_is_a_type_error():
     # exact_div passed _coerce's NotImplemented on to divide: AttributeError
     x = Poly.variable(P2, "x")

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import BlockOrder, scaled_division
 from icotk import algebra, groebner
-from icotk.algebra import P2, P4, Poly, elementary_symmetric, grevlex_key, poly_parse
+from icotk.algebra import P2, P4, Poly, Ring, elementary_symmetric, grevlex_key, poly_parse
 from icotk.config import GroebnerBudget
 from icotk.errors import BudgetExceededError
 from icotk.groebner import (
@@ -430,6 +430,15 @@ def test_surface_dim_degree(surface):
     assert dim_degree(surface) == (2, 8)
 
 
+def test_an_ideal_refuses_a_generator_of_another_ring():
+    # Buchberger took its ring from the first generator: Ideal(P4, [x^2]) had
+    # the basis [x^2] and dim_degree (3, 2), and Ideal(P4, [x^2, x0]) [x0]
+    x2, x0 = _p2("x^2"), _p4("x0")
+    for gens in ([x2], [x2, x0], [x0, x2]):
+        with pytest.raises(ValueError, match="mixed rings"):
+            Ideal(P4, gens)
+
+
 def test_hyperplane_and_irrelevant_dimensions():
     assert dim_degree(Ideal(P4, [_p4("x0")])) == (3, 1)
     irrelevant = Ideal(P4, [Poly.variable(P4, f"x{i}") for i in range(5)])
@@ -443,6 +452,8 @@ def test_curve_section_genus(surface):
     I = Ideal(P4, [geo.sigma2, geo.sigma4, h])
     assert dim_degree(I) == (1, 8)
     assert arithmetic_genus(I) == 9
+    # P1 itself: j0 = 0, so P(0) = a_0 + a_1 reads the expansion from its start
+    assert arithmetic_genus(Ideal(Ring(("s", "t")), [])) == 0
 
 
 def test_plane_conic_genus():
@@ -565,7 +576,22 @@ def test_the_expansion_at_one_equals_pole_cancellation(ring, data):
     got = groebner.hilbert_data(I)
     num, dim, degree, at = _pole_cancellation(I.groebner(), ring.nvars)
     assert (got.numerator, got.krull_dim, got.degree) == (num, dim, degree)
-    assert [got.hilbert_polynomial_at(d) for d in range(-3, 13)] == [at(d) for d in range(-3, 13)]
+    n = got.nvars
+
+    def hilbert_polynomial_at(d):
+        # P(d) = sum over j0 <= j < n of a_j C(d+m, m), m = n-j-1, as a
+        # polynomial in d: valid also below the regularity index
+        total = Fraction(0)
+        for j in range(n - got.krull_dim, n):
+            term = Fraction(got.expansion[j])
+            for i in range(1, n - j):
+                term *= Fraction(d + i, i)
+            total += term
+        return total
+
+    assert [hilbert_polynomial_at(d) for d in range(-3, 13)] == [at(d) for d in range(-3, 13)]
+    if got.krull_dim - 1 == 1:
+        assert arithmetic_genus(I) == 1 - at(0)
 
 
 def test_hilbert_function_of_unit_ideal():

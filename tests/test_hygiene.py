@@ -1,12 +1,13 @@
 """Lint: every name a module imports is read somewhere in that module,
 every top-level function or class is used outside its own definition (a
-private one by the program itself), every name the package exports is used
-by the program or the acceptance gate and resolves in the module the
-package's table names, a constructor that skips its checks has only its
-allowed callers, every name the benchmark's tracer looks up in icotk
-exists and it installs after a cold import of the command line, and a cold
-command stays light: no heavy standard module, and no icotk module it does
-not reach."""
+private one by the program itself), every method of a library class bar the
+dunders is read by the program or the acceptance gate, every name the
+package exports is used by the program or the acceptance gate and resolves
+in the module the package's table names, a constructor that skips its
+checks has only its allowed callers, every name the benchmark's tracer looks
+up in icotk exists and it installs after a cold import of the command line,
+and a cold command stays light: no heavy standard module, and no icotk
+module it does not reach."""
 
 import ast
 import importlib
@@ -107,6 +108,64 @@ def test_the_check_sees_an_unused_def(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("from lib import used\nused()\nSPANS = ('lib.Named',)\n")
     assert _unused_defs([lib], [lib, user]) == ["lib.__getitem__", "lib.dead", "lib.recursive"]
+
+
+def _walk_outside(tree, skip):
+    """ast.walk over tree, bar the subtree of the node skip."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node is not skip:
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _unused_methods(modules, users):
+    """'module.Class.method' for each method, bar the dunders, of a top-level
+    class of the given modules that no user file reads outside that method."""
+    trees = {path: ast.parse(path.read_text()) for path in set(modules) | set(users)}
+    read = {path: _names_used(ast.walk(trees[path])) for path in users}
+    unused = []
+    for path in modules:
+        tree = trees[path]
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if path in users and node.name in _names_used(_walk_outside(tree, node)):
+                    continue
+                if not any(node.name in read[p] for p in users if p != path):
+                    unused.append(f"{path.stem}.{cls.name}.{node.name}")
+    return sorted(unused)
+
+
+def test_every_method_is_read_by_the_program_or_the_acceptance_gate():
+    # a method that only tests call is code no command reaches
+    assert _unused_methods(MODULES, MODULES + [ROOT / "tests" / "test_acceptance.py"]) == []
+
+
+def test_the_check_sees_an_unused_method(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("class Box:\n"
+                   "    def __init__(self):\n        self.kept()\n\n"
+                   "    def kept(self):\n        return 1\n\n"
+                   "    @property\n    def size(self):\n        return 2\n\n"
+                   "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n\n"
+                   "    def accepted(self):\n        return 3\n\n"
+                   "    def tested(self):\n        return 4\n\n"
+                   "    def dead(self):\n        return self.kept()\n\n"
+                   "def helper(box):\n    return box.size\n")
+    acceptance = tmp_path / "test_acceptance.py"
+    acceptance.write_text("from lib import Box\nBox().accepted()\n")
+    test = tmp_path / "test_lib.py"
+    test.write_text("from lib import Box\nBox().tested()\n")
+    assert _unused_methods([lib], [lib, acceptance]) == [
+        "lib.Box.dead", "lib.Box.recursive", "lib.Box.tested"]
+    assert _unused_methods([lib], [lib, acceptance, test]) == ["lib.Box.dead", "lib.Box.recursive"]
 
 
 def _private(names):

@@ -1,5 +1,6 @@
 """Ico models: diagonal coefficients, degeneracy, nu_f, graded bases, genus."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -209,6 +210,17 @@ def test_genus_phi_sum_closed_forms():
     assert genus_phi_sum((2, 4, 1)) == 9
     assert genus_phi_sum((2, 4, 2)) == 25
     assert genus_phi_sum((2, 4, 3)) == 49
+
+
+def test_genus_phi_sum_equals_the_fraction_oracle():
+    def phi(z):
+        return Fraction((z + 1) * (z + 2) * (z + 3) * (z + 4), 24)
+
+    for d1, d2, d3 in product(range(1, 21), repeat=3):
+        want = (phi(-d1) + phi(-d2) + phi(-d3) - phi(-d1 - d2) - phi(-d1 - d3)
+                - phi(-d2 - d3) + phi(-d1 - d2 - d3))
+        got = genus_phi_sum((d1, d2, d3))
+        assert type(got) is int and got == want, (d1, d2, d3)
 
 
 @given(st.integers(1, 12))

@@ -9,8 +9,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icotk import ico_surface
 from icotk.algebra import P2, Phi, Poly, poly_parse
-from icotk.errors import BasePointError, NotOnSurfaceError
+from icotk.config import GroebnerBudget
+from icotk.errors import BasePointError, BudgetExceededError, NotOnSurfaceError
 from icotk.ico_surface import (
     FixedGeometry,
     ProjPoint,
@@ -201,6 +203,21 @@ def test_110_is_not_a_base_point(geo):
 def test_identities_symbolic():
     rep = verify_identities(mode="symbolic", samples=5, seed=11)
     assert rep.passed, rep.checks
+
+
+def test_symbolic_c_refuses_a_tiny_budget_before_the_degree_96_substitution(monkeypatch):
+    fresh = FixedGeometry()  # its surface ideal has no basis yet
+    substituted, substitute = [], Poly.substitute
+
+    def spy(self, images):
+        substituted.append(images)
+        return substitute(self, images)
+
+    monkeypatch.setattr(ico_surface, "fixed_geometry", lambda: fresh)
+    monkeypatch.setattr(Poly, "substitute", spy)
+    with pytest.raises(BudgetExceededError):
+        verify_identities(symbolic_c=True, budget=GroebnerBudget(max_reductions=1))
+    assert substituted and fresh.rho not in substituted
 
 
 def test_identities_sampled():

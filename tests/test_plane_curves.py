@@ -27,7 +27,6 @@ from test_binaryforms import strip_root_oracle
 from icotk.plane_curves import (
     _PROBE,
     PlaneCurve,
-    _adjugate3,
     _at,
     _cache,
     _divides,
@@ -401,6 +400,21 @@ def test_stage2_verdicts_pinned():
     assert (len(curves), h.hexdigest()[:16]) == (144, "67d1dcd631d544d9")
 
 
+@pytest.mark.parametrize("text, factor", [
+    ("(x - z)^2", "-(x - z)*(x*y + y*z - z^2)"),  # t_1
+    ("y^2", "-y*(x^2 + y*z - z^2)"),  # the sum of the t_i
+    ("y^2*(x - z)", "-(x - z)*(x*y + y*z - z^2)"),
+])
+def test_stage2_names_a_common_component(text, factor):
+    # no C_tau factor divides F or is divided by it, but they share a line:
+    # Res_x vanishes identically
+    r = check_tau(_curve(text))
+    g = poly_parse(factor, P2)
+    assert g in fixed_geometry().ctau_factors()
+    assert (r.verdict, r.stage, r.witness) == (
+        "fails", "curve-meets-Ctau-off-Ttau", f"V(F) and V({g}) share a component")
+
+
 def test_degree_24_family_curve_pinned():
     # digest of (verdict, stage, witness, image pieces) of check_tau on a
     # degree-24 family curve, computed before Poly.substitute used Horner's
@@ -414,6 +428,18 @@ def test_degree_24_family_curve_pinned():
 
 
 # -- stages 1-2: what is kept per geometry, against per-curve oracles ----------
+
+
+def _adjugate3(m):
+    """Oracle: the adjugate (transposed cofactor matrix) of a 3x3 matrix,
+    its inverse when the determinant is 1."""
+    def cof(i, j):
+        r = [k for k in range(3) if k != i]
+        c = [k for k in range(3) if k != j]
+        det = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
+        return det if (i + j) % 2 == 0 else -det
+
+    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
 
 
 def _find_transform(curve):
