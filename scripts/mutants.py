@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check of the test suite: each mutant is one small edit to the
-program that the tests it names must catch.
+program, or to an oracle in tests/ that the program is checked against,
+that the tests it names must catch.
 
     python3 scripts/mutants.py [--only NAME ...]
 
@@ -42,6 +43,7 @@ CF, TR = "src/icotk/config.py", "tests/test_records.py"
 TY = "tests/test_hygiene.py"
 M, TM = "src/icotk/ico_models.py", "tests/test_ico_models.py"
 INT = "src/icotk/integers.py"
+SO = "tests/stage2_oracle.py"
 
 MUTANTS = [
     # -- packed-integer (Kronecker) products and substitution
@@ -56,6 +58,16 @@ MUTANTS = [
            "offset = 0",
            (f"{TA}::test_packed_kernel_edge_cases",),
            "negative digits borrow from the next one without the offset"),
+    Mutant("zero-image-leaves-the-packed-path", A,
+           "degrees = {_form_degree(im) for im in images if im.terms}",
+           "degrees = {_form_degree(im) for im in images}",
+           (f"{TA}::test_generic_path_inputs",),
+           "a zero image packs as the integer 0, as on the line x = 0 of stage 2"),
+    Mutant("exponent-allows-negative-entries", A,
+           "any(type(k) is not int or k < 0 for k in expo)",
+           "any(type(k) is not int for k in expo)",
+           (f"{TA}::test_an_exponent_must_fit_the_ring",),
+           "x*y^-1 is no monomial"),
     # -- packed division
     Mutant("field-bound-without-moves", A,
            "d = deg + top * moves",
@@ -247,41 +259,80 @@ MUTANTS = [
            (f"{TP}::test_stage1_probe_keeps_the_witnesses_of_the_corpus",
             f"{TP}::test_a_factor_times_any_form_passes_the_probe"),
            "a factor of F has at most F's degree"),
-    Mutant("only-the-first-transform", PC,
+    Mutant("stage2-misses-a-common-component", PC,
+           "if any(R.is_zero() for R in images):",
+           "if False:",
+           (f"{TP}::test_stage2_names_a_common_component",),
+           "F vanishing on a component's parametrization means a common component, "
+           "named as such"),
+    Mutant("share-tested-after-stripping", PC,
+           "        if any(R.is_zero() for R in images):\n"
+           "            return f\"V(F) and V({g}) share a component\"\n"
+           "        for R, (_, roots) in zip(images, parts):\n"
+           "            rem = _coefficients(R, R.degree())\n"
+           "            for r in roots:\n"
+           "                rem = strip_root(rem, r)\n"
+           "            if len(rem) > 1:\n"
+           "                return f\"V(F) meets V({g}) at a point off T_tau\"\n",
+           "        for R, (_, roots) in zip(images, parts):\n"
+           "            rem = _coefficients(R, R.degree())\n"
+           "            for r in roots:\n"
+           "                rem = strip_root(rem, r)\n"
+           "            if len(rem) > 1:\n"
+           "                return f\"V(F) meets V({g}) at a point off T_tau\"\n"
+           "        if any(R.is_zero() for R in images):\n"
+           "            return f\"V(F) and V({g}) share a component\"\n",
+           (f"{TP}::test_stage2_names_a_common_component",),
+           "a shared component is named before any component is stripped: (x - z)^2 "
+           "also meets the conic of t1 at (2:1:2)"),
+    Mutant("factor-checked-on-its-first-component-only", PC,
+           "tuple(_parametrize(geo, C) for C in parts)",
+           "tuple(_parametrize(geo, C) for C in parts[:1])",
+           (f"{TP}::test_each_factor_is_the_product_of_its_parametrized_components",
+            f"{TP}::test_stage2_agrees_with_the_resultant_oracle"),
+           "q3, t1 and sum t have two components each, and X may meet either"),
+    Mutant("conic-drops-the-pair-quadratic", PC,
+           "if C.evaluate(quad.coords) == 0:",
+           "if C.degree() == 1 and C.evaluate(quad.coords) == 0:",
+           (f"{TP}::test_family_pullbacks_satisfy",
+            f"{TP}::test_stage2_agrees_with_the_resultant_oracle"),
+           "the conjugate pair lies on q0, q2 and the conics of t1 and sum t too"),
+    Mutant("pair-quadratic-middle-sign", PC,
+           "2 * u.a + u.b",
+           "-(2 * u.a + u.b)",
+           (f"{TP}::test_family_pullbacks_satisfy",),
+           "the middle coefficient of (l0 s + l1 t)(l0' s + l1' t) is Tr(l0 l1')"),
+    # -- the resultant stage 2, now the oracle of the program's: its own tests pin it
+    Mutant("only-the-first-transform", SO,
            "if F.evaluate(kept[i].center) != 0:",
            "if True:",
            (f"{TP}::test_kept_transforms_equal_the_per_curve_search",),
            "a transform whose center lies on the curve is passed over"),
-    Mutant("horner-without-the-power-of-z", PC,
+    Mutant("horner-without-the-power-of-z", SO,
            "acc = acc * y + c * zi",
            "acc = acc * y + c",
            (f"{TP}::test_horner_on_x_coefficients_equals_evaluate",),
            "sum c_i y^(n-i) z^i needs the power of z"),
-    Mutant("fiber-check-skips-the-quadratic-point", PC,
+    Mutant("fiber-check-skips-the-quadratic-point", SO,
            "fibers = [_fiber(fc, q) for q in move.moved[:-1]]",
            "fibers = [_fiber(fc, q) for q in move.moved[:-2]]",
            (f"{TP}::test_stage2_fails_on_the_fiber_of_the_conjugate_pair",),
            "the fiber line of the conjugate pair is checked too"),
-    Mutant("transform-images-from-the-rows-of-U", PC,
+    Mutant("transform-images-from-the-rows-of-U", SO,
            "images = tuple(x * a + y * b + z * c for a, b, c in A)",
            "images = tuple(x * a + y * b + z * c for a, b, c in U)",
            (f"{TP}::test_kept_transforms_equal_the_per_curve_search",),
            "a form moves by v = A*w: its images are the rows of A, not of U = A^-1"),
-    Mutant("unitriangular-inverse-corner-sign", PC,
+    Mutant("unitriangular-inverse-corner-sign", SO,
            "l10 * l21 - l20",
            "l20 - l10 * l21",
            (f"{TP}::test_kept_transforms_equal_the_per_curve_search",),
            "the corner of the inverse of [[1,0,0],[a,1,0],[b,c,1]] is ac - b"),
-    Mutant("stage2-misses-a-common-component", PC,
-           "if not any(uni):",
-           "if False:",
-           (f"{TP}::test_stage2_names_a_common_component",),
-           "an identically zero resultant means a common component, named as such"),
-    Mutant("stage2-keeps-the-pair-projection", PC,
+    Mutant("stage2-keeps-the-pair-projection", SO,
            "(*lines, _pair_quadratic(moved[-2]))",
            "tuple(lines)",
-           (f"{TP}::test_stage2_verdicts_pinned",
-            f"{TP}::test_the_conjugate_fiber_check_agrees"),
+           (f"{TP}::test_the_conjugate_fiber_check_agrees",
+            f"{TP}::test_stage2_agrees_with_the_resultant_oracle"),
            "the conjugate pair's projections are stripped before the verdict"),
     Mutant("stage3-never-refuses-early", PC,
            "hopeless = -(-curve.degree // 12) > max_image_degree",

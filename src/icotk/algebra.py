@@ -26,8 +26,8 @@ evaluation then replaces the loops over terms, and one linear pass over the
 bytes unpacks the result.  ``Poly.__mul__`` takes this path for products
 whose pairs of terms outnumber by a quarter the terms packed and the digits
 unpacked, ``Poly.substitute`` for forms of degree d >= 1 into forms of one
-degree k >= 1, and both only when the box of (D+1)**(n-1) digits for the
-result degree D in n variables is at most four times the number of
+degree k >= 1 or zero, and both only when the box of (D+1)**(n-1) digits
+for the result degree D in n variables is at most four times the number of
 monomials of degree D: always in 2 or 3 variables, in 5 only for D = 1.  Every other input (Fraction coefficients, polynomials that are not
 forms, images of mixed degrees, sparse boxes) takes the generic path, with
 the same result.
@@ -214,6 +214,15 @@ def _norm_coeff(c):
     return c
 
 
+def _exponent(ring: Ring, expo) -> tuple:
+    """expo as a tuple, which must hold one nonnegative int per variable of
+    ring; ValueError otherwise."""
+    expo = tuple(expo)
+    if len(expo) != ring.nvars or any(type(k) is not int or k < 0 for k in expo):
+        raise ValueError(f"{expo} is no exponent of a monomial in {ring!r}")
+    return expo
+
+
 def grevlex_key(expo):
     """Sort key: e1 > e2 in grevlex iff grevlex_key(e1) > grevlex_key(e2)."""
     return (sum(expo), tuple(map(int.__neg__, reversed(expo))))
@@ -251,16 +260,17 @@ class Poly:
 
     @classmethod
     def monomial(cls, ring: Ring, expo, c=1) -> "Poly":
+        expo = _exponent(ring, expo)
         c = _norm_coeff(c)
         if c == 0:
             return cls.zero(ring)
-        return cls(ring, {tuple(expo): c})
+        return cls(ring, {expo: c})
 
     @classmethod
     def from_terms(cls, ring: Ring, items) -> "Poly":
         acc: dict = {}
         for expo, c in items:
-            expo = tuple(expo)
+            expo = _exponent(ring, expo)
             s = acc.get(expo, 0) + c
             if s:
                 acc[expo] = s
@@ -422,10 +432,11 @@ class Poly:
         coefficient (a polynomial in the later variables) built the same way
         in images[1:]: every step multiplies by one image, so no power of an
         image is ever formed.  When self is a form of degree d >= 1 and the
-        images are forms of one degree k >= 1, all with int coefficients,
-        and the box of degree d*k is dense (_dense_box), the same Horner's
-        rule runs on the packed images (_kronecker), with the powers of the
-        last one built once and shared, and the result is unpacked once.
+        nonzero images are forms of one degree k >= 1, all with int
+        coefficients, and the box of degree d*k is dense (_dense_box), the
+        same Horner's rule runs on the packed images (_kronecker; a zero
+        image is the integer 0), with the powers of the last one built once
+        and shared, and the result is unpacked once.
         Every other input, Fraction coefficients included, runs on
         polynomials.
         """
@@ -637,11 +648,12 @@ def _packed_product(p: Poly, q: Poly):
 
 def _packed_substitute(p: Poly, images):
     """p.substitute(images) through _kronecker, or None unless p is a form
-    of degree d >= 1 and the images are forms of one degree k >= 1, all
-    with int coefficients, in a dense box of degree d*k.  No coefficient
-    of the result exceeds ||p||_1 * max ||image||_1 ** d."""
+    of degree d >= 1 and the nonzero images are forms of one degree k >= 1,
+    all with int coefficients, in a dense box of degree d*k; a zero image
+    packs as the integer 0.  No coefficient of the result exceeds
+    ||p||_1 * max ||image||_1 ** d."""
     d = _form_degree(p)
-    degrees = {_form_degree(im) for im in images}
+    degrees = {_form_degree(im) for im in images if im.terms}
     if not d or len(degrees) != 1:
         return None
     k = degrees.pop()
@@ -659,7 +671,8 @@ def _kronecker(ring: Ring, D: int, bound: int, forms, combine):
     result are forms in ring, the result of degree D with coefficients of
     absolute value at most bound, and combine uses only + and *."""
     width = (bound.bit_length() + 8) // 8  # bound's bits and a sign bit, in bytes
-    return _unpack(combine(*(_pack(f, D, width) for f in forms)), ring, D, width)
+    packed = (_pack(f, D, width) if f.terms else 0 for f in forms)
+    return _unpack(combine(*packed), ring, D, width)
 
 
 # ---------------------------------------------------------------------------

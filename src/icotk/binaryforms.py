@@ -1,14 +1,20 @@
 """Exact polynomial and binary-form arithmetic over Z and Z[phi].
 
-Internal engine for the criterion-(tau) resultant pipeline, all on
-coefficient lists: resultants by one subresultant polynomial remainder
-sequence (_prs; no Sylvester matrix is built), which goes on from a given
-first pseudo-remainder -- prem(f, g) itself, or, for a g that many
-polynomials meet, the same prem assembled from remainder rows kept with g
-(remainder_resultant) -- stripping a known factor from a binary form by
-exact long division (one routine for a primitive integer form and for a
-monic form over Z[phi]; +-t by a slice), and integer interpolation at the
-nodes 0..n for resultants computed by specialization.
+Criterion (tau) calls only strip_root, form_content_free and
+sylvester_resultant: stage 2 strips the root forms of the T_tau points
+from F on each parametrized C_tau component, and the build of those
+parametrizations checks them for base points with a resultant.  The rest
+served the resultant stage 2 that came before it, and stays for the
+benchmark's tracer, which patches it by name, and for the tests' oracle
+of that stage 2.  All of it works on coefficient lists: resultants by one
+subresultant polynomial remainder sequence (_prs; no Sylvester matrix is
+built), which goes on from a given first pseudo-remainder -- prem(f, g)
+itself, or, for a g that many polynomials meet, the same prem assembled
+from remainder rows kept with g (remainder_resultant) -- stripping a known
+factor from a binary form by exact long division (one routine for a
+primitive integer form and for a monic form over Z[phi]; +-t by a slice),
+and integer interpolation at the nodes 0..n for resultants computed by
+specialization.
 
 Coefficients are ints or algebra.Phi numbers of Z[phi], mixed through
 Python's operators: this module names no ring and imports nothing from the
@@ -169,9 +175,11 @@ def strip_root(f, g):
     remainder, or a nonzero remainder form, shows that g does not divide.
     The one g with g[0] = 0 is +-t, whose powers divide f as far as f's
     leading coefficients vanish: a slice and a sign do it.  Any other g
-    with g[0] = 0 raises ValueError.  Stage 2 passes none: a primitive line
-    with g[0] = 0 is +-t, the pair quadratic has g[0] = N(q2) != 0 (the
-    projections are distinct), and fiber lines are monic."""
+    with g[0] = 0 raises ValueError.  Stage 2 passes none: it strips the
+    primitive integer root forms of the T_tau points on a C_tau component,
+    a line with g[0] = 0 is +-t, and the conjugate pair's quadratic
+    (l s + m t)(l' s + m' t) has g[0] = N(l) != 0, since l = 0 would put
+    the pair at the parameter (1:0), whose point is rational."""
     if not g[0]:
         if len(g) == 2 and g[1] in (1, -1):
             z = next((i for i, c in enumerate(f) if c), len(f) - 1)

@@ -99,6 +99,7 @@ class FixedGeometry:
         if Poly.variable(P2, "y") * self.v != t[0] * self.t_sum:
             raise AssertionError("quintic identity y*v == t0*sum(t) broken")
         self._ctau_factors = (x, z, lin0, q0, q2, q3, t[1], self.t_sum)
+        self._ctau_components = None
 
         self.e_points = tuple(
             ProjPoint([1 if j == i else 0 for j in range(5)]) for i in range(5)
@@ -155,10 +156,32 @@ class FixedGeometry:
         no point and is left out.  t0, t2 and t3 appear through the factors
         the build multiplies them from: t0 = (y - z) q0, t2 = x q2 and
         t3 = z q3.
-        The list need not consist of irreducibles -- the per-factor geometry
-        in plane_curves is sound for any decomposition covering V(lambda).
+        The list need not consist of irreducibles: stage 2 of criterion (tau)
+        works on their components (ctau_components).
         """
         return self._ctau_factors
+
+    def ctau_components(self) -> tuple:
+        """Per C_tau factor, in ctau_factors order, (factor, its components):
+        the seven lines x, z, y - z, x - y, x + y - z, x - z and y, the lines
+        through pairs of rational T_tau points, and the four conics q0, q2,
+        z^2 - x*y - y*z and x^2 + y*z - z^2.  Built on first use, with the
+        three factorizations checked: q3 = (x - y)(x + y - z),
+        t1 = (x - z)(z^2 - x*y - y*z) and sum t = -y (x^2 + y*z - z^2).
+        plane_curves checks that each component is irreducible: it has a
+        parametrization by binary forms without a base point."""
+        if self._ctau_components is None:
+            q3, t1, t_sum = self._ctau_factors[5:]
+            split = {q3: ("x - y", "x + y - z"), t1: ("x - z", "z^2 - x*y - y*z"),
+                     t_sum: ("y", "x^2 + y*z - z^2")}
+            out = []
+            for g in self._ctau_factors:
+                parts = tuple(poly_parse(c, P2) for c in split[g]) if g in split else (g,)
+                if prod(parts) not in (g, -g):
+                    raise AssertionError(f"C_tau factor {g} is not the product of its components")
+                out.append((g, parts))
+            self._ctau_components = tuple(out)
+        return self._ctau_components
 
 
 @lru_cache(maxsize=1)

@@ -14,23 +14,37 @@ then deg a <= deg b and a(p) | b(p) at the integer point p = _PROBE, where
 no g vanishes; exact division runs only when both tests pass.  (F(p) = 0
 rules out F | g, since g(p) = F(p)*h(p) would vanish.)
 
-Stage 2 is decided exactly, factor by factor, with resultants.  After one
-unimodular change of coordinates -- center off X, off C_tau, and
-separating the eight base-point images in the (y:z) projection --
-Res_x(F~, g~) is a binary form whose roots are exactly the projections of
-V(F~) meet V(g~).  Stripping the eight base-point projections and then
-re-examining each fiber line decides containment in T_tau over the
-algebraic closure; the conjugate pair of base points is stripped at once,
-by the integer quadratic of their projections (_pair_quadratic).
-Only "center off X" depends on the curve, so each geometry keeps the
-transforms that meet the rest, in trial order, and a curve takes the first
-whose center is off X.  The fiber check runs at one of the conjugate pair:
-F~ and g~ have integer coefficients, so at the other point every value is
-the image under phi -> 1 - phi, a ring automorphism of Z[phi], which
-commutes with the ring operations, zero tests and exact quotients of root
-stripping and resultants; the two checks agree.  (The alternative, a
-Groebner basis of (F, lambda) in three variables, is hopeless: lambda has
-degree 95 and 2228 terms.)
+Stage 2 is decided exactly, factor by factor, on the components of C_tau
+(FixedGeometry.ctau_components): the seven lines through pairs of rational
+T_tau points and four smooth conics, each through a rational T_tau point.
+Each component C has a parametrization phi_C by integer binary forms in
+(s, t) (Sendra, Winkler & Perez-Diaz, Rational Algebraic Curves, 2008,
+ch. 4): s*P + t*Q for a line through P and Q, and
+C(w) P - (grad C(P) . w) w with w = s*A + t*B for a conic through P,
+the second point of C on the line through P and w, with AB a line missing
+P.  phi_C has no base point and C(phi_C) = 0 (both asserted when it is
+built), so it is a bijection P^1 -> C over the algebraic closure: a line
+clearly, and a conic because each line through P meets AB once and C
+once more (at P itself when it is the tangent).  Hence the roots of the
+binary form R_C = F(phi_C) are the parameters of the points of V(F) on C,
+and R_C = 0 exactly when C lies in V(F).  Every component, the image of
+P^1, is irreducible, and g is the product of its components up to sign,
+so V(F) and V(g) share a component iff some R_C vanishes.
+Otherwise each T_tau point on C has one parameter, the root of its root
+form: a primitive integer line for a rational point, and for the
+conjugate pair the integer quadratic (l s + m t)(l' s + m' t), ' the
+Galois conjugate phi -> 1 - phi.  Stripping each root form from R_C as
+often as it divides (strip_root: long division, exact by Gauss's lemma)
+removes exactly the roots at T_tau points -- the two roots of the pair
+are distinct and have one multiplicity, since conjugation fixes R_C, so
+the quadratic's k-th power divides exactly when each root's does -- and
+a form of positive degree left over has a root, a point of V(F) on C off
+T_tau.
+The parametrizations and root forms are built once per geometry, on the
+first criterion-(tau) call; a curve costs one substitution F(phi_C) and a
+few exact divisions per component.  (The alternative, a Groebner basis of
+(F, lambda) in three variables, is hopeless: lambda has degree 95 and
+2228 terms.)
 
 Stage 3 works with graded pieces of the ideal of Y:
 J_m = {G of degree m : F divides G(tau)}.  Membership certifies vanishing
@@ -46,20 +60,13 @@ stage is "none" or "curve-meets-Ctau-off-Ttau".  No line reaches stage 3
 
 from __future__ import annotations
 
-import itertools
-import random
 import time
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations
 
-from .algebra import P2, P4, Echelon, Poly, primitive_form
-from .binaryforms import (
-    form_content_free,
-    interpolate,
-    remainder_resultant,
-    strip_root,
-    sylvester_resultant,
-)
+from .algebra import P2, P4, Echelon, Poly, Ring, primitive_form
+from .binaryforms import form_content_free, strip_root, sylvester_resultant
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
 from .errors import BudgetExceededError, IcotkError, NotDivisibleError
 from .groebner import GREVLEX, Ideal, normal_form
@@ -147,59 +154,23 @@ def tau_witness(model: IcoModel) -> bool:
 # ---------------------------------------------------------------------------
 
 _PROBE = (1009, -733, 2039)  # no C_tau factor vanishes here
-# An admissible transform v = A*w: the images A*(x, y, z) that a form takes
-# (F~ = F(A*w)), its center A*(1, 0, 0), the moved T_tau points (conjugate
-# pair last), the eight base-point projections as primitive integer forms
-# in (y, z) (the six lines, then _pair_quadratic), and per C_tau factor (g,
-# x-coefficients of g~, their values at the nodes (m, 1) so far, the
-# remainder rows of g~ at those nodes, g~ on the fiber lines of moved[:7]).
-_Move = namedtuple("_Move", "images center moved projections factors")
+_LINE = Ring(("s", "t"))  # the parameter line of the C_tau components
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @lru_cache(maxsize=1)
 def _cache(geo):
     """Built on the first criterion-(tau) call of a geometry: the C_tau
-    factors with their degrees and their values at _PROBE, the admissible
-    transforms found so far, the trial generator that finds the next ones,
-    and the powers {(i, k): tau_i^k} formed so far by stage 3."""
+    factors with their degrees and their values at _PROBE; per factor, in
+    ctau_factors order, (g, ((phi_C, root forms of C), ...)) over the
+    components C of g (_parametrize); and the powers {(i, k): tau_i^k}
+    formed so far by stage 3."""
     probed = [(g, g.degree(), g.evaluate(_PROBE)) for g in geo.ctau_factors()]
     if any(not gp or abs(g.content_primitive()[0]) != 1 for g, _, gp in probed):
         raise AssertionError("the probe needs primitive C_tau factors off _PROBE")
-    return probed, [], _admissible(geo), {}
-
-
-def _admissible(geo):
-    """In a fixed trial order, each unimodular U (with inverse A) such that,
-    in the new coordinates, the center (1:0:0) lies off C_tau and the eight
-    T_tau points have pairwise distinct (y:z) projections.  Both conditions
-    fail only on proper closed loci, so a small deterministic search lands.
-    A trial draws the shear entries of unitriangular lo and up; U = up*lo and
-    A = lo^-1 * up^-1, by the closed-form unitriangular inverses."""
-    quad = geo.ttau_quadratic
-    pts = [p.coords for p in geo.ttau_rational] + [quad.coords, quad.conjugate()]
-    x, y, z = (Poly.variable(P2, n) for n in P2.names)
-    for trial in range(500):
-        rng = random.Random(1_000_003 * trial + 7)
-        l10, l20, l21, u01, u02, u12 = (rng.randint(-3, 3) for _ in range(6))
-        U = _product3(((1, u01, u02), (0, 1, u12), (0, 0, 1)),
-                      ((1, 0, 0), (l10, 1, 0), (l20, l21, 1)))
-        A = _product3(((1, 0, 0), (-l10, 1, 0), (l10 * l21 - l20, -l21, 1)),
-                      ((1, -u01, u01 * u12 - u02), (0, 1, -u12), (0, 0, 1)))
-        center = tuple(A[i][0] for i in range(3))
-        if any(g.evaluate(center) == 0 for g in geo.ctau_factors()):
-            continue
-        moved = [tuple(sum(U[i][j] * p[j] for j in range(3)) for i in range(3)) for p in pts]
-        if any(not q[1] and not q[2] for q in moved):
-            continue  # a point hit the projection center
-        if all(qa[1] * qb[2] != qa[2] * qb[1] for qa, qb in itertools.combinations(moved, 2)):
-            images = tuple(x * a + y * b + z * c for a, b, c in A)
-            factors = []
-            for g in geo.ctau_factors():
-                gc = _x_coefficients(g.substitute(images), g.degree())
-                factors.append((g, gc, [], [], [_fiber(gc, q) for q in moved[:-1]]))
-            lines = [form_content_free([q[2], -q[1]]) for q in moved[:-2]]
-            yield _Move(images, center, moved, (*lines, _pair_quadratic(moved[-2])), factors)
-    raise IcotkError("no suitable unimodular transform found")  # pragma: no cover
+    factors = tuple((g, tuple(_parametrize(geo, C) for C in parts))
+                    for g, parts in geo.ctau_components())
+    return probed, factors, {}
 
 
 def _divides(a: Poly, ad: int, ap, b: Poly, bd: int, bp) -> bool:
@@ -225,129 +196,113 @@ def _stage1(curve: PlaneCurve):
 
 
 # ---------------------------------------------------------------------------
-# stage 2: X meet C_tau inside T_tau, by resultants after a unimodular move
+# stage 2: X meet C_tau inside T_tau, on parametrizations of the components
 # ---------------------------------------------------------------------------
 
 
-def _product3(m, n):
-    """The 3x3 matrix product m*n."""
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*n)) for row in m)
+def _det(a, b, c):
+    """The 3x3 determinant with rows a, b, c (ints or Phis)."""
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
-def _transform(F: Poly) -> _Move:
-    """The first admissible transform, in trial order, whose center is off
-    V(F): the one a search over all trials for this curve would pick."""
-    _, kept, pending, _ = _cache(fixed_geometry())
-    for i in itertools.count():
-        if i == len(kept):
-            kept.append(next(pending))
-        if F.evaluate(kept[i].center) != 0:
-            return kept[i]
+def _parametrize(geo, C: Poly):
+    """(phi_C, root forms) for a line or a conic C through a rational T_tau
+    point.  phi_C is a triple of integer binary forms in (s, t), of degree
+    deg C; the root forms are primitive integer binary forms, one per T_tau
+    point of C and one for the conjugate pair if it lies on C, as
+    coefficient lists [c_0, ..] of sum c_i s^(deg-i) t^i.
+
+    With w = s*A + t*B: for a line, A = P and B = Q are two of its rational
+    T_tau points and phi_C = w; for a conic, P is its first rational T_tau
+    point, AB a line of unit points missing P, and
+    phi_C = C(w) P - (grad C(P) . w) w, the second point of C on the line
+    through P and w.  The root form of a T_tau point R is det(O, R, w), O a
+    unit point off the line or O = P on the conic, and grad C(P) . w for
+    R = P; the pair's is the Z[phi] form of (1:1:phi) times its conjugate.
+    The build asserts, each with its own message, C(phi_C) = 0, that phi_C
+    has no base point (sylvester_resultant on two of its forms), and that
+    each root form's roots map to its points."""
+    quad = geo.ttau_quadratic
+    on = [p.coords for p in geo.ttau_rational if C.evaluate(p.coords) == 0]
+    P = on[0]
+    if C.degree() == 1:
+        (A, B), O = on[:2], next(e for e in _UNIT if C.evaluate(e))
+    else:
+        A, B = next((a, b) for a, b in combinations(_UNIT, 2) if _det(P, a, b))
+        O = P
+    s, t = (Poly.variable(_LINE, n) for n in _LINE.names)
+    w = tuple(s * a + t * b for a, b in zip(A, B))
+    phi = w
+    if C.degree() == 2:
+        # grad C(P) . v = C(P + v) - C(v), as C(P) = 0 and C is quadratic
+        tangent = [C.evaluate(tuple(p + v for p, v in zip(P, V))) - C.evaluate(V)
+                   for V in (A, B)]
+        Cw, Tw = C.substitute(w), s * tangent[0] + t * tangent[1]
+        phi = tuple(Cw * p - Tw * wi for p, wi in zip(P, w))
+    if not C.substitute(phi).is_zero():
+        raise AssertionError(f"the parametrization of {C} leaves it")
+    if not _base_point_free([_coefficients(f, C.degree()) for f in phi]):
+        raise AssertionError(f"the parametrization of {C} has a base point")
+    roots = []
+    for R in on:  # O == R only on a conic, at R = P
+        form = form_content_free(tangent if O == R else [_det(O, R, A), _det(O, R, B)])
+        if not _lands(phi, form, R):
+            raise AssertionError(f"the root form of {R} on {C} misses it")
+        roots.append(form)
+    if C.evaluate(quad.coords) == 0:
+        l0, l1 = (_det(O, quad.coords, V) for V in (A, B))
+        if not (_lands(phi, [l0, l1], quad.coords)
+                and _lands(phi, [l0.conj(), l1.conj()], quad.conjugate())):
+            raise AssertionError(f"the root form of the conjugate pair on {C} misses it")
+        u = l0 * l1.conj()  # the middle coefficient is Tr(u) = u + u'
+        roots.append(form_content_free([l0.norm(), 2 * u.a + u.b, l1.norm()]))
+    return phi, tuple(roots)
 
 
-def _x_coefficients(poly: Poly, d: int):
-    """[c_d, ..., c_0] for the degree-d form poly = sum_k c_k x^k, each c_k
-    the coefficient list of a binary form in descending powers of y."""
-    out = [[0] * (k + 1) for k in range(d + 1)]
-    for (ex, _, ez), c in poly.terms.items():
-        out[d - ex][ez] = c
+def _coefficients(f: Poly, D: int):
+    """[c_0, .., c_D] for the binary form f = sum c_i s^(D-i) t^i of degree D."""
+    out = [0] * (D + 1)
+    for (_, et), c in f.terms.items():
+        out[et] = c
     return out
 
 
-def _at(coeffs, y, z=1):
-    """sum_i c_i y^(n-i) z^i for coeffs = [c_0..c_n], by Horner's rule in y
-    carrying the power of z."""
-    acc, zi = 0, 1
-    for c in coeffs:
-        acc = acc * y + c * zi
-        zi *= z
-    return acc
+def _base_point_free(forms) -> bool:
+    """Whether the binary forms [c_0, ..] have no common root: (1:0) is no
+    common root when some c_0 != 0, and no (s:1) is when two of the
+    f(s, 1) have a nonzero resultant or one is a nonzero constant."""
+    if not any(f[0] for f in forms):
+        return False
+    affine = [f[next(i for i, c in enumerate(f) if c):] for f in forms if any(f)]
+    return any(len(a) == 1 for a in affine) or any(
+        sylvester_resultant(a, b) for a, b in combinations(affine, 2))
 
 
-def _fiber(xc, q):
-    """The form on the fiber line of the projection of q, in x, with the
-    root q itself stripped."""
-    return strip_root([_at(c, q[1], q[2]) for c in xc], [1, -q[0]])
-
-
-def _pair_quadratic(q):
-    """The primitive integer form proportional to
-    (q2*y - q1*z)*(q2'*y - q1'*z), for the moved point q of the conjugate
-    pair and ' the Galois conjugate phi -> 1 - phi: the coefficients are
-    N(q2), -Tr(q2*q1') and N(q1).
-
-    Stripping it from an integer form (strip_root, as for the six rational
-    lines) leaves the degree that stripping the roots (q1:q2) and (q1':q2')
-    one after the other in Z[phi] leaves, and stage 2 reads only the degree.
-    If (q2*y - q1*z)^k exactly divides the integer form, conjugation shows
-    that (q2'*y - q1'*z)^k exactly divides it too: both roots have
-    multiplicity k.  The two linear forms are coprime (the projections are
-    distinct), so their product to the k-th power divides the form and the
-    (k+1)-th does not; that product is a rational form, so this holds over
-    Q as well.  Both routes lower the degree by 2k."""
-    u = q[2] * q[1].conj()
-    return form_content_free([q[2].norm(), -(2 * u.a + u.b), q[1].norm()])
-
-
-def _resultant_in_x(fc, fvals, gc, gvals, grows, de):
-    """Res_x(F~, g~) as an integer binary form in (y, z) of degree de, from
-    the x-coefficients fc, gc at the nodes (m, 1), m = 0..de; fvals, gvals
-    hold their values at the nodes so far and are extended here.  grows[m]
-    holds the remainder rows of g~ at node m (remainder_resultant), kept
-    with gvals per geometry and extended to the degree of F.  Building the
-    rows costs about one resultant, so a node gets them only when a second
-    curve meets it; at a node first met now, the PRS runs on (F_m, g_m).
-    The leading coefficients are the nonzero constants F(center),
-    g(center), so specialization commutes with the resultant, the rows
-    share one lc, and interpolation is exact."""
-    met = len(gvals)  # the nodes an earlier curve met
-    for xc, vals in ((fc, fvals), (gc, gvals)):
-        vals.extend([_at(c, m) for c in xc] for m in range(len(vals), de + 1))
-    grows.extend([] for _ in range(len(grows), met))
-    uni = interpolate([
-        remainder_resultant(fvals[m], gvals[m], grows[m]) if m < met
-        else sylvester_resultant(fvals[m], gvals[m])
-        for m in range(de + 1)
-    ])
-    if uni is None:
-        raise AssertionError("resultant interpolation is not integral")
-    if not any(uni):
-        return None  # identically zero: common component
-    return [0] * (de + 1 - len(uni)) + uni
+def _lands(phi, form, R) -> bool:
+    """Whether phi maps the root (b : -a) of the linear form a*s + b*t to
+    the point R."""
+    image = [f.evaluate((form[1], -form[0])) for f in phi]
+    return any(image) and all(image[i] * R[j] == image[j] * R[i]
+                              for i, j in combinations(range(3), 2))
 
 
 def _stage2(curve: PlaneCurve):
     """None if X meets C_tau only inside T_tau (decided over the algebraic
-    closure); else a failure description."""
-    d = curve.degree
-    move = _transform(curve.F)
-    fc = _x_coefficients(curve.F.substitute(move.images), d)
-    fvals, fibers = [], None
-    for g, gc, gvals, grows, gfibers in move.factors:
-        de = d * (len(gc) - 1)
-        R = _resultant_in_x(fc, fvals, gc, gvals, grows, de)
-        if R is None:
+    closure); else a failure description naming the first C_tau factor,
+    in ctau_factors order, that X meets off T_tau or shares a component
+    with."""
+    F = curve.F
+    for g, parts in _cache(fixed_geometry())[1]:
+        images = [F.substitute(phi) for phi, _ in parts]
+        if any(R.is_zero() for R in images):
             return f"V(F) and V({g}) share a component"
-        # the six rational projections, then the conjugate pair at once
-        rem = form_content_free(R)
-        for p in move.projections:
-            rem = strip_root(rem, p)
-        if len(rem) > 1:
-            return (
-                f"V(F) meets V({g}) at a point off T_tau "
-                "(projection survives base-point stripping)"
-            )
-        # every intersection projects onto a base-point fiber; check each
-        # fiber carries nothing but the base point itself (the conjugate
-        # point's check is the Galois conjugate of the one before it)
-        if fibers is None:
-            fibers = [_fiber(fc, q) for q in move.moved[:-1]]
-        for fl, gl in zip(fibers, gfibers):
-            if len(fl) > 1 and len(gl) > 1 and sylvester_resultant(fl, gl) == 0:
-                return (
-                    f"V(F) meets V({g}) at a second point on the "
-                    "fiber line of a T_tau point"
-                )
+        for R, (_, roots) in zip(images, parts):
+            rem = _coefficients(R, R.degree())
+            for r in roots:
+                rem = strip_root(rem, r)
+            if len(rem) > 1:
+                return f"V(F) meets V({g}) at a point off T_tau"
     return None
 
 
@@ -361,7 +316,7 @@ def _graded_piece(curve: PlaneCurve, m: int, budget: GroebnerBudget):
     F | G(tau)}, by exact kernel computation of the composition map."""
     if m in curve._pieces:
         return curve._pieces[m]
-    tau_pows = _cache(fixed_geometry())[3]
+    tau_pows = _cache(fixed_geometry())[2]
     monos = _degree_monomials(m)
     echelon = Echelon()
     out = []
@@ -426,8 +381,11 @@ def check_tau(
 ) -> TauReport:
     """Decide criterion (tau) for the curve; the report is cached on it.
 
-    Stages 1-2 fail X when it meets C_tau off T_tau.  Otherwise stage 3
-    looks for witnesses in J_1..J_max_image_degree and raises
+    Stages 1-2 fail X when it meets C_tau off T_tau.  Stage 2 passes X
+    exactly when F vanishes on no component C of C_tau and each binary
+    form F(phi_C) has roots only at the parameters of the T_tau points on
+    C, so that stripping their root forms leaves a constant.  Otherwise
+    stage 3 looks for witnesses in J_1..J_max_image_degree and raises
     BudgetExceededError if some e_i stays unseparated.
 
     No line reaches stage 3.  Stage 1 fails the C_tau components V(x),

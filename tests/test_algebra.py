@@ -62,6 +62,21 @@ def test_parse_print_round_trip_p4(p):
     assert poly_parse(str(p), P4) == p
 
 
+@pytest.mark.parametrize("expo", [
+    (1, 0, 0, 0),  # printed as x, though no monomial of P2
+    (1, 0),  # printed as x too
+    (1, -1, 0),  # printed as x*y^-1, of degree 0
+    (1.0, 0, 0),
+    (True, 0, 0),
+])
+def test_an_exponent_must_fit_the_ring(expo):
+    with pytest.raises(ValueError, match="no exponent of a monomial"):
+        Poly.from_terms(P2, [(expo, 1)])
+    with pytest.raises(ValueError, match="no exponent of a monomial"):
+        Poly.monomial(P2, expo)
+    assert Poly.from_terms(P2, [([1, 0, 2], 3)]) == Poly.monomial(P2, (1, 0, 2), 3)
+
+
 def test_grammar_forms():
     p = poly_parse("x0^2*x1 - 3/4*x2*x3 + 5", P4)
     assert p.coeff((2, 1, 0, 0, 0)) == 1
@@ -366,6 +381,24 @@ def test_packed_substitution_equals_horner(ring, d, k, data):
     assert p.substitute(images) == expected
 
 
+@given(st.sampled_from(_IMAGE_RINGS), st.integers(1, 4), st.integers(1, 3),
+       st.lists(st.booleans(), min_size=3, max_size=3).filter(lambda z: any(z) and not all(z)),
+       st.data())
+def test_packed_substitution_with_zero_images_equals_horner(ring, d, k, zeros, data):
+    p = data.draw(_forms(P2, d))
+    images = [Poly.zero(ring) if zero else data.draw(_forms(ring, k, max_terms=4))
+              for zero in zeros]
+    assume(p and all(im for im, zero in zip(images, zeros) if not zero))
+    packed = algebra._packed_substitute(p, images)
+    expected = _generic_substitute(p, images)
+    assert expected == substitute_by_powers(p, images)
+    if not algebra._dense_box(ring.nvars, d * k):
+        assert packed is None
+    else:
+        assert packed == expected
+    assert p.substitute(images) == expected
+
+
 def test_packed_kernel_edge_cases():
     x, y, z = (Poly.variable(P2, n) for n in "xyz")
     # products that cancel to zero and to a single term
@@ -402,7 +435,12 @@ def test_generic_path_inputs():
     assert algebra._packed_substitute(x * y, [x + 1, y + 1, z + 1]) is None
     assert algebra._packed_substitute(x * y, [Poly.constant(P2, 2)] * 3) is None
     assert algebra._packed_substitute(Poly.constant(P2, 3), [x, y, z]) is None
-    assert algebra._packed_substitute(x * y, [x, Poly.zero(P2), z]) is None
+    assert algebra._packed_substitute(x * y, [Poly.zero(P2)] * 3) is None
+    # a zero image packs as 0, as for the line x = 0, (0, s, t)
+    for p in (x * y, x * y + z * z):
+        images = [x, Poly.zero(P2), z]
+        assert algebra._packed_substitute(p, images) == _generic_substitute(p, images)
+    assert algebra._packed_substitute(x * y + z * z, [x, Poly.zero(P2), z]) == z * z
     # the results agree with the generic path all the same
     assert (x * y).substitute([x * x, y, z]) == x * x * y
     assert (half * x).substitute([x, y, z]) == half * x

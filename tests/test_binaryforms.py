@@ -20,7 +20,7 @@ from icotk.binaryforms import (
     strip_root,
     sylvester_resultant,
 )
-from icotk.plane_curves import _pair_quadratic
+from stage2_oracle import _pair_quadratic
 
 small_ints = st.integers(-20, 20)
 zphi_elems = st.builds(Phi, small_ints, small_ints)

@@ -14,7 +14,7 @@ from math import comb, factorial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import BlockOrder, scaled_division
 from icotk import algebra, groebner
@@ -566,13 +566,35 @@ def _pole_cancellation(basis, nvars):
     return tuple(sorted(num.items())), dim, sum(reduced.values()), at
 
 
+@st.composite
+def _curve_monomials(draw):
+    """Three monomials in pairwise disjoint variables of P4: they cut a curve
+    (Krull dimension 2), as every minimal prime takes one variable of each."""
+    order = draw(st.permutations(range(5)))
+    cut = draw(st.integers(1, 3))
+    cut2 = draw(st.integers(cut + 1, 4))
+    out = []
+    for block in (order[:cut], order[cut:cut2], order[cut2:]):
+        powers = draw(st.lists(st.integers(0, 3), min_size=len(block), max_size=len(block))
+                      .filter(any))
+        expo = [0] * 5
+        for i, k in zip(block, powers):
+            expo[i] = k
+        out.append(tuple(expo))
+    return out
+
+
+# P2 reads the first three exponents of each tuple
+_MONOMIAL_LISTS = st.one_of(st.lists(st.tuples(*([st.integers(0, 5)] * 5)), max_size=5),
+                            _curve_monomials())
+
+
 @pytest.mark.parametrize("ring", [P2, P4], ids=["P2", "P4"])
-@given(data=st.data())
+@given(monomials=_MONOMIAL_LISTS)
+@example(monomials=[(2, 0, 0, 0, 0), (0, 1, 3, 0, 0), (0, 0, 0, 1, 2)])  # a P4 curve
 @settings(max_examples=60)
-def test_the_expansion_at_one_equals_pole_cancellation(ring, data):
-    expos = st.tuples(*([st.integers(0, 5)] * ring.nvars))
-    monomials = data.draw(st.lists(expos, max_size=5))
-    I = Ideal(ring, [Poly.from_terms(ring, [(e, 1)]) for e in monomials])
+def test_the_expansion_at_one_equals_pole_cancellation(ring, monomials):
+    I = Ideal(ring, [Poly.from_terms(ring, [(e[:ring.nvars], 1)]) for e in monomials])
     got = groebner.hilbert_data(I)
     num, dim, degree, at = _pole_cancellation(I.groebner(), ring.nvars)
     assert (got.numerator, got.krull_dim, got.degree) == (num, dim, degree)

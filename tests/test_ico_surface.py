@@ -379,3 +379,17 @@ def test_quadratic_point_conjugate():
     _, quad = ttau_points()
     assert quad.coords == (Phi(1, 0), Phi(1, 0), Phi(0, 1))
     assert quad.conjugate() == (Phi(1, 0), Phi(1, 0), Phi(1, -1))
+
+
+def test_the_components_of_a_factor_multiply_to_it():
+    geo = FixedGeometry()
+    parts = dict(geo.ctau_components())
+    x, y, z = (Poly.variable(P2, n) for n in "xyz")
+    assert [len(parts[g]) for g in geo.ctau_factors()] == [1, 1, 1, 1, 1, 2, 2, 2]
+    assert geo.ctau_components() is geo.ctau_components()
+    skewed = FixedGeometry()
+    factors = list(skewed.ctau_factors())
+    factors[5] = (x - y) * (x + y + z)  # q3 is (x - y)(x + y - z)
+    skewed._ctau_factors = tuple(factors)
+    with pytest.raises(AssertionError, match="is not the product of its components"):
+        skewed.ctau_components()

@@ -1,12 +1,16 @@
 """Criterion (tau) for plane curves, pullbacks, and containing models."""
 
+import collections
 import gc
 import hashlib
+import importlib.util
 import itertools
+import math
 import random
 import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,19 +27,16 @@ from icotk.groebner import normal_form
 from icotk.ico_models import general_model, is_degenerate
 from icotk import plane_curves
 from icotk.ico_surface import fixed_geometry, tau_point
+import stage2_oracle
+from stage2_oracle import _at, _fiber, _resultant_in_x, _transform, _x_coefficients
 from test_binaryforms import strip_root_oracle
 from icotk.plane_curves import (
     _PROBE,
     PlaneCurve,
-    _at,
     _cache,
     _divides,
-    _fiber,
-    _resultant_in_x,
     _stage1,
     _stage2,
-    _transform,
-    _x_coefficients,
     check_tau,
     containing_model,
     family_curve,
@@ -385,19 +386,21 @@ def _stage2_corpus():
 
 
 def test_stage2_verdicts_pinned():
-    # digest of (verdict, stage, witness) over the corpus, computed before
-    # stage 2 moved from the ZZ/ZPhi tables to int and Phi arithmetic
+    # digest of (verdict, stage, witness) over the corpus.  The resultant
+    # stage 2 (stage2_oracle) gave the same digest once its two witness
+    # suffixes are read as the plain "at a point off T_tau": "(projection
+    # survives base-point stripping)" and "at a second point on the fiber
+    # line of a T_tau point", which 16 of these curves had
     curves = _stage2_corpus()
     reports = [check_tau(c) for c in curves]
     line_witnesses = " | ".join(r.witness for r in reports[:124])
-    for kind in ("divides F", "F divides the C_tau factor", "at a point off T_tau",
-                 "second point on the fiber line of a T_tau point"):
+    for kind in ("divides F", "F divides the C_tau factor", "at a point off T_tau"):
         assert kind in line_witnesses
     assert all(r.satisfies for r in reports[-2:])
     h = hashlib.sha256()
     for r in reports:
         h.update(repr((r.verdict, r.stage, r.witness)).encode())
-    assert (len(curves), h.hexdigest()[:16]) == (144, "67d1dcd631d544d9")
+    assert (len(curves), h.hexdigest()[:16]) == (144, "aca824b7ff25b7d5")
 
 
 @pytest.mark.parametrize("text, factor", [
@@ -407,12 +410,173 @@ def test_stage2_verdicts_pinned():
 ])
 def test_stage2_names_a_common_component(text, factor):
     # no C_tau factor divides F or is divided by it, but they share a line:
-    # Res_x vanishes identically
+    # F vanishes on that component's parametrization
     r = check_tau(_curve(text))
     g = poly_parse(factor, P2)
     assert g in fixed_geometry().ctau_factors()
     assert (r.verdict, r.stage, r.witness) == (
         "fails", "curve-meets-Ctau-off-Ttau", f"V(F) and V({g}) share a component")
+
+
+def _kind(witness):
+    """(factor named, "share" or "off") of a stage-2 witness; None for a pass."""
+    if witness is None:
+        return None
+    factor = witness.split("V(")[2].split(")")[0]
+    return factor, "share" if "share a component" in witness else "off"
+
+
+def _through_rational_ttau(terms, d):
+    """The form with these terms (exponent -> coefficient), degree d >= 2,
+    moved through the six rational T_tau points: the corners x^d, y^d, z^d
+    dropped, then x^(d-1) z, y^(d-1) z and x y z^(d-2) absorb the values at
+    (1:0:1), (0:1:1) and (1:1:1), in that order."""
+    for corner in ((d, 0, 0), (0, d, 0), (0, 0, d)):
+        terms[corner] = 0
+    for p, e in (((1, 0, 1), (d - 1, 0, 1)), ((0, 1, 1), (0, d - 1, 1)),
+                 ((1, 1, 1), (1, 1, d - 2))):
+        terms[e] -= Poly(P2, {k: c for k, c in terms.items() if c}).evaluate(p)
+    return Poly(P2, {k: c for k, c in terms.items() if c})
+
+
+def _seeded_curves(count, seed):
+    """count curves of degree 1..6 from one seed: random forms, the same
+    moved through the six rational T_tau points, products of one or two
+    C_tau components (a square at times) with such forms, and
+    y^i (x - z)^k + K*G for K a product of the first components of C_tau
+    and G a random form.  y^i (x - z)^k meets x, z, y - z, q0, q2 and q3
+    inside T_tau only, and F agrees with it on the components in K, so
+    these curves reach the later factors."""
+    rng = random.Random(seed)
+    parts = [C for _, comps in fixed_geometry().ctau_components() for C in comps]
+    x, y, z = (Poly.variable(P2, n) for n in "xyz")
+    out = []
+    while len(out) < count:
+        d, kind = rng.randint(1, 6), rng.randrange(4)
+        head, base = Poly.constant(P2, 1), Poly.zero(P2)
+        if kind == 2:
+            for C in rng.sample(parts, rng.randint(1, 2)):
+                head = head * C ** rng.randint(1, 2)
+        if kind == 3:
+            i = rng.randint(0, d)
+            base = y**i * (x - z) ** (d - i)
+            for C in parts[:rng.randint(1, 6)]:
+                if head.degree() + C.degree() <= d:
+                    head = head * C
+        k = d - head.degree()
+        if k < 0:
+            continue
+        terms = {(a, b, k - a - b): rng.randint(-3, 3)
+                 for a in range(k + 1) for b in range(k + 1 - a)}
+        form = (_through_rational_ttau(terms, k) if kind in (1, 2) and k >= 2
+                else Poly(P2, {e: c for e, c in terms.items() if c}))
+        if not (head * form + base).is_zero():
+            out.append(PlaneCurve(head * form + base))
+    return out
+
+
+def _deep_curves(seed):
+    """y^i (x - z)^k + K*G for K the product of the first n components of
+    C_tau, n = 5..10, and G a random form of degree 0 or 1: of degree 7 to
+    14, they agree with y^i (x - z)^k on those components and so reach the
+    factors q3, t1 and sum t."""
+    rng = random.Random(seed)
+    parts = [C for _, comps in fixed_geometry().ctau_components() for C in comps]
+    x, y, z = (Poly.variable(P2, n) for n in "xyz")
+    out = []
+    for n, k, _ in itertools.product(range(5, 11), (0, 1), range(3)):
+        K = math.prod(parts[:n])
+        d = K.degree() + k
+        i = rng.choice((0, d, rng.randint(0, d)))
+        G = Poly(P2, {e: rng.randint(1, 3) for e in ((k, 0, 0), (0, k, 0), (0, 0, k))})
+        out.append(PlaneCurve(y**i * (x - z) ** (d - i) + K * G))
+    return out
+
+
+def _tau_corpus_curves(seed):
+    """The curves of one round of perfbench's tau-corpus workload: 102
+    failing curves of degree 1..6 and six degree-12 family curves."""
+    spec = importlib.util.spec_from_file_location(
+        "gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(seed)
+    fails = [_curve(gen.curve_through_fail_point(rng, d)) for _ in range(17) for d in range(1, 7)]
+    return fails + [family_curve(1, gen.family_vector(rng, 5)) for _ in range(6)]
+
+
+def test_stage2_agrees_with_the_resultant_oracle():
+    """The program's stage 2 and the resultant one of stage2_oracle give
+    the same verdict, name the same factor and find the same kind of
+    failure, a shared component or a point off T_tau, on every curve: the
+    corpus, the seed-5 tau-corpus round, 2000 seeded curves of degree 1..6,
+    36 that reach the last factors and family curves of degree 12 and 24.
+    Stage 1 is not consulted, so the components of C_tau and their
+    products are decided here too."""
+    curves = (_stage2_corpus() + _tau_corpus_curves(5) + _seeded_curves(2000, 35)
+              + _deep_curves(36)
+              + [family_curve(1, (3, 1, -2, 5, 1)), family_curve(2, tuple(range(1, 15)))])
+    kinds, off = collections.Counter(), set()
+    for curve in curves:
+        new = _kind(_stage2(curve))
+        assert new == _kind(stage2_oracle._stage2(curve)), curve
+        kinds[new[1] if new else "pass"] += 1
+        kinds["stage 1"] += _stage1(curve) is not None
+        if new and new[1] == "off":
+            off.add(new[0])
+    assert [c.degree for c in curves[-2:]] == [12, 24]
+    assert kinds["share"] >= 200 and kinds["off"] >= 1500 and kinds["pass"] >= 10
+    assert kinds["stage 1"] >= 300
+    assert off == {str(g) for g in fixed_geometry().ctau_factors()}
+
+
+def test_each_factor_is_the_product_of_its_parametrized_components():
+    """Per factor, in ctau_factors order, the components multiply to the
+    factor up to sign, and each has a parametrization without base point
+    that lies on it, with one root form per T_tau point on it: the seven
+    lines through pairs of rational T_tau points and four smooth conics."""
+    geo = fixed_geometry()
+    factors = _cache(geo)[1]
+    assert [g for g, _ in factors] == list(geo.ctau_factors())
+    degrees, pair = [], 0
+    for (g, parts), (_, comps) in zip(factors, geo.ctau_components()):
+        assert math.prod(comps) in (g, -g)
+        for C, (phi, roots) in zip(comps, parts):
+            assert C.substitute(phi).is_zero()
+            on = [p for p in geo.ttau_rational if C.evaluate(p.coords) == 0]
+            on_pair = C.evaluate(geo.ttau_quadratic.coords) == 0
+            assert [len(r) for r in roots] == [2] * len(on) + [3] * on_pair
+            assert all(math.gcd(*r) == 1 for r in roots)
+            degrees.append(C.degree())
+            pair += on_pair
+    assert sorted(degrees) == [1] * 7 + [2] * 4 and pair == 5
+
+
+def _reversed_forms(form):
+    return list(reversed(form_content_free(form)))
+
+
+@pytest.mark.parametrize("text, content_free, message", [
+    # a cubic is no line: the line through two of its T_tau points leaves it
+    ("x*z^2 + y*z^2 - x^2*y - z^3", form_content_free, "leaves it"),
+    # the line pair V(x*y) through (1:0:0): (0, -s^2, -s*t) vanishes at (0:1)
+    ("x*y", form_content_free, "has a base point"),
+    # (t : s) for (s : t) maps each root to another T_tau point
+    ("x*y + x*z - z^2", _reversed_forms, "misses it"),
+])
+def test_the_parametrization_build_asserts(monkeypatch, text, content_free, message):
+    monkeypatch.setattr(plane_curves, "form_content_free", content_free)
+    with pytest.raises(AssertionError, match=message):
+        plane_curves._parametrize(fixed_geometry(), poly_parse(text, P2))
+
+
+def test_the_base_point_check_on_binary_forms():
+    s, t, zero = [1, 0], [0, 1], [0, 0]
+    assert plane_curves._base_point_free([zero, s, t])  # the line x = 0
+    assert not plane_curves._base_point_free([zero, s, s])  # (0:1)
+    assert not plane_curves._base_point_free([t, zero, [0, 2]])  # (1:0)
+    assert plane_curves._base_point_free([[1, 0, -1], [1, 1, 0], [0, 0, 1]])
+    assert not plane_curves._base_point_free([[1, 0, -1], [1, 1, 0], [1, -1, 0]])  # (1:-1)
 
 
 def test_degree_24_family_curve_pinned():
@@ -510,13 +674,16 @@ def test_kept_transforms_follow_the_geometry():
     fixed_geometry.cache_clear()
     geo = fixed_geometry()
     images = _transform(F).images
-    kept = _cache(geo)[1]
+    kept = stage2_oracle._cache(geo)[0]
+    factors = _cache(geo)[1]
     assert len(kept) == 2
     ref = weakref.ref(geo)
     fixed_geometry.cache_clear()
     del geo
     assert _transform(F).images == images
-    assert _cache(fixed_geometry())[1] is not kept
+    assert stage2_oracle._cache(fixed_geometry())[0] is not kept
+    assert _cache(fixed_geometry())[1] is not factors
+    assert _cache(fixed_geometry())[1] == factors
     gc.collect()
     assert ref() is None
 
@@ -665,14 +832,20 @@ class _OneConicGeometry:
     def ctau_factors(self):
         return (poly_parse("x*y + x*z - z^2", P2),)
 
+    def ctau_components(self):
+        return tuple((g, (g,)) for g in self.ctau_factors())
+
 
 def test_stage2_fails_on_the_fiber_of_the_conjugate_pair(monkeypatch):
     """The line from the center c = (1, 2, -3) to Q = (1:1:phi) meets the
     conic again at R; F is a conic of the pencil through Q, R and their
     conjugates.  So V(F) meets the conic on the fiber lines of the
-    conjugate pair only, and stage 2 can find R only there."""
+    conjugate pair only, and the resultant stage 2 can find R only there.
+    The program's stage 2 finds R as a root of F on the conic's
+    parametrization that the pair's root form does not strip."""
     geo = _OneConicGeometry()
     monkeypatch.setattr(plane_curves, "fixed_geometry", lambda: geo)
+    monkeypatch.setattr(stage2_oracle, "fixed_geometry", lambda: geo)
     conic = geo.ctau_factors()[0]
     curve = _curve("11*x^2 - 29*x*y + 11*y^2 - 14*x*z + 7*y*z + 7*z^2")
     c, Q = _transform(curve.F).center, geo.ttau_quadratic.coords
@@ -683,8 +856,9 @@ def test_stage2_fails_on_the_fiber_of_the_conjugate_pair(monkeypatch):
            + c[2] * (Q[0] * R[1] - Q[1] * R[0]))
     assert det == 0 and R != Q
     assert _stage1(curve) is None
-    assert _stage2(curve) == (f"V(F) meets V({conic}) at a second point on the "
-                              "fiber line of a T_tau point")
+    assert stage2_oracle._stage2(curve) == (f"V(F) meets V({conic}) at a second point "
+                                            "on the fiber line of a T_tau point")
+    assert _stage2(curve) == f"V(F) meets V({conic}) at a point off T_tau"
 
 
 @settings(max_examples=60, deadline=None)
