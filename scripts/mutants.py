@@ -248,23 +248,20 @@ MUTANTS = [
             f"{TF}::test_a_triple_with_a_common_factor_can_complete_to_a_primitive_point"),
            "a triple with gcd > 1 can complete to a primitive point"),
     # -- criterion (tau)
-    Mutant("probe-too-strict", PC,
-           "if ad > bd or not ap or bp % ap:",
-           "if ad > bd or not ap or bp % (2 * ap):",
-           (f"{TP}::test_a_factor_times_any_form_passes_the_probe",),
-           "a | b gives a(p) | b(p) at the probe p, and no more"),
-    Mutant("stage1-degrees-swapped", PC,
-           "_divides(g, gd, gp, F, d, Fp)",
-           "_divides(g, d, gp, F, gd, Fp)",
-           (f"{TP}::test_stage1_probe_keeps_the_witnesses_of_the_corpus",
-            f"{TP}::test_a_factor_times_any_form_passes_the_probe"),
-           "a factor of F has at most F's degree"),
     Mutant("stage2-misses-a-common-component", PC,
            "if any(R.is_zero() for R in images):",
            "if False:",
-           (f"{TP}::test_stage2_names_a_common_component",),
+           (f"{TP}::test_stage2_names_a_common_component",
+            f"{TP}::test_the_lines_through_two_ttau_points_fail_at_stage_1"),
            "F vanishing on a component's parametrization means a common component, "
            "named as such"),
+    Mutant("share-tested-on-the-first-component-only", PC,
+           "if any(R.is_zero() for R in images):",
+           "if images[0].is_zero():",
+           (f"{TP}::test_each_component_of_ctau_fails",
+            f"{TP}::test_stage2_agrees_with_the_resultant_oracle"),
+           "F may vanish on the second component of a factor alone, as "
+           "x^2 + y*z - z^2 does on that of sum t"),
     Mutant("share-tested-after-stripping", PC,
            "        if any(R.is_zero() for R in images):\n"
            "            return f\"V(F) and V({g}) share a component\"\n"
@@ -334,6 +331,14 @@ MUTANTS = [
            (f"{TP}::test_the_conjugate_fiber_check_agrees",
             f"{TP}::test_stage2_agrees_with_the_resultant_oracle"),
            "the conjugate pair's projections are stripped before the verdict"),
+    Mutant("remainder-rows-weights-one-power-high", SO,
+           "        weights.append(c * scale)\n        scale *= lc\n",
+           "        scale *= lc\n        weights.append(c * scale)\n",
+           (f"{TB}::test_remainder_resultant_equals_the_prs",
+            f"{TB}::test_remainder_resultant_on_the_corner_cases",
+            f"{TP}::test_resultants_from_the_remainder_rows_equal_the_prs"),
+           "f[i] meets its row with lc^i for i < s, so prem(f, g) = lc^s (f mod g)"),
+    # -- stage 3 of criterion (tau)
     Mutant("stage3-never-refuses-early", PC,
            "hopeless = -(-curve.degree // 12) > max_image_degree",
            "hopeless = False",
@@ -380,13 +385,6 @@ MUTANTS = [
            (f"{TB}::test_windowed_pseudo_remainder_equals_the_rescaling_loop",
             f"{TB}::test_pseudo_remainder_scales_the_remainder"),
            "a coefficient entering the window at step i carries lc^i"),
-    Mutant("remainder-rows-weights-one-power-high", BF,
-           "        weights.append(c * scale)\n        scale *= lc\n",
-           "        scale *= lc\n        weights.append(c * scale)\n",
-           (f"{TB}::test_remainder_resultant_equals_the_prs",
-            f"{TB}::test_remainder_resultant_on_the_corner_cases",
-            f"{TP}::test_resultants_from_the_remainder_rows_equal_the_prs"),
-           "f[i] meets its row with lc^i for i < s, so prem(f, g) = lc^s (f mod g)"),
     Mutant("interpolate-without-remainder-check", BF,
            "        if r:\n            return None\n        out.append(q)",
            "        out.append(q)",

@@ -8,12 +8,11 @@ served the resultant stage 2 that came before it, and stays for the
 benchmark's tracer, which patches it by name, and for the tests' oracle
 of that stage 2.  All of it works on coefficient lists: resultants by one
 subresultant polynomial remainder sequence (_prs; no Sylvester matrix is
-built), which goes on from a given first pseudo-remainder -- prem(f, g)
-itself, or, for a g that many polynomials meet, the same prem assembled
-from remainder rows kept with g (remainder_resultant) -- stripping a known
-factor from a binary form by exact long division (one routine for a
-primitive integer form and for a monic form over Z[phi]; +-t by a slice),
-and integer interpolation at the nodes 0..n for resultants computed by
+built), which goes on from a given first pseudo-remainder (the oracle
+assembles it from remainder rows of its own), stripping a known factor
+from a binary form by exact long division (one routine for a primitive
+integer form and for a monic form over Z[phi]; +-t by a slice), and
+integer interpolation at the nodes 0..n for resultants computed by
 specialization.
 
 Coefficients are ints or algebra.Phi numbers of Z[phi], mixed through
@@ -24,9 +23,7 @@ through divmod, never floating.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import gcd
-from operator import mul
 
 ZZ = int  # read only by perfbench/tracing.py, which counts resultants by ring
 
@@ -118,47 +115,6 @@ def sylvester_resultant(f, g, dom=None):
         if len(a) % 2 == 0 and len(b) % 2 == 0:
             sign = -sign
     return _prs(a, b, sign, pseudo_remainder(a, b))
-
-
-def remainder_resultant(f, g, cols):
-    """Res(f, g), the value sylvester_resultant(f, g) returns, with the first
-    pseudo-remainder prem(f, g) assembled from rows kept for a g that many
-    f meet.  The remainder rows of g are X_j = lc^e_j * (x^j mod g), j >= 0,
-    with lc = g[0], k = deg g and e_j = max(0, j - k + 1), each as k
-    coefficients (descending).  cols holds them by column, cols[t][j] being
-    coefficient t of X_j; it is empty for a new g and is extended here up to
-    j = deg f by X_(j+1) = lc*x*X_j - top(X_j)*g.
-
-    With d = deg f and s = d - k + 1, prem(f, g) = lc^s (f mod g)
-    = sum_i f[i] * lc^(s - e_(d-i)) * X_(d-i): k dot products, after which
-    the subresultant PRS of (f, g) goes on from its first step (_prs).
-    When d < k there is no remainder to take, and the PRS runs on (f, g)."""
-    d, k, lc = len(f) - 1, len(g) - 1, g[0]
-    if d < k or k < 1 or not f[0] or not lc:
-        return sylvester_resultant(f, g)
-    if not cols:  # X_0 .. X_(k-1) are the powers of x themselves
-        cols.extend([0] * (k - 1 - t) + [1] + [0] * t for t in range(k))
-    if len(cols[0]) <= d:
-        top, new, tail, last = [col[-1] for col in cols], [], g[1:], -g[-1]
-        for _ in range(len(cols[0]), d + 1):
-            c = top[0]
-            top = [lc * u - c * v for u, v in zip(top[1:], tail)]
-            top.append(c * last)
-            new.append(top)
-        for col, vals in zip(cols, zip(*new)):
-            col.extend(vals)
-    # f[i] meets X_(d-i) with the power lc^(s - e_(d-i)): lc^i for i < s,
-    # and lc^s for i >= s, where X_(d-i) is the unit vector of x^(d-i)
-    s, scale, weights = d - k + 1, 1, []
-    for c in f[:s]:
-        weights.append(c * scale)
-        scale *= lc
-    weights.reverse()  # those of X_k .. X_d
-    prem = [sum(map(mul, weights, islice(col, k, None)), c * scale)
-            for col, c in zip(cols, f[s:])]
-    while prem and not prem[0]:
-        prem = prem[1:]
-    return _prs(f, g, 1, prem)
 
 
 # ---------------------------------------------------------------------------

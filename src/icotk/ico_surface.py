@@ -171,11 +171,12 @@ class FixedGeometry:
         plane_curves checks that each component is irreducible: it has a
         parametrization by binary forms without a base point."""
         if self._ctau_components is None:
-            q3, t1, t_sum = self._ctau_factors[5:]
+            factors = self.ctau_factors()
+            q3, t1, t_sum = factors[5:]
             split = {q3: ("x - y", "x + y - z"), t1: ("x - z", "z^2 - x*y - y*z"),
                      t_sum: ("y", "x^2 + y*z - z^2")}
             out = []
-            for g in self._ctau_factors:
+            for g in factors:
                 parts = tuple(poly_parse(c, P2) for c in split[g]) if g in split else (g,)
                 if prod(parts) not in (g, -g):
                     raise AssertionError(f"C_tau factor {g} is not the product of its components")

@@ -4,15 +4,9 @@ For a plane curve X = V(F) the criterion asks whether the closure
 Y = cl(tau(X minus T_tau)) misses all five coordinate points e_i.  Since
 tau collapses C_tau minus T_tau onto the e_i themselves, the test splits:
 
-  stage 1/2:  X meets C_tau only inside T_tau.  Otherwise some curve point
-              maps straight onto an e_i and the criterion fails.
-  stage 3:    no e_i lies on cl(tau(X minus C_tau)).
-
-Stage 1 asks whether a C_tau factor g divides F or F divides g.  Both are
-primitive, so by Gauss's lemma a | b means b = a*h with h integral, and
-then deg a <= deg b and a(p) | b(p) at the integer point p = _PROBE, where
-no g vanishes; exact division runs only when both tests pass.  (F(p) = 0
-rules out F | g, since g(p) = F(p)*h(p) would vanish.)
+  stage 2:  X meets C_tau only inside T_tau.  Otherwise some curve point
+            maps straight onto an e_i and the criterion fails.
+  stage 3:  no e_i lies on cl(tau(X minus C_tau)).
 
 Stage 2 is decided exactly, factor by factor, on the components of C_tau
 (FixedGeometry.ctau_components): the seven lines through pairs of rational
@@ -68,7 +62,7 @@ from itertools import combinations
 from .algebra import P2, P4, Echelon, Poly, Ring, primitive_form
 from .binaryforms import form_content_free, strip_root, sylvester_resultant
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
-from .errors import BudgetExceededError, IcotkError, NotDivisibleError
+from .errors import BudgetExceededError, IcotkError
 from .groebner import GREVLEX, Ideal, normal_form
 from .heights import LogBound, bound_pullback
 from .ico_models import IcoModel, _degree_monomials, general_model, is_degenerate
@@ -81,7 +75,6 @@ class PlaneCurve:
     def __init__(self, F: Poly):
         self.F = primitive_form(F, P2, "plane curves", "x,y,z")
         self.degree = self.F.degree()
-        self.abs_F = self.F.max_abs_coeff()
         self._report = None
         self._pieces: dict = {}  # m -> tuple of J_m generators
 
@@ -150,54 +143,22 @@ def tau_witness(model: IcoModel) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# what stages 1-2 keep per geometry; stage 1, the common-factor fast path
+# stage 2: X meet C_tau inside T_tau, on parametrizations of the components
 # ---------------------------------------------------------------------------
 
-_PROBE = (1009, -733, 2039)  # no C_tau factor vanishes here
 _LINE = Ring(("s", "t"))  # the parameter line of the C_tau components
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @lru_cache(maxsize=1)
 def _cache(geo):
-    """Built on the first criterion-(tau) call of a geometry: the C_tau
-    factors with their degrees and their values at _PROBE; per factor, in
-    ctau_factors order, (g, ((phi_C, root forms of C), ...)) over the
-    components C of g (_parametrize); and the powers {(i, k): tau_i^k}
+    """Built on the first criterion-(tau) call of a geometry: per C_tau
+    factor, in ctau_factors order, (g, ((phi_C, root forms of C), ...)) over
+    the components C of g (_parametrize); and the powers {(i, k): tau_i^k}
     formed so far by stage 3."""
-    probed = [(g, g.degree(), g.evaluate(_PROBE)) for g in geo.ctau_factors()]
-    if any(not gp or abs(g.content_primitive()[0]) != 1 for g, _, gp in probed):
-        raise AssertionError("the probe needs primitive C_tau factors off _PROBE")
     factors = tuple((g, tuple(_parametrize(geo, C) for C in parts))
                     for g, parts in geo.ctau_components())
-    return probed, factors, {}
-
-
-def _divides(a: Poly, ad: int, ap, b: Poly, bd: int, bp) -> bool:
-    """a | b for primitive integer forms of degrees ad, bd with values ap, bp
-    at _PROBE."""
-    if ad > bd or not ap or bp % ap:
-        return False
-    try:
-        b.exact_div(a)
-    except NotDivisibleError:
-        return False
-    return True
-
-
-def _stage1(curve: PlaneCurve):
-    F, d, Fp = curve.F, curve.degree, curve.F.evaluate(_PROBE)
-    for g, gd, gp in _cache(fixed_geometry())[0]:
-        if _divides(g, gd, gp, F, d, Fp):
-            return f"C_tau factor ({g}) divides F"
-        if _divides(F, d, Fp, g, gd, gp):
-            return f"F divides the C_tau factor ({g})"
-    return None
-
-
-# ---------------------------------------------------------------------------
-# stage 2: X meet C_tau inside T_tau, on parametrizations of the components
-# ---------------------------------------------------------------------------
+    return factors, {}
 
 
 def _det(a, b, c):
@@ -293,7 +254,7 @@ def _stage2(curve: PlaneCurve):
     in ctau_factors order, that X meets off T_tau or shares a component
     with."""
     F = curve.F
-    for g, parts in _cache(fixed_geometry())[1]:
+    for g, parts in _cache(fixed_geometry())[0]:
         images = [F.substitute(phi) for phi, _ in parts]
         if any(R.is_zero() for R in images):
             return f"V(F) and V({g}) share a component"
@@ -316,7 +277,7 @@ def _graded_piece(curve: PlaneCurve, m: int, budget: GroebnerBudget):
     F | G(tau)}, by exact kernel computation of the composition map."""
     if m in curve._pieces:
         return curve._pieces[m]
-    tau_pows = _cache(fixed_geometry())[2]
+    tau_pows = _cache(fixed_geometry())[1]
     monos = _degree_monomials(m)
     echelon = Echelon()
     out = []
@@ -381,30 +342,32 @@ def check_tau(
 ) -> TauReport:
     """Decide criterion (tau) for the curve; the report is cached on it.
 
-    Stages 1-2 fail X when it meets C_tau off T_tau.  Stage 2 passes X
-    exactly when F vanishes on no component C of C_tau and each binary
+    Stage 2 fails X when it meets C_tau off T_tau.  It passes X exactly
+    when F vanishes on no component C of C_tau and each binary
     form F(phi_C) has roots only at the parameters of the T_tau points on
     C, so that stripping their root forms leaves a constant.  Otherwise
     stage 3 looks for witnesses in J_1..J_max_image_degree and raises
     BudgetExceededError if some e_i stays unseparated.
 
-    No line reaches stage 3.  Stage 1 fails the C_tau components V(x),
-    V(z) and V(y - z) (among ctau_factors).  Any other line L meets each of
-    them in one point, and stage 2 passes only if all three points lie in
-    T_tau.  T_tau meets V(x) in {(0:1:0), (0:0:1), (0:1:1)}, V(z) in
+    No line reaches stage 3.  Stage 2 fails the C_tau components V(x),
+    V(z) and V(y - z) (among ctau_factors) as shared components.  Any other
+    line L meets each of them in one point, and stage 2 passes L only if
+    all three points lie in T_tau.  T_tau meets V(x) in
+    {(0:1:0), (0:0:1), (0:1:1)}, V(z) in
     {(1:0:0), (0:1:0)} and V(y - z) in {(1:0:0), (0:1:1), (1:1:1)}; the
     conjugate pair (1:1:phi), (1:1:1-phi) lies on none of the three lines,
     and no point lies in all three sets.  So L holds two distinct rational
     T_tau points.  The 15 pairs of rational T_tau points span exactly seven
     lines -- x, y, z, x - z, y - z, x - y, x + y - z -- and each of them
-    fails at stage 1: it divides a C_tau factor or is one.
+    is a C_tau component, which stage 2 fails at the latest as a component
+    it shares with its factor.
     """
     if max_image_degree < 1:
         raise ValueError("max_image_degree must be at least 1")
     if curve._report is not None:
         return curve._report
     t0 = time.perf_counter()
-    witness = _stage1(curve) or _stage2(curve)
+    witness = _stage2(curve)
     if witness is None:
         verdict, stage, witness = "satisfies", "none", ""
         pieces = _stage3(curve, budget, max_image_degree)
@@ -487,7 +450,7 @@ def containing_model(
     if is_degenerate(model):
         raise AssertionError("f~ produced a degenerate model")
 
-    cert = bound_pullback(curve.degree, curve.abs_F)
+    cert = bound_pullback(curve.degree, curve.F.max_abs_coeff())
     log_abs = LogBound.of_log10(ftilde.max_abs_coeff())
     return ContainingModelReport(
         model=model,

@@ -26,12 +26,13 @@ import itertools
 import random
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul
 
 from icotk.algebra import P2, Poly
 from icotk.binaryforms import (
+    _prs,
     form_content_free,
     interpolate,
-    remainder_resultant,
     strip_root,
     sylvester_resultant,
 )
@@ -146,6 +147,47 @@ def _pair_quadratic(q):
     Q as well.  Both routes lower the degree by 2k."""
     u = q[2] * q[1].conj()
     return form_content_free([q[2].norm(), -(2 * u.a + u.b), q[1].norm()])
+
+
+def remainder_resultant(f, g, cols):
+    """Res(f, g), the value sylvester_resultant(f, g) returns, with the first
+    pseudo-remainder prem(f, g) assembled from rows kept for a g that many
+    f meet.  The remainder rows of g are X_j = lc^e_j * (x^j mod g), j >= 0,
+    with lc = g[0], k = deg g and e_j = max(0, j - k + 1), each as k
+    coefficients (descending).  cols holds them by column, cols[t][j] being
+    coefficient t of X_j; it is empty for a new g and is extended here up to
+    j = deg f by X_(j+1) = lc*x*X_j - top(X_j)*g.
+
+    With d = deg f and s = d - k + 1, prem(f, g) = lc^s (f mod g)
+    = sum_i f[i] * lc^(s - e_(d-i)) * X_(d-i): k dot products, after which
+    the subresultant PRS of (f, g) goes on from its first step (_prs).
+    When d < k there is no remainder to take, and the PRS runs on (f, g)."""
+    d, k, lc = len(f) - 1, len(g) - 1, g[0]
+    if d < k or k < 1 or not f[0] or not lc:
+        return sylvester_resultant(f, g)
+    if not cols:  # X_0 .. X_(k-1) are the powers of x themselves
+        cols.extend([0] * (k - 1 - t) + [1] + [0] * t for t in range(k))
+    if len(cols[0]) <= d:
+        top, new, tail, last = [col[-1] for col in cols], [], g[1:], -g[-1]
+        for _ in range(len(cols[0]), d + 1):
+            c = top[0]
+            top = [lc * u - c * v for u, v in zip(top[1:], tail)]
+            top.append(c * last)
+            new.append(top)
+        for col, vals in zip(cols, zip(*new)):
+            col.extend(vals)
+    # f[i] meets X_(d-i) with the power lc^(s - e_(d-i)): lc^i for i < s,
+    # and lc^s for i >= s, where X_(d-i) is the unit vector of x^(d-i)
+    s, scale, weights = d - k + 1, 1, []
+    for c in f[:s]:
+        weights.append(c * scale)
+        scale *= lc
+    weights.reverse()  # those of X_k .. X_d
+    prem = [sum(map(mul, weights, col[k:]), c * scale)
+            for col, c in zip(cols, f[s:])]
+    while prem and not prem[0]:
+        prem = prem[1:]
+    return _prs(f, g, 1, prem)
 
 
 def _resultant_in_x(fc, fvals, gc, gvals, grows, de):

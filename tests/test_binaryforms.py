@@ -16,11 +16,10 @@ from icotk.binaryforms import (
     form_content_free,
     interpolate,
     pseudo_remainder,
-    remainder_resultant,
     strip_root,
     sylvester_resultant,
 )
-from stage2_oracle import _pair_quadratic
+from stage2_oracle import _pair_quadratic, remainder_resultant
 
 small_ints = st.integers(-20, 20)
 zphi_elems = st.builds(Phi, small_ints, small_ints)

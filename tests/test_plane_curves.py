@@ -7,7 +7,6 @@ import importlib.util
 import itertools
 import math
 import random
-import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -31,11 +30,8 @@ import stage2_oracle
 from stage2_oracle import _at, _fiber, _resultant_in_x, _transform, _x_coefficients
 from test_binaryforms import strip_root_oracle
 from icotk.plane_curves import (
-    _PROBE,
     PlaneCurve,
     _cache,
-    _divides,
-    _stage1,
     _stage2,
     check_tau,
     containing_model,
@@ -83,7 +79,7 @@ def test_coordinate_line_fails():
     rep = check_tau(_curve("x"))
     assert rep.verdict == "fails"
     assert rep.stage == "curve-meets-Ctau-off-Ttau"
-    assert "divides" in rep.witness
+    assert rep.witness == "V(F) and V(x) share a component"
 
 
 def test_ctau_components_fail_fast():
@@ -106,15 +102,20 @@ def test_generic_line_fails_by_intersection():
 # the C_tau lines that every other line meets
 _MET_LINES = {text: poly_parse(text, P2) for text in ("x", "z", "y - z")}
 
-# the lines spanned by two rational T_tau points, with their stage-1 witness
+# the lines spanned by two rational T_tau points: the witness of stage 1 as
+# it was (_stage1_without_probe), and the witness of stage 2
+_T1, _SIGMA_T = "-x^2*y + x*z^2 + y*z^2 - z^3", "-x^2*y - y^2*z + y*z^2"
 SEVEN_LINES = {
-    "x": "C_tau factor (x) divides F",
-    "y": "F divides the C_tau factor (-x^2*y - y^2*z + y*z^2)",
-    "z": "C_tau factor (z) divides F",
-    "x - z": "F divides the C_tau factor (-x^2*y + x*z^2 + y*z^2 - z^3)",
-    "y - z": "C_tau factor (y - z) divides F",
-    "x + y - z": "F divides the C_tau factor (x^2 - y^2 - x*z + y*z)",
-    "x - y": "F divides the C_tau factor (x^2 - y^2 - x*z + y*z)",
+    "x": ("C_tau factor (x) divides F", "V(F) and V(x) share a component"),
+    "y": (f"F divides the C_tau factor ({_SIGMA_T})",
+          f"V(F) and V({_SIGMA_T}) share a component"),
+    "z": ("C_tau factor (z) divides F", "V(F) and V(z) share a component"),
+    "x - z": (f"F divides the C_tau factor ({_T1})", f"V(F) and V({_T1}) share a component"),
+    "y - z": ("C_tau factor (y - z) divides F", "V(F) and V(y - z) share a component"),
+    "x + y - z": ("F divides the C_tau factor (x^2 - y^2 - x*z + y*z)",
+                  "V(F) meets V(z) at a point off T_tau"),
+    "x - y": ("F divides the C_tau factor (x^2 - y^2 - x*z + y*z)",
+              "V(F) meets V(z) at a point off T_tau"),
 }
 
 
@@ -147,11 +148,14 @@ def test_the_premises_of_the_line_proof():
 
 @pytest.mark.parametrize("text", sorted(SEVEN_LINES))
 def test_the_lines_through_two_ttau_points_fail_at_stage_1(text):
+    """Stage 1 as it was decided each of the seven lines; stage 2 fails each
+    too, as a component shared with its factor or, for x - y and x + y - z,
+    at the point off T_tau where the line meets V(z) first."""
     curve = _curve(text)
-    assert _stage1(curve) == SEVEN_LINES[text]
+    old, new = SEVEN_LINES[text]
+    assert _stage1_without_probe(curve) == old
     rep = check_tau(curve)
-    assert (rep.verdict, rep.stage, rep.witness) == (
-        "fails", "curve-meets-Ctau-off-Ttau", SEVEN_LINES[text])
+    assert (rep.verdict, rep.stage, rep.witness) == ("fails", "curve-meets-Ctau-off-Ttau", new)
 
 
 def test_every_small_line_fails_before_stage_3():
@@ -161,8 +165,7 @@ def test_every_small_line_fails_before_stage_3():
 
 
 def test_a_line_forced_into_stage_3_is_refused(monkeypatch):
-    # stage 3 has no line branch: without stages 1-2 a line gets no verdict
-    monkeypatch.setattr(plane_curves, "_stage1", lambda curve: None)
+    # stage 3 has no line branch: without stage 2 a line gets no verdict
     monkeypatch.setattr(plane_curves, "_stage2", lambda curve: None)
     curve = _curve("x + 2*y + 5*z")
     with pytest.raises(BudgetExceededError):
@@ -173,7 +176,6 @@ def test_a_line_forced_into_stage_3_is_refused(monkeypatch):
 def test_stage3_refuses_before_any_piece_when_no_witness_can_exist(monkeypatch):
     # a witness G in J_m has F | G(tau) != 0, so 12m >= deg F: a degree-13
     # curve has none in J_1, and the refusal reduces nothing
-    monkeypatch.setattr(plane_curves, "_stage1", lambda curve: None)
     monkeypatch.setattr(plane_curves, "_stage2", lambda curve: None)
     calls = []
     monkeypatch.setattr(plane_curves, "normal_form", lambda *args: calls.append(args))
@@ -390,17 +392,73 @@ def test_stage2_verdicts_pinned():
     # stage 2 (stage2_oracle) gave the same digest once its two witness
     # suffixes are read as the plain "at a point off T_tau": "(projection
     # survives base-point stripping)" and "at a second point on the fiber
-    # line of a T_tau point", which 16 of these curves had
+    # line of a T_tau point", which 16 of these curves had.  Stage 1's
+    # exact divisions, when they ran first, gave 29 of these curves a
+    # "divides" witness and the digest aca824b7ff25b7d5
     curves = _stage2_corpus()
     reports = [check_tau(c) for c in curves]
     line_witnesses = " | ".join(r.witness for r in reports[:124])
-    for kind in ("divides F", "F divides the C_tau factor", "at a point off T_tau"):
+    for kind in ("share a component", "at a point off T_tau"):
         assert kind in line_witnesses
     assert all(r.satisfies for r in reports[-2:])
     h = hashlib.sha256()
     for r in reports:
         h.update(repr((r.verdict, r.stage, r.witness)).encode())
-    assert (len(curves), h.hexdigest()[:16]) == (144, "aca824b7ff25b7d5")
+    assert (len(curves), h.hexdigest()[:16]) == (144, "20956701c1ae8729")
+
+
+def _verdict_corpus():
+    """The stage-2 corpus, every line with coefficients in -4..4, the C_tau
+    factors and components and their pairwise products (squares too), 2000
+    seeded curves and the 36 deep ones."""
+    geo = fixed_geometry()
+    polys = [*geo.ctau_factors(), *(C for _, comps in geo.ctau_components() for C in comps)]
+    lines = [_line(a, b, c) for a, b, c in itertools.product(range(-4, 5), repeat=3)
+             if (a, b, c) != (0, 0, 0)]
+    return (_stage2_corpus() + lines + [PlaneCurve(g) for g in polys]
+            + [PlaneCurve(g * h) for g, h in itertools.combinations_with_replacement(polys, 2)]
+            + _seeded_curves(2000, 35) + _deep_curves(36))
+
+
+def test_verdicts_and_stages_are_those_of_stages_1_and_2():
+    # digest of (verdict, stage) over _verdict_corpus, computed when stage 1's
+    # exact divisions ran before stage 2 on every curve; stage 3 only ever
+    # proves a curve that stage 2 passes, or refuses
+    curves = _verdict_corpus()
+    h = hashlib.sha256()
+    for curve in curves:
+        failed = _stage2(curve) is not None
+        h.update(repr(("fails", "curve-meets-Ctau-off-Ttau") if failed
+                      else ("satisfies", "none")).encode())
+    assert (len(curves), h.hexdigest()[:16]) == (3117, "f3ff3a1dede6c021")
+
+
+COMPONENT_WITNESSES = {  # in ctau_components order
+    "x": "V(F) and V(x) share a component",
+    "z": "V(F) and V(z) share a component",
+    "y - z": "V(F) and V(y - z) share a component",
+    "x*y + x*z - z^2": "V(F) meets V(y - z) at a point off T_tau",
+    "-y^2 - x*z + z^2": "V(F) meets V(x) at a point off T_tau",
+    "x - y": "V(F) meets V(z) at a point off T_tau",
+    "x + y - z": "V(F) meets V(z) at a point off T_tau",
+    "x - z": f"V(F) and V({_T1}) share a component",
+    "-x*y - y*z + z^2": f"V(F) and V({_T1}) share a component",
+    "y": f"V(F) and V({_SIGMA_T}) share a component",
+    "x^2 + y*z - z^2": f"V(F) and V({_SIGMA_T}) share a component",
+}
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_each_component_of_ctau_fails(power):
+    """Each of the eleven components, alone and squared, fails at stage 2:
+    as a component it shares with its own factor, the second one of a
+    factor too, unless an earlier factor meets it off T_tau."""
+    comps = [C for _, parts in fixed_geometry().ctau_components() for C in parts]
+    assert [str(C) for C in comps] == list(COMPONENT_WITNESSES)
+    for C in comps:
+        rep = check_tau(PlaneCurve(C**power))
+        assert (rep.verdict, rep.stage, rep.witness) == (
+            "fails", "curve-meets-Ctau-off-Ttau", COMPONENT_WITNESSES[str(C)]), C
 
 
 @pytest.mark.parametrize("text, factor", [
@@ -511,8 +569,9 @@ def test_stage2_agrees_with_the_resultant_oracle():
     failure, a shared component or a point off T_tau, on every curve: the
     corpus, the seed-5 tau-corpus round, 2000 seeded curves of degree 1..6,
     36 that reach the last factors and family curves of degree 12 and 24.
-    Stage 1 is not consulted, so the components of C_tau and their
-    products are decided here too."""
+    Among them are at least 300 curves that stage 1 decided when it ran
+    first (_stage1_without_probe), such as the components of C_tau and
+    their products."""
     curves = (_stage2_corpus() + _tau_corpus_curves(5) + _seeded_curves(2000, 35)
               + _deep_curves(36)
               + [family_curve(1, (3, 1, -2, 5, 1)), family_curve(2, tuple(range(1, 15)))])
@@ -521,7 +580,7 @@ def test_stage2_agrees_with_the_resultant_oracle():
         new = _kind(_stage2(curve))
         assert new == _kind(stage2_oracle._stage2(curve)), curve
         kinds[new[1] if new else "pass"] += 1
-        kinds["stage 1"] += _stage1(curve) is not None
+        kinds["stage 1"] += _stage1_without_probe(curve) is not None
         if new and new[1] == "off":
             off.add(new[0])
     assert [c.degree for c in curves[-2:]] == [12, 24]
@@ -536,7 +595,7 @@ def test_each_factor_is_the_product_of_its_parametrized_components():
     that lies on it, with one root form per T_tau point on it: the seven
     lines through pairs of rational T_tau points and four smooth conics."""
     geo = fixed_geometry()
-    factors = _cache(geo)[1]
+    factors = _cache(geo)[0]
     assert [g for g, _ in factors] == list(geo.ctau_factors())
     degrees, pair = [], 0
     for (g, parts), (_, comps) in zip(factors, geo.ctau_components()):
@@ -591,7 +650,7 @@ def test_degree_24_family_curve_pinned():
     assert (r.verdict, h.hexdigest()[:16]) == ("satisfies", "8a19a99555e0c0c3")
 
 
-# -- stages 1-2: what is kept per geometry, against per-curve oracles ----------
+# -- stage 2: what is kept per geometry, against per-curve oracles -------------
 
 
 def _adjugate3(m):
@@ -636,7 +695,9 @@ def _find_transform(curve):
 
 
 def _stage1_without_probe(curve):
-    """Oracle: stage 1 with an exact division for every pair."""
+    """What stage 1 decided, before stage 2 alone decided X meet C_tau: the
+    first C_tau factor g, in ctau_factors order, with g | F or F | g, by an
+    exact division for every pair."""
 
     def divides(a, b):
         try:
@@ -675,47 +736,17 @@ def test_kept_transforms_follow_the_geometry():
     geo = fixed_geometry()
     images = _transform(F).images
     kept = stage2_oracle._cache(geo)[0]
-    factors = _cache(geo)[1]
+    factors = _cache(geo)[0]
     assert len(kept) == 2
     ref = weakref.ref(geo)
     fixed_geometry.cache_clear()
     del geo
     assert _transform(F).images == images
     assert stage2_oracle._cache(fixed_geometry())[0] is not kept
-    assert _cache(fixed_geometry())[1] is not factors
-    assert _cache(fixed_geometry())[1] == factors
+    assert _cache(fixed_geometry())[0] is not factors
+    assert _cache(fixed_geometry())[0] == factors
     gc.collect()
     assert ref() is None
-
-
-def test_stage1_probe_keeps_the_witnesses_of_the_corpus():
-    px, py, pz = _PROBE  # curves through the probe point, where F(p) = 0
-    x, y, z = (Poly.variable(P2, n) for n in "xyz")
-    through_probe = [PlaneCurve(F) for F in (x * py - y * px, y * pz - z * py,
-                                             x * x * (py * pz) - y * z * (px * px))]
-    assert all(c.F.evaluate(_PROBE) == 0 for c in through_probe)
-    curves = _stage2_corpus() + through_probe
-    witnesses = [_stage1(c) for c in curves]
-    assert witnesses == [_stage1_without_probe(c) for c in curves]
-    assert sum(w is not None for w in witnesses) >= 10
-
-
-def test_stage1_asks_no_form_for_its_degree(monkeypatch):
-    """Stage 1 reads the degrees kept with the curve and the C_tau factors;
-    only the exact divisions it runs compute degrees."""
-    curves = _stage2_corpus()
-    _stage1(curves[0])  # builds the per-geometry data
-    callers = []
-    degree = Poly.degree
-
-    def counted(f):
-        callers.append(sys._getframe(1).f_code.co_filename)
-        return degree(f)
-
-    monkeypatch.setattr(Poly, "degree", counted)
-    for curve in curves:
-        _stage1(curve)
-    assert callers and plane_curves.__file__ not in callers
 
 
 _FORM_TERMS = st.lists(
@@ -724,12 +755,13 @@ _FORM_TERMS = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 8), st.integers(0, 3), _FORM_TERMS, st.booleans())
-def test_a_factor_times_any_form_passes_the_probe(k, d, terms, vanish):
-    """g*h passes the probe and stage 1 finds a factor for every integer
-    form h and every g among the C_tau factors and the quintic v of lambda
-    (a product of C_tau components), also when h vanishes at the probe
-    point."""
+@given(st.integers(0, 8), st.integers(0, 3), _FORM_TERMS)
+def test_a_factor_times_any_form_fails(k, d, terms):
+    """g*h fails at stage 2 for every integer form h and every g among the
+    C_tau factors and the quintic v of lambda (a product of C_tau
+    components): F vanishes on each component of g, so stage 2 fails F at
+    g's factor at the latest, in ctau_factors order.  These are curves
+    stage 1 decided."""
     geo = fixed_geometry()
     g = (*geo.ctau_factors(), geo.v)[k]
     h = Poly(P2, {})
@@ -738,15 +770,12 @@ def test_a_factor_times_any_form_passes_the_probe(k, d, terms, vanish):
             h = h + Poly.monomial(P2, (ex, ey, d - ex - ey), c)
     if h.is_zero():
         h = Poly.monomial(P2, (0, 0, d))
-    if vanish:  # times a linear form through the probe point
-        h = h * (Poly.variable(P2, "x") * _PROBE[1] - Poly.variable(P2, "y") * _PROBE[0])
-        assert h.evaluate(_PROBE) == 0
     curve = PlaneCurve(g * h)
-    gp, Fp = g.evaluate(_PROBE), curve.F.evaluate(_PROBE)
-    assert gp != 0 and Fp % gp == 0
-    assert _divides(g, g.degree(), gp, curve.F, curve.degree, Fp)
-    witness = _stage1(curve)
-    assert witness is not None and witness == _stage1_without_probe(curve)
+    assert _stage1_without_probe(curve) is not None
+    rep = check_tau(curve)
+    assert (rep.verdict, rep.stage) == ("fails", "curve-meets-Ctau-off-Ttau")
+    if k < 8:
+        assert _kind(rep.witness)[0] in {str(f) for f in geo.ctau_factors()[:k + 1]}
 
 
 def _resultant_in_x_by_prs(fc, gc, de):
@@ -855,7 +884,6 @@ def test_stage2_fails_on_the_fiber_of_the_conjugate_pair(monkeypatch):
     det = (c[0] * (Q[1] * R[2] - Q[2] * R[1]) - c[1] * (Q[0] * R[2] - Q[2] * R[0])
            + c[2] * (Q[0] * R[1] - Q[1] * R[0]))
     assert det == 0 and R != Q
-    assert _stage1(curve) is None
     assert stage2_oracle._stage2(curve) == (f"V(F) meets V({conic}) at a second point "
                                             "on the fiber line of a T_tau point")
     assert _stage2(curve) == f"V(F) meets V({conic}) at a point off T_tau"
