@@ -349,6 +349,16 @@ MUTANTS = [
            "hopeless = -(-curve.degree // 12) >= max_image_degree",
            (f"{TP}::test_a_degree_12_curve_finds_its_witnesses_in_degree_1",),
            "a witness can lie in J_m once 12m >= deg F"),
+    Mutant("stage3-skips-the-first-powers", PC,
+           "for i, k in enumerate(expo) if k)",
+           "for i, k in enumerate(expo) if k > 1)",
+           (f"{TP}::test_graded_pieces_pinned", f"{TP}::test_degree_24_family_curve_pinned"),
+           "m(tau) is the product of tau_i^k over every k >= 1"),
+    Mutant("ftilde-zero-at-a-coordinate-point", PC,
+           "if any(row[0] <= 0 for row in model.diagonal()):",
+           "if any(row[0] < 0 for row in model.diagonal()):",
+           (f"{TP}::test_containing_model_asserts_a_positive_diagonal",),
+           "f~(e_i) = 0 leaves f~ non-positive at e_i"),
     # -- resultants and interpolation
     Mutant("prs-without-the-odd-degree-sign", BF,
            "    while True:\n"

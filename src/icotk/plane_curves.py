@@ -54,6 +54,7 @@ stage is "none" or "curve-meets-Ctau-off-Ttau".  No line reaches stage 3
 
 from __future__ import annotations
 
+import math
 import time
 from collections import namedtuple
 from functools import lru_cache
@@ -65,7 +66,7 @@ from .config import DEFAULT_GB_BUDGET, GroebnerBudget
 from .errors import BudgetExceededError, IcotkError
 from .groebner import GREVLEX, Ideal, normal_form
 from .heights import LogBound, bound_pullback
-from .ico_models import IcoModel, _degree_monomials, general_model, is_degenerate
+from .ico_models import IcoModel, _degree_monomials, general_model
 from .ico_surface import fixed_geometry
 
 
@@ -230,9 +231,11 @@ def _coefficients(f: Poly, D: int):
 
 
 def _base_point_free(forms) -> bool:
-    """Whether the binary forms [c_0, ..] have no common root: (1:0) is no
-    common root when some c_0 != 0, and no (s:1) is when two of the
-    f(s, 1) have a nonzero resultant or one is a nonzero constant."""
+    """A certificate that the binary forms [c_0, ..] have no common root:
+    some c_0 != 0, so (1:0) is none, and two of the f(s, 1) have a nonzero
+    sylvester_resultant or one is a nonzero constant, so no (s:1) is.
+    False proves nothing: s^2 - t^2, s^2 + st, s^2 - st share no root, yet
+    each pair does."""
     if not any(f[0] for f in forms):
         return False
     affine = [f[next(i for i, c in enumerate(f) if c):] for f in forms if any(f)]
@@ -282,10 +285,7 @@ def _graded_piece(curve: PlaneCurve, m: int, budget: GroebnerBudget):
     echelon = Echelon()
     out = []
     for expo in monos:
-        comp = Poly.constant(P2, 1)
-        for i, k in enumerate(expo):
-            if k:
-                comp = comp * _tau_power(tau_pows, i, k)
+        comp = math.prod(_tau_power(tau_pows, i, k) for i, k in enumerate(expo) if k)
         comb = echelon.add(normal_form(comp, [curve.F], GREVLEX, budget).terms)
         if comb is not None:
             items = [(expo, 1)] + [(monos[k], -c) for k, c in comb.items()]
@@ -443,12 +443,9 @@ def containing_model(
 
     if not normal_form(ftilde, gb, GREVLEX, budget).is_zero():
         raise AssertionError("f~ escaped its own ideal")
-    for i in range(5):
-        if ftilde.evaluate(geo.e_points[i].coords) <= 0:
-            raise AssertionError("f~ must be positive at every coordinate point")
-    model = IcoModel([ftilde])
-    if is_degenerate(model):
-        raise AssertionError("f~ produced a degenerate model")
+    model = IcoModel([ftilde])  # its diagonal holds f~(e_i), checked against the value
+    if any(row[0] <= 0 for row in model.diagonal()):
+        raise AssertionError("f~ must be positive at every coordinate point")
 
     cert = bound_pullback(curve.degree, curve.F.max_abs_coeff())
     log_abs = LogBound.of_log10(ftilde.max_abs_coeff())

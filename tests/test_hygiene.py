@@ -6,8 +6,9 @@ package exports is used by the program or the acceptance gate and resolves
 in the module the package's table names, a constructor that skips its
 checks has only its allowed callers, every name the benchmark's tracer looks
 up in icotk exists and it installs after a cold import of the command line,
-and a cold command stays light: no heavy standard module, and no icotk
-module it does not reach."""
+only binaryforms names its resultant engine (and plane_curves the entry
+its base-point check calls), and a cold command stays light: no heavy
+standard module, and no icotk module it does not reach."""
 
 import ast
 import importlib
@@ -303,6 +304,37 @@ def test_the_check_sees_every_caller_of_a_trusted_constructor(tmp_path):
                    "def build():\n    return P._fast(2)\n\n"
                    "FAST = P._fast\n")
     assert _callers("_fast", [lib]) == ["lib.P.copy", "lib.build", "lib.line 12"]
+
+
+# -- the resultant engine ------------------------------------------------------------
+# Stage 2 interpolates nothing and strips roots by division: the engine in
+# binaryforms serves the tests' oracle and the benchmark's tracer, and the
+# program calls only sylvester_resultant, in plane_curves' base-point check.
+ENGINE = ("sylvester_resultant", "_prs", "pseudo_remainder", "interpolate")
+MAY_NAME = {"binaryforms": set(ENGINE), "plane_curves": {"sylvester_resultant"}}
+
+
+def _names_engine(tree):
+    """The ENGINE names a module reads, imports or spells as a string."""
+    aliases = {part for node in ast.walk(tree) if isinstance(node, ast.alias)
+               for part in (node.name.split(".")[-1], node.asname)}
+    return sorted((_names_used(ast.walk(tree)) | aliases).intersection(ENGINE))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_resultant_engine_is_named_only_where_allowed(path):
+    named = _names_engine(ast.parse(path.read_text()))
+    assert set(named) <= MAY_NAME.get(path.stem, set()), named
+
+
+def test_the_check_sees_a_module_naming_the_engine(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("from .binaryforms import interpolate as interp, strip_root\n"
+                   "from . import binaryforms\n\n"
+                   "def f(a, b):\n    return binaryforms._prs(a, b, 1, [])\n\n"
+                   "HOOK = 'binaryforms.sylvester_resultant'\n")
+    assert _names_engine(ast.parse(lib.read_text())) == [
+        "_prs", "interpolate", "sylvester_resultant"]
 
 
 # -- the tracer contract ---------------------------------------------------------

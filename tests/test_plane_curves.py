@@ -23,7 +23,7 @@ from icotk.binaryforms import (
 )
 from icotk.errors import BudgetExceededError, NotDivisibleError
 from icotk.groebner import normal_form
-from icotk.ico_models import general_model, is_degenerate
+from icotk.ico_models import IcoModel, general_model, is_degenerate
 from icotk import plane_curves
 from icotk.ico_surface import fixed_geometry, tau_point
 import stage2_oracle
@@ -346,6 +346,20 @@ def test_containing_model_for_family():
     assert rep.within_degree_bound and rep.within_coeff_bound
 
 
+@pytest.mark.parametrize("value", [0, -3])
+def test_containing_model_asserts_a_positive_diagonal(monkeypatch, value):
+    true_diagonal = IcoModel.diagonal
+
+    def diagonal(model):
+        rows = list(true_diagonal(model))
+        rows[2] = (value,)
+        return tuple(rows)
+
+    monkeypatch.setattr(IcoModel, "diagonal", diagonal)
+    with pytest.raises(AssertionError, match="f~ must be positive at every coordinate point"):
+        containing_model(family_curve(1, (1, 1, 1, 1, 1)))
+
+
 def test_containing_model_requires_satisfying_curve():
     with pytest.raises(ValueError):
         containing_model(_curve("x"))
@@ -635,7 +649,18 @@ def test_the_base_point_check_on_binary_forms():
     assert not plane_curves._base_point_free([zero, s, s])  # (0:1)
     assert not plane_curves._base_point_free([t, zero, [0, 2]])  # (1:0)
     assert plane_curves._base_point_free([[1, 0, -1], [1, 1, 0], [0, 0, 1]])
-    assert not plane_curves._base_point_free([[1, 0, -1], [1, 1, 0], [1, -1, 0]])  # (1:-1)
+    # no common root, but each pair shares one -- (1:-1), (1:1), (0:1) --
+    # so no pair certifies it
+    assert not plane_curves._base_point_free([[1, 0, -1], [1, 1, 0], [1, -1, 0]])
+    # st, t(s + t), s(s + t): each pair shares a root, but s(s + t) rules
+    # out (1:0) and the s, s + 1 left by setting t = 1 share none
+    assert plane_curves._base_point_free([[0, 1, 0], [0, 1, 1], [1, 1, 0]])
+    # pairs sharing (1:0), then (2:1): t, 3t; t(s + 2t), t(3s - t);
+    # s - 2t, 3s - 6t; (s - 2t)(s + t), (s - 2t)(s - 3t)
+    for pair in ([t, [0, 3]], [[0, 1, 2], [0, 3, -1]],
+                 [[1, -2], [3, -6]], [[1, -1, -2], [1, -5, 6]]):
+        assert not plane_curves._base_point_free(pair)
+    assert plane_curves._base_point_free([[0, 2, 1], [1, 0, 1]])  # t(2s + t), s^2 + t^2
 
 
 def test_degree_24_family_curve_pinned():
