@@ -68,6 +68,11 @@ MUTANTS = [
            "any(type(k) is not int for k in expo)",
            (f"{TA}::test_an_exponent_must_fit_the_ring",),
            "x*y^-1 is no monomial"),
+    Mutant("from-terms-accepts-a-float", A,
+           "s = acc.get(expo, 0) + _exact(c)",
+           "s = acc.get(expo, 0) + (c if isinstance(c, float) else _exact(c))",
+           (f"{TA}::test_a_coefficient_is_an_int_or_a_fraction",),
+           "0.1 + 0.2 is no exact coefficient"),
     # -- packed division
     Mutant("field-bound-without-moves", A,
            "d = deg + top * moves",
@@ -179,6 +184,12 @@ MUTANTS = [
            "self._ctau_factors = (x, z, lin0, q0, q2, q3, t[1])",
            (f"{TP}::test_stage2_verdicts_pinned",),
            "V(sum t) is part of C_tau: the line y of the corpus fails by dividing it"),
+    Mutant("sampled-check-b-reads-the-next-lambda", S,
+           "ok_b = all(back == [lam * c for c in p] for p, lam, _, back in drawn)",
+           "ok_b = all(back == [lam * c for c in p] for (p, _, _, back), (_, lam, _, _)\n"
+           "               in zip(drawn, drawn[1:] + drawn[:1]))",
+           (f"{TS}::test_identities_sampled",),
+           "rho(tau(p)) is lambda(p)*p for the lambda of the same sample p"),
     Mutant("phi-equality-ignores-phi-part", A,
            "return self.a == other.a and self.b == other.b",
            "return self.a == other.a",

@@ -214,6 +214,14 @@ def _norm_coeff(c):
     return c
 
 
+def _exact(c):
+    """c, which must be an int or a Fraction: anything else raises TypeError
+    rather than being rounded (a float) or parsed (a string)."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
+    return c
+
+
 def _exponent(ring: Ring, expo) -> tuple:
     """expo as a tuple, which must hold one nonnegative int per variable of
     ring; ValueError otherwise."""
@@ -246,7 +254,7 @@ class Poly:
 
     @classmethod
     def constant(cls, ring: Ring, c) -> "Poly":
-        c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+        c = _norm_coeff(_exact(c))
         if c == 0:
             return cls.zero(ring)
         return cls(ring, {(0,) * ring.nvars: c})
@@ -261,7 +269,7 @@ class Poly:
     @classmethod
     def monomial(cls, ring: Ring, expo, c=1) -> "Poly":
         expo = _exponent(ring, expo)
-        c = _norm_coeff(c)
+        c = _norm_coeff(_exact(c))
         if c == 0:
             return cls.zero(ring)
         return cls(ring, {expo: c})
@@ -271,7 +279,7 @@ class Poly:
         acc: dict = {}
         for expo, c in items:
             expo = _exponent(ring, expo)
-            s = acc.get(expo, 0) + c
+            s = acc.get(expo, 0) + _exact(c)
             if s:
                 acc[expo] = s
             else:
@@ -413,9 +421,9 @@ class Poly:
         (a point over Z[phi]; its polynomial needs integer coefficients)."""
         if len(point) != self.ring.nvars:
             raise ValueError("arity mismatch")
-        # Fraction last, for the reason given in __eq__
-        point = [v if isinstance(v, (int, Phi, Fraction)) else _norm_coeff(Fraction(v))
-                 for v in point]
+        for v in point:  # Fraction last, for the reason given in __eq__
+            if not isinstance(v, (int, Phi, Fraction)):
+                raise TypeError(f"coordinate {v!r} is neither an int, a Fraction nor a Phi")
         total = 0
         for e, c in self.terms.items():
             v = c
@@ -430,13 +438,12 @@ class Poly:
 
         All images must share a ring.  Horner's rule in images[0], each
         coefficient (a polynomial in the later variables) built the same way
-        in images[1:]: every step multiplies by one image, so no power of an
-        image is ever formed.  When self is a form of degree d >= 1 and the
-        nonzero images are forms of one degree k >= 1, all with int
-        coefficients, and the box of degree d*k is dense (_dense_box), the
-        same Horner's rule runs on the packed images (_kronecker; a zero
-        image is the integer 0), with the powers of the last one built once
-        and shared, and the result is unpacked once.
+        in images[1:], and the last image raised from one table of its
+        powers, built once and shared (_horner).  When self is a form of
+        degree d >= 1 and the nonzero images are forms of one degree k >= 1,
+        all with int coefficients, and the box of degree d*k is dense
+        (_dense_box), the same rule runs on the packed images (_kronecker; a
+        zero image is the integer 0), and the result is unpacked once.
         Every other input, Fraction coefficients included, runs on
         polynomials.
         """
@@ -451,7 +458,7 @@ class Poly:
         packed = _packed_substitute(self, images)
         if packed is not None:
             return packed
-        out = _horner(list(self.terms.items()), images)
+        out = _horner(list(self.terms.items()), images, [1])
         return out if isinstance(out, Poly) else Poly.constant(target, out)
 
     # -- division ----------------------------------------------------------
@@ -534,16 +541,14 @@ def primitive_form(f, ring: Ring, what: str, where: str) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _horner(items, xs, powers=None):
+def _horner(items, xs, powers):
     """The sum of c * prod xs[i]**e[i] over the (e, c) in items, each e as
-    long as xs, by Horner's rule in xs[0] from the top exponent down, and so
-    on in each later x.  Given the list powers = [1, xs[-1], xs[-1]**2, ...],
-    which grows as needed, the last of the xs is raised from that table
-    instead.  The xs are polynomials or packed integers; the sum is 0 for no
-    items and may be a number."""
-    if not xs:
-        return items[0][1]
-    if powers is not None and len(xs) == 1:
+    long as xs (at least one), by Horner's rule in xs[0] from the top
+    exponent down, and so on in each later x but the last, which is raised
+    from the list powers = [1, xs[-1], xs[-1]**2, ...], grown as needed.
+    The xs are polynomials or packed integers; the sum is 0 for no items
+    and may be a number."""
+    if len(xs) == 1:
         out = 0
         for (k,), c in items:
             while len(powers) <= k:

@@ -284,12 +284,10 @@ def _cmd_genus(args, gb, fb):
 
 
 def _suite_identities(args, gb, fb):
-    checks = []
-    rep = ico_surface.verify_identities(mode="symbolic", samples=args.samples, seed=args.seed)
-    checks.extend(rep.checks)
-    rep = ico_surface.verify_identities(mode="sampled", samples=args.samples, seed=args.seed)
-    checks.extend(rep.checks)
-    return checks
+    symbolic = ico_surface.verify_identities(mode="symbolic", samples=args.samples, seed=args.seed)
+    sampled = ico_surface.verify_identities(mode="sampled", samples=args.samples, seed=args.seed)
+    # symbolic mode ends with check (c) on the very samples sampled mode ends with
+    return [*symbolic.checks[:-1], *sampled.checks]
 
 
 def _suite_dimensions(args, gb, fb):
@@ -424,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--factor-budget",
         type=int,
-        default=DEFAULT_FACTOR_BUDGET.rho_iterations,
+        default=DEFAULT_FACTOR_BUDGET.effort,
         help="integer-factorization effort cap",
     )
     common.add_argument("--samples", type=int, default=25, help="sample count")
@@ -573,10 +571,7 @@ def run(argv) -> int:
             "seed": args.seed,
         }
         gb = GroebnerBudget(max_reductions=args.gb_steps)
-        fb = FactorBudget(
-            trial_limit=min(DEFAULT_FACTOR_BUDGET.trial_limit, args.factor_budget),
-            rho_iterations=args.factor_budget,
-        )
+        fb = FactorBudget(args.factor_budget)
         result, provenance, code = args.handler(args, gb, fb)
     except BudgetExceededError as exc:
         result, provenance, code = {"error": str(exc)}, ["budget-exceeded"], 3

@@ -13,9 +13,9 @@ import sys
 from collections import namedtuple
 
 
-class FactorBudget(namedtuple("FactorBudget", "trial_limit rho_iterations",
-                              defaults=(10**6, 2 * 10**6))):
-    """Effort cap for integer factorization (trial division + Pollard rho)."""
+class FactorBudget(namedtuple("FactorBudget", "effort", defaults=(2 * 10**6,))):
+    """Effort cap for integer factorization: trial division up to
+    min(10^6, effort), then at most effort Pollard rho iterations."""
 
     __slots__ = ()
 

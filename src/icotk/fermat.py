@@ -83,7 +83,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import time
 from collections import namedtuple
 from fractions import Fraction
 
@@ -212,8 +211,9 @@ def _scan_chunk(task):
     return found
 
 
-class ScanReport(namedtuple("ScanReport", "B strategy points millis")):
-    """The points of a scan up to B, as sorted ProjPoints."""
+class ScanReport(namedtuple("ScanReport", "B strategy points")):
+    """The points of a scan up to B, as sorted ProjPoints, and the strategy
+    that found them; a command's envelope, not the report, holds the time."""
 
     __slots__ = ()
 
@@ -264,18 +264,14 @@ def scan_surface(B: int, threads: int | None = None) -> ScanReport:
     absolute coordinates are <= B, enumerated by the 3+2 split.
 
     ``threads`` is accepted and ignored: the scan runs in one process."""
-    t0 = time.perf_counter()
-    points = _expand(_orbits(B))
-    return ScanReport(B, "three-two-split", points, (time.perf_counter() - t0) * 1000.0)
+    return ScanReport(B, "three-two-split", _expand(_orbits(B)))
 
 
 def scan_instance(inst: FermatInstance, B: int, threads: int | None = None) -> ScanReport:
     """Surface points additionally satisfying the instance equation, tested
     on each point's coordinates before it becomes a ProjPoint."""
-    t0 = time.perf_counter()
     points = _expand(_orbits(B), lambda t: inst.lhs(t) == 0)
-    return ScanReport(B, "three-two-split+instance-filter", points,
-                      (time.perf_counter() - t0) * 1000.0)
+    return ScanReport(B, "three-two-split+instance-filter", points)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +388,7 @@ def _z_orbit(orbit) -> bool:
 def z_triviality_scan(B: int, threads: int | None = None) -> ScanReport:
     """Non-trivial surface points in the Z locus with three smallest
     coordinates <= B; expected empty (any hit is a finding, not an error)."""
-    t0 = time.perf_counter()
-    points = _expand(filter(_z_orbit, _orbits(B)))
-    return ScanReport(B, "three-two-split+z-filter", points,
-                      (time.perf_counter() - t0) * 1000.0)
+    return ScanReport(B, "three-two-split+z-filter", _expand(filter(_z_orbit, _orbits(B))))
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +396,16 @@ def z_triviality_scan(B: int, threads: int | None = None) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 
-def sunit_bounded(S, k: int, E: int, enumeration_cap: int = 2_000_000):
+# the most k-tuples of units sunit_bounded enumerates; a larger box raises
+_ENUMERATION_CAP = 2_000_000
+
+
+def sunit_bounded(S, k: int, E: int):
     """All k-tuples of S-units with exponents bounded by E summing to 1.
 
     A bounded oracle: complete inside the exponent box, silent about
-    anything outside it.  k = 1 is allowed (the answer is [(1,)])."""
+    anything outside it, and BudgetExceededError for a box of more than
+    _ENUMERATION_CAP tuples.  k = 1 is allowed (the answer is [(1,)])."""
     primes = sorted(set(_ints(S, "prime")))
     for p in primes:
         if p < 2 or factorize(p) != {p: 1}:
@@ -417,9 +415,9 @@ def sunit_bounded(S, k: int, E: int, enumeration_cap: int = 2_000_000):
     # checked before any unit is built: each exponent vector gives two
     # distinct signed units, and as n_units >= 2 a capped power decides
     n_units = 2 * (2 * E + 1) ** len(primes)
-    if n_units ** min(k, enumeration_cap.bit_length() + 1) > enumeration_cap:
+    if n_units ** min(k, _ENUMERATION_CAP.bit_length() + 1) > _ENUMERATION_CAP:
         raise BudgetExceededError(
-            f"S-unit box holds {n_units}^{k} tuples; cap is {enumeration_cap}"
+            f"S-unit box holds {n_units}^{k} tuples; cap is {_ENUMERATION_CAP}"
         )
     units = set()
     for expos in itertools.product(range(-E, E + 1), repeat=len(primes)):

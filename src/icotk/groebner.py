@@ -225,10 +225,6 @@ class Ideal:
         self._bases: dict = {}
         self._hilbert = None
 
-    def __repr__(self):
-        inner = ", ".join(str(g) for g in self.gens)
-        return f"Ideal({inner})"
-
     def groebner(
         self,
         order: MonomialOrder = GREVLEX,

@@ -9,9 +9,10 @@ base-10 logarithm as an exact decomposition
 with E and the c_k rational and the m_k integers >= 2.  Decompositions are
 canonicalized by splitting off all prime factors below a trial-division
 limit; larger cofactors are kept as opaque atoms.  Equality means equality
-of canonical decompositions; order comparisons fall back to directed
-interval evaluation in Decimal with escalating precision, which terminates
-whenever the two values actually differ.
+of canonical decompositions; order goes through ``LogBound.compare`` alone,
+which falls back to directed interval evaluation in Decimal with escalating
+precision and terminates whenever the two values actually differ (the
+class defines no order operators).
 
 Rendering is directed: the printed decimal is always >= the exact value
 (every intermediate quantity is rounded toward the needed side, and the
@@ -40,20 +41,28 @@ def _split_small(m: int) -> dict:
     return out
 
 
+def _rational(value, what: str) -> Fraction:
+    """value as a Fraction; anything but an int or a Fraction raises
+    TypeError rather than being rounded (a float) or parsed (a string)."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} {value!r} is neither an int nor a Fraction")
+    return Fraction(value)
+
+
 class LogBound:
     """log10 of a positive bound, as E + sum c_k*log10(m_k), kept exact.
-    Each atom m_k is an int >= 1: anything else raises TypeError rather
-    than being truncated."""
+    Each atom m_k is an int >= 1, and E and each c_k an int or a Fraction:
+    anything else raises TypeError rather than being truncated or rounded."""
 
     __slots__ = ("E", "terms")
 
     def __init__(self, E=0, terms=()):
-        self.E = Fraction(E)
+        self.E = _rational(E, "exact part")
         merged: dict = {}
         items = tuple(terms.items() if isinstance(terms, dict) else terms)
         _ints((m for m, _ in items), "log argument")
         for m, c in items:
-            c = Fraction(c)
+            c = _rational(c, "log coefficient")
             if m < 1:
                 raise ValueError("log arguments must be positive integers")
             if m == 1 or c == 0:
@@ -146,18 +155,6 @@ class LogBound:
             "(values may be equal with distinct large atoms)"
         )
 
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
     # -- rendering ------------------------------------------------------------
 
     def render(self, digits: int = 30) -> str:
@@ -195,7 +192,7 @@ class LogBound:
     @classmethod
     def of_log10(cls, value) -> "LogBound":
         """log10 of a positive integer or Fraction, exactly."""
-        value = Fraction(value)
+        value = _rational(value, "log10 argument")
         if value <= 0:
             raise ValueError("log10 argument must be positive")
         return cls(0, [(value.numerator, 1), (value.denominator, -1)])
@@ -225,10 +222,6 @@ class PointHeight(namedtuple("PointHeight", "max_abs")):
     @property
     def nat(self) -> float:
         return math.log(self.max_abs)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.max_abs == 1
 
 
 def point_height(point) -> PointHeight:
@@ -305,7 +298,7 @@ def _parse_positive(hX):
     int, a Fraction or a scientific string like '3.5e100', whose value is
     never materialized; the exponent after 'e' must be an int."""
     if not isinstance(hX, str):
-        value = Fraction(hX)
+        value = _rational(hX, "h(X)")
         return LogBound.of_log10(value) if value else None
     mant_s, e, exp_s = hX.strip().lower().partition("e")
     mant = Fraction(mant_s)

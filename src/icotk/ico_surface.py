@@ -32,8 +32,8 @@ from .groebner import GREVLEX, Ideal, normal_form
 from .integers import ProjPoint
 
 
-class QuadraticPoint(namedtuple("QuadraticPoint", "coords minpoly",
-                                defaults=((Phi(1), Phi(1), Phi(0, 1)), "t^2 - t - 1"))):
+class QuadraticPoint(namedtuple("QuadraticPoint", "coords",
+                                defaults=((Phi(1), Phi(1), Phi(0, 1)),))):
     """The non-rational T_tau representative (1, 1, t), t^2 = t + 1, with
     Phi coordinates (1, 1, phi)."""
 
@@ -229,7 +229,7 @@ def ttau_points() -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class IdentityReport(namedtuple("IdentityReport", "mode samples seed checks")):
+class IdentityReport(namedtuple("IdentityReport", "mode samples checks")):
     """What verify_identities checked: checks is a tuple of (name, bool)."""
 
     __slots__ = ()
@@ -239,11 +239,21 @@ class IdentityReport(namedtuple("IdentityReport", "mode samples seed checks")):
         return all(ok for _, ok in self.checks)
 
 
-def _random_plane_point(rng, geo) -> tuple:
-    while True:
-        p = tuple(rng.randint(-1000, 1000) for _ in range(3))
-        if any(p) and geo.lam_at(p) != 0:
-            return p
+def _sample(geo, p) -> tuple:
+    """(p, lambda(p), tau(p), rho(tau(p))) for a plane point p: what the
+    sampled checks read, each computed once."""
+    q = [t.evaluate(p) for t in geo.tau]
+    return p, geo.lam_at(p), q, [r.evaluate(q) for r in geo.rho]
+
+
+def _random_samples(rng, geo, count: int) -> list:
+    """count samples at random integer points p with lambda(p) != 0."""
+    out = []
+    while len(out) < count:
+        sample = _sample(geo, tuple(rng.randint(-1000, 1000) for _ in range(3)))
+        if sample[1] != 0:
+            out.append(sample)
+    return out
 
 
 def verify_identities(
@@ -268,7 +278,9 @@ def verify_identities(
     normal-form computation under the step budget (it raises
     BudgetExceededError rather than running unbounded).
     mode="sampled" checks all three identities on exact random rational
-    points with lambda != 0.
+    points with lambda != 0.  Each sample's p, lambda(p), tau(p) and
+    rho(tau(p)) are computed once (_sample) and every sampled check reads
+    them; symbolic_c=True draws no sample.
     """
     if mode not in ("symbolic", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -276,59 +288,45 @@ def verify_identities(
         raise ValueError("sample count must be >= 1")
     geo = fixed_geometry()
     checks = []
-    rng = random.Random(seed)
-    pts = [_random_plane_point(rng, geo) for _ in range(samples)]
+    if mode == "sampled" or not symbolic_c:
+        drawn = _random_samples(random.Random(seed), geo, samples)
 
     if mode == "symbolic":
-        s2t = geo.sigma2.substitute(geo.tau)
-        s4t = geo.sigma4.substitute(geo.tau)
-        checks.append(("sigma2(tau) == 0", s2t.is_zero()))
-        checks.append(("sigma4(tau) == 0", s4t.is_zero()))
+        checks.append(("sigma2(tau) == 0", geo.sigma2.substitute(geo.tau).is_zero()))
+        checks.append(("sigma4(tau) == 0", geo.sigma4.substitute(geo.tau).is_zero()))
         lam = geo.lam
-        for name, rho_i in zip("xyz", geo.rho):
-            var = Poly.variable(P2, name)
-            checks.append(
-                (f"rho_{'xyz'.index(name)}(tau) == lambda*{name}",
-                 rho_i.substitute(geo.tau) == lam * var)
-            )
+        for i, (name, rho_i) in enumerate(zip("xyz", geo.rho)):
+            checks.append((f"rho_{i}(tau) == lambda*{name}",
+                           rho_i.substitute(geo.tau) == lam * Poly.variable(P2, name)))
         core = geo.t[0] * geo.t[1] * geo.t[2] * geo.t[3] * geo.t_sum
         checks.append(("lambda == (t0*t1*t2*t3*sum(t))^6 * v",
                        lam == core**6 * geo.v))
         if symbolic_c:
             surface = geo.surface_ideal().groebner(GREVLEX, budget)
             taurho = [t.substitute(geo.rho) for t in geo.tau]
+            xs = [Poly.variable(P4, name) for name in P4.names]
             ok = True
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    xi = Poly.variable(P4, f"x{i}")
-                    xj = Poly.variable(P4, f"x{j}")
-                    diff = taurho[i] * xj - taurho[j] * xi
-                    if not normal_form(diff, surface, budget=budget).is_zero():
-                        ok = False
+            for i, j in combinations(range(5), 2):
+                diff = taurho[i] * xs[j] - taurho[j] * xs[i]
+                if not normal_form(diff, surface, budget=budget).is_zero():
+                    ok = False
             checks.append(("tau_i(rho)x_j == tau_j(rho)x_i mod (s2,s4) [symbolic]", ok))
         else:
-            checks.append(_sampled_c(geo, pts))
+            checks.append(_sampled_c(geo, drawn))
     else:
-        ok_a = ok_b = True
-        for p in pts:
-            q = [t.evaluate(p) for t in geo.tau]
-            if geo.sigma2.evaluate(q) != 0 or geo.sigma4.evaluate(q) != 0:
-                ok_a = False
-            lam_p = geo.lam_at(p)
-            if tuple(r.evaluate(q) for r in geo.rho) != tuple(lam_p * c for c in p):
-                ok_b = False
+        ok_a = all(geo.sigma2.evaluate(q) == geo.sigma4.evaluate(q) == 0
+                   for _, _, q, _ in drawn)
+        ok_b = all(back == [lam * c for c in p] for p, lam, _, back in drawn)
         checks.append(("sigma2(tau) == sigma4(tau) == 0 on samples", ok_a))
         checks.append(("rho(tau(p)) == lambda(p)*p on samples", ok_b))
-        checks.append(_sampled_c(geo, pts))
+        checks.append(_sampled_c(geo, drawn))
 
-    return IdentityReport(mode=mode, samples=samples, seed=seed, checks=tuple(checks))
+    return IdentityReport(mode=mode, samples=samples, checks=tuple(checks))
 
 
-def _sampled_c(geo: FixedGeometry, pts) -> tuple:
+def _sampled_c(geo: FixedGeometry, drawn) -> tuple:
     ok = True
-    for p in pts:
-        q = [t.evaluate(p) for t in geo.tau]
-        back = [r.evaluate(q) for r in geo.rho]
+    for _, _, q, back in drawn:
         g = gcd(*back) or 1  # tau is homogeneous: each tq scales by g^-12
         tq = [t.evaluate([c // g for c in back]) for t in geo.tau]
         ok = ok and all(tq[i] * q[j] == tq[j] * q[i] for i, j in combinations(range(5), 2))

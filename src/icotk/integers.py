@@ -61,15 +61,6 @@ class ProjPoint:
         pt.coords = coords
         return pt
 
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __len__(self):
-        return len(self.coords)
-
     def __eq__(self, other):
         return isinstance(other, ProjPoint) and self.coords == other.coords
 
@@ -91,6 +82,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # bases is a proof.
 _PSI13 = 3317044064679887385961981
 _POCKLINGTON_BASES = 100
+_TRIAL_CAP = 10**6  # factorize's largest trial divisor, whatever the budget
 
 
 def _is_prime(n: int, budget: FactorBudget) -> bool:
@@ -154,7 +146,7 @@ def _pollard_rho(n: int, budget: FactorBudget) -> int:
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 count += min(m, r - k)
-                if count > budget.rho_iterations:
+                if count > budget.effort:
                     raise FactorBudgetError(
                         f"factoring budget exceeded on {n} (unfactored input)"
                     )
@@ -195,13 +187,13 @@ def _trial_division(n: int, limit: int) -> tuple:
 def factorize(n: int, budget: FactorBudget = DEFAULT_FACTOR_BUDGET) -> dict:
     """Prime factorization {p: e} of |n|, n != 0, within the configured effort.
 
-    Trial division up to ``budget.trial_limit`` first, Pollard rho for the
-    cofactor.  Raises FactorBudgetError instead of ever returning a partial or
-    wrong factorization.
+    Trial division up to min(_TRIAL_CAP, ``budget.effort``) first, Pollard
+    rho for the cofactor.  Raises FactorBudgetError instead of ever
+    returning a partial or wrong factorization.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    out, n = _trial_division(abs(n), budget.trial_limit)
+    out, n = _trial_division(abs(n), min(_TRIAL_CAP, budget.effort))
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

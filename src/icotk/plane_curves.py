@@ -63,7 +63,7 @@ from itertools import combinations
 from .algebra import P2, P4, Echelon, Poly, Ring, primitive_form
 from .binaryforms import form_content_free, strip_root, sylvester_resultant
 from .config import DEFAULT_GB_BUDGET, GroebnerBudget
-from .errors import BudgetExceededError, IcotkError
+from .errors import BudgetExceededError
 from .groebner import GREVLEX, Ideal, normal_form
 from .heights import LogBound, bound_pullback
 from .ico_models import IcoModel, _degree_monomials, general_model
@@ -78,9 +78,6 @@ class PlaneCurve:
         self.degree = self.F.degree()
         self._report = None
         self._pieces: dict = {}  # m -> tuple of J_m generators
-
-    def __repr__(self):
-        return f"PlaneCurve({self.F})"
 
 
 class TauReport(namedtuple("TauReport", "verdict stage witness image_pieces millis")):
@@ -404,12 +401,13 @@ def image_ideal(
 
 class ContainingModelReport(namedtuple(
     "ContainingModelReport",
-    "model r degree degree_bound within_degree_bound log10_abs coeff_certificate"
+    "model degree degree_bound within_degree_bound log10_abs coeff_certificate"
     " within_coeff_bound",
 )):
-    """The model f~ with degree = 2r, degree_bound = 128 deg F, log10_abs =
-    log10 |f~| as a LogBound, and coeff_certificate, the HeightCertificate
-    tagged CorPullback."""
+    """The model f~ with degree = 2r, r the top degree of the image ideal's
+    reduced basis, degree_bound = 128 deg F, log10_abs = log10 |f~| as a
+    LogBound, and coeff_certificate, the HeightCertificate tagged
+    CorPullback."""
 
     __slots__ = ()
 
@@ -419,7 +417,13 @@ def containing_model(
 ) -> ContainingModelReport:
     """A single non-degenerate model f~ whose curve contains the closed
     image: f~ = sum_i (x_i^(r-d_i) g_i)^2 over generators g_i of the image
-    ideal with g_i(e_i) != 0, r the top degree of its reduced basis."""
+    ideal with g_i(e_i) != 0, r the top degree of its reduced basis.
+
+    Each g_i exists: a satisfying report holds, for each e_i, an image-ideal
+    generator G with G(e_i) != 0 (stage 3's witness), and G = sum_k a_k b_k
+    over the reduced basis, so some b_k(e_i) != 0.  Were the plain next()
+    below ever to come up empty, its StopIteration is a bug (exit 4), never
+    a verdict."""
     report = check_tau(curve, budget)
     if not report.satisfies:
         raise ValueError("containing_model requires a curve satisfying the criterion")
@@ -430,12 +434,7 @@ def containing_model(
     ftilde = Poly.zero(P4)
     for i in range(5):
         e = geo.e_points[i].coords
-        g_i = next((g for g in gb if g.evaluate(e) != 0), None)
-        if g_i is None:
-            raise IcotkError(
-                f"no reduced-basis generator separates e{i}; "
-                "the image ideal is too small to build f~"
-            )
+        g_i = next(g for g in gb if g.evaluate(e) != 0)
         pad = Poly.monomial(P4, tuple(r - g_i.degree() if k == i else 0 for k in range(5)))
         sq = pad * g_i
         ftilde = ftilde + sq * sq
@@ -451,7 +450,6 @@ def containing_model(
     log_abs = LogBound.of_log10(ftilde.max_abs_coeff())
     return ContainingModelReport(
         model=model,
-        r=r,
         degree=2 * r,
         degree_bound=128 * curve.degree,
         within_degree_bound=2 * r <= 128 * curve.degree,

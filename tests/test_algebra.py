@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import BlockOrder, block_key, scaled_division
-from icotk import algebra
-from icotk.algebra import P2, P4, Poly, Ring, elementary_symmetric, poly_parse
+from icotk import algebra, integers
+from icotk.algebra import P2, P4, Phi, Poly, Ring, elementary_symmetric, poly_parse
 from icotk.config import FactorBudget
 from icotk.errors import FactorBudgetError, NotDivisibleError, ParseError
 from icotk.groebner import GREVLEX, LEX, normal_form
@@ -75,6 +75,27 @@ def test_an_exponent_must_fit_the_ring(expo):
     with pytest.raises(ValueError, match="no exponent of a monomial"):
         Poly.monomial(P2, expo)
     assert Poly.from_terms(P2, [([1, 0, 2], 3)]) == Poly.monomial(P2, (1, 0, 2), 3)
+
+
+@pytest.mark.parametrize("bad", [0.1, 3.0, "3", "1/3", None, 1j])
+def test_a_coefficient_is_an_int_or_a_fraction(bad):
+    # from_terms summed 0.1 + 0.2 to 0.30000000000000004, monomial kept the
+    # string "3", which str() then failed on, and constant read 0.1 as
+    # 3602879701896397/36028797018963968
+    exact = "neither an int nor a Fraction"
+    with pytest.raises(TypeError, match=exact):
+        Poly.constant(P2, bad)
+    with pytest.raises(TypeError, match=exact):
+        Poly.monomial(P2, (1, 0, 0), bad)
+    with pytest.raises(TypeError, match=exact):
+        Poly.from_terms(P2, [((1, 0, 0), 1), ((1, 0, 0), bad)])
+    x = Poly.variable(P2, "x")
+    with pytest.raises(TypeError, match="neither an int, a Fraction nor a Phi"):
+        x.evaluate((bad, 0, 0))
+    half = Fraction(1, 2)
+    assert Poly.constant(P2, half) == Poly.monomial(P2, (0, 0, 0), half)
+    assert Poly.from_terms(P2, [((1, 0, 0), half), ((1, 0, 0), half)]) == x
+    assert x.evaluate((half, 0, 0)) == half and x.evaluate((Phi(0, 1), 1, 0)) == Phi(0, 1)
 
 
 def test_grammar_forms():
@@ -243,13 +264,23 @@ def test_primality_above_psi13_is_proved_or_refused():
     assert factorize(mersenne) == {mersenne: 1}
     # proving it needs the factors of 2^89 - 2; without them, refuse
     with pytest.raises(FactorBudgetError):
-        _is_prime(mersenne, FactorBudget(trial_limit=10, rho_iterations=2))
+        _is_prime(mersenne, FactorBudget(2))
 
 
 def test_factor_budget_exhaustion():
-    tiny = FactorBudget(trial_limit=10, rho_iterations=2)
+    tiny = FactorBudget(2)
     with pytest.raises(FactorBudgetError):
         factorize(1_000_003 * 1_000_033, tiny)
+
+
+@pytest.mark.parametrize("effort, limit", [(0, 0), (7, 7), (10**6, 10**6), (2 * 10**6, 10**6)])
+def test_the_trial_limit_is_the_budget_capped_at_a_million(effort, limit):
+    seen = []
+    real = integers._trial_division
+    with mock.patch.object(integers, "_trial_division",
+                           lambda n, cap: seen.append(cap) or real(n, cap)):
+        assert factorize(2 * 3 * 5, FactorBudget(effort)) == {2: 1, 3: 1, 5: 1}
+    assert seen == [limit]
 
 
 def test_ring_rejects_duplicate_names():
@@ -349,7 +380,7 @@ def product_by_terms(p, q):
 
 
 def _generic_substitute(p, images):
-    out = algebra._horner(list(p.terms.items()), images)
+    out = algebra._horner(list(p.terms.items()), images, [1])
     return out if isinstance(out, Poly) else Poly.constant(images[0].ring, out)
 
 

@@ -415,6 +415,15 @@ def test_suite_ttau(capsys):
     assert rep["provenance"] == ["suite:ttau"]
 
 
+def test_suite_identities_lists_each_check_once(capsys):
+    # both modes end with check (c) on the same seeded samples
+    code, rep = _invoke(capsys, "suite", "identities", "--samples", "3")
+    names = [c["name"] for c in rep["result"]["checks"]]
+    assert code == 0 and rep["result"]["passed"] is True
+    assert len(names) == len(set(names)) == 9
+    assert names[-1] == "tau_i(rho(q))q_j == tau_j(rho(q))q_i on samples"
+
+
 def test_division_by_zero_input_exits_two(capsys):
     code, rep = _invoke(capsys, "bound", "thmC", "--dx", "1", "--nu", "1", "--hX", "1/0")
     assert code == 2

@@ -598,15 +598,18 @@ def test_sunit_solutions_verify():
         assert sum(tup) == 1
 
 
-def test_sunit_validation_and_budget():
+def test_sunit_validation_and_budget(monkeypatch):
+    import icotk.fermat as fermat
+
     with pytest.raises(ValueError):
         sunit_bounded({4}, 2, 1)
     with pytest.raises(ValueError):
         sunit_bounded({2}, 0, 1)
     with pytest.raises(TypeError):  # (2.5, 3) was read as the primes {2, 3}
         sunit_bounded((2.5, 3), 2, 1)
+    monkeypatch.setattr(fermat, "_ENUMERATION_CAP", 1000)
     with pytest.raises(BudgetExceededError):
-        sunit_bounded({2, 3, 5}, 4, 6, enumeration_cap=1000)
+        sunit_bounded({2, 3, 5}, 4, 6)
 
 
 def test_sunit_cap_is_checked_before_enumerating(monkeypatch):
@@ -618,6 +621,7 @@ def test_sunit_cap_is_checked_before_enumerating(monkeypatch):
             raise AssertionError("the unit box was enumerated before the cap check")
 
     monkeypatch.setattr(fermat, "itertools", NoProduct)
+    monkeypatch.setattr(fermat, "_ENUMERATION_CAP", 10)
     # 2 * 5^2 = 50 units, 50^2 = 2500 pairs > 10
     with pytest.raises(BudgetExceededError, match="50\\^2"):
-        sunit_bounded({2, 3}, 2, 2, enumeration_cap=10)
+        sunit_bounded({2, 3}, 2, 2)

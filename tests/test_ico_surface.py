@@ -16,6 +16,7 @@ from icotk.errors import BasePointError, BudgetExceededError, NotOnSurfaceError
 from icotk.ico_surface import (
     FixedGeometry,
     ProjPoint,
+    _sample,
     _sampled_c,
     fixed_geometry,
     rho_point,
@@ -230,14 +231,15 @@ def test_sampled_identity_c_fails_with_one_tau_perturbed(geo):
     # that must not hide a tau for which identity (c) fails
     pts = [(-7, 5, 11), (4, -9, 2)]
     assert all(geo.lam_at(p) for p in pts)
-    assert _sampled_c(geo, pts)[1] is True
+    assert _sampled_c(geo, [_sample(geo, p) for p in pts])[1] is True
     x = Poly.variable(P2, "x")
     # rho(q) stays a multiple of p when q_4 moves, so a perturbed tau_4
     # still satisfies (c) at every sample; tau_0..tau_3 do not
     for i in range(4):
         tau = list(geo.tau)
         tau[i] = tau[i] + x**12
-        assert _sampled_c(SimpleNamespace(tau=tau, rho=geo.rho), pts)[1] is False, i
+        bent = SimpleNamespace(tau=tau, rho=geo.rho, lam_at=geo.lam_at)
+        assert _sampled_c(bent, [_sample(bent, p) for p in pts])[1] is False, i
 
 
 @given(st.tuples(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60)))
